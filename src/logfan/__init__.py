@@ -6,8 +6,9 @@ for desk-scale log-smooth models, and exact log Hochschild / periodic cyclic
 / orbifold homology tables built on top of them.
 """
 
-from .errors import (FormatUnavailable, KindMismatch, LogfanError, NotAFan,
-                     NotComplete, NotFirm, NotSaturated, NotSimplicial,
+from .errors import (FormatUnavailable, InternalInvariant, KindMismatch,
+                     LogfanError, NotAFan, NotComplete, NotFirm,
+                     NotSaturated, NotSimplicial,
                      NotStronglyConvex, ParseError, RayOutsideSupport,
                      ScopeExceeded, SeriesNotSupported, TruncationTooSmall,
                      UnknownOperation, UnresolvedReference)
@@ -17,7 +18,7 @@ from .monoid import (FineMonoid, MonoidHom, SaturationReport, fs_pushout,
                      hilbert_basis, is_saturated, saturate,
                      spec_component_count)
 from .conecomplex import (Cone, ComplexMorphism, FaceMap,
-                          GeneralizedConeComplex, Subdivision, b_subcomplex,
+                          GeneralizedConeComplex, Subdivision,
                           diagonal_morphism, from_toric_fan, is_isomorphic,
                           nodal_cubic_complex, point_complex, product,
                           snc_artin_fan, star_subdivision, subdivide_along)

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import conecomplex as cc
@@ -165,14 +164,6 @@ def _build_action(spec, where, resolver, truncation) -> ob.DiagonalAction:
 
 # ---------------------------------------------------------------- operations
 
-def _json_vec(v):
-    return list(v)
-
-
-def _json_matrix(m: IntMatrix):
-    return m.as_rows()
-
-
 def _json_complex(K: cc.GeneralizedConeComplex):
     return {
         "cones": [{"rank": c.lattice_rank, "rays": [list(r) for r in c.rays]}
@@ -184,27 +175,27 @@ def _json_complex(K: cc.GeneralizedConeComplex):
     }
 
 
-def _op_smith(args, ctx):
+def _op_smith(args):
     snf = lattice.smith_normal_form(args["matrix"])
-    return {"U": _json_matrix(snf.U), "D": _json_matrix(snf.D),
-            "V": _json_matrix(snf.V), "diagonal": list(snf.diagonal())}, []
+    return {"U": snf.U.as_rows(), "D": snf.D.as_rows(),
+            "V": snf.V.as_rows(), "diagonal": list(snf.diagonal())}, []
 
 
-def _op_cokernel(args, ctx):
+def _op_cokernel(args):
     G = lattice.cokernel(args["matrix"])
     return {"free_rank": G.free_rank, "torsion": list(G.torsion_orders)}, []
 
 
-def _op_saturate_subgroup(args, ctx):
+def _op_saturate_subgroup(args):
     M = args["generators"]
     basis = lattice.saturate_subgroup([M.row(i) for i in range(M.rows)], M.cols)
-    return {"basis": [_json_vec(b) for b in basis]}, []
+    return {"basis": [list(b) for b in basis]}, []
 
 
-def _op_hilbert_basis(args, ctx):
+def _op_hilbert_basis(args):
     M = args["generators"]
     hb = mn.hilbert_basis([M.row(i) for i in range(M.rows)], M.cols)
-    return {"basis": [_json_vec(b) for b in hb]}, []
+    return {"basis": [list(b) for b in hb]}, []
 
 
 def _saturation_json(rep: mn.SaturationReport):
@@ -212,55 +203,54 @@ def _saturation_json(rep: mn.SaturationReport):
     return {
         "ambient": {"free_rank": S.ambient.free_rank,
                     "torsion": list(S.ambient.torsion_orders)},
-        "generators": [_json_vec(g) for g in S.generators],
+        "generators": [list(g) for g in S.generators],
         "torsion_order": rep.torsion_order,
-        "added_generators": [_json_vec(g) for g in rep.index_data],
+        "added_generators": [list(g) for g in rep.index_data],
     }
 
 
-def _op_saturate(args, ctx):
+def _op_saturate(args):
     return _saturation_json(mn.saturate(args["monoid"])), []
 
 
-def _op_is_saturated(args, ctx):
+def _op_is_saturated(args):
     return {"saturated": mn.is_saturated(args["monoid"])}, []
 
 
-def _op_component_count(args, ctx):
+def _op_component_count(args):
     flag = bool(args.get("require_saturated", True))
     return {"count": mn.spec_component_count(args["monoid"], flag)}, []
 
 
-def _op_fs_pushout(args, ctx):
+def _op_fs_pushout(args):
     rep = mn.fs_pushout(args["left"], args["right"])
     data = _saturation_json(rep)
     data["component_count"] = rep.saturated.gp_torsion_order
     return data, []
 
 
-def _op_product(args, ctx):
+def _op_product(args):
     K = cc.product(args["left"], args["right"])
     return _json_complex(K), [("product", K)]
 
 
-def _op_star_subdivision(args, ctx):
+def _op_star_subdivision(args):
     if "ray" not in args:
         raise ParseError("star_subdivision needs a 'ray' argument")
     sub = cc.star_subdivision(args["complex"], int(args.get("cone", 0)),
                               tuple(args["ray"]))
     data = _json_complex(sub.refined)
     data["trivial"] = sub.is_trivial()
-    data["unimodular"] = {str(k): v for k, v in sub.flags.get("unimodular", {}).items()}
+    data["unimodular"] = {str(k): v for k, v in sub.unimodular.items()}
     return data, [("refined", sub.refined)]
 
 
-def _op_subdivide_along_diagonal(args, ctx):
+def _op_subdivide_along_diagonal(args):
     res = cc.subdivide_along(cc.diagonal_morphism(args["complex"]))
     data = {
         "refined": _json_complex(res.subdivision.refined),
         "image_subcomplex": _json_complex(res.image_subcomplex),
-        "unimodular": {str(k): v for k, v in
-                       res.subdivision.flags.get("unimodular", {}).items()},
+        "unimodular": {str(k): v for k, v in res.subdivision.unimodular.items()},
         "image_flags": {str(k): v for k, v in res.image_flags.items()},
         "diagonal_factors": res.factoring is not None,
     }
@@ -268,24 +258,24 @@ def _op_subdivide_along_diagonal(args, ctx):
                   ("image_subcomplex", res.image_subcomplex)]
 
 
-def _op_complex_info(args, ctx):
+def _op_complex_info(args):
     K = args["complex"]
     return _json_complex(K), [("complex", K)]
 
 
-def _op_is_isomorphic(args, ctx):
+def _op_is_isomorphic(args):
     return {"isomorphic": cc.is_isomorphic(args["left"], args["right"])}, []
 
 
-def _op_hh_homology(args, ctx):
+def _op_hh_homology(args):
     return hkr.hh_homology(args["model"]).to_json(), []
 
 
-def _op_hh_cohomology(args, ctx):
+def _op_hh_cohomology(args):
     return hkr.hh_cohomology(args["model"]).to_json(), []
 
 
-def _op_log_diagonal(args, ctx):
+def _op_log_diagonal(args):
     pic = hkr.log_diagonal(args["model"])
     data = {
         "b_description": {"text": pic.b_description.text,
@@ -298,19 +288,19 @@ def _op_log_diagonal(args, ctx):
                   ("refined", pic.diagonal_subdivision.refined)]
 
 
-def _op_periodic_cyclic(args, ctx):
+def _op_periodic_cyclic(args):
     return hkr.periodic_cyclic(args["model"]).to_json(), []
 
 
-def _op_euler_check(args, ctx):
+def _op_euler_check(args):
     return {"euler": hkr.euler_check(args["model"])}, []
 
 
-def _op_check_firm(args, ctx):
+def _op_check_firm(args):
     return {"firm": ob.check_firm(args["action"])}, []
 
 
-def _op_twisted_sector(args, ctx):
+def _op_twisted_sector(args):
     if "element" not in args:
         raise ParseError("twisted_sector needs an 'element' argument")
     sector = ob.twisted_sector(args["action"], tuple(args["element"]))
@@ -322,7 +312,7 @@ def _op_twisted_sector(args, ctx):
     return data, []
 
 
-def _op_orbifold_hh(args, ctx):
+def _op_orbifold_hh(args):
     return ob.orbifold_hh(args["action"]).to_json(), []
 
 
@@ -368,6 +358,8 @@ _BUILDERS = {
 def parse(text: str, truncation: int | None = None) -> Document:
     """Parse and validate a document; diagnostics carry line/column info."""
     truncation = truncation if truncation is not None else lm.DEFAULT_TRUNCATION
+    if truncation < 0:
+        raise ParseError(f"truncation must be >= 0, got {truncation}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -468,27 +460,19 @@ def _run_task(task: Task) -> tuple[dict, list]:
     if task.label:
         base["label"] = task.label
     try:
-        data, attachments = fn(task.args, None)
+        data, attachments = fn(task.args)
         base["status"] = "ok"
         base["data"] = data
         return base, [(f"{task.index}:{label}", K) for label, K in attachments]
-    except LogfanError as exc:
-        base["status"] = "error"
-        base["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return base, []
     except Exception as exc:   # never panic: surface as a diagnostic
         base["status"] = "error"
         base["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return base, []
 
 
-def run(doc: Document, jobs: int = 1) -> Report:
+def run(doc: Document) -> Report:
     """Execute tasks in order; failures do not abort later tasks."""
-    if jobs > 1 and len(doc.tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_task, doc.tasks))
-    else:
-        outcomes = [_run_task(t) for t in doc.tasks]
+    outcomes = [_run_task(t) for t in doc.tasks]
     results = [r for r, _ in outcomes]
     attachments = [a for _, atts in outcomes for a in atts]
     return Report(results, attachments)
@@ -496,29 +480,15 @@ def run(doc: Document, jobs: int = 1) -> Report:
 
 # ------------------------------------------------------------------ emission
 
-def _render_series(coeffs) -> str:
-    terms = []
-    for w, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if w == 0:
-            terms.append(str(c))
-        else:
-            base = "t" if w == 1 else f"t^{w}"
-            terms.append(base if c == 1 else f"{c}{base}")
-    body = " + ".join(terms) if terms else "0"
-    return f"{body} + O(t^{len(coeffs)})"
-
-
 def _render_value(value, indent="    "):
     if isinstance(value, dict):
         if set(value) == {"series", "truncation"}:
-            return f"{indent}{_render_series(value['series'])}"
+            return f"{indent}{lm.GradedEntry.series(value['series']).render()}"
         lines = []
         for k in sorted(value, key=str):
             v = value[k]
             if isinstance(v, dict) and set(v) == {"series", "truncation"}:
-                lines.append(f"{indent}{k}: {_render_series(v['series'])}")
+                lines.append(f"{indent}{k}: {lm.GradedEntry.series(v['series']).render()}")
             elif isinstance(v, (dict, list)):
                 lines.append(f"{indent}{k}:")
                 lines.append(_render_value(v, indent + "  "))
@@ -564,8 +534,8 @@ def main(argv=None) -> int:
         prog="logfan",
         description="combinatorial log-geometry calculator")
     parser.add_argument("--truncation", type=int,
-                        default=int(os.environ.get("LOGFAN_TRUNCATION",
-                                                   lm.DEFAULT_TRUNCATION)),
+                        default=os.environ.get("LOGFAN_TRUNCATION",
+                                               lm.DEFAULT_TRUNCATION),
                         help="series truncation order (default 10)")
     parser.add_argument("--seed", type=int, default=None,
                         help="accepted for harness compatibility; computations "
@@ -575,7 +545,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a document")
     p_run.add_argument("file")
     p_run.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; tasks run in order")
 
     p_check = sub.add_parser("check", help="parse and validate only")
     p_check.add_argument("file")
@@ -583,6 +554,10 @@ def main(argv=None) -> int:
     sub.add_parser("paper-suite", help="run the built-in reproduction suite")
 
     args = parser.parse_args(argv)
+    if args.truncation < 0:
+        print(f"error: truncation must be >= 0, got {args.truncation}",
+              file=sys.stderr)
+        return 2
 
     if args.command == "paper-suite":
         results = run_paper_suite(truncation=args.truncation)
@@ -609,7 +584,7 @@ def main(argv=None) -> int:
         print(f"ok: {len(doc.objects)} objects, {len(doc.tasks)} tasks")
         return 0
 
-    report = run(doc, jobs=args.jobs)
+    report = run(doc)
     try:
         sys.stdout.buffer.write(emit(report, args.format))
     except FormatUnavailable as exc:

@@ -429,7 +429,6 @@ class Subdivision:
 
     refined: GeneralizedConeComplex
     structure: ComplexMorphism        # refined -> original
-    flags: dict = field(compare=False, default_factory=dict)
 
     @property
     def original(self) -> GeneralizedConeComplex:
@@ -438,9 +437,14 @@ class Subdivision:
     def is_trivial(self) -> bool:
         return self.refined == self.structure.target
 
+    @cached_property
+    def unimodular(self) -> dict[int, bool]:
+        """Unimodularity of each maximal refined cone, by cone index."""
+        return {i: self.refined.cones[i].is_unimodular
+                for i in self.refined.maximal_cone_indices()}
+
     def all_unimodular(self) -> bool:
-        uni = self.flags.get("unimodular", {})
-        return all(uni.values())
+        return all(self.unimodular.values())
 
     def support_volumes_ok(self) -> bool:
         """Support preservation: refined pieces tile each original maximal cone.
@@ -460,17 +464,17 @@ class Subdivision:
             total = Fraction(0)
             for rc in self.refined.cones:
                 if rc.dim == cone.dim and cone.geometry.contains_cone(rc.geometry):
-                    total += _truncated_volume(rc, ell)
-            if total != _truncated_volume(cone, ell):
+                    total += _truncated_volume(rc.rays, rc.lattice_rank, ell)
+            if total != _truncated_volume(cone.rays, cone.lattice_rank, ell):
                 return False
         return True
 
 
-def _truncated_volume(c: Cone, ell) -> Fraction:
-    """Normalized volume of the cone truncated at ell(x) <= 1."""
+def _truncated_volume(rays, rank: int, ell) -> Fraction:
+    """Normalized volume of cone(rays) in Z^rank truncated at ell(x) <= 1."""
     total = Fraction(0)
-    for s in geom.triangulate(list(c.rays), c.lattice_rank):
-        block = [c.rays[i] for i in s]
+    for s in geom.triangulate(list(rays), rank):
+        block = [rays[i] for i in s]
         denom = 1
         for r in block:
             h = geom.dot(ell, r)
@@ -496,11 +500,6 @@ def _structure_to(refined: GeneralizedConeComplex,
     return ComplexMorphism(refined, original, tuple(assignment))
 
 
-def _unimodularity_flags(K: GeneralizedConeComplex) -> dict:
-    return {"unimodular": {i: K.cones[i].is_unimodular
-                           for i in K.maximal_cone_indices()}}
-
-
 def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivision:
     """Stellar subdivision at a primitive ray located in a named cone.
 
@@ -523,7 +522,7 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
         if home is None:
             raise RayOutsideSupport(f"{v} lies in no cone of the complex")
     if v in home.rays:
-        return Subdivision(F, identity_morphism(F), _unimodularity_flags(F))
+        return Subdivision(F, identity_morphism(F))
     if not F.is_embedded:
         raise ScopeExceeded("stellar subdivision of self-glued complexes is not supported")
 
@@ -536,7 +535,7 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
             break
     assert tau is not None, "embedded complex must have a relative-interior home"
     if v in tau.rays:
-        return Subdivision(F, identity_morphism(F), _unimodularity_flags(F))
+        return Subdivision(F, identity_morphism(F))
 
     keep = []
     new_tops = []
@@ -551,7 +550,7 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
             keep.append(c)
     refined = _embedded_from_cones(keep + new_tops, rank)
     structure = _structure_to(refined, F)
-    return Subdivision(refined, structure, _unimodularity_flags(refined))
+    return Subdivision(refined, structure)
 
 
 def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
@@ -645,11 +644,11 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         ell = ig.normals[0]
         for nrm in ig.normals[1:]:
             ell = geom.vadd(ell, nrm)
-        target_vol = _truncated_geometry_volume(ig, ell, rank)
+        target_vol = _truncated_volume(ig.rays, rank, ell)
         have = Fraction(0)
         for c in K.cones:
             if c.dim == ig.span_dim and ig.contains_cone(c.geometry):
-                have += _truncated_geometry_volume(c.geometry, ell, rank)
+                have += _truncated_volume(c.rays, rank, ell)
         return have == target_vol
 
     rounds = 0
@@ -666,7 +665,7 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         current = _subdivide_once(current, primitive(bary))
 
     structure = _structure_to(current, target)
-    sub = Subdivision(current, structure, _unimodularity_flags(current))
+    sub = Subdivision(current, structure)
 
     inside = [c for c in current.cones
               if any(ig.contains_cone(c.geometry) for ig in image_geoms)]
@@ -690,41 +689,12 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     return DiagonalSubdivision(phi, sub, image_subcomplex, factoring, image_flags)
 
 
-def _truncated_geometry_volume(g: geom.ConeGeometry, ell, rank: int) -> Fraction:
-    total = Fraction(0)
-    for s in geom.triangulate(list(g.rays), rank):
-        block = [g.rays[i] for i in s]
-        denom = 1
-        for r in block:
-            h = geom.dot(ell, r)
-            assert h > 0
-            denom *= h
-        total += Fraction(geom.simplicial_index(block), denom)
-    return total
-
-
 def _subdivide_once(K: GeneralizedConeComplex, v: Vector) -> GeneralizedConeComplex:
     """Stellar subdivision step used inside subdivide_along."""
     home = next((i for i, c in enumerate(K.cones) if c.contains(v)), None)
     if home is None:
         raise RayOutsideSupport(f"{v} lies in no cone of the complex")
     return star_subdivision(K, home, v).refined
-
-
-def b_subcomplex(F: GeneralizedConeComplex,
-                 d: DiagonalSubdivision) -> GeneralizedConeComplex:
-    """Subcomplex of refined cones through which the diagonal factors.
-
-    `d` must come from subdivide_along of the diagonal morphism of F.  The
-    output is face-closed and the recomposition check re-verifies that the
-    diagonal lands inside it.
-    """
-    if d.morphism.source is not F and d.morphism.source != F:
-        raise ValueError("subdivision does not belong to this complex")
-    sub = d.image_subcomplex
-    if d.factoring is not None:
-        assert d.factoring.target == sub
-    return sub
 
 
 # ------------------------------------------------------------------ rendering

@@ -67,3 +67,7 @@ class UnresolvedReference(LogfanError):
 
 class FormatUnavailable(LogfanError):
     """The requested output format does not apply to this result."""
+
+
+class InternalInvariant(LogfanError):
+    """A result failed a consistency check that correct code always passes."""

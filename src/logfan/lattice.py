@@ -49,6 +49,8 @@ class IntMatrix:
                 raise ValueError("ragged columns")
         else:
             m = rows if rows is not None else 0
+        if m == 0:
+            return IntMatrix.zero(0, len(cols))
         return IntMatrix.from_rows([[c[i] for c in cols] for i in range(m)])
 
     @staticmethod
@@ -359,12 +361,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def cokernel_projection(A: IntMatrix) -> tuple[FgAbelianGroup, IntMatrix]:
+    """Z^rows / image(A) and the matrix of the projection Z^rows onto it.
+
+    With U A V = D in Smith form, the rows of U whose diagonal entry is 0
+    give the free coordinates and those whose entry is at least 2 give the
+    torsion coordinates, in that order.
+    """
+    snf = smith_normal_form(A)
+    diag = snf.diagonal()
+    diag += (0,) * (A.rows - len(diag))
+    free = [j for j, d in enumerate(diag) if d == 0]
+    tors = [j for j, d in enumerate(diag) if d >= 2]
+    G = FgAbelianGroup(len(free), tuple(diag[j] for j in tors))
+    rows = [snf.U.row(j) for j in free + tors]
+    return G, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, A.rows)
+
+
 def cokernel(A: IntMatrix) -> FgAbelianGroup:
     """Z^rows / image(A), read off the Smith diagonal."""
-    diag = smith_normal_form(A).diagonal()
-    torsion = tuple(d for d in diag if d >= 2)
-    free = A.rows - sum(1 for d in diag if d != 0)
-    return FgAbelianGroup(free, torsion)
+    return cokernel_projection(A)[0]
 
 
 def kernel_basis(A: IntMatrix) -> list[Vector]:

@@ -207,6 +207,7 @@ class LogModel:
     kind: str
     complete: bool
     affine: bool
+    open_euler: int | None         # chi(X minus D) where known, else None
     weakly_log_separated: bool = True
     log_coords: tuple[int, ...] = ()
     truncation: int | None = None
@@ -229,7 +230,7 @@ class LogModel:
 def point_model() -> LogModel:
     table = HodgeTable.build(0, {(0, 0): GradedEntry.finite(1)})
     return LogModel("point", 0, point_complex(), table, table,
-                    kind="point", complete=True, affine=False)
+                    kind="point", complete=True, affine=False, open_euler=1)
 
 
 def _angular_complete(rays, maximal_cones, rank: int) -> bool:
@@ -270,7 +271,8 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
         entries = {(0, q): GradedEntry.finite(comb(rank, q)) for q in range(rank + 1)}
         table = HodgeTable.build(rank, entries)
         return LogModel(name, rank, fan, table, table,
-                        kind="toric", complete=True, affine=False)
+                        kind="toric", complete=True, affine=False,
+                        open_euler=0 ** rank)    # chi of the torus (C^*)^rank
     if len(maximal_cones) != 1:
         raise ScopeExceeded("affine toric models use a single maximal cone")
     sigma = [tuple(int(x) for x in rays[i]) for i in maximal_cones[0]]
@@ -285,7 +287,7 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
                         for q in range(rank + 1)}
         dual = HodgeTable.build(rank, dual_entries)
     return LogModel(name, rank, fan, table, dual,
-                    kind="toric", complete=False, affine=True,
+                    kind="toric", complete=False, affine=True, open_euler=None,
                     log_coords=tuple(range(rank)), truncation=truncation)
 
 
@@ -359,7 +361,7 @@ def marked_p1(n: int) -> LogModel:
     fan = snc_artin_fan([(i,) for i in range(n)]) if n else point_complex()
     return LogModel(f"P^1 with {n} marked points", 1, fan,
                     HodgeTable.build(1, entries), HodgeTable.build(1, dual_entries),
-                    kind="marked_p1", complete=True, affine=False)
+                    kind="marked_p1", complete=True, affine=False, open_euler=2 - n)
 
 
 def nodal_cubic() -> LogModel:
@@ -372,7 +374,7 @@ def nodal_cubic() -> LogModel:
     entries = {(0, 0): one, (1, 0): one, (0, 1): one, (1, 1): one}
     table = HodgeTable.build(1, entries)
     return LogModel("nodal cubic", 1, nodal_cubic_complex(), table, table,
-                    kind="nodal_cubic", complete=True, affine=False)
+                    kind="nodal_cubic", complete=True, affine=False, open_euler=0)
 
 
 def mixed_affine(num_coords: int, log_coords, *,
@@ -411,7 +413,8 @@ def mixed_affine(num_coords: int, log_coords, *,
         fan = point_complex()
     return LogModel(name, num_coords, fan, HodgeTable.build(num_coords, entries),
                     None, kind="mixed_affine", complete=(num_coords == 0),
-                    affine=True, log_coords=log_coords, truncation=truncation)
+                    affine=True, open_euler=None, log_coords=log_coords,
+                    truncation=truncation)
 
 
 def product_model(X: LogModel, Y: LogModel) -> LogModel:
@@ -430,6 +433,8 @@ def product_model(X: LogModel, Y: LogModel) -> LogModel:
                     table, dual, kind="product",
                     complete=X.complete and Y.complete,
                     affine=X.affine or Y.affine,
+                    open_euler=(None if X.open_euler is None or Y.open_euler is None
+                                else X.open_euler * Y.open_euler),
                     weakly_log_separated=X.weakly_log_separated and Y.weakly_log_separated,
                     truncation=X.truncation if X.truncation is not None else Y.truncation)
 
@@ -447,4 +452,4 @@ def subdivided_model(X: LogModel, s: Subdivision) -> LogModel:
         raise ScopeExceeded("subdivision must be unimodular (log modification)")
     return LogModel(f"{X.name} (subdivided)", X.dimension, s.refined,
                     X.hodge, X.dual_hodge, kind="toric",
-                    complete=True, affine=False)
+                    complete=True, affine=False, open_euler=X.open_euler)

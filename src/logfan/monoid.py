@@ -12,14 +12,14 @@ sum inside the cokernel, image monoid, then saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import _geometry as geom
 from .errors import NotSaturated, NotStronglyConvex
-from .lattice import (FgAbelianGroup, IntMatrix, Vector, hnf_rows, in_lattice,
-                      lattice_rank as _span_rank, reduce_mod_lattice,
-                      smith_normal_form, solve_integer)
+from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection,
+                      hnf_rows, in_lattice, lattice_rank as _span_rank,
+                      reduce_mod_lattice, smith_normal_form, solve_integer)
 
 
 @dataclass(frozen=True)
@@ -177,34 +177,6 @@ def _unit_subgroup_rows(P: FineMonoid) -> list[Vector]:
     return units
 
 
-def _quotient_by_subgroup(G: FgAbelianGroup, rows) -> tuple[FgAbelianGroup, IntMatrix]:
-    """Quotient of G by the subgroup generated by `rows` (plus relations).
-
-    Returns the quotient group and the matrix of the projection in
-    presentation coordinates.
-    """
-    n = G.num_coords
-    f = G.free_rank
-    rel = [tuple(d if j == f + i else 0 for j in range(n))
-           for i, d in enumerate(G.torsion_orders)]
-    cols = [tuple(r) for r in rows] + rel
-    M = IntMatrix.from_columns(cols, rows=n)
-    snf = smith_normal_form(M)
-    diag = snf.diagonal()
-    free_idx, tors_idx, tors_orders = [], [], []
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            free_idx.append(j)
-        elif d >= 2:
-            tors_idx.append(j)
-            tors_orders.append(d)
-    H = FgAbelianGroup(len(free_idx), tuple(tors_orders))
-    proj_rows = [snf.U.row(j) for j in free_idx] + [snf.U.row(j) for j in tors_idx]
-    proj = IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix.zero(0, n)
-    return H, proj
-
-
 def contains(P: FineMonoid, x) -> bool:
     """Exact membership of an ambient element in the monoid."""
     G = P.ambient
@@ -215,7 +187,8 @@ def contains(P: FineMonoid, x) -> bool:
         return False
     units = _unit_subgroup_rows(P)
     if units:
-        H, proj = _quotient_by_subgroup(G, units)
+        H, proj = cokernel_projection(IntMatrix.from_columns(
+            units + list(P._relation_rows), rows=G.num_coords))
         Q = FineMonoid.make(H, [proj.apply(g) for g in P.generators])
         return _contains_sharp(Q, H.reduce(proj.apply(x)))
     return _contains_sharp(P, x)
@@ -262,7 +235,6 @@ class SaturationReport:
     saturated: FineMonoid
     torsion_order: int
     index_data: tuple[Vector, ...]   # generators the saturation added
-    idempotent: bool = field(default=True)
 
     def summary(self) -> str:
         added = ", ".join(str(v) for v in self.index_data) or "none"
@@ -300,7 +272,7 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
             proj = (IntMatrix.from_rows(proj_rows) if proj_rows
                     else IntMatrix.zero(0, r))
             projected = [proj.apply(w) for w in ws]
-            hb = _hilbert_basis_full_dim_or_span(projected, r - len(lin))
+            hb = hilbert_basis(projected, r - len(lin))
             lin_hnf = hnf_rows(lin)
             for h in hb:
                 lift = solve_integer(proj, h)
@@ -310,7 +282,7 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
                 lam_gens.append(tuple(l))
                 lam_gens.append(geom.vneg(l))
         else:
-            lam_gens.extend(_hilbert_basis_full_dim_or_span(ws, r))
+            lam_gens.extend(hilbert_basis(ws, r))
         # lift each lattice-coordinate generator into P^gp
         L1_free = IntMatrix.from_rows([row[:f] for row in L1]).transpose
         for u in lam_gens:
@@ -324,30 +296,19 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
     return tuple(out), torsion_order
 
 
-def _hilbert_basis_full_dim_or_span(rays, dim: int) -> list[Vector]:
-    """Hilbert basis allowing rays that span a sublattice of Z^dim."""
-    rays = [r for r in rays if not geom.is_zero(r)]
-    if not rays or dim == 0:
-        return []
-    basis, coords = geom.cone_lattice_coords(rays, dim)
-    B = IntMatrix.from_columns(basis, rows=dim)
-    return [B.apply(h) for h in _hilbert_basis_full_dim(coords, len(basis))]
-
-
 def saturate(P: FineMonoid) -> SaturationReport:
     """Saturation P^sat = {g in P^gp : n*g in P for some n >= 1}.
 
     Computed as the preimage in P^gp of the rational cone over the free
-    parts; the full torsion subgroup of P^gp is absorbed.  The report stores
-    an idempotence certificate (re-saturating changes nothing).
+    parts; the full torsion subgroup of P^gp is absorbed.  Re-saturating
+    the result is checked to change nothing.
     """
     gens, torsion_order = _saturate_generators(P)
     sat = FineMonoid.make(P.ambient, gens)
     added = tuple(g for g in sat.generators if g not in set(P.generators))
     gens2, _ = _saturate_generators(sat)
-    idem = FineMonoid.make(P.ambient, gens2) == sat
-    assert idem, "saturation failed to be idempotent"
-    return SaturationReport(sat, torsion_order, added, idem)
+    assert FineMonoid.make(P.ambient, gens2) == sat, "saturation failed to be idempotent"
+    return SaturationReport(sat, torsion_order, added)
 
 
 def is_saturated(P: FineMonoid) -> bool:
@@ -429,14 +390,7 @@ def amalgamated_sum(f: MonoidHom, g: MonoidHom) -> PushoutData:
         gc = g.matrix.column(j)
         cols.append(tuple(fc) + tuple(-x for x in gc))
 
-    M = IntMatrix.from_columns(cols, rows=N)
-    snf = smith_normal_form(M)
-    diag = snf.diagonal()
-    free_idx = [j for j in range(N) if (diag[j] if j < len(diag) else 0) == 0]
-    tors_idx = [j for j in range(N) if j < len(diag) and diag[j] >= 2]
-    H = FgAbelianGroup(len(free_idx), tuple(diag[j] for j in tors_idx))
-    proj = IntMatrix.from_rows([snf.U.row(j) for j in free_idx]
-                               + [snf.U.row(j) for j in tors_idx])
+    H, proj = cokernel_projection(IntMatrix.from_columns(cols, rows=N))
 
     leg_left = IntMatrix.from_columns(
         [proj.apply(tuple(1 if t == j else 0 for t in range(N))) for j in range(nP)],

@@ -465,21 +465,8 @@ def _koszul_matrix(d: int, box: int, q: int, bases, domain_filter=None):
     return dom, cols, len(bases[q - 1])
 
 
-def _rational_rank(cols, nrows: int) -> int:
-    rows: list[dict[int, Fraction]] = []
-    for col in cols:
-        vec = {i: Fraction(v) for i, v in col.items() if v}
-        for prow in sorted(rows, key=min):
-            lead = min(prow)
-            if lead in vec:
-                f = vec[lead] / prow[lead]
-                for k, v in prow.items():
-                    vec[k] = vec.get(k, Fraction(0)) - f * v
-                    if vec[k] == 0:
-                        del vec[k]
-        if vec:
-            rows.append(vec)
-    return len(rows)
+def _rational_rank(cols) -> int:
+    return len(cols) - len(_rational_kernel(cols))
 
 
 def _koszul_resolution_window(d: int, box: int) -> bool:
@@ -524,8 +511,8 @@ def _koszul_resolution_window(d: int, box: int) -> bool:
             for ci, coef in kv.items():
                 e[full_index[dom[ci]]] = coef
             embedded.append(e)
-        base_rank = _rational_rank(img_cols, len(bases[q]))
-        aug_rank = _rational_rank(img_cols + embedded, len(bases[q]))
+        base_rank = _rational_rank(img_cols)
+        aug_rank = _rational_rank(img_cols + embedded)
         if aug_rank != base_rank:
             return False
 
@@ -534,7 +521,7 @@ def _koszul_resolution_window(d: int, box: int) -> bool:
     zero_pt = ((), (0,) * d)
     idx = {x: i for i, x in enumerate(bases[0])}
     v = {idx[zero_pt]: Fraction(1)}
-    if _rational_rank(img_cols + [v], len(bases[0])) == _rational_rank(img_cols, len(bases[0])):
+    if _rational_rank(img_cols + [v]) == _rational_rank(img_cols):
         return False
     return True
 

@@ -138,11 +138,12 @@ def test_dot_unavailable_without_complexes():
         emit(report, "dot")
 
 
-def test_jobs_parallel_execution_deterministic():
-    text = (FIXTURES / "r_lines.lf.json").read_text()
-    serial = emit(run(parse(text), jobs=1), "json")
-    parallel = emit(run(parse(text), jobs=4), "json")
-    assert serial == parallel
+def test_jobs_parallel_execution_deterministic(capsysbinary):
+    path = FIXTURES / "r_lines.lf.json"
+    expected = emit(run(parse(path.read_text())), "json")
+    for jobs in ("1", "4"):
+        assert main(["run", str(path), "--format", "json", "--jobs", jobs]) == 0
+        assert capsysbinary.readouterr().out == expected
 
 
 def test_main_check_and_run(capsys):
@@ -163,6 +164,17 @@ def test_main_seed_and_truncation_accepted():
     path = str(FIXTURES / "a2_product.lf.json")
     assert main(["--seed", "42", "--truncation", "5", "run", path,
                  "--format", "json"]) == 0
+
+
+def test_negative_truncation_rejected(capsys, monkeypatch):
+    path = FIXTURES / "a1_diagonal.lf.json"
+    with pytest.raises(ParseError):
+        parse(path.read_text(), truncation=-1)
+    assert main(["--truncation", "-1", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "truncation must be >= 0" in err and err.count("\n") == 1
+    monkeypatch.setenv("LOGFAN_TRUNCATION", "-1")
+    assert main(["paper-suite"]) == 2
 
 
 def test_truncation_flag_controls_series(tmp_path, capsys):

@@ -3,9 +3,9 @@
 import pytest
 
 from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
-                                GeneralizedConeComplex, b_subcomplex,
-                                diagonal_morphism, face_poset_dot,
-                                face_poset_text, from_toric_fan, is_isomorphic,
+                                GeneralizedConeComplex, diagonal_morphism,
+                                face_poset_dot, face_poset_text,
+                                from_toric_fan, is_isomorphic,
                                 nodal_cubic_complex, point_complex, product,
                                 product_projections, snc_artin_fan,
                                 star_subdivision, subdivide_along)
@@ -118,7 +118,7 @@ def test_star_subdivision_nonunimodular_flagged():
     sub = star_subdivision(K, quadrant_index(K), (1, 2))
     maxima = sub.refined.maximal_cone_indices()
     assert len(maxima) == 2
-    flags = sub.flags["unimodular"]
+    flags = sub.unimodular
     bad = [i for i in maxima if not flags[i]]
     assert len(bad) == 1
     assert sub.refined.cones[bad[0]].multiplicity == 2
@@ -193,20 +193,20 @@ def test_subdivide_along_scope():
         subdivide_along(diagonal_morphism(big))   # source cones of dim 3
 
 
-def test_b_subcomplex():
+def test_image_subcomplex():
     a1 = a1_complex()
     res = subdivide_along(diagonal_morphism(a1))
-    B = b_subcomplex(a1, res)
+    B = res.image_subcomplex
     assert sorted(c.dim for c in B.cones) == [0, 1]
     B.validate()   # face-closed by construction
 
     pt = point_complex()
     res0 = subdivide_along(diagonal_morphism(pt))
-    assert b_subcomplex(pt, res0).cone_count == 1
+    assert res0.image_subcomplex.cone_count == 1
 
     a2 = a2_complex()
     res2 = subdivide_along(diagonal_morphism(a2))
-    B2 = b_subcomplex(a2, res2)
+    B2 = res2.image_subcomplex
     assert sorted(c.dim for c in B2.cones) == [0, 1, 1, 2]
     # recomposition: the diagonal factors through the subcomplex
     assert res2.factoring.target == B2

@@ -1,12 +1,13 @@
 """HKR calculators: homology/cohomology tables, diagonal pictures, cyclic."""
 
+import dataclasses
 import itertools
 from math import comb
 
 import pytest
 
 from logfan.conecomplex import star_subdivision
-from logfan.errors import ScopeExceeded, SeriesNotSupported
+from logfan.errors import InternalInvariant, ScopeExceeded, SeriesNotSupported
 from logfan.hkr import (euler_check, hh_cohomology, hh_homology, log_diagonal,
                         periodic_cyclic)
 from logfan.logmodel import (affine_space_model, marked_p1, mixed_affine,
@@ -160,6 +161,8 @@ def test_euler_check():
     assert euler_check(nodal_cubic()) == 0
     assert euler_check(marked_p1(1)) == 1
     assert euler_check(point_model()) == 1
+    with pytest.raises(InternalInvariant):
+        euler_check(dataclasses.replace(marked_p1(3), open_euler=2))
 
 
 # ----------------------------------------------------------------- invariance

@@ -4,10 +4,10 @@ import itertools
 import random
 from math import gcd
 
-from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel, det,
-                            hnf_rows, in_lattice, kernel_basis,
-                            saturate_subgroup, smith_normal_form,
-                            solve_integer)
+from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel,
+                            cokernel_projection, det, hnf_rows, in_lattice,
+                            kernel_basis, saturate_subgroup,
+                            smith_normal_form, solve_integer)
 
 
 def minor_gcd_diagonal(A: IntMatrix):
@@ -106,6 +106,27 @@ def test_cokernel_mixed():
     G = cokernel(A)
     assert G.free_rank == 1
     assert G.torsion_orders == (6,)
+
+
+def test_from_columns_keeps_column_count():
+    assert IntMatrix.from_columns([(), ()], rows=0) == IntMatrix.zero(0, 2)
+
+
+def test_cokernel_projection_kills_image_and_is_onto():
+    rng = random.Random(5)
+    for _ in range(60):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        A = IntMatrix(m, n, tuple(rng.randint(-4, 4) for _ in range(m * n)))
+        G, proj = cokernel_projection(A)
+        assert G == cokernel(A)
+        assert (proj.rows, proj.cols) == (G.num_coords, m)
+        for j in range(n):
+            assert G.reduce(proj.apply(A.column(j))) == G.zero()
+        k, f = G.num_coords, G.free_rank
+        relations = [tuple(d if t == f + i else 0 for t in range(k))
+                     for i, d in enumerate(G.torsion_orders)]
+        span = [proj.column(j) for j in range(m)] + relations
+        assert hnf_rows(span) == tuple(IntMatrix.identity(k).row(i) for i in range(k))
 
 
 def brute_saturation(gens, rank, bound=6, mult=12):

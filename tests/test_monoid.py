@@ -136,7 +136,7 @@ def test_saturate_numerical_semigroup():
 def test_saturate_idempotent_on_N():
     rep = saturate(N)
     assert rep.saturated == N
-    assert rep.idempotent
+    assert saturate(rep.saturated).saturated == rep.saturated
     assert rep.index_data == ()
 
 
@@ -218,6 +218,14 @@ def test_pushout_r_lines():
         assert rep.saturated.ambient == FgAbelianGroup(1, (r,))
         assert rep.torsion_order == r
         assert spec_component_count(rep.saturated) == r
+
+
+def test_pushout_onto_trivial_group():
+    Z2 = FineMonoid.make(FgAbelianGroup(0, (2,)), [(1,)])
+    zero = FineMonoid.make(FgAbelianGroup(0), [])
+    rep = fs_pushout(MonoidHom(Z2, Z2, IntMatrix.identity(1)),
+                     MonoidHom(Z2, zero, IntMatrix.zero(0, 1)))
+    assert spec_component_count(rep.saturated) == 1
 
 
 def test_pushout_diagonal_chart():
