@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import InternalInvariant
 from .lattice import (IntMatrix, Vector, hnf_rows, kernel_basis,
                       lattice_rank, primitive, smith_normal_form,
                       solve_integer, solve_rational)
@@ -105,6 +106,16 @@ def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Ve
     return hnf_rows(lines), tuple(sorted(seen))
 
 
+def primitive_rays(rays) -> tuple[Vector, ...]:
+    """Sorted distinct primitive vectors of the nonzero input rays."""
+    return tuple(sorted({p for p in map(primitive, rays) if not is_zero(p)}))
+
+
+# Interning table of ConeGeometry.of: one object per (dim, primitive rays), so
+# the double description and everything cached on it are computed once.
+_GEOMETRIES: dict[tuple[int, tuple[Vector, ...]], "ConeGeometry"] = {}
+
+
 @dataclass(frozen=True)
 class ConeGeometry:
     """Cached double description of a single rational cone."""
@@ -114,12 +125,11 @@ class ConeGeometry:
 
     @staticmethod
     def of(rays, dim: int) -> "ConeGeometry":
-        prims = []
-        for r in rays:
-            p = primitive(r)
-            if not is_zero(p) and p not in prims:
-                prims.append(p)
-        return ConeGeometry(dim, tuple(sorted(prims)))
+        key = (dim, primitive_rays(rays))
+        g = _GEOMETRIES.get(key)
+        if g is None:
+            g = _GEOMETRIES[key] = ConeGeometry(*key)
+        return g
 
     @cached_property
     def _dual(self):
@@ -176,7 +186,8 @@ class ConeGeometry:
         cons.extend(self.normals)
         cons.extend(other.normals)
         lines, rays = dual_generators(cons, self.dim)
-        assert not lines, "intersection of sharp cones grew a line"
+        if lines:
+            raise InternalInvariant("intersection of sharp cones grew a line")
         return rays
 
     def meets_interior_of(self, other: "ConeGeometry") -> bool:
@@ -266,7 +277,8 @@ def parallelepiped_points(basis) -> list[Vector]:
     W = IntMatrix.from_columns(basis, rows=k)
     snf = smith_normal_form(W)
     diag = snf.diagonal()
-    assert all(d != 0 for d in diag), "parallelepiped basis is degenerate"
+    if not all(d != 0 for d in diag):
+        raise InternalInvariant("parallelepiped basis is degenerate")
     reps = [()]
     for d in diag:
         reps = [r + (i,) for r in reps for i in range(d)]
@@ -277,12 +289,14 @@ def parallelepiped_points(basis) -> list[Vector]:
         shift = tuple(int(Fraction(ti).__floor__()) for ti in t)
         x = vsub(x, W.apply(shift))
         t2 = solve_rational(W, x)
-        assert all(0 <= ti < 1 for ti in t2)
+        if not all(0 <= ti < 1 for ti in t2):
+            raise InternalInvariant("parallelepiped point left the half-open box")
         points.add(tuple(x))
     expected = 1
     for d in diag:
         expected *= d
-    assert len(points) == expected
+    if len(points) != expected:
+        raise InternalInvariant("parallelepiped point count differs from the index")
     return sorted(points)
 
 
@@ -300,6 +314,7 @@ def cone_lattice_coords(rays, dim: int):
     coords = []
     for r in rays:
         c = solve_integer(B, r)
-        assert c is not None, "ray escapes the saturated span lattice"
+        if c is None:
+            raise InternalInvariant("ray escapes the saturated span lattice")
         coords.append(c)
     return basis, coords

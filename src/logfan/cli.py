@@ -62,6 +62,8 @@ class Report:
 # ------------------------------------------------------------- object parsing
 
 def _require(obj, key, where):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {obj!r}")
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     return obj[key]
@@ -85,33 +87,81 @@ def _build_monoid(spec, where) -> mn.FineMonoid:
         raise ParseError(f"{where}: {exc}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _count_field(spec, key, where) -> int:
+    """A required field holding an integer >= 0."""
+    val = _require(spec, key, where)
+    if not _is_int(val) or val < 0:
+        raise ParseError(f"{where}: {key!r} must be an integer >= 0, got {val!r}")
+    return val
+
+
+def _index(val, key, where, bound) -> int:
+    """An index into a list of `bound` items."""
+    if not _is_int(val) or not 0 <= val < bound:
+        raise ParseError(f"{where}: {key!r} index {val!r} must be an integer in [0, {bound})")
+    return val
+
+
+def _indices(val, key, where, bound) -> tuple[int, ...]:
+    if not isinstance(val, list):
+        raise ParseError(f"{where}: {key!r} must be a list of indices")
+    return tuple(_index(i, key, where, bound) for i in val)
+
+
+def _vectors(val, key, where, length) -> list[tuple[int, ...]]:
+    """A list of integer vectors of the given length."""
+    if not isinstance(val, list) or not all(
+            isinstance(v, list) and len(v) == length and all(_is_int(x) for x in v)
+            for v in val):
+        raise ParseError(f"{where}: {key!r} must be a list of integer vectors "
+                         f"of length {length}")
+    return [tuple(v) for v in val]
+
+
+def _toric_fields(spec, where):
+    """Rays, maximal cones and rank of a toric fan, type- and range-checked."""
+    rank = _count_field(spec, "rank", where)
+    rays = _vectors(_require(spec, "rays", where), "rays", where, rank)
+    cones = _require(spec, "maximal_cones", where)
+    if not isinstance(cones, list):
+        raise ParseError(f"{where}: 'maximal_cones' must be a list of index lists")
+    return rays, [_indices(m, "maximal_cones", where, len(rays)) for m in cones], rank
+
+
 def _build_complex(spec, where) -> cc.GeneralizedConeComplex:
     builtin = spec.get("builtin")
-    if builtin == "toric_fan":
-        return cc.from_toric_fan(_require(spec, "rays", where),
-                                 [tuple(m) for m in _require(spec, "maximal_cones", where)],
-                                 int(_require(spec, "rank", where)))
     if builtin == "snc":
         return cc.snc_artin_fan([tuple(s) for s in _require(spec, "simplices", where)])
     if builtin == "nodal_cubic":
         return cc.nodal_cubic_complex()
     if builtin == "point":
         return cc.point_complex()
-    if builtin is not None:
+    if builtin not in (None, "toric_fan"):
         raise ParseError(f"{where}: unknown complex builtin {builtin!r}")
-    cones = []
-    for c in _require(spec, "cones", where):
-        cones.append(cc.Cone.make([tuple(r) for r in c.get("rays", [])],
-                                  int(_require(c, "rank", where))))
-    maps = []
-    for m in _require(spec, "face_maps", where):
-        maps.append(cc.FaceMap(int(m["source"]), int(m["target"]),
-                               _as_matrix(m["matrix"], where)
-                               if m.get("matrix") is not None else
-                               IntMatrix.identity(cones[int(m["target"])].lattice_rank)))
-    K = cc.GeneralizedConeComplex(tuple(cones), tuple(maps))
-    K.validate()
-    return K
+    try:
+        if builtin == "toric_fan":
+            return cc.from_toric_fan(*_toric_fields(spec, where))
+        cones = []
+        for c in _require(spec, "cones", where):
+            rank = _count_field(c, "rank", where)
+            cones.append(cc.Cone.make(_vectors(c.get("rays", []), "rays", where, rank), rank))
+        maps = []
+        for m in _require(spec, "face_maps", where):
+            source = _index(_require(m, "source", where), "source", where, len(cones))
+            target = _index(_require(m, "target", where), "target", where, len(cones))
+            maps.append(cc.FaceMap(source, target,
+                                   _as_matrix(m["matrix"], where)
+                                   if m.get("matrix") is not None else
+                                   IntMatrix.identity(cones[target].lattice_rank)))
+        K = cc.GeneralizedConeComplex(tuple(cones), tuple(maps))
+        K.validate()
+        return K
+    except ValueError as exc:      # a non-sharp cone or an illegal face map
+        raise ParseError(f"{where}: {exc}")
 
 
 def _build_model(spec, where, resolver, truncation) -> lm.LogModel:
@@ -119,30 +169,33 @@ def _build_model(spec, where, resolver, truncation) -> lm.LogModel:
     if builtin == "point":
         return lm.point_model()
     if builtin == "affine_space":
-        return lm.affine_space_model(int(_require(spec, "d", where)), truncation=truncation)
+        return lm.affine_space_model(_count_field(spec, "d", where), truncation=truncation)
     if builtin == "p1":
         return lm.p1_toric_model()
     if builtin == "p2":
         return lm.p2_toric_model()
     if builtin == "toric":
-        return lm.toric_model(_require(spec, "rays", where),
-                              [tuple(m) for m in _require(spec, "maximal_cones", where)],
-                              int(_require(spec, "rank", where)),
-                              bool(_require(spec, "complete", where)),
-                              name=spec.get("name", "toric"),
-                              truncation=truncation)
+        rays, cones, rank = _toric_fields(spec, where)
+        try:
+            return lm.toric_model(rays, cones, rank,
+                                  bool(_require(spec, "complete", where)),
+                                  name=spec.get("name", "toric"),
+                                  truncation=truncation)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}")
     if builtin == "marked_p1":
-        return lm.marked_p1(int(_require(spec, "n", where)))
+        return lm.marked_p1(_count_field(spec, "n", where))
     if builtin == "nodal_cubic":
         return lm.nodal_cubic()
     if builtin == "mixed_affine":
-        return lm.mixed_affine(int(_require(spec, "coords", where)),
-                               spec.get("log", []), truncation=truncation)
+        coords = _count_field(spec, "coords", where)
+        return lm.mixed_affine(coords, _indices(spec.get("log", []), "log", where, coords),
+                               truncation=truncation)
     if builtin == "product":
         factors = _require(spec, "factors", where)
-        models = [resolver(f, "model", where) for f in factors]
-        if len(models) < 2:
+        if not isinstance(factors, list) or len(factors) < 2:
             raise ParseError(f"{where}: a product needs at least two factors")
+        models = [resolver(f, "model", where) for f in factors]
         out = models[0]
         for M in models[1:]:
             out = lm.product_model(out, M)

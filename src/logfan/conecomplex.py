@@ -20,9 +20,16 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _geometry as geom
-from .errors import NotAFan, NotSimplicial, RayOutsideSupport, ScopeExceeded
+from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
+                     ScopeExceeded)
 from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, primitive,
                       saturate_subgroup, solve_integer, solve_rational)
+
+
+# Interning table of Cone.make: one object per (rank, primitive rays), so the
+# checks below and the cached properties run once per distinct cone.  Inputs
+# that fail a check are never stored, so they raise on every call.
+_CONES: dict[tuple[int, tuple[Vector, ...]], "Cone"] = {}
 
 
 @dataclass(frozen=True)
@@ -34,19 +41,19 @@ class Cone:
 
     @staticmethod
     def make(rays, rank: int) -> "Cone":
-        prims = []
-        for r in rays:
-            p = primitive(r)
-            if len(p) != rank:
-                raise ValueError("ray length does not match the lattice rank")
-            if not geom.is_zero(p) and p not in prims:
-                prims.append(p)
-        c = Cone(rank, tuple(sorted(prims)))
-        if not c.geometry.is_sharp:
-            raise ValueError("cone is not strongly convex")
-        # double-description consistency: rays must all be extreme
-        if set(c.geometry.rays) != set(c.rays):
-            c = Cone(rank, c.geometry.rays)
+        rays = list(rays)
+        if any(len(r) != rank for r in rays):
+            raise ValueError("ray length does not match the lattice rank")
+        key = (rank, geom.primitive_rays(rays))
+        c = _CONES.get(key)
+        if c is None:
+            c = Cone(*key)
+            if not c.geometry.is_sharp:
+                raise ValueError("cone is not strongly convex")
+            # double-description consistency: rays must all be extreme
+            if set(c.geometry.rays) != set(c.rays):
+                c = _CONES.setdefault((rank, c.geometry.rays), Cone(rank, c.geometry.rays))
+            _CONES[key] = c
         return c
 
     @staticmethod
@@ -119,8 +126,7 @@ class FaceMap:
     matrix: IntMatrix
 
     def is_identity(self) -> bool:
-        return (self.source == self.target
-                and self.matrix == IntMatrix.identity(self.matrix.rows))
+        return self.source == self.target and self.matrix.is_identity
 
 
 def _is_face_of(sub: Cone, sup: Cone) -> bool:
@@ -197,8 +203,15 @@ class GeneralizedConeComplex:
     def ray_count(self) -> int:
         return sum(1 for c in self.cones if c.dim == 1)
 
+    @cached_property
+    def _maps_by_ends(self) -> dict[tuple[int, int], list[FaceMap]]:
+        out: dict[tuple[int, int], list[FaceMap]] = {}
+        for fm in self.face_maps:
+            out.setdefault((fm.source, fm.target), []).append(fm)
+        return out
+
     def maps_between(self, i: int, j: int) -> list[FaceMap]:
-        return [fm for fm in self.face_maps if fm.source == i and fm.target == j]
+        return list(self._maps_by_ends.get((i, j), ()))
 
     def nontrivial_face_maps(self) -> list[FaceMap]:
         return [fm for fm in self.face_maps if not fm.is_identity()]
@@ -209,8 +222,7 @@ class GeneralizedConeComplex:
         ranks = {c.lattice_rank for c in self.cones}
         if len(ranks) > 1:
             return False
-        return all(fm.matrix == IntMatrix.identity(fm.matrix.rows)
-                   for fm in self.face_maps)
+        return all(fm.matrix.is_identity for fm in self.face_maps)
 
     def maximal_cone_indices(self) -> list[int]:
         out = []
@@ -346,12 +358,7 @@ class ComplexMorphism:
 
     def image_cone_rays(self, i: int) -> tuple[Vector, ...]:
         j, m = self.assignment[i]
-        prims = []
-        for r in self.source.cones[i].rays:
-            p = primitive(m.apply(r))
-            if not geom.is_zero(p) and p not in prims:
-                prims.append(p)
-        return tuple(sorted(prims))
+        return geom.primitive_rays(m.apply(r) for r in self.source.cones[i].rays)
 
 
 def identity_morphism(F: GeneralizedConeComplex) -> ComplexMorphism:
@@ -478,7 +485,8 @@ def _truncated_volume(rays, rank: int, ell) -> Fraction:
         denom = 1
         for r in block:
             h = geom.dot(ell, r)
-            assert h > 0, "height functional must be positive on the cone"
+            if h <= 0:
+                raise InternalInvariant("height functional must be positive on the cone")
             denom *= h
         total += Fraction(geom.simplicial_index(block), denom)
     return total
@@ -533,7 +541,8 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
         if c.geometry.contains_relative_interior(v):
             tau = c
             break
-    assert tau is not None, "embedded complex must have a relative-interior home"
+    if tau is None:
+        raise InternalInvariant("embedded complex must have a relative-interior home")
     if v in tau.rays:
         return Subdivision(F, identity_morphism(F))
 
@@ -746,7 +755,8 @@ def _tighten(K: GeneralizedConeComplex) -> GeneralizedConeComplex:
         for b in sb:
             img = fm.matrix.apply(b)
             col = solve_integer(Bt, img)
-            assert col is not None
+            if col is None:
+                raise InternalInvariant("face map leaves the span lattice of its target")
             cols.append(col)
         new_maps.append(FaceMap(fm.source, fm.target,
                                 IntMatrix.from_columns(cols, rows=len(tb))))

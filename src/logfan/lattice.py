@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
+
+from .errors import InternalInvariant
 
 
 Vector = tuple[int, ...]
@@ -54,6 +57,7 @@ class IntMatrix:
         return IntMatrix.from_rows([[c[i] for c in cols] for i in range(m)])
 
     @staticmethod
+    @cache
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
@@ -80,6 +84,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        # Face maps of embedded complexes are identities: skip the arithmetic.
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         out = []
         for i in range(self.rows):
             r = self.row(i)
@@ -94,6 +103,10 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
                      for i in range(self.rows))
+
+    @property
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
     @property
     def is_diagonal(self) -> bool:
@@ -225,7 +238,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form with tracked transforms.
 
     Deterministic: pivots are chosen by smallest absolute value, ties broken
-    by lowest (row, col).  Handles empty matrices.  Asserts the exact
+    by lowest (row, col).  Handles empty matrices.  Checks the exact
     identity U @ A @ V == D before returning.
     """
     m, n = A.rows, A.cols
@@ -342,9 +355,12 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                   IntMatrix.from_rows(V) if n else IntMatrix.zero(0, 0))
     Uim = IntMatrix.from_rows(Ui) if m else IntMatrix.zero(0, 0)
     Vim = IntMatrix.from_rows(Vi) if n else IntMatrix.zero(0, 0)
-    assert (Um @ A) @ Vm == Dm, "Smith recomposition failed"
-    assert Um @ Uim == IntMatrix.identity(m)
-    assert Vm @ Vim == IntMatrix.identity(n)
+    if (Um @ A) @ Vm != Dm:
+        raise InternalInvariant("Smith recomposition failed")
+    if Um @ Uim != IntMatrix.identity(m):
+        raise InternalInvariant("Smith row transform and its inverse do not compose to 1")
+    if Vm @ Vim != IntMatrix.identity(n):
+        raise InternalInvariant("Smith column transform and its inverse do not compose to 1")
     return SmithDecomposition(Um, Dm, Vm, Uim, Vim)
 
 

@@ -361,7 +361,7 @@ def property_smith_recomposition(trials: int = 120, seed: int = 3) -> CheckResul
     for _ in range(trials):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = IntMatrix(m, n, tuple(rng.randint(-5, 5) for _ in range(m * n)))
-        snf = smith_normal_form(A)   # recomposition asserted internally
+        snf = smith_normal_form(A)   # recomposition checked internally
         U = _random_unimodular(rng, m)
         V = _random_unimodular(rng, n)
         if smith_normal_form((U @ A) @ V).diagonal() != snf.diagonal():

@@ -263,3 +263,29 @@ def test_console_script_paper_suite():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "17/17 checks passed" in proc.stdout
+
+
+def _run_document(tmp_path, objects):
+    p = tmp_path / "bad.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects, "tasks": []}))
+    return main(["run", str(p)])
+
+
+def test_non_integer_model_field_is_a_parse_error(tmp_path, capsys):
+    objects = {"X": {"kind": "model", "builtin": "affine_space", "d": "two"}}
+    with pytest.raises(ParseError, match="object 'X': 'd' must be an integer"):
+        parse(json.dumps({"version": "logfan/1", "objects": objects, "tasks": []}))
+    assert _run_document(tmp_path, objects) == 2
+    assert capsys.readouterr().err.startswith("ParseError: object 'X'")
+
+
+def test_maximal_cone_index_out_of_range_is_a_parse_error(tmp_path, capsys):
+    fan = {"rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 5]], "rank": 2}
+    objects = {"F": {"kind": "complex", "builtin": "toric_fan", **fan}}
+    with pytest.raises(ParseError, match="object 'F': 'maximal_cones' index 5"):
+        parse(json.dumps({"version": "logfan/1", "objects": objects, "tasks": []}))
+    assert _run_document(tmp_path, objects) == 2
+    assert capsys.readouterr().err.startswith("ParseError: object 'F'")
+    model = {"M": {"kind": "model", "builtin": "toric", "complete": False, **fan}}
+    assert _run_document(tmp_path, model) == 2
+    assert capsys.readouterr().err.startswith("ParseError: object 'M'")

@@ -1,0 +1,123 @@
+"""Interned cones and geometries, and the identity product fast path,
+cross-checked against fresh uninterned construction and plain arithmetic."""
+
+import collections
+import random
+from math import gcd
+
+import pytest
+
+from logfan import _geometry as geom
+from logfan import conecomplex as cc
+from logfan import hkr
+from logfan.conecomplex import Cone
+from logfan.lattice import IntMatrix
+from logfan.logmodel import p2_toric_model
+
+
+def reference_rays(rays):
+    """Sorted distinct primitive nonzero rays, computed without logfan."""
+    out = set()
+    for r in rays:
+        g = 0
+        for x in r:
+            g = gcd(g, x)
+        if g:
+            out.add(tuple(x // g for x in r))
+    return tuple(sorted(out))
+
+
+def uninterned_cone(rays, rank):
+    """A Cone whose geometry is built directly, bypassing both tables."""
+    c = Cone(rank, rays)
+    c.__dict__["geometry"] = geom.ConeGeometry(rank, rays)
+    return c
+
+
+def random_cone_input(rng):
+    rank = rng.randint(1, 4)
+    rays = [tuple(rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(rng.randint(1, 5))]
+    return rank, rays
+
+
+def test_interned_cones_match_uninterned_construction():
+    rng = random.Random(11)
+    sharp = non_sharp = 0
+    for _ in range(300):
+        rank, rays = random_cone_input(rng)
+        prims = reference_rays(rays)
+        fresh = uninterned_cone(prims, rank)
+        if not fresh.geometry.is_sharp:
+            non_sharp += 1
+            for _ in range(2):          # failures are never stored
+                with pytest.raises(ValueError):
+                    Cone.make(rays, rank)
+            continue
+        sharp += 1
+        c = Cone.make(rays, rank)
+        assert c.rays == fresh.rays == prims
+        for attr in ("rays", "normals", "equations", "span_dim"):
+            assert getattr(c.geometry, attr) == getattr(fresh.geometry, attr)
+        assert c.face_ray_sets == fresh.face_ray_sets
+        assert c.multiplicity == fresh.multiplicity
+        scaled = [geom.vscale(rng.randint(1, 4), r) for r in reversed(rays)]
+        assert Cone.make(scaled, rank) is c
+        assert geom.ConeGeometry.of(scaled, rank) is c.geometry
+    assert sharp >= 50 and non_sharp >= 50
+
+
+def test_non_sharp_cone_raises_every_time():
+    line = [(1, 0), (-1, 0)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not strongly convex"):
+            Cone.make(line, 2)
+    assert (2, ((-1, 0), (1, 0))) not in cc._CONES
+    with pytest.raises(ValueError, match="ray length"):
+        Cone.make([(1, 0, 0)], 2)
+
+
+def entrywise_product(A, B):
+    return IntMatrix(A.rows, B.cols, tuple(
+        sum(A.at(i, k) * B.at(k, j) for k in range(A.cols))
+        for i in range(A.rows) for j in range(B.cols)))
+
+
+def test_identity_fast_path_matches_entrywise_product():
+    rng = random.Random(5)
+
+    def random_matrix(m, n):
+        return IntMatrix(m, n, tuple(rng.randint(-4, 4) for _ in range(m * n)))
+
+    assert IntMatrix.identity(3) is IntMatrix.identity(3)
+    for _ in range(400):
+        m, k, n = (rng.randint(0, 4) for _ in range(3))
+        A = IntMatrix.identity(k) if m == k and rng.random() < 0.4 else random_matrix(m, k)
+        B = IntMatrix.identity(k) if k == n and rng.random() < 0.4 else random_matrix(k, n)
+        assert A @ B == entrywise_product(A, B)
+    # zero-width factors: the identity of size 0 must not swallow an m x 0 shape
+    for m, n in [(0, 0), (3, 0), (0, 3), (2, 2)]:
+        A, B = random_matrix(m, 0), random_matrix(0, n)
+        assert A @ B == entrywise_product(A, B) == IntMatrix.zero(m, n)
+        assert A @ IntMatrix.identity(0) == A
+        assert IntMatrix.identity(0) @ B == B
+
+
+def test_p2_log_diagonal_runs_each_double_description_once(monkeypatch):
+    """With empty interning tables, one P^2 log diagonal computes no double
+    description input twice."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    X = p2_toric_model()
+    calls = collections.Counter()
+    real = geom.dual_generators
+
+    def counting(constraints, dim):
+        calls[(tuple(tuple(c) for c in constraints), dim)] += 1
+        return real(constraints, dim)
+
+    monkeypatch.setattr(geom, "dual_generators", counting)
+    hkr.log_diagonal(X)
+    assert calls, "the diagonal must run double descriptions"
+    repeated = {key: n for key, n in calls.items() if n > 1}
+    assert not repeated
