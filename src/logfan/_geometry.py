@@ -93,7 +93,7 @@ def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Ve
                     # (a.rp) rm - (a.rm) rp: tight on a, nonnegative combination
                     vec = primitive(vsub(vscale(dot(rp, a), rm), vscale(dot(rm, a), rp)))
                     combos.append((vec, common | {processed}))
-            rays = [(r, z | {processed}) for r, z in plus] + zero + combos
+            rays = plus + zero + combos
         processed += 1
     seen = {}
     for r, z in rays:

@@ -298,13 +298,21 @@ def _op_star_subdivision(args):
     return data, [("refined", sub.refined)]
 
 
+def _json_image_flags(res: cc.DiagonalSubdivision) -> dict:
+    out = {str(f.index): {"dim": f.dim, "naive_star_convex": f.naive_star_convex}
+           for f in res.image_flags}
+    if res.factoring is None:        # an image cone was cut by the refinement
+        out["diagonal_subdivided"] = True
+    return out
+
+
 def _op_subdivide_along_diagonal(args):
     res = cc.subdivide_along(cc.diagonal_morphism(args["complex"]))
     data = {
         "refined": _json_complex(res.subdivision.refined),
         "image_subcomplex": _json_complex(res.image_subcomplex),
         "unimodular": {str(k): v for k, v in res.subdivision.unimodular.items()},
-        "image_flags": {str(k): v for k, v in res.image_flags.items()},
+        "image_flags": _json_image_flags(res),
         "diagonal_factors": res.factoring is not None,
     }
     return data, [("refined", res.subdivision.refined),
@@ -335,7 +343,7 @@ def _op_log_diagonal(args):
                           "torus_rank": pic.b_description.torus_rank},
         "conormal_rank": pic.conormal_rank,
         "b_subcomplex": _json_complex(pic.b_subcomplex),
-        "image_flags": {str(k): v for k, v in pic.details.image_flags.items()},
+        "image_flags": _json_image_flags(pic.diagonal),
     }
     return data, [("b_subcomplex", pic.b_subcomplex),
                   ("refined", pic.diagonal_subdivision.refined)]
@@ -598,8 +606,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a document")
     p_run.add_argument("file")
     p_run.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; tasks run in order")
 
     p_check = sub.add_parser("check", help="parse and validate only")
     p_check.add_argument("file")

@@ -15,15 +15,15 @@ no-op cases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import _geometry as geom
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
-from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, primitive,
-                      saturate_subgroup, solve_integer, solve_rational)
+from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, lattice_rank,
+                      primitive, saturate_subgroup, solve_integer, solve_rational)
 
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
@@ -47,12 +47,14 @@ class Cone:
         key = (rank, geom.primitive_rays(rays))
         c = _CONES.get(key)
         if c is None:
-            c = Cone(*key)
-            if not c.geometry.is_sharp:
+            g = geom.ConeGeometry.of(key[1], rank)
+            if not g.is_sharp:
                 raise ValueError("cone is not strongly convex")
-            # double-description consistency: rays must all be extreme
-            if set(c.geometry.rays) != set(c.rays):
-                c = _CONES.setdefault((rank, c.geometry.rays), Cone(rank, c.geometry.rays))
+            # keep the extreme rays: those whose tight facets, with the
+            # equations of the span, cut out a line
+            extreme = tuple(r for r in key[1] if lattice_rank(
+                g.equations + tuple(n for n in g.normals if geom.dot(n, r) == 0)) == rank - 1)
+            c = _CONES.setdefault((rank, extreme), Cone(rank, extreme))
             _CONES[key] = c
         return c
 
@@ -67,10 +69,6 @@ class Cone:
     @property
     def dim(self) -> int:
         return self.geometry.span_dim
-
-    @property
-    def facet_normals(self) -> tuple[Vector, ...]:
-        return self.geometry.normals
 
     @property
     def is_simplicial(self) -> bool:
@@ -101,7 +99,7 @@ class Cone:
         queue = [full]
         while queue:
             cur = queue.pop()
-            for n in self.facet_normals:
+            for n in self.geometry.normals:
                 sub = frozenset(i for i in cur if geom.dot(n, self.rays[i]) == 0)
                 if sub not in found:
                     found.add(sub)
@@ -454,27 +452,27 @@ class Subdivision:
         return all(self.unimodular.values())
 
     def support_volumes_ok(self) -> bool:
-        """Support preservation: refined pieces tile each original maximal cone.
-
-        Volumes are compared after truncating by a fixed positive functional
-        on the original cone, which makes the lattice-normalized volume
-        additive across the subdivision.  All arithmetic is exact.
-        """
+        """Support preservation: refined pieces tile each original maximal cone."""
         orig = self.structure.target
-        for j in orig.maximal_cone_indices():
-            cone = orig.cones[j]
-            if cone.dim == 0:
-                continue
-            ell = cone.facet_normals[0]
-            for nrm in cone.facet_normals[1:]:
-                ell = geom.vadd(ell, nrm)
-            total = Fraction(0)
-            for rc in self.refined.cones:
-                if rc.dim == cone.dim and cone.geometry.contains_cone(rc.geometry):
-                    total += _truncated_volume(rc.rays, rc.lattice_rank, ell)
-            if total != _truncated_volume(cone.rays, cone.lattice_rank, ell):
-                return False
+        return all(_tiled_by(orig.cones[j].geometry, self.refined.cones)
+                   for j in orig.maximal_cone_indices())
+
+
+def _tiled_by(g: geom.ConeGeometry, cones) -> bool:
+    """Do the cones of g's dimension lying inside g tile it?
+
+    Volumes are compared after truncating by a fixed positive functional on
+    g (the sum of its facet normals), which makes the lattice-normalized
+    volume additive across any subdivision.  All arithmetic is exact.
+    """
+    if g.span_dim == 0:
         return True
+    ell = g.normals[0]
+    for nrm in g.normals[1:]:
+        ell = geom.vadd(ell, nrm)
+    have = sum((_truncated_volume(c.rays, c.lattice_rank, ell) for c in cones
+                if c.dim == g.span_dim and g.contains_cone(c.geometry)), Fraction(0))
+    return have == _truncated_volume(g.rays, g.dim, ell)
 
 
 def _truncated_volume(rays, rank: int, ell) -> Fraction:
@@ -533,33 +531,29 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
         return Subdivision(F, identity_morphism(F))
     if not F.is_embedded:
         raise ScopeExceeded("stellar subdivision of self-glued complexes is not supported")
+    refined = _stellar(F, v)
+    return Subdivision(refined, _structure_to(refined, F))
 
-    rank = home.lattice_rank
+
+def _stellar(K: GeneralizedConeComplex, v: Vector) -> GeneralizedConeComplex:
+    """Stellar subdivision of an embedded complex at a primitive ray v of its
+    support: K itself when v is already a ray, else the refined complex."""
     # minimal cone containing v in its relative interior
-    tau = None
-    for c in F.cones:
-        if c.geometry.contains_relative_interior(v):
-            tau = c
-            break
+    tau = next((c for c in K.cones if c.geometry.contains_relative_interior(v)), None)
     if tau is None:
         raise InternalInvariant("embedded complex must have a relative-interior home")
     if v in tau.rays:
-        return Subdivision(F, identity_morphism(F))
-
+        return K
+    rank = tau.lattice_rank
     keep = []
     new_tops = []
-    for c in F.cones:
+    for c in K.cones:
         if _is_face_of(tau, c):
-            for s in c.face_ray_sets:
-                face_rays = [c.rays[i] for i in s]
-                fc = Cone.make(face_rays, rank) if face_rays else Cone.zero(rank)
-                if not _is_face_of(tau, fc):
-                    new_tops.append(Cone.make(list(fc.rays) + [v], rank))
+            new_tops += [Cone.make(fc.rays + (v,), rank)
+                         for fc in c.faces() if not _is_face_of(tau, fc)]
         else:
             keep.append(c)
-    refined = _embedded_from_cones(keep + new_tops, rank)
-    structure = _structure_to(refined, F)
-    return Subdivision(refined, structure)
+    return _embedded_from_cones(keep + new_tops, rank)
 
 
 def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
@@ -591,6 +585,16 @@ def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
 
 
 @dataclass(frozen=True)
+class ImageConeFlag:
+    """The image of source cone `index`, of dimension `dim` >= 2, and whether
+    its naive star in every target cone around it is a fan."""
+
+    index: int
+    dim: int
+    naive_star_convex: bool
+
+
+@dataclass(frozen=True)
 class DiagonalSubdivision:
     """Result of subdividing along a morphism.
 
@@ -603,7 +607,7 @@ class DiagonalSubdivision:
     subdivision: Subdivision
     image_subcomplex: GeneralizedConeComplex
     factoring: ComplexMorphism | None
-    image_flags: dict = field(compare=False, default_factory=dict)
+    image_flags: tuple[ImageConeFlag, ...]
 
 
 def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
@@ -630,39 +634,23 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         image_geoms.append(geom.ConeGeometry.of(rays, rank))
         image_ray_pool.update(rays)
 
-    image_flags = {}
+    image_flags = []
     for i, ig in enumerate(image_geoms):
         if ig.span_dim >= 2:
             homes = [c for c in target.cones
                      if c.geometry.contains_cone(ig) and c.dim > ig.span_dim]
-            image_flags[i] = {
-                "dim": ig.span_dim,
-                "naive_star_convex": all(_naive_star_is_fan(c, ig) for c in homes),
-            }
+            image_flags.append(ImageConeFlag(
+                i, ig.span_dim, all(_naive_star_is_fan(c, ig) for c in homes)))
 
+    # Every cut lies in the support, as phi is a morphism; the structure
+    # morphism is built once, for the final refinement.
     current = target
     for v in sorted(image_ray_pool):
-        current = _subdivide_once(current, v)
-
-    def covered(K: GeneralizedConeComplex, ig: geom.ConeGeometry) -> bool:
-        """Is the image cone a union of refined cones?  Exact volume count
-        against a fixed height functional, so pieces from later stellar cuts
-        still add up correctly."""
-        if ig.span_dim == 0:
-            return True
-        ell = ig.normals[0]
-        for nrm in ig.normals[1:]:
-            ell = geom.vadd(ell, nrm)
-        target_vol = _truncated_volume(ig.rays, rank, ell)
-        have = Fraction(0)
-        for c in K.cones:
-            if c.dim == ig.span_dim and ig.contains_cone(c.geometry):
-                have += _truncated_volume(c.rays, rank, ell)
-        return have == target_vol
+        current = _stellar(current, v)
 
     rounds = 0
     while True:
-        pending = [ig for ig in image_geoms if not covered(current, ig)]
+        pending = [ig for ig in image_geoms if not _tiled_by(ig, current.cones)]
         if not pending:
             break
         rounds += 1
@@ -671,7 +659,7 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         bary = pending[0].rays[0]
         for r in pending[0].rays[1:]:
             bary = geom.vadd(bary, r)
-        current = _subdivide_once(current, primitive(bary))
+        current = _stellar(current, primitive(bary))
 
     structure = _structure_to(current, target)
     sub = Subdivision(current, structure)
@@ -692,18 +680,7 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         assignment.append((j, phi.assignment[i][1]))
     if assignment is not None:
         factoring = ComplexMorphism(phi.source, image_subcomplex, tuple(assignment))
-    else:
-        image_flags["diagonal_subdivided"] = True
-
-    return DiagonalSubdivision(phi, sub, image_subcomplex, factoring, image_flags)
-
-
-def _subdivide_once(K: GeneralizedConeComplex, v: Vector) -> GeneralizedConeComplex:
-    """Stellar subdivision step used inside subdivide_along."""
-    home = next((i for i, c in enumerate(K.cones) if c.contains(v)), None)
-    if home is None:
-        raise RayOutsideSupport(f"{v} lies in no cone of the complex")
-    return star_subdivision(K, home, v).refined
+    return DiagonalSubdivision(phi, sub, image_subcomplex, factoring, tuple(image_flags))
 
 
 # ------------------------------------------------------------------ rendering

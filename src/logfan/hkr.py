@@ -15,7 +15,7 @@ indexing is spelled out in the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conecomplex import (DiagonalSubdivision, GeneralizedConeComplex,
                           Subdivision, diagonal_morphism, subdivide_along)
@@ -96,21 +96,29 @@ class LogDiagonalPicture:
 
     base_model: LogModel
     b_description: BDescription
-    diagonal_subdivision: Subdivision
-    b_subcomplex: GeneralizedConeComplex
-    conormal_rank: int
-    details: DiagonalSubdivision = field(compare=False, default=None)
+    diagonal: DiagonalSubdivision     # fan x fan subdivided along the diagonal
+
+    @property
+    def diagonal_subdivision(self) -> Subdivision:
+        return self.diagonal.subdivision
+
+    @property
+    def b_subcomplex(self) -> GeneralizedConeComplex:
+        return self.diagonal.image_subcomplex
+
+    @property
+    def conormal_rank(self) -> int:
+        """Always the model dimension, since the conormal is Omega^{1,log}."""
+        return self.base_model.dimension
 
 
 def log_diagonal(X: LogModel) -> LogDiagonalPicture:
     """Assemble the diagonal picture: subdivision of fan x fan along the
-    diagonal, the subcomplex the diagonal factors through, and the conormal
-    rank (always the model dimension, since the conormal is Omega^{1,log})."""
+    diagonal and the subcomplex the diagonal factors through."""
     fan = X.artin_fan
     if not fan.is_embedded:
         raise ScopeExceeded("diagonal pictures need an embedded (fan-like) Artin fan")
-    phi = diagonal_morphism(fan)
-    details = subdivide_along(phi)
+    diagonal = subdivide_along(diagonal_morphism(fan))
     if X.kind == "point" or X.dimension == 0:
         desc = BDescription("point", 0)
     elif X.kind == "toric":
@@ -119,9 +127,9 @@ def log_diagonal(X: LogModel) -> LogDiagonalPicture:
         desc = BDescription(f"{X.name} x {torus}", d)
     else:
         desc = BDescription(f"B({X.name})", None)
-    assert details.factoring is not None, "diagonal should factor through its image"
-    return LogDiagonalPicture(X, desc, details.subdivision,
-                              details.image_subcomplex, X.dimension, details)
+    if diagonal.factoring is None:
+        raise InternalInvariant(f"{X.name}: the diagonal should factor through its image")
+    return LogDiagonalPicture(X, desc, diagonal)
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,9 @@ def periodic_cyclic(X: LogModel) -> CyclicTable:
             even += e.total()
         else:
             odd += e.total()
-    assert even + odd == X.hodge.total()
+    if even + odd != X.hodge.total():
+        raise InternalInvariant(f"{X.name}: even {even} + odd {odd} is not the "
+                                f"Hodge total {X.hodge.total()}")
     return CyclicTable(GradedEntry.finite(even), GradedEntry.finite(odd))
 
 

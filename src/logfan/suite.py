@@ -85,8 +85,7 @@ def check_a2_diagonal() -> CheckResult:
     refined = res.subdivision.refined
     diag_cone = tuple(sorted(((1, 0, 1, 0), (0, 1, 0, 1))))
     has_cone = any(c.rays == diag_cone for c in refined.cones)
-    flagged = any(isinstance(v, dict) and v.get("naive_star_convex") is False
-                  for v in res.image_flags.values())
+    flagged = any(not f.naive_star_convex for f in res.image_flags)
     ok = (has_cone and flagged
           and res.subdivision.support_volumes_ok()
           and res.factoring is not None)

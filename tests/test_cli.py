@@ -138,12 +138,14 @@ def test_dot_unavailable_without_complexes():
         emit(report, "dot")
 
 
-def test_jobs_parallel_execution_deterministic(capsysbinary):
+def test_main_run_matches_emit_and_rejects_jobs(capsysbinary):
     path = FIXTURES / "r_lines.lf.json"
     expected = emit(run(parse(path.read_text())), "json")
-    for jobs in ("1", "4"):
-        assert main(["run", str(path), "--format", "json", "--jobs", jobs]) == 0
-        assert capsysbinary.readouterr().out == expected
+    assert main(["run", str(path), "--format", "json"]) == 0
+    assert capsysbinary.readouterr().out == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--format", "json", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_main_check_and_run(capsys):

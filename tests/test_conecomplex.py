@@ -2,6 +2,7 @@
 
 import pytest
 
+from logfan import conecomplex as cc
 from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 GeneralizedConeComplex, diagonal_morphism,
                                 face_poset_dot, face_poset_text,
@@ -125,6 +126,13 @@ def test_star_subdivision_nonunimodular_flagged():
     assert sub.support_volumes_ok()
 
 
+def test_make_drops_redundant_generators():
+    quadrant = Cone.make([(1, 0), (0, 1)], 2)
+    c = Cone.make([(1, 0), (1, 1), (0, 1)], 2)
+    assert c is quadrant
+    assert c.rays == ((0, 1), (1, 0)) and c.is_simplicial and c.is_unimodular
+
+
 def test_star_subdivision_outside_support():
     with pytest.raises(RayOutsideSupport):
         star_subdivision(a2_complex(), 0, (-1, -1))
@@ -165,10 +173,43 @@ def test_subdivide_along_a2_diagonal():
     refined = res.subdivision.refined
     diag = tuple(sorted(((1, 0, 1, 0), (0, 1, 0, 1))))
     assert any(c.rays == diag for c in refined.cones)
-    assert any(isinstance(v, dict) and v.get("naive_star_convex") is False
-               for v in res.image_flags.values())
+    assert any(not f.naive_star_convex for f in res.image_flags)
     assert res.subdivision.support_volumes_ok()
     assert res.factoring is not None
+
+
+# toric fans (rays, maximal cones, rank) whose diagonals are cross-checked
+DIAGONAL_FANS = {
+    "A1": ([(1,)], [(0,)], 1),
+    "A2": ([(1, 0), (0, 1)], [(0, 1)], 2),
+    "P1": ([(1,), (-1,)], [(0,), (1,)], 1),
+    "P2": ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)], 2),
+    **{f"F{a}": ([(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
+       for a in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_FANS))
+def test_subdivide_along_matches_stepwise_star_subdivision(name, monkeypatch):
+    """The stellar cuts of subdivide_along, replayed through the public
+    star_subdivision (a checked structure morphism at every step), give the
+    same refinement; subdivide_along itself builds one structure morphism."""
+    phi = diagonal_morphism(from_toric_fan(*DIAGONAL_FANS[name]))
+    cuts, structures = [], []
+    stellar, structure_to = cc._stellar, cc._structure_to
+    monkeypatch.setattr(cc, "_stellar", lambda K, v: cuts.append(v) or stellar(K, v))
+    monkeypatch.setattr(cc, "_structure_to",
+                        lambda R, K: structures.append(R) or structure_to(R, K))
+    res = subdivide_along(phi)
+    assert len(structures) == 1 and cuts
+    monkeypatch.undo()
+    K = phi.target
+    for v in cuts:
+        step = star_subdivision(K, next(i for i, c in enumerate(K.cones) if c.contains(v)), v)
+        assert step.support_volumes_ok()
+        K = step.refined
+    assert K == res.subdivision.refined
+    assert res.subdivision.support_volumes_ok()
 
 
 def test_subdivide_along_skew_image_cone():

@@ -7,9 +7,10 @@ membership and saturation against reachability closures.
 """
 
 import itertools
+import math
 import random
 
-from logfan._geometry import ConeGeometry, triangulate
+from logfan._geometry import ConeGeometry, dual_generators, triangulate
 from logfan.errors import NotStronglyConvex
 from logfan.lattice import FgAbelianGroup, hnf_rows, in_lattice, primitive
 from logfan.monoid import FineMonoid, contains, hilbert_basis, saturate
@@ -30,6 +31,49 @@ def test_membership_against_caratheodory():
         for _ in range(6):
             x = tuple(rng.randint(-4, 4) for _ in range(dim))
             assert g.contains(x) == in_cone_bruteforce(x, rays), (rays, x)
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def brute_facet_normals(rays, dim):
+    """Facet normals of a full-dimensional cone: primitive normals of the
+    hyperplanes through dim - 1 rays that have every ray on one side."""
+    out = set()
+    for sub in itertools.combinations(rays, dim - 1):
+        n = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in sub]) for j in range(dim))
+        g = 0
+        for x in n:
+            g = math.gcd(g, x)
+        if not g:
+            continue
+        for s in (tuple(x // g for x in n), tuple(-x // g for x in n)):
+            if all(sum(a * b for a, b in zip(s, r)) >= 0 for r in rays):
+                out.add(s)
+    return out
+
+
+def test_facet_normals_against_bruteforce():
+    """Double description finds every facet, whatever the order of the rays."""
+    rng = random.Random(19)
+    done = 0
+    while done < 150:
+        dim = rng.randint(3, 4)
+        rays = list({primitive(tuple(rng.randint(-3, 3) for _ in range(dim)))
+                     for _ in range(rng.randint(dim + 1, dim + 4))} - {(0,) * dim})
+        normals = brute_facet_normals(rays, dim)
+        full = any(_det(list(s)) for s in itertools.combinations(rays, dim))
+        sharp = any(_det(list(s)) for s in itertools.combinations(normals, dim))
+        if not (full and sharp):
+            continue
+        done += 1
+        for order in (sorted(rays), sorted(rays, reverse=True)):
+            lines, found = dual_generators(order, dim)
+            assert lines == () and set(found) == normals, (order, found, normals)
 
 
 def test_triangulation_covers_exactly():

@@ -27,6 +27,15 @@ def reference_rays(rays):
     return tuple(sorted(out))
 
 
+def reference_extreme(prims, rank):
+    """Drop each ray that an uninterned cone of the other rays contains."""
+    out = list(prims)
+    for r in prims:
+        if geom.ConeGeometry(rank, tuple(s for s in out if s != r)).contains(r):
+            out.remove(r)
+    return tuple(out)
+
+
 def uninterned_cone(rays, rank):
     """A Cone whose geometry is built directly, bypassing both tables."""
     c = Cone(rank, rays)
@@ -43,28 +52,31 @@ def random_cone_input(rng):
 
 def test_interned_cones_match_uninterned_construction():
     rng = random.Random(11)
-    sharp = non_sharp = 0
+    sharp = non_sharp = redundant = 0
     for _ in range(300):
         rank, rays = random_cone_input(rng)
         prims = reference_rays(rays)
-        fresh = uninterned_cone(prims, rank)
-        if not fresh.geometry.is_sharp:
+        if not uninterned_cone(prims, rank).geometry.is_sharp:
             non_sharp += 1
             for _ in range(2):          # failures are never stored
                 with pytest.raises(ValueError):
                     Cone.make(rays, rank)
             continue
         sharp += 1
+        extreme = reference_extreme(prims, rank)
+        redundant += extreme != prims
+        fresh = uninterned_cone(extreme, rank)
         c = Cone.make(rays, rank)
-        assert c.rays == fresh.rays == prims
+        assert c.rays == fresh.rays == extreme
         for attr in ("rays", "normals", "equations", "span_dim"):
             assert getattr(c.geometry, attr) == getattr(fresh.geometry, attr)
         assert c.face_ray_sets == fresh.face_ray_sets
         assert c.multiplicity == fresh.multiplicity
         scaled = [geom.vscale(rng.randint(1, 4), r) for r in reversed(rays)]
         assert Cone.make(scaled, rank) is c
-        assert geom.ConeGeometry.of(scaled, rank) is c.geometry
-    assert sharp >= 50 and non_sharp >= 50
+        assert geom.ConeGeometry.of([geom.vscale(2, r) for r in reversed(extreme)],
+                                    rank) is c.geometry
+    assert sharp >= 50 and non_sharp >= 50 and redundant >= 20
 
 
 def test_non_sharp_cone_raises_every_time():
