@@ -95,15 +95,7 @@ def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Ve
                     combos.append((vec, common | {processed}))
             rays = plus + zero + combos
         processed += 1
-    seen = {}
-    for r, z in rays:
-        if is_zero(r):
-            continue
-        if r in seen:
-            seen[r] = seen[r] | z
-        else:
-            seen[r] = z
-    return hnf_rows(lines), tuple(sorted(seen))
+    return hnf_rows(lines), tuple(sorted({r for r, _ in rays if not is_zero(r)}))
 
 
 def primitive_rays(rays) -> tuple[Vector, ...]:
@@ -146,6 +138,12 @@ class ConeGeometry:
         return self._dual[1]
 
     @cached_property
+    def facets(self) -> tuple[frozenset, ...]:
+        """For each facet normal, the indices of the rays lying on it."""
+        return tuple(frozenset(i for i, r in enumerate(self.rays) if dot(n, r) == 0)
+                     for n in self.normals)
+
+    @cached_property
     def lineality_basis(self) -> tuple[Vector, ...]:
         stacked = list(self.equations) + list(self.normals)
         if not stacked:
@@ -162,13 +160,19 @@ class ConeGeometry:
     def span_dim(self) -> int:
         return self.dim - len(self.equations)
 
-    def contains(self, x) -> bool:
+    def _vector(self, x) -> Vector:
         x = tuple(x)
+        if len(x) != self.dim:
+            raise ValueError(f"vector {x} does not have the cone's rank {self.dim}")
+        return x
+
+    def contains(self, x) -> bool:
+        x = self._vector(x)
         return (all(dot(e, x) == 0 for e in self.equations)
                 and all(dot(n, x) >= 0 for n in self.normals))
 
     def contains_relative_interior(self, x) -> bool:
-        x = tuple(x)
+        x = self._vector(x)
         if self.span_dim == 0:
             return is_zero(x)
         return (all(dot(e, x) == 0 for e in self.equations)

@@ -76,17 +76,6 @@ def _as_matrix(rows, where) -> IntMatrix:
         raise ParseError(f"{where}: bad matrix ({exc})")
 
 
-def _build_monoid(spec, where) -> mn.FineMonoid:
-    free = int(spec.get("free_rank", 0))
-    torsion = tuple(int(d) for d in spec.get("torsion", []))
-    gens = _require(spec, "generators", where)
-    try:
-        G = FgAbelianGroup(free, torsion)
-        return mn.FineMonoid.make(G, [tuple(int(x) for x in g) for g in gens])
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -112,14 +101,42 @@ def _indices(val, key, where, bound) -> tuple[int, ...]:
     return tuple(_index(i, key, where, bound) for i in val)
 
 
-def _vectors(val, key, where, length) -> list[tuple[int, ...]]:
-    """A list of integer vectors of the given length."""
+def _ints(val, key, where) -> tuple[int, ...]:
+    """A list of integers."""
+    if not isinstance(val, list) or not all(_is_int(x) for x in val):
+        raise ParseError(f"{where}: {key!r} must be a list of integers")
+    return tuple(val)
+
+
+def _vectors(val, key, where, length=None) -> list[tuple[int, ...]]:
+    """A list of integer vectors, all of the given length when one is given."""
     if not isinstance(val, list) or not all(
-            isinstance(v, list) and len(v) == length and all(_is_int(x) for x in v)
+            isinstance(v, list) and length in (None, len(v)) and all(_is_int(x) for x in v)
             for v in val):
-        raise ParseError(f"{where}: {key!r} must be a list of integer vectors "
-                         f"of length {length}")
+        raise ParseError(f"{where}: {key!r} must be a list of integer vectors"
+                         + (f" of length {length}" if length is not None else ""))
     return [tuple(v) for v in val]
+
+
+def _build_monoid(spec, where) -> mn.FineMonoid:
+    free = _count_field(spec, "free_rank", where) if "free_rank" in spec else 0
+    torsion = _ints(spec.get("torsion", []), "torsion", where)
+    gens = _vectors(_require(spec, "generators", where), "generators", where,
+                    free + len(torsion))
+    try:
+        return mn.FineMonoid.make(FgAbelianGroup(free, torsion), gens)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}")
+
+
+def _build_hom(spec, where, resolver, truncation) -> mn.MonoidHom:
+    src = resolver(_require(spec, "source", where), "monoid", where)
+    dst = resolver(_require(spec, "target", where), "monoid", where)
+    matrix = _as_matrix(_require(spec, "matrix", where), where)
+    try:
+        return mn.MonoidHom(src, dst, matrix)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}")
 
 
 def _toric_fields(spec, where):
@@ -135,7 +152,8 @@ def _toric_fields(spec, where):
 def _build_complex(spec, where) -> cc.GeneralizedConeComplex:
     builtin = spec.get("builtin")
     if builtin == "snc":
-        return cc.snc_artin_fan([tuple(s) for s in _require(spec, "simplices", where)])
+        simplices = _vectors(_require(spec, "simplices", where), "simplices", where)
+        return cc.snc_artin_fan(simplices)
     if builtin == "nodal_cubic":
         return cc.nodal_cubic_complex()
     if builtin == "point":
@@ -205,12 +223,13 @@ def _build_model(spec, where, resolver, truncation) -> lm.LogModel:
 
 def _build_action(spec, where, resolver, truncation) -> ob.DiagonalAction:
     model = resolver(_require(spec, "model", where), "model", where)
-    orders = tuple(int(d) for d in spec.get("orders", []))
-    chars = tuple(tuple(int(x) for x in row) for row in spec.get("characters", []))
+    orders = _ints(spec.get("orders", []), "orders", where)
+    chars = tuple(_vectors(spec.get("characters", []), "characters", where))
     perm = spec.get("permutation")
+    if perm is not None:
+        perm = _ints(perm, "permutation", where)
     try:
-        return ob.DiagonalAction(model, orders, chars,
-                                 tuple(int(p) for p in perm) if perm is not None else None)
+        return ob.DiagonalAction(model, orders, chars, perm)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}")
 
@@ -410,6 +429,7 @@ _BUILDERS = {
     "matrix": lambda spec, where, resolver, trunc:
         _as_matrix(_require(spec, "entries", where), where),
     "monoid": lambda spec, where, resolver, trunc: _build_monoid(spec, where),
+    "hom": _build_hom,
     "complex": lambda spec, where, resolver, trunc: _build_complex(spec, where),
     "model": _build_model,
     "action": _build_action,
@@ -463,20 +483,10 @@ def parse(text: str, truncation: int | None = None) -> Document:
         if not isinstance(spec, dict):
             raise ParseError(f"{where}: must be a JSON object")
         kind = _require(spec, "kind", where)
-        if kind == "hom":
-            src = resolver(_require(spec, "source", where), "monoid", where)
-            dst = resolver(_require(spec, "target", where), "monoid", where)
-            matrix = _as_matrix(_require(spec, "matrix", where), where)
-            try:
-                objects[name] = mn.MonoidHom(src, dst, matrix)
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}")
-            kinds[name] = "hom"
-        elif kind in _BUILDERS:
-            objects[name] = _BUILDERS[kind](spec, where, resolver, truncation)
-            kinds[name] = kind
-        else:
+        if kind not in _BUILDERS:
             raise ParseError(f"{where}: unknown kind {kind!r}")
+        objects[name] = _BUILDERS[kind](spec, where, resolver, truncation)
+        kinds[name] = kind
         building.discard(name)
 
     for name in raw_objects:

@@ -22,8 +22,8 @@ from functools import cached_property
 from . import _geometry as geom
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
-from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, lattice_rank,
-                      primitive, saturate_subgroup, solve_integer, solve_rational)
+from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, primitive,
+                      saturate_subgroup, solve_integer, solve_rational)
 
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
@@ -50,10 +50,11 @@ class Cone:
             g = geom.ConeGeometry.of(key[1], rank)
             if not g.is_sharp:
                 raise ValueError("cone is not strongly convex")
-            # keep the extreme rays: those whose tight facets, with the
-            # equations of the span, cut out a line
-            extreme = tuple(r for r in key[1] if lattice_rank(
-                g.equations + tuple(n for n in g.normals if geom.dot(n, r) == 0)) == rank - 1)
+            # keep the extreme rays: those that alone lie on the meet of
+            # the facets through them
+            full = frozenset(range(len(g.rays)))
+            extreme = tuple(r for i, r in enumerate(g.rays)
+                            if full.intersection(*(f for f in g.facets if i in f)) == {i})
             c = _CONES.setdefault((rank, extreme), Cone(rank, extreme))
             _CONES[key] = c
         return c
@@ -93,22 +94,20 @@ class Cone:
 
     @cached_property
     def face_ray_sets(self) -> tuple[frozenset, ...]:
-        """All faces, as frozensets of ray indices (zero face to the whole cone)."""
-        full = frozenset(range(len(self.rays)))
-        found = {full, frozenset()}
-        queue = [full]
-        while queue:
-            cur = queue.pop()
-            for n in self.geometry.normals:
-                sub = frozenset(i for i in cur if geom.dot(n, self.rays[i]) == 0)
-                if sub not in found:
-                    found.add(sub)
-                    queue.append(sub)
+        """All faces, as frozensets of ray indices (zero face to the whole cone):
+        the intersections of the facets of a sharp cone."""
+        facets = self.geometry.facets
+        # seeded with the facets, so the face sets share the geometry's frozensets
+        found = {frozenset(range(len(self.rays))), *facets}
+        for facet in facets:
+            found |= {facet & s for s in found}
         return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
-    def faces(self) -> list["Cone"]:
-        return [Cone.make([self.rays[i] for i in s], self.lattice_rank)
-                for s in self.face_ray_sets]
+    @cached_property
+    def faces(self) -> tuple["Cone", ...]:
+        """The faces as cones, in the order of `face_ray_sets`."""
+        return tuple(Cone.make([self.rays[i] for i in s], self.lattice_rank)
+                     for s in self.face_ray_sets)
 
     def span_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the saturated span lattice."""
@@ -127,27 +126,19 @@ class FaceMap:
         return self.source == self.target and self.matrix.is_identity
 
 
-def _is_face_of(sub: Cone, sup: Cone) -> bool:
-    """Face test for cones in a common lattice."""
-    if sub.lattice_rank != sup.lattice_rank:
-        return False
-    want = set(sub.rays)
-    return any(want == {sup.rays[i] for i in s} for s in sup.face_ray_sets)
-
-
-def _face_map_valid(src: Cone, dst: Cone, matrix: IntMatrix) -> bool:
+def _face_image(src: Cone, dst: Cone, matrix: IntMatrix) -> Cone | None:
+    """The face of dst that matrix carries src isomorphically onto, or None."""
     if (matrix.rows, matrix.cols) != (dst.lattice_rank, src.lattice_rank):
-        return False
-    image_rays = [primitive(matrix.apply(r)) for r in src.rays]
-    image = Cone.make(image_rays, dst.lattice_rank) if image_rays else Cone.zero(dst.lattice_rank)
-    if not _is_face_of(image, dst):
-        return False
+        return None
+    image = Cone.make([primitive(matrix.apply(r)) for r in src.rays], dst.lattice_rank)
+    if image not in dst.faces:
+        return None
     # isomorphism onto the face: saturated span lattices must correspond
     src_basis = src.span_basis()
     if len(src_basis) != image.dim:
-        return False
+        return None
     mapped = [matrix.apply(b) for b in src_basis]
-    return hnf_rows(mapped) == image.span_basis()
+    return image if hnf_rows(mapped) == image.span_basis() else None
 
 
 @dataclass(frozen=True)
@@ -168,9 +159,12 @@ class GeneralizedConeComplex:
         for i, c in enumerate(self.cones):
             if not any(fm.source == i and fm.is_identity() for fm in self.face_maps):
                 raise ValueError(f"missing identity face map for cone {i}")
+        images: dict[int, set[Cone]] = {}
         for fm in self.face_maps:
-            if not _face_map_valid(self.cones[fm.source], self.cones[fm.target], fm.matrix):
+            image = _face_image(self.cones[fm.source], self.cones[fm.target], fm.matrix)
+            if image is None:
                 raise ValueError(f"illegal face map {fm.source} -> {fm.target}")
+            images.setdefault(fm.target, set()).add(image)
         key = {(fm.source, fm.target, fm.matrix) for fm in self.face_maps}
         for a in self.face_maps:
             for b in self.face_maps:
@@ -179,19 +173,8 @@ class GeneralizedConeComplex:
                     if comp not in key:
                         raise ValueError("face maps are not closed under composition")
         for j, c in enumerate(self.cones):
-            for s in c.face_ray_sets:
-                face_rays = {c.rays[i] for i in s}
-                hit = False
-                for fm in self.face_maps:
-                    if fm.target != j:
-                        continue
-                    img = {primitive(fm.matrix.apply(r))
-                           for r in self.cones[fm.source].rays}
-                    if img == face_rays:
-                        hit = True
-                        break
-                if not hit:
-                    raise ValueError(f"face of cone {j} is not the image of any face map")
+            if not images.get(j, set()).issuperset(c.faces):
+                raise ValueError(f"face of cone {j} is not the image of any face map")
 
     @property
     def cone_count(self) -> int:
@@ -244,14 +227,14 @@ def _embedded_from_cones(cones, rank: int) -> GeneralizedConeComplex:
     """Embedded complex from a face-closed family of cones in Z^rank."""
     seen: dict[tuple, Cone] = {}
     for c in cones:
-        for f in c.faces():
+        for f in c.faces:
             seen.setdefault(f.rays, f)
     ordered = sorted(seen.values(), key=lambda c: (c.dim, c.rays))
     index = {c.rays: i for i, c in enumerate(ordered)}
     ident = IntMatrix.identity(rank)
     maps = []
     for c in ordered:
-        for f in c.faces():
+        for f in c.faces:
             maps.append(FaceMap(index[f.rays], index[c.rays], ident))
     maps = sorted(set(maps), key=lambda m: (m.source, m.target))
     return GeneralizedConeComplex(tuple(ordered), tuple(maps))
@@ -267,9 +250,8 @@ def from_toric_fan(rays, maximal_cones, rank: int) -> GeneralizedConeComplex:
     if not tops:
         tops = [Cone.zero(rank)]
     for a, b in itertools.combinations(tops, 2):
-        inter_rays = a.geometry.intersect_rays(b.geometry)
-        inter = (Cone.make(inter_rays, rank) if inter_rays else Cone.zero(rank))
-        if not (_is_face_of(inter, a) and _is_face_of(inter, b)):
+        inter = Cone.make(a.geometry.intersect_rays(b.geometry), rank)
+        if not (inter in a.faces and inter in b.faces):
             raise NotAFan(f"cones {a.rays} and {b.rays} intersect in a non-face")
     return _embedded_from_cones(tops, rank)
 
@@ -518,7 +500,7 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
     if not (0 <= cone_index < len(F.cones)):
         raise ValueError("cone index out of range")
     home = F.cones[cone_index]
-    if not home.contains(v):
+    if home.lattice_rank != len(v) or not home.contains(v):
         home = None
         for i, c in enumerate(F.cones):
             if c.lattice_rank == len(v) and c.contains(v):
@@ -548,9 +530,9 @@ def _stellar(K: GeneralizedConeComplex, v: Vector) -> GeneralizedConeComplex:
     keep = []
     new_tops = []
     for c in K.cones:
-        if _is_face_of(tau, c):
+        if tau in c.faces:
             new_tops += [Cone.make(fc.rays + (v,), rank)
-                         for fc in c.faces() if not _is_face_of(tau, fc)]
+                         for fc in c.faces if tau not in fc.faces]
         else:
             keep.append(c)
     return _embedded_from_cones(keep + new_tops, rank)
@@ -567,14 +549,12 @@ def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
         return True
     rank = target.lattice_rank
     wedges = []
-    for s in target.face_ray_sets:
-        face_rays = [target.rays[i] for i in s]
-        fc = geom.ConeGeometry.of(face_rays, rank)
-        if len(s) == len(target.rays):
+    for f in target.faces:
+        if f == target:
             continue
-        if fc.meets_interior_of(image) or image.contains_cone(fc):
+        if f.geometry.meets_interior_of(image) or image.contains_cone(f.geometry):
             continue
-        w = geom.ConeGeometry.of(list(image.rays) + face_rays, rank)
+        w = geom.ConeGeometry.of(image.rays + f.rays, rank)
         if w.span_dim == target.dim:
             wedges.append(w)
     for a, b in itertools.combinations(wedges, 2):
@@ -713,13 +693,8 @@ def _tighten(K: GeneralizedConeComplex) -> GeneralizedConeComplex:
     bases = []
     new_cones = []
     for c in K.cones:
-        basis = c.span_basis()
+        basis, coords = geom.cone_lattice_coords(c.rays, c.lattice_rank)
         bases.append(basis)
-        if not basis:
-            new_cones.append(Cone.zero(0))
-            continue
-        B = IntMatrix.from_columns(basis, rows=c.lattice_rank)
-        coords = [solve_integer(B, r) for r in c.rays]
         new_cones.append(Cone.make(coords, len(basis)))
     new_maps = []
     for fm in K.face_maps:

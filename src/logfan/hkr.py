@@ -54,13 +54,6 @@ class HHTable:
     def to_json(self):
         return {str(n): e.to_json() for n, e in self.degrees}
 
-    def render(self) -> str:
-        width = max((len(str(n)) for n, _ in self.degrees), default=1)
-        lines = [f"log Hochschild {self.variant}"]
-        for n, e in self.degrees:
-            lines.append(f"  degree {str(n).rjust(width)}: {e.render()}")
-        return "\n".join(lines) + "\n"
-
 
 def hh_homology(X: LogModel) -> HHTable:
     """Anti-diagonal sums of the Hodge table: degree n = sum over q - p = n."""
@@ -141,10 +134,6 @@ class CyclicTable:
 
     def to_json(self):
         return {"even": self.even.to_json(), "odd": self.odd.to_json()}
-
-    def render(self) -> str:
-        return (f"periodic cyclic homology\n  even: {self.even.render()}\n"
-                f"  odd:  {self.odd.render()}\n")
 
 
 def periodic_cyclic(X: LogModel) -> CyclicTable:

@@ -108,11 +108,6 @@ class IntMatrix:
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(self.at(i, j) == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
-
     def diagonal(self) -> Vector:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
@@ -191,14 +186,8 @@ class FgAbelianGroup:
     def add(self, a, b) -> Vector:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
 
-    def neg(self, a) -> Vector:
-        return self.reduce(tuple(-x for x in a))
-
     def free_part(self, v) -> Vector:
         return tuple(v[:self.free_rank])
-
-    def is_torsion(self, v) -> bool:
-        return all(x == 0 for x in self.free_part(v))
 
 
 @dataclass(frozen=True)

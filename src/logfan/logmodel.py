@@ -13,8 +13,8 @@ log subset, the orbifold substrate), products, and subdivided toric models.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import comb
 
 from . import _geometry as geom
@@ -66,14 +66,6 @@ class GradedEntry:
     def total(self) -> int:
         """Finite value, or sum of the stored coefficients."""
         return self.value if self.kind == FINITE else sum(self.value)
-
-    def coefficient(self, w: int) -> int:
-        if self.kind == FINITE:
-            raise SeriesNotSupported("finite entries carry no weight grading")
-        if w > self.truncation:
-            from .errors import TruncationTooSmall
-            raise TruncationTooSmall(f"weight {w} beyond truncation {self.truncation}")
-        return self.value[w]
 
     def __add__(self, other: "GradedEntry") -> "GradedEntry":
         if self.kind != other.kind:
@@ -233,27 +225,19 @@ def point_model() -> LogModel:
                     kind="point", complete=True, affine=False, open_euler=1)
 
 
-def _angular_complete(rays, maximal_cones, rank: int) -> bool:
-    """Support check for rank <= 2 fans (sector-volume coverage)."""
-    if rank == 0:
-        return True
-    if rank == 1:
-        return {(1,), (-1,)} <= {primitive(r) for r in rays}
-    def cmp(a, b):
-        def half(v):
-            return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha - hb
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-    prims = sorted({primitive(r) for r in rays}, key=cmp_to_key(cmp))
-    if len(prims) < 3:
+def _covers_space(fan: GeneralizedConeComplex, rank: int) -> bool:
+    """Is the support of a fan in Z^rank the whole space?
+
+    Exactly when every maximal cone is full-dimensional and every wall (a
+    face of codimension one) lies in two maximal cones: the last point of
+    the support on a generic path out of it would sit inside a wall of a
+    single maximal cone.
+    """
+    tops = [fan.cones[j] for j in fan.maximal_cone_indices()]
+    if any(c.dim != rank for c in tops):
         return False
-    pairs = {frozenset((prims[i], prims[(i + 1) % len(prims)]))
-             for i in range(len(prims))}
-    given = {frozenset(primitive(rays[i]) for i in mc) for mc in maximal_cones}
-    return pairs == given
+    walls = Counter(f for c in tops for f in c.faces if f.dim == rank - 1)
+    return all(n == 2 for n in walls.values())
 
 
 def toric_model(rays, maximal_cones, rank: int, complete: bool,
@@ -266,7 +250,7 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
     """
     fan = from_toric_fan(rays, maximal_cones, rank)
     if complete:
-        if rank <= 2 and not _angular_complete(rays, maximal_cones, rank):
+        if not _covers_space(fan, rank):
             raise NotComplete("fan support is not the whole space")
         entries = {(0, q): GradedEntry.finite(comb(rank, q)) for q in range(rank + 1)}
         table = HodgeTable.build(rank, entries)

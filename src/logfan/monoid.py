@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _geometry as geom
-from .errors import NotSaturated, NotStronglyConvex
+from .errors import InternalInvariant, NotSaturated, NotStronglyConvex
 from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection,
                       hnf_rows, in_lattice, lattice_rank as _span_rank,
                       reduce_mod_lattice, smith_normal_form, solve_integer)
@@ -81,7 +81,8 @@ class FineMonoid:
         coeffs = []
         for i in range(rel.rows):
             c = solve_integer(BK.transpose, rel.row(i))
-            assert c is not None
+            if c is None:
+                raise InternalInvariant("a torsion relation is outside the torsion of P^gp")
             coeffs.append(c)
         E = IntMatrix.from_rows(coeffs)
         snf = smith_normal_form(E)
@@ -142,7 +143,8 @@ def _hilbert_basis_full_dim(rays, dim: int) -> list[Vector]:
     candidates = {geom.primitive(r) for r in rays if not geom.is_zero(r)}
     for simplex in geom.triangulate(list(cone.rays), dim):
         block = [cone.rays[i] for i in simplex]
-        assert len(block) == dim
+        if len(block) != dim:
+            raise InternalInvariant("triangulation simplex is not full-dimensional")
         for p in geom.parallelepiped_points(block):
             if not geom.is_zero(p):
                 candidates.add(p)
@@ -198,7 +200,8 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
     G = P.ambient
     f = G.free_rank
     cone = P.free_cone
-    assert cone.is_sharp
+    if not cone.is_sharp:
+        raise InternalInvariant("membership search needs a sharp monoid")
     mixed = [g for g in P.generators if not geom.is_zero(G.free_part(g))]
     torsion_gens = [g for g in P.generators if geom.is_zero(G.free_part(g))]
     tors_lat = hnf_rows([g[f:] for g in torsion_gens]
@@ -236,11 +239,6 @@ class SaturationReport:
     torsion_order: int
     index_data: tuple[Vector, ...]   # generators the saturation added
 
-    def summary(self) -> str:
-        added = ", ".join(str(v) for v in self.index_data) or "none"
-        return (f"saturation added generators: {added}; "
-                f"torsion order {self.torsion_order}")
-
 
 def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
     """Generators of P^sat inside the ambient group, plus |torsion(P^gp)|."""
@@ -259,7 +257,8 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
         ws = []
         for g in P.generators:
             w = solve_integer(BF, G.free_part(g))
-            assert w is not None
+            if w is None:
+                raise InternalInvariant("a generator's free part is outside P^gp")
             ws.append(w)
         cone = geom.ConeGeometry.of(ws, r)
         lam_gens: list[Vector] = []
@@ -267,7 +266,8 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
         if lin:
             lin_cols = IntMatrix.from_columns(lin, rows=r)
             snf = smith_normal_form(lin_cols)
-            assert all(d == 1 for d in snf.diagonal())
+            if not all(d == 1 for d in snf.diagonal()):
+                raise InternalInvariant("lineality space is not saturated")
             proj_rows = [snf.U.row(j) for j in range(len(lin), r)]
             proj = (IntMatrix.from_rows(proj_rows) if proj_rows
                     else IntMatrix.zero(0, r))
@@ -276,7 +276,8 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
             lin_hnf = hnf_rows(lin)
             for h in hb:
                 lift = solve_integer(proj, h)
-                assert lift is not None
+                if lift is None:
+                    raise InternalInvariant("Hilbert basis element does not lift")
                 lam_gens.append(reduce_mod_lattice(lift, lin_hnf))
             for l in lin:
                 lam_gens.append(tuple(l))
@@ -288,7 +289,8 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
         for u in lam_gens:
             target = BF.apply(u)
             c = solve_integer(L1_free, target)
-            assert c is not None
+            if c is None:
+                raise InternalInvariant("a saturation generator is outside P^gp")
             vec = tuple(sum(c[i] * L1[i][j] for i in range(len(L1)))
                         for j in range(G.num_coords))
             vec = reduce_mod_lattice(vec, K)
@@ -307,7 +309,8 @@ def saturate(P: FineMonoid) -> SaturationReport:
     sat = FineMonoid.make(P.ambient, gens)
     added = tuple(g for g in sat.generators if g not in set(P.generators))
     gens2, _ = _saturate_generators(sat)
-    assert FineMonoid.make(P.ambient, gens2) == sat, "saturation failed to be idempotent"
+    if FineMonoid.make(P.ambient, gens2) != sat:
+        raise InternalInvariant("saturation failed to be idempotent")
     return SaturationReport(sat, torsion_order, added)
 
 

@@ -291,3 +291,32 @@ def test_maximal_cone_index_out_of_range_is_a_parse_error(tmp_path, capsys):
     model = {"M": {"kind": "model", "builtin": "toric", "complete": False, **fan}}
     assert _run_document(tmp_path, model) == 2
     assert capsys.readouterr().err.startswith("ParseError: object 'M'")
+
+
+_MIXED_AFFINE = {"kind": "model", "builtin": "mixed_affine", "coords": 1, "log": [0]}
+
+
+@pytest.mark.parametrize("objects", [
+    {"M": {"kind": "monoid", "free_rank": "x", "generators": [[1]]}},
+    {"M": {"kind": "monoid", "free_rank": 1, "generators": 5}},
+    {"M": {"kind": "monoid", "torsion": ["x"], "generators": [[1]]}},
+    {"X": _MIXED_AFFINE,
+     "A": {"kind": "action", "model": "X", "orders": ["z"], "characters": [[1]]}},
+    {"X": _MIXED_AFFINE,
+     "A": {"kind": "action", "model": "X", "orders": [2], "characters": [["q"]]}},
+    {"K": {"kind": "complex", "builtin": "snc", "simplices": [[0, "a"]]}},
+    {"K": {"kind": "complex", "builtin": "snc", "simplices": 5}},
+], ids=["free_rank", "generators", "torsion", "orders", "characters",
+        "simplex_entry", "simplices"])
+def test_malformed_monoid_action_and_snc_fields(tmp_path, capsys, objects):
+    assert _run_document(tmp_path, objects) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ParseError: object ")
+
+
+def test_inline_hom_argument_is_built():
+    R = {"kind": "monoid", "free_rank": 1, "generators": [[1]]}
+    hom = {"kind": "hom", "source": "R", "target": "R", "matrix": [[1]]}
+    doc = parse(json.dumps({"version": "logfan/1", "objects": {"R": R}, "tasks": [
+        {"op": "fs_pushout", "args": {"left": hom, "right": hom}}]}))
+    assert run(doc).results[0]["status"] == "ok"

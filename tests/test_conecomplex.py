@@ -147,6 +147,19 @@ def test_star_subdivision_self_glued_scope():
     assert sub.is_trivial()
 
 
+def test_vectors_of_another_rank_are_rejected_not_truncated():
+    g = Cone.make([(1, 0)], 2).geometry
+    for x in [(1, 0, 5), (1,)]:
+        with pytest.raises(ValueError, match="rank 2"):
+            g.contains(x)
+        with pytest.raises(ValueError, match="rank 2"):
+            g.contains_relative_interior(x)
+    # the named cone (the waffle's rank-1 ray) cannot hold (1, 0), so the
+    # search finds the quadrant, where (1, 0) is already a ray
+    sub = star_subdivision(nodal_cubic_complex(), 1, (1, 0))
+    assert sub.is_trivial()
+
+
 # ---------------------------------------------------------- subdivide along
 
 def test_subdivide_along_a1_diagonal():

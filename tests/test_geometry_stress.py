@@ -10,7 +10,8 @@ import itertools
 import math
 import random
 
-from logfan._geometry import ConeGeometry, dual_generators, triangulate
+from logfan._geometry import ConeGeometry, dot, dual_generators, triangulate
+from logfan.conecomplex import Cone
 from logfan.errors import NotStronglyConvex
 from logfan.lattice import FgAbelianGroup, hnf_rows, in_lattice, primitive
 from logfan.monoid import FineMonoid, contains, hilbert_basis, saturate
@@ -74,6 +75,41 @@ def test_facet_normals_against_bruteforce():
         for order in (sorted(rays), sorted(rays, reverse=True)):
             lines, found = dual_generators(order, dim)
             assert lines == () and set(found) == normals, (order, found, normals)
+
+
+def test_faces_are_the_intersections_of_facets():
+    """Faces of cones of dimension 2-4, lower-dimensional and non-simplicial
+    ones included, against the ray sets cut out by every subset of facet
+    normals."""
+    rng = random.Random(23)
+    kinds = set()
+    done = 0
+    while done < 200:
+        rank = rng.randint(2, 5)
+        dim = rng.randint(2, min(rank, 4))
+        basis = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim)]
+        rays = []
+        for _ in range(rng.randint(dim, dim + 3)):
+            coeffs = [rng.randint(-2, 2) for _ in range(dim)]
+            rays.append(tuple(sum(c * b[k] for c, b in zip(coeffs, basis))
+                              for k in range(rank)))
+        try:
+            c = Cone.make(rays, rank)
+        except ValueError:
+            continue
+        if c.dim != dim:
+            continue
+        done += 1
+        kinds.add((dim < rank, c.is_simplicial))
+        normals = c.geometry.normals
+        want = {frozenset(i for i, r in enumerate(c.rays)
+                          if all(dot(n, r) == 0 for n in sub))
+                for k in range(len(normals) + 1)
+                for sub in itertools.combinations(normals, k)}
+        assert sorted(c.face_ray_sets, key=sorted) == sorted(want, key=sorted), c.rays
+        assert sorted(f.rays for f in c.faces) == sorted(
+            tuple(c.rays[i] for i in sorted(s)) for s in want), c.rays
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_triangulation_covers_exactly():

@@ -58,6 +58,17 @@ def test_toric_completeness_check():
         toric_model([(1, 0), (0, 1)], [(0, 1)], 2, complete=True)
     with pytest.raises(NotComplete):
         toric_model([(1,)], [(0,)], 1, complete=True)
+    with pytest.raises(NotComplete):      # a half-line, though both rays are listed
+        toric_model([(1,), (-1,)], [(0,)], 1, complete=True)
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(NotComplete):
+        toric_model(e, [(0, 1, 2)], 3, complete=True)
+    p3 = toric_model(e + [(-1, -1, -1)], list(itertools.combinations(range(4), 3)), 3,
+                     complete=True)
+    signs = e + [tuple(-x for x in r) for r in e]
+    p1_cubed = toric_model(signs, [(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)],
+                           3, complete=True)
+    assert p3.complete and p1_cubed.complete
 
 
 def test_marked_p1_family():
