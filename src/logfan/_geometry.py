@@ -9,14 +9,15 @@ zero-set inclusion), entirely over Python integers.  Dimensions stay tiny
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalInvariant
 from .lattice import (IntMatrix, Vector, hnf_rows, kernel_basis,
                       lattice_rank, primitive, smith_normal_form,
-                      solve_integer, solve_rational)
+                      solve_integer)
 
 
 def dot(a, b) -> int:
@@ -271,35 +272,26 @@ def triangulate(rays, dim: int) -> list[tuple[int, ...]]:
 def parallelepiped_points(basis) -> list[Vector]:
     """Lattice points of the half-open parallelepiped spanned by a basis.
 
-    `basis` is a list of k linearly independent integer vectors of length k.
-    Returns all x in Z^k with x = sum t_i b_i, 0 <= t_i < 1.
+    `basis` is a list of k >= 1 linearly independent integer vectors of length k.
+    Returns all x in Z^k with x = sum t_i b_i, 0 <= t_i < 1.  With U W V = D
+    the Smith form of the basis matrix W, the classes r in the box of D have
+    box coordinates t = V D^-1 r, integer vectors m over the last invariant
+    factor d; taken mod d, they give the point W m / d.
     """
-    basis = [tuple(b) for b in basis]
-    k = len(basis)
-    if k == 0:
-        return [()]
-    W = IntMatrix.from_columns(basis, rows=k)
+    W = IntMatrix.from_columns(basis)
     snf = smith_normal_form(W)
     diag = snf.diagonal()
     if not all(d != 0 for d in diag):
         raise InternalInvariant("parallelepiped basis is degenerate")
-    reps = [()]
-    for d in diag:
-        reps = [r + (i,) for r in reps for i in range(d)]
+    last = diag[-1]
     points = set()
-    for rep in reps:
-        x = snf.U_inverse.apply(rep)
-        t = solve_rational(W, x)
-        shift = tuple(int(Fraction(ti).__floor__()) for ti in t)
-        x = vsub(x, W.apply(shift))
-        t2 = solve_rational(W, x)
-        if not all(0 <= ti < 1 for ti in t2):
-            raise InternalInvariant("parallelepiped point left the half-open box")
-        points.add(tuple(x))
-    expected = 1
-    for d in diag:
-        expected *= d
-    if len(points) != expected:
+    for rep in itertools.product(*(range(0, last, last // d) for d in diag)):
+        m = tuple(x % last for x in snf.V.apply(rep))
+        x = W.apply(m)
+        if any(c % last for c in x):
+            raise InternalInvariant("parallelepiped point is not a lattice point")
+        points.add(tuple(c // last for c in x))
+    if len(points) != math.prod(diag):
         raise InternalInvariant("parallelepiped point count differs from the index")
     return sorted(points)
 

@@ -25,7 +25,7 @@ from . import logmodel as lm
 from . import monoid as mn
 from . import orbifold as ob
 from .errors import (FormatUnavailable, KindMismatch, LogfanError, ParseError,
-                     UnknownOperation, UnresolvedReference)
+                     ScopeExceeded, UnknownOperation, UnresolvedReference)
 from .lattice import FgAbelianGroup, IntMatrix
 from .suite import run_paper_suite
 
@@ -108,6 +108,13 @@ def _ints(val, key, where) -> tuple[int, ...]:
     return tuple(val)
 
 
+def _objects(val, key, where) -> list[dict]:
+    """A list of JSON objects."""
+    if not isinstance(val, list) or not all(isinstance(v, dict) for v in val):
+        raise ParseError(f"{where}: {key!r} must be a list of objects")
+    return val
+
+
 def _vectors(val, key, where, length=None) -> list[tuple[int, ...]]:
     """A list of integer vectors, all of the given length when one is given."""
     if not isinstance(val, list) or not all(
@@ -137,6 +144,8 @@ def _build_hom(spec, where, resolver, truncation) -> mn.MonoidHom:
         return mn.MonoidHom(src, dst, matrix)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}")
+    except ScopeExceeded as exc:
+        raise ScopeExceeded(f"{where}: {exc}")
 
 
 def _toric_fields(spec, where):
@@ -164,11 +173,11 @@ def _build_complex(spec, where) -> cc.GeneralizedConeComplex:
         if builtin == "toric_fan":
             return cc.from_toric_fan(*_toric_fields(spec, where))
         cones = []
-        for c in _require(spec, "cones", where):
+        for c in _objects(_require(spec, "cones", where), "cones", where):
             rank = _count_field(c, "rank", where)
             cones.append(cc.Cone.make(_vectors(c.get("rays", []), "rays", where, rank), rank))
         maps = []
-        for m in _require(spec, "face_maps", where):
+        for m in _objects(_require(spec, "face_maps", where), "face_maps", where):
             source = _index(_require(m, "source", where), "source", where, len(cones))
             target = _index(_require(m, "target", where), "target", where, len(cones))
             maps.append(cc.FaceMap(source, target,

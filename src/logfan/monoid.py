@@ -12,14 +12,21 @@ sum inside the cokernel, image monoid, then saturation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import _geometry as geom
-from .errors import InternalInvariant, NotSaturated, NotStronglyConvex
-from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection,
+from .errors import (InternalInvariant, NotSaturated, NotStronglyConvex,
+                     ScopeExceeded)
+from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection, det,
                       hnf_rows, in_lattice, lattice_rank as _span_rank,
                       reduce_mod_lattice, smith_normal_form, solve_integer)
+
+# Desk-scale bounds, stated in README "Scale".
+MAX_PARALLELEPIPED_POINTS = 10_000
+MAX_MEMBERSHIP_DEPTH = 1_000
+MAX_MEMBERSHIP_STATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,11 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
 
     Triangulates into simplicial subcones (placing triangulation in lex ray
     order), enumerates each half-open fundamental parallelepiped, unions with
-    the primitive rays, and minimizes by pairwise-sum elimination.  Output is
-    sorted lexicographically.
+    the primitive rays, and drops each candidate that a kept one of at most
+    half its degree reduces (Bruns-Ichim).  Output is sorted lexicographically.
 
-    Raises NotStronglyConvex when the cone contains a line.
+    Raises NotStronglyConvex when the cone contains a line, and ScopeExceeded
+    past MAX_PARALLELEPIPED_POINTS parallelepiped points.
     """
     rays = [tuple(int(x) for x in v) for v in cone_generators]
     for r in rays:
@@ -125,39 +133,40 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
     rays = [r for r in rays if not geom.is_zero(r)]
     if not rays:
         return []
-    cone = geom.ConeGeometry.of(rays, lattice_rank)
-    if not cone.is_sharp:
+    if not geom.ConeGeometry.of(rays, lattice_rank).is_sharp:
         raise NotStronglyConvex("cone contains a line; quotient by it first")
     basis, coords = geom.cone_lattice_coords(rays, lattice_rank)
-    span_dim = len(basis)
+    dim = len(basis)
+    cone = geom.ConeGeometry.of(coords, dim)
+    blocks = [[cone.rays[i] for i in simplex]
+              for simplex in geom.triangulate(list(cone.rays), dim)]
+    if any(len(block) != dim for block in blocks):
+        raise InternalInvariant("triangulation simplex is not full-dimensional")
+    points = sum(abs(det(IntMatrix.from_columns(block, rows=dim))) for block in blocks)
+    if points > MAX_PARALLELEPIPED_POINTS:
+        raise ScopeExceeded(
+            f"the cone's simplices hold {points} parallelepiped points, "
+            f"more than {MAX_PARALLELEPIPED_POINTS}")
+    candidates = set(cone.rays)
+    for block in blocks:
+        candidates.update(p for p in geom.parallelepiped_points(block) if not geom.is_zero(p))
+    # The cone is full-dimensional in its span's lattice, so h - g lies in it
+    # exactly when no facet value of g exceeds h's.  A reducible h has a basis
+    # summand of at most half its degree (the sum of its facet values).
+    grading = [sum(column) for column in zip(*cone.normals)]
+    graded = sorted(candidates, key=lambda h: geom.dot(grading, h))
+    top = geom.dot(grading, graded[-1])
+    kept, reducers = [], []
+    for h in graded:
+        values = tuple(geom.dot(n, h) for n in cone.normals)
+        deg = sum(values)
+        smaller = itertools.takewhile(lambda g: 2 * g[0] <= deg, reducers)
+        if not any(all(a <= b for a, b in zip(g_values, values)) for _, g_values in smaller):
+            kept.append(h)
+            if 2 * deg <= top:
+                reducers.append((deg, values))
     B = IntMatrix.from_columns(basis, rows=lattice_rank)
-    hb = _hilbert_basis_full_dim(coords, span_dim)
-    return sorted(B.apply(h) for h in hb)
-
-
-def _hilbert_basis_full_dim(rays, dim: int) -> list[Vector]:
-    """Hilbert basis of a sharp cone spanning Z^dim."""
-    if dim == 0:
-        return []
-    cone = geom.ConeGeometry.of(rays, dim)
-    candidates = {geom.primitive(r) for r in rays if not geom.is_zero(r)}
-    for simplex in geom.triangulate(list(cone.rays), dim):
-        block = [cone.rays[i] for i in simplex]
-        if len(block) != dim:
-            raise InternalInvariant("triangulation simplex is not full-dimensional")
-        for p in geom.parallelepiped_points(block):
-            if not geom.is_zero(p):
-                candidates.add(p)
-    minimal = []
-    for h in sorted(candidates):
-        reducible = False
-        for g in candidates:
-            if g != h and cone.contains(geom.vsub(h, g)):
-                reducible = True
-                break
-        if not reducible:
-            minimal.append(h)
-    return minimal
+    return sorted(B.apply(h) for h in kept)
 
 
 def _unit_subgroup_rows(P: FineMonoid) -> list[Vector]:
@@ -197,38 +206,48 @@ def contains(P: FineMonoid, x) -> bool:
 
 
 def _contains_sharp(P: FineMonoid, x) -> bool:
+    """Membership in a sharp monoid: search for generators to subtract.
+
+    Each subtracted generator lowers the facet-normal degree of the free
+    part by at least the least generator degree, which bounds the length of
+    a decomposition; the search is refused past MAX_MEMBERSHIP_DEPTH, and
+    stopped past MAX_MEMBERSHIP_STATES remainders.
+    """
     G = P.ambient
     f = G.free_rank
     cone = P.free_cone
     if not cone.is_sharp:
         raise InternalInvariant("membership search needs a sharp monoid")
     mixed = [g for g in P.generators if not geom.is_zero(G.free_part(g))]
-    torsion_gens = [g for g in P.generators if geom.is_zero(G.free_part(g))]
-    tors_lat = hnf_rows([g[f:] for g in torsion_gens]
+    tors_lat = hnf_rows([g[f:] for g in P.generators if g not in mixed]
                         + [tuple(d if j == i else 0 for j in range(len(G.torsion_orders)))
                            for i, d in enumerate(G.torsion_orders)])
-
-    memo: dict[Vector, bool] = {}
-
-    def search(rem: Vector) -> bool:
-        if rem in memo:
-            return memo[rem]
+    if not cone.contains(G.free_part(x)):
+        return False
+    degrees = [sum(geom.dot(n, G.free_part(v)) for n in cone.normals) for v in [x] + mixed]
+    depth = degrees[0] // min(degrees[1:], default=1)
+    if depth > MAX_MEMBERSHIP_DEPTH:
+        raise ScopeExceeded(f"membership of {x} may take {depth} generator steps, "
+                            f"more than {MAX_MEMBERSHIP_DEPTH}")
+    seen, stack = {x}, [x]
+    while stack:
+        rem = stack.pop()
         fp = G.free_part(rem)
         if geom.is_zero(fp):
-            ok = in_lattice(rem[f:], tors_lat)
-            memo[rem] = ok
-            return ok
-        if not cone.contains(fp):
-            memo[rem] = False
-            return False
-        for g in mixed:
-            if search(G.reduce(geom.vsub(rem, g))):
-                memo[rem] = True
+            if in_lattice(rem[f:], tors_lat):
                 return True
-        memo[rem] = False
-        return False
-
-    return search(G.reduce(x))
+            continue
+        if not cone.contains(fp):
+            continue
+        for g in mixed:
+            nxt = G.reduce(geom.vsub(rem, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        if len(seen) > MAX_MEMBERSHIP_STATES:
+            raise ScopeExceeded(
+                f"membership of {x} visits more than {MAX_MEMBERSHIP_STATES} remainders")
+    return False
 
 
 @dataclass(frozen=True)

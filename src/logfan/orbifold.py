@@ -9,8 +9,10 @@ diagonal action.
 For a firm action the g-twisted sector is empty as soon as g scales a log
 coordinate nontrivially (the twisted diagonal misses the log diagonal);
 otherwise it is the mixed-affine submodel on the fixed coordinates.
-Invariants are taken by exact monomial enumeration up to the truncation
-order, no cyclotomic arithmetic anywhere.
+Invariants are counted exactly up to the truncation order in a table of
+(form degree, weight, character residue), the Molien series of a diagonal
+abelian action read without roots of unity; no cyclotomic arithmetic
+anywhere.
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ class DiagonalAction:
 
     def elements(self):
         """Group elements in a fixed lexicographic order."""
-        if not self.group_orders:
-            return [()]
         return list(itertools.product(*(range(d) for d in self.group_orders)))
 
     def identity(self):
@@ -88,14 +88,12 @@ class DiagonalAction:
         return self.character(g, coord) == 0
 
     def _permutation_moves_rays(self) -> bool:
+        """Does the permutation move a marked point of P^1 or a log coordinate?"""
         if self.permutation is None:
             return False
-        if self.model.kind == "marked_p1":
-            return any(self.permutation[i] != i for i in range(len(self.permutation)))
-        moved_log = any(self.permutation[i] != i for i in self.model.log_coords)
-        leaves_log = any(self.permutation[i] not in self.model.log_coords
-                         for i in self.model.log_coords)
-        return moved_log or leaves_log
+        coords = (range(len(self.permutation)) if self.model.kind == "marked_p1"
+                  else self.model.log_coords)
+        return any(self.permutation[i] != i for i in coords)
 
 
 def check_firm(a: DiagonalAction) -> bool:
@@ -147,10 +145,10 @@ def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
 def orbifold_hh(a: DiagonalAction, truncation: int | None = None) -> HHTable:
     """Orbifold log Hochschild homology: sector sum followed by G-invariants.
 
-    Sectors are affine here, so homology degree n only sees q = n.  The
-    invariant dimensions are exact monomial counts: a basis element is a
-    monomial on the sector coordinates wedged with dlog's (weight 0, trivial
-    character) and dx's (weight 1, coordinate character).
+    Sectors are affine here, so homology degree n only sees q = n.  A basis
+    element is a monomial on the sector coordinates wedged with dlog's
+    (weight 0, trivial character) and dx's (weight 1, coordinate character);
+    the invariant ones are the residue-0 entries of `_residue_table`.
     """
     if not check_firm(a):
         raise NotFirm("the action moves the Artin fan")
@@ -165,53 +163,35 @@ def orbifold_hh(a: DiagonalAction, truncation: int | None = None) -> HHTable:
                 f"model series are truncated at {N}, requested {truncation}")
         N = truncation
 
-    counts: dict[int, list[int]] = {}
+    counts = [[0] * (N + 1) for _ in range(a.model.dimension + 1)]
     for g in a.elements():
-        sector = twisted_sector(a, g)
-        if sector.is_empty:
+        if twisted_sector(a, g).is_empty:
             continue
-        coords = ([i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
-                  if g != a.identity() else list(range(a.model.dimension)))
-        log_set = [i for i in coords if i in a.model.log_coords]
-        dx_set = [i for i in coords if i not in a.model.log_coords]
-        for q in range(len(coords) + 1):
-            for a_size in range(min(q, len(log_set)) + 1):
-                b_size = q - a_size
-                if b_size > len(dx_set):
-                    continue
-                for A in itertools.combinations(log_set, a_size):
-                    for B in itertools.combinations(dx_set, b_size):
-                        base_w = len(B)
-                        if base_w > N:
-                            continue
-                        for mono in _monomials(coords, N - base_w):
-                            if _invariant(a, coords, mono, B):
-                                w = sum(mono) + base_w
-                                counts.setdefault(q, [0] * (N + 1))[w] += 1
-    entries = {q: GradedEntry.series(c) for q, c in counts.items()}
-    return HHTable.build("homology", entries)
+        coords = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
+        for (q, w, residue), c in _residue_table(a, coords, N).items():
+            if residue == a.identity():
+                counts[q][w] += c
+    return HHTable.build("homology", {q: GradedEntry.series(c) for q, c in enumerate(counts)})
 
 
-def _monomials(coords, max_weight: int):
-    """Exponent tuples on `coords` with total degree at most max_weight."""
-    if not coords:
-        yield ()
-        return
-    head, tail = coords[0], coords[1:]
-    for e in range(max_weight + 1):
-        for rest in _monomials(tail, max_weight - e):
-            yield (e,) + rest
+def _residue_table(a: DiagonalAction, coords, N: int) -> dict:
+    """Forms on `coords` of weight <= N, counted by (form degree q, weight,
+    residue of the character under each cyclic factor).
 
-
-def _invariant(a: DiagonalAction, coords, mono, dx_indices) -> bool:
-    """Total character of x^mono wedge dx's trivial for every generator?"""
-    for j, d in enumerate(a.group_orders):
-        g = tuple(1 if t == j else 0 for t in range(len(a.group_orders)))
-        total = Fraction(0)
-        for i, e in zip(coords, mono):
-            total += e * a.character(g, i)
-        for i in dx_indices:
-            total += a.character(g, i)
-        if total % 1 != 0:
-            return False
-    return True
+    Built one coordinate at a time: a log coordinate contributes x^e and
+    x^e dlog x (weight e, character e chi), any other coordinate x^e and,
+    for e >= 1, x^(e-1) dx (weight e, character e chi).
+    """
+    table = {(0, 0, a.identity()): 1}
+    for i in coords:
+        chi = tuple(row[i] for row in a.characters)
+        is_log = i in a.model.log_coords
+        step: dict = {}
+        for (q, w, r), c in table.items():
+            for e in range(N - w + 1):
+                for dq in (0, 1) if is_log or e else (0,):
+                    key = (q + dq, w + e, r)
+                    step[key] = step.get(key, 0) + c
+                r = tuple((x + y) % d for x, y, d in zip(r, chi, a.group_orders))
+        table = step
+    return table

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -312,6 +313,32 @@ def test_malformed_monoid_action_and_snc_fields(tmp_path, capsys, objects):
     assert _run_document(tmp_path, objects) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ParseError: object ")
+
+
+@pytest.mark.parametrize("fields", [
+    {"cones": 5, "face_maps": []},
+    {"cones": [], "face_maps": {}},
+    {"cones": [5], "face_maps": []},
+    {"cones": [{"rank": 1, "rays": [[1]]}], "face_maps": ["x"]},
+], ids=["cones", "face_maps", "cone_entry", "face_map_entry"])
+def test_malformed_literal_complex_fields(tmp_path, capsys, fields):
+    assert _run_document(tmp_path, {"K": {"kind": "complex", **fields}}) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ParseError: object 'K'")
+
+
+def test_deep_membership_check_is_out_of_scope(tmp_path, capsys):
+    objects = {"N": {"kind": "monoid", "free_rank": 1, "generators": [[1]]},
+               "S": {"kind": "monoid", "free_rank": 1, "generators": [[2], [3]]},
+               "f": {"kind": "hom", "source": "N", "target": "S", "matrix": [[1000000]]}}
+    p = tmp_path / "deep.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects, "tasks": []}))
+    start = time.perf_counter()
+    assert main(["check", str(p)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ScopeExceeded: object 'f': ")
+    assert "500000 generator steps" in err[0]
 
 
 def test_inline_hom_argument_is_built():

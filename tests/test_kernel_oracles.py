@@ -1,0 +1,233 @@
+"""The exact kernels against the brute-force algorithms they replaced.
+
+Each oracle below is the earlier implementation of a kernel, kept here so the
+faster one is checked against it on seeded inputs:
+
+* `pairwise_hilbert_basis` minimises the parallelepiped candidates by testing
+  every candidate pair for h - g in the cone;
+* `rational_parallelepiped_points` solves for the box coordinates of each
+  class representative over the rationals;
+* `enumerated_orbifold_series` tests every monomial-and-form of each twisted
+  sector for invariance;
+* `recursive_contains` is the recursive depth-first membership search.
+"""
+
+import itertools
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from logfan import _geometry as geom
+from logfan.errors import ScopeExceeded
+from logfan.lattice import (IntMatrix, cokernel_projection, det, hnf_rows,
+                            in_lattice, smith_normal_form, solve_rational)
+from logfan.logmodel import mixed_affine
+from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
+                           hilbert_basis)
+from logfan.orbifold import DiagonalAction, orbifold_hh
+from logfan.suite import _random_fine_monoid
+
+
+# ------------------------------------------------------------------ oracles
+
+def rational_parallelepiped_points(basis):
+    basis = [tuple(b) for b in basis]
+    k = len(basis)
+    W = IntMatrix.from_columns(basis, rows=k)
+    snf = smith_normal_form(W)
+    points = set()
+    for rep in itertools.product(*(range(d) for d in snf.diagonal())):
+        x = snf.U_inverse.apply(rep)
+        shift = tuple(int(Fraction(t).__floor__()) for t in solve_rational(W, x))
+        x = geom.vsub(x, W.apply(shift))
+        assert all(0 <= t < 1 for t in solve_rational(W, x))
+        points.add(tuple(x))
+    return sorted(points)
+
+
+def pairwise_hilbert_basis(rays, rank):
+    rays = [r for r in rays if any(r)]
+    basis, coords = geom.cone_lattice_coords(rays, rank)
+    dim = len(basis)
+    minimal = []
+    if dim:
+        cone = geom.ConeGeometry.of(coords, dim)
+        candidates = {geom.primitive(r) for r in coords}
+        for simplex in geom.triangulate(list(cone.rays), dim):
+            points = rational_parallelepiped_points([cone.rays[i] for i in simplex])
+            candidates.update(p for p in points if any(p))
+        minimal = [h for h in candidates
+                   if not any(g != h and cone.contains(geom.vsub(h, g)) for g in candidates)]
+    B = IntMatrix.from_columns(basis, rows=rank)
+    return sorted(B.apply(h) for h in minimal)
+
+
+def enumerated_orbifold_series(a: DiagonalAction, N: int) -> dict:
+    counts = {}
+    for g in a.elements():
+        fixed = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
+        if any(i not in fixed for i in a.model.log_coords):
+            continue
+        logs = [i for i in fixed if i in a.model.log_coords]
+        dxs = [i for i in fixed if i not in a.model.log_coords]
+        for mono in itertools.product(range(N + 1), repeat=len(fixed)):
+            for A in _subsets(logs):
+                for B in _subsets(dxs):
+                    w = sum(mono) + len(B)
+                    if w > N:
+                        continue
+                    if all((sum(e * row[i] for i, e in zip(fixed, mono))
+                            + sum(row[i] for i in B)) % d == 0
+                           for row, d in zip(a.characters, a.group_orders)):
+                        counts.setdefault(len(A) + len(B), [0] * (N + 1))[w] += 1
+    return counts
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1))
+
+
+def recursive_contains(P: FineMonoid, x) -> bool:
+    G = P.ambient
+    x = G.reduce(x)
+    if not any(x):
+        return True
+    if not P.generators:
+        return False
+    units = _unit_subgroup_rows(P)
+    if units:
+        H, proj = cokernel_projection(IntMatrix.from_columns(
+            units + list(P._relation_rows), rows=G.num_coords))
+        Q = FineMonoid.make(H, [proj.apply(g) for g in P.generators])
+        return _recursive_search(Q, H.reduce(proj.apply(x)))
+    return _recursive_search(P, x)
+
+
+def _recursive_search(P: FineMonoid, x) -> bool:
+    G = P.ambient
+    f = G.free_rank
+    mixed = [g for g in P.generators if any(G.free_part(g))]
+    tors_lat = hnf_rows([g[f:] for g in P.generators if not any(G.free_part(g))]
+                        + [tuple(d if j == i else 0 for j in range(len(G.torsion_orders)))
+                           for i, d in enumerate(G.torsion_orders)])
+    memo = {}
+
+    def search(rem):
+        if rem not in memo:
+            fp = G.free_part(rem)
+            if not any(fp):
+                memo[rem] = in_lattice(rem[f:], tors_lat)
+            else:
+                memo[rem] = P.free_cone.contains(fp) and any(
+                    search(G.reduce(geom.vsub(rem, g))) for g in mixed)
+        return memo[rem]
+
+    return search(x)
+
+
+# -------------------------------------------------------------------- tests
+
+def test_parallelepiped_points_match_rational_solve():
+    rng = random.Random(11)
+    sizes = {k: 0 for k in range(1, 5)}
+    nontrivial = 0
+    while min(sizes.values()) < 10:
+        k = rng.randint(1, 4)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k)]
+        index = abs(det(IntMatrix.from_columns(basis, rows=k)))
+        if index == 0 or index > 100:
+            continue
+        points = geom.parallelepiped_points(basis)
+        assert points == rational_parallelepiped_points(basis), basis
+        assert len(points) == index
+        sizes[k] += 1
+        nontrivial += index > 1
+    assert nontrivial >= 20
+
+
+def test_hilbert_basis_matches_pairwise_minimisation():
+    rng = random.Random(17)
+    families = {"simplicial": 0, "non-simplicial": 0, "lower-dimensional": 0}
+    ranks = set()
+    beyond_rays = 0
+    while min(families.values()) < 15:
+        rank = rng.randint(2, 4)
+        rays = [tuple(rng.randint(-2, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, rank + 2))]
+        rays = [r for r in rays if any(r)]
+        if not rays:
+            continue
+        cone = geom.ConeGeometry.of(rays, rank)
+        if not cone.is_sharp:
+            continue
+        if cone.span_dim < rank:
+            family = "lower-dimensional"
+        elif len(cone.rays) == rank:
+            family = "simplicial"
+        else:
+            family = "non-simplicial"
+        hb = hilbert_basis(rays, rank)
+        assert hb == pairwise_hilbert_basis(rays, rank), rays
+        families[family] += 1
+        ranks.add(rank)
+        beyond_rays += len(hb) > len(cone.rays)
+    assert ranks == {2, 3, 4}
+    assert beyond_rays >= 15
+
+
+def test_hilbert_basis_scope_is_checked_before_enumeration():
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="parallelepiped points"):
+        hilbert_basis([(1, 0), (1, 10 ** 6)], 2)
+    assert time.perf_counter() - start < 0.1
+    assert len(hilbert_basis([(1, 0), (1, 1000)], 2)) == 1001
+
+
+GROUPS = [(2,), (4,), (2, 2), (3, 2)]
+
+
+def test_orbifold_hh_matches_monomial_enumeration():
+    rng = random.Random(23)
+    seen = set()
+    twisted = 0
+    for _ in range(64):
+        orders = rng.choice(GROUPS)
+        n = rng.randint(1, 4)
+        N = rng.randint(1, 8 if n <= 2 else 5)
+        logs = sorted(rng.sample(range(n), rng.randint(0, min(n, 2))))
+        chars = tuple(tuple(rng.randrange(d) for _ in range(n)) for d in orders)
+        a = DiagonalAction(mixed_affine(n, logs, truncation=N), orders, chars)
+        got = {q: list(e.value) for q, e in orbifold_hh(a).degrees}
+        assert got == enumerated_orbifold_series(a, N), (n, logs, orders, chars, N)
+        seen.add((orders, bool(logs)))
+        twisted += sum(1 for g in a.elements()
+                       if any(g) and all(a.acts_trivially(g, i) for i in logs))
+    assert seen == {(g, has_log) for g in GROUPS for has_log in (False, True)}
+    assert twisted >= 50
+
+
+def test_membership_matches_recursive_search():
+    rng = random.Random(5)
+    answers = {True: 0, False: 0}
+    for _ in range(25):
+        P = _random_fine_monoid(rng)
+        G = P.ambient
+        for v in itertools.product(range(-3, 4), repeat=G.free_rank):
+            for t in itertools.product(*(range(d) for d in G.torsion_orders)):
+                x = v + t
+                want = recursive_contains(P, x)
+                assert contains(P, x) == want, (P, x)
+                answers[want] += 1
+    assert min(answers.values()) >= 200
+
+
+def test_membership_search_is_bounded():
+    # Remainders of (x, x - 1) by (2, 0), (0, 2), (1, 1): none is 0, and the
+    # search visits about x^2 / 2 of them before it can answer no.
+    P = FineMonoid.free(2, [(2, 0), (0, 2), (1, 1)])
+    assert not contains(P, (61, 60))
+    with pytest.raises(ScopeExceeded, match="visits more than"):
+        contains(P, (500, 499))
