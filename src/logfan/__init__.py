@@ -21,7 +21,8 @@ from .conecomplex import (Cone, ComplexMorphism, FaceMap,
                           GeneralizedConeComplex, Subdivision,
                           diagonal_morphism, from_toric_fan, is_isomorphic,
                           nodal_cubic_complex, point_complex, product,
-                          snc_artin_fan, star_subdivision, subdivide_along)
+                          snc_artin_fan, star_subdivision, subdivide_along,
+                          subdivide_along_diagonal)
 from .logmodel import (DEFAULT_TRUNCATION, GradedEntry, HodgeTable, LogModel,
                        affine_space_model, marked_p1, mixed_affine,
                        nodal_cubic, p1_toric_model, p2_toric_model,

@@ -13,6 +13,7 @@ validate a document without executing it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,187 +61,188 @@ class Report:
 
 
 # ------------------------------------------------------------- object parsing
+#
+# Every value in a document is read by `_field` and one of the readers after
+# it.  A reader checks a JSON value and returns it as a Python value; its
+# messages name the field, and `_named` puts the object or task in front.
 
-def _require(obj, key, where):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object, got {obj!r}")
-    if key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return obj[key]
+MAX_DIMENSION = 6         # `d` of affine_space and `coords` of mixed_affine
+MAX_MARKED_POINTS = 64    # `n` of marked_p1
+
+_REQUIRED = object()
 
 
-def _as_matrix(rows, where) -> IntMatrix:
-    try:
-        return IntMatrix.from_rows(rows)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad matrix ({exc})")
+def _field(spec, key, read=None, default=_REQUIRED, **bounds):
+    """spec[key] through `read`; an absent field is `default`, or an error."""
+    if not isinstance(spec, dict):
+        raise ParseError(f"expected a JSON object, got {spec!r}")
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ParseError(f"missing field {key!r}")
+        return default
+    return spec[key] if read is None else read(spec[key], key, **bounds)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _count_field(spec, key, where) -> int:
-    """A required field holding an integer >= 0."""
-    val = _require(spec, key, where)
-    if not _is_int(val) or val < 0:
-        raise ParseError(f"{where}: {key!r} must be an integer >= 0, got {val!r}")
+def _nat(val, key, below=None, limit=None) -> int:
+    """An integer >= 0: an index below `below`, or a size of at most `limit`."""
+    if below is not None:
+        if not _is_int(val) or not 0 <= val < below:
+            raise ParseError(f"{key!r} index {val!r} must be an integer in [0, {below})")
+    elif not _is_int(val) or val < 0:
+        raise ParseError(f"{key!r} must be an integer >= 0, got {val!r}")
+    if limit is not None and val > limit:
+        raise ScopeExceeded(f"{key!r} is {val}, above the desk-scale bound {limit}")
     return val
 
 
-def _index(val, key, where, bound) -> int:
-    """An index into a list of `bound` items."""
-    if not _is_int(val) or not 0 <= val < bound:
-        raise ParseError(f"{where}: {key!r} index {val!r} must be an integer in [0, {bound})")
-    return val
-
-
-def _indices(val, key, where, bound) -> tuple[int, ...]:
+def _list(val, key) -> list:
     if not isinstance(val, list):
-        raise ParseError(f"{where}: {key!r} must be a list of indices")
-    return tuple(_index(i, key, where, bound) for i in val)
+        raise ParseError(f"{key!r} must be a list")
+    return val
 
 
-def _ints(val, key, where) -> tuple[int, ...]:
-    """A list of integers."""
-    if not isinstance(val, list) or not all(_is_int(x) for x in val):
-        raise ParseError(f"{where}: {key!r} must be a list of integers")
+def _vector(val, key, length=None, below=None) -> tuple[int, ...]:
+    """A list of integers, or of indices below `below`; of `length` items when given."""
+    if length not in (None, len(_list(val, key))):
+        raise ParseError(f"{key!r} must hold vectors of length {length}")
+    if below is not None:
+        return tuple(_nat(x, key, below) for x in val)
+    if not all(_is_int(x) for x in val):
+        raise ParseError(f"{key!r} must hold integers")
     return tuple(val)
 
 
-def _objects(val, key, where) -> list[dict]:
-    """A list of JSON objects."""
-    if not isinstance(val, list) or not all(isinstance(v, dict) for v in val):
-        raise ParseError(f"{where}: {key!r} must be a list of objects")
+def _vectors(val, key, length=None, below=None) -> tuple[tuple[int, ...], ...]:
+    return tuple(_vector(v, key, length, below) for v in _list(val, key))
+
+
+def _matrix(val, key) -> IntMatrix:
+    rows = _vectors(val, key)
+    if len({len(r) for r in rows}) > 1:
+        raise ParseError(f"{key!r} rows must have equal lengths")
+    return IntMatrix.from_rows(rows)
+
+
+def _flag(val, key) -> bool:
+    if not isinstance(val, bool):
+        raise ParseError(f"{key!r} must be true or false, got {val!r}")
     return val
 
 
-def _vectors(val, key, where, length=None) -> list[tuple[int, ...]]:
-    """A list of integer vectors, all of the given length when one is given."""
-    if not isinstance(val, list) or not all(
-            isinstance(v, list) and length in (None, len(v)) and all(_is_int(x) for x in v)
-            for v in val):
-        raise ParseError(f"{where}: {key!r} must be a list of integer vectors"
-                         + (f" of length {length}" if length is not None else ""))
-    return [tuple(v) for v in val]
+def _text(val, key) -> str:
+    if not isinstance(val, str):
+        raise ParseError(f"{key!r} must be a string, got {val!r}")
+    return val
 
 
-def _build_monoid(spec, where) -> mn.FineMonoid:
-    free = _count_field(spec, "free_rank", where) if "free_rank" in spec else 0
-    torsion = _ints(spec.get("torsion", []), "torsion", where)
-    gens = _vectors(_require(spec, "generators", where), "generators", where,
-                    free + len(torsion))
+def _object(val, key) -> dict:
+    if not isinstance(val, dict):
+        raise ParseError(f"{key!r} must be an object")
+    return val
+
+
+def _named(where, build, *args):
+    """build(*args), with every error naming `where`, the object or task;
+    a library constructor's ValueError becomes a ParseError."""
     try:
-        return mn.FineMonoid.make(FgAbelianGroup(free, torsion), gens)
+        return build(*args)
     except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
+        raise ParseError(f"{where}: {exc}") from None
+    except LogfanError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
-def _build_hom(spec, where, resolver, truncation) -> mn.MonoidHom:
-    src = resolver(_require(spec, "source", where), "monoid", where)
-    dst = resolver(_require(spec, "target", where), "monoid", where)
-    matrix = _as_matrix(_require(spec, "matrix", where), where)
-    try:
-        return mn.MonoidHom(src, dst, matrix)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
-    except ScopeExceeded as exc:
-        raise ScopeExceeded(f"{where}: {exc}")
+def _build_matrix(spec, resolve, truncation) -> IntMatrix:
+    return _field(spec, "entries", _matrix)
 
 
-def _toric_fields(spec, where):
-    """Rays, maximal cones and rank of a toric fan, type- and range-checked."""
-    rank = _count_field(spec, "rank", where)
-    rays = _vectors(_require(spec, "rays", where), "rays", where, rank)
-    cones = _require(spec, "maximal_cones", where)
-    if not isinstance(cones, list):
-        raise ParseError(f"{where}: 'maximal_cones' must be a list of index lists")
-    return rays, [_indices(m, "maximal_cones", where, len(rays)) for m in cones], rank
+def _build_monoid(spec, resolve, truncation) -> mn.FineMonoid:
+    free = _field(spec, "free_rank", _nat, 0)
+    torsion = _field(spec, "torsion", _vector, ())
+    gens = _field(spec, "generators", _vectors, length=free + len(torsion))
+    return mn.FineMonoid.make(FgAbelianGroup(free, torsion), gens)
 
 
-def _build_complex(spec, where) -> cc.GeneralizedConeComplex:
-    builtin = spec.get("builtin")
+def _build_hom(spec, resolve, truncation) -> mn.MonoidHom:
+    return mn.MonoidHom(resolve(_field(spec, "source"), "monoid"),
+                        resolve(_field(spec, "target"), "monoid"),
+                        _field(spec, "matrix", _matrix))
+
+
+def _toric_fields(spec):
+    """Rays, maximal cones and rank of a toric fan."""
+    rank = _field(spec, "rank", _nat)
+    rays = _field(spec, "rays", _vectors, length=rank)
+    return rays, _field(spec, "maximal_cones", _vectors, below=len(rays)), rank
+
+
+def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
+    builtin = _field(spec, "builtin", _text, None)
     if builtin == "snc":
-        simplices = _vectors(_require(spec, "simplices", where), "simplices", where)
-        return cc.snc_artin_fan(simplices)
+        return cc.snc_artin_fan(_field(spec, "simplices", _vectors))
     if builtin == "nodal_cubic":
         return cc.nodal_cubic_complex()
     if builtin == "point":
         return cc.point_complex()
-    if builtin not in (None, "toric_fan"):
-        raise ParseError(f"{where}: unknown complex builtin {builtin!r}")
-    try:
-        if builtin == "toric_fan":
-            return cc.from_toric_fan(*_toric_fields(spec, where))
-        cones = []
-        for c in _objects(_require(spec, "cones", where), "cones", where):
-            rank = _count_field(c, "rank", where)
-            cones.append(cc.Cone.make(_vectors(c.get("rays", []), "rays", where, rank), rank))
-        maps = []
-        for m in _objects(_require(spec, "face_maps", where), "face_maps", where):
-            source = _index(_require(m, "source", where), "source", where, len(cones))
-            target = _index(_require(m, "target", where), "target", where, len(cones))
-            maps.append(cc.FaceMap(source, target,
-                                   _as_matrix(m["matrix"], where)
-                                   if m.get("matrix") is not None else
-                                   IntMatrix.identity(cones[target].lattice_rank)))
-        K = cc.GeneralizedConeComplex(tuple(cones), tuple(maps))
-        K.validate()
-        return K
-    except ValueError as exc:      # a non-sharp cone or an illegal face map
-        raise ParseError(f"{where}: {exc}")
+    if builtin == "toric_fan":
+        return cc.from_toric_fan(*_toric_fields(spec))
+    if builtin is not None:
+        raise ParseError(f"unknown complex builtin {builtin!r}")
+    cones = []
+    for c in _field(spec, "cones", _list):
+        rank = _field(c, "rank", _nat)
+        cones.append(cc.Cone.make(_field(c, "rays", _vectors, (), length=rank), rank))
+    maps = []
+    for m in _field(spec, "face_maps", _list):
+        source = _field(m, "source", _nat, below=len(cones))
+        target = _field(m, "target", _nat, below=len(cones))
+        matrix = _field(m, "matrix", _matrix, None)
+        maps.append(cc.FaceMap(source, target, matrix if matrix is not None else
+                               IntMatrix.identity(cones[target].lattice_rank)))
+    K = cc.GeneralizedConeComplex(tuple(cones), tuple(maps))
+    K.validate()
+    return K
 
 
-def _build_model(spec, where, resolver, truncation) -> lm.LogModel:
-    builtin = _require(spec, "builtin", where)
-    if builtin == "point":
-        return lm.point_model()
+_CONSTANT_MODELS = {"point": lm.point_model, "p1": lm.p1_toric_model,
+                    "p2": lm.p2_toric_model, "nodal_cubic": lm.nodal_cubic}
+
+
+def _build_model(spec, resolve, truncation) -> lm.LogModel:
+    builtin = _field(spec, "builtin", _text)
     if builtin == "affine_space":
-        return lm.affine_space_model(_count_field(spec, "d", where), truncation=truncation)
-    if builtin == "p1":
-        return lm.p1_toric_model()
-    if builtin == "p2":
-        return lm.p2_toric_model()
+        return lm.affine_space_model(_field(spec, "d", _nat, limit=MAX_DIMENSION),
+                                     truncation=truncation)
     if builtin == "toric":
-        rays, cones, rank = _toric_fields(spec, where)
-        try:
-            return lm.toric_model(rays, cones, rank,
-                                  bool(_require(spec, "complete", where)),
-                                  name=spec.get("name", "toric"),
-                                  truncation=truncation)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}")
+        rays, cones, rank = _toric_fields(spec)
+        return lm.toric_model(rays, cones, rank, _field(spec, "complete", _flag),
+                              name=_field(spec, "name", _text, "toric"),
+                              truncation=truncation)
     if builtin == "marked_p1":
-        return lm.marked_p1(_count_field(spec, "n", where))
-    if builtin == "nodal_cubic":
-        return lm.nodal_cubic()
+        return lm.marked_p1(_field(spec, "n", _nat, limit=MAX_MARKED_POINTS))
     if builtin == "mixed_affine":
-        coords = _count_field(spec, "coords", where)
-        return lm.mixed_affine(coords, _indices(spec.get("log", []), "log", where, coords),
+        coords = _field(spec, "coords", _nat, limit=MAX_DIMENSION)
+        return lm.mixed_affine(coords, _field(spec, "log", _vector, (), below=coords),
                                truncation=truncation)
     if builtin == "product":
-        factors = _require(spec, "factors", where)
-        if not isinstance(factors, list) or len(factors) < 2:
-            raise ParseError(f"{where}: a product needs at least two factors")
-        models = [resolver(f, "model", where) for f in factors]
-        out = models[0]
-        for M in models[1:]:
-            out = lm.product_model(out, M)
-        return out
-    raise ParseError(f"{where}: unknown model builtin {builtin!r}")
+        factors = _field(spec, "factors", _list)
+        if len(factors) < 2:
+            raise ParseError("a product needs at least two factors")
+        return functools.reduce(lm.product_model, [resolve(f, "model") for f in factors])
+    if builtin not in _CONSTANT_MODELS:
+        raise ParseError(f"unknown model builtin {builtin!r}")
+    return _CONSTANT_MODELS[builtin]()
 
 
-def _build_action(spec, where, resolver, truncation) -> ob.DiagonalAction:
-    model = resolver(_require(spec, "model", where), "model", where)
-    orders = _ints(spec.get("orders", []), "orders", where)
-    chars = tuple(_vectors(spec.get("characters", []), "characters", where))
-    perm = spec.get("permutation")
-    if perm is not None:
-        perm = _ints(perm, "permutation", where)
-    try:
-        return ob.DiagonalAction(model, orders, chars, perm)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
+def _build_action(spec, resolve, truncation) -> ob.DiagonalAction:
+    return ob.DiagonalAction(resolve(_field(spec, "model"), "model"),
+                             _field(spec, "orders", _vector, ()),
+                             _field(spec, "characters", _vectors, ()),
+                             _field(spec, "permutation", _vector, None))
 
 
 # ---------------------------------------------------------------- operations
@@ -299,8 +301,7 @@ def _op_is_saturated(args):
 
 
 def _op_component_count(args):
-    flag = bool(args.get("require_saturated", True))
-    return {"count": mn.spec_component_count(args["monoid"], flag)}, []
+    return {"count": mn.spec_component_count(args["monoid"], args["require_saturated"])}, []
 
 
 def _op_fs_pushout(args):
@@ -316,10 +317,7 @@ def _op_product(args):
 
 
 def _op_star_subdivision(args):
-    if "ray" not in args:
-        raise ParseError("star_subdivision needs a 'ray' argument")
-    sub = cc.star_subdivision(args["complex"], int(args.get("cone", 0)),
-                              tuple(args["ray"]))
+    sub = cc.star_subdivision(args["complex"], args["cone"], args["ray"])
     data = _json_complex(sub.refined)
     data["trivial"] = sub.is_trivial()
     data["unimodular"] = {str(k): v for k, v in sub.unimodular.items()}
@@ -335,7 +333,7 @@ def _json_image_flags(res: cc.DiagonalSubdivision) -> dict:
 
 
 def _op_subdivide_along_diagonal(args):
-    res = cc.subdivide_along(cc.diagonal_morphism(args["complex"]))
+    res = cc.subdivide_along_diagonal(args["complex"])
     data = {
         "refined": _json_complex(res.subdivision.refined),
         "image_subcomplex": _json_complex(res.image_subcomplex),
@@ -390,9 +388,7 @@ def _op_check_firm(args):
 
 
 def _op_twisted_sector(args):
-    if "element" not in args:
-        raise ParseError("twisted_sector needs an 'element' argument")
-    sector = ob.twisted_sector(args["action"], tuple(args["element"]))
+    sector = ob.twisted_sector(args["action"], args["element"])
     data = {"element": list(sector.g), "empty": sector.is_empty}
     if not sector.is_empty:
         data["locus"] = {"name": sector.locus.name,
@@ -412,12 +408,12 @@ OPERATIONS = {
     "hilbert_basis": ({"generators": "matrix"}, _op_hilbert_basis),
     "saturate": ({"monoid": "monoid"}, _op_saturate),
     "is_saturated": ({"monoid": "monoid"}, _op_is_saturated),
-    "spec_component_count": ({"monoid": "monoid", "require_saturated": "literal"},
+    "spec_component_count": ({"monoid": "monoid", "require_saturated": (_flag, True)},
                              _op_component_count),
     "fs_pushout": ({"left": "hom", "right": "hom"}, _op_fs_pushout),
     "product": ({"left": "complex", "right": "complex"}, _op_product),
-    "star_subdivision": ({"complex": "complex", "cone": "literal", "ray": "literal"},
-                         _op_star_subdivision),
+    "star_subdivision": ({"complex": "complex", "cone": (_nat, 0),
+                          "ray": (_vector, _REQUIRED)}, _op_star_subdivision),
     "subdivide_along_diagonal": ({"complex": "complex"}, _op_subdivide_along_diagonal),
     "complex_info": ({"complex": "complex"}, _op_complex_info),
     "is_isomorphic": ({"left": "complex", "right": "complex"}, _op_is_isomorphic),
@@ -427,22 +423,35 @@ OPERATIONS = {
     "periodic_cyclic": ({"model": "model"}, _op_periodic_cyclic),
     "euler_check": ({"model": "model"}, _op_euler_check),
     "check_firm": ({"action": "action"}, _op_check_firm),
-    "twisted_sector": ({"action": "action", "element": "literal"}, _op_twisted_sector),
+    "twisted_sector": ({"action": "action", "element": (_vector, _REQUIRED)},
+                       _op_twisted_sector),
     "orbifold_hh": ({"action": "action"}, _op_orbifold_hh),
 }
 
 
 # -------------------------------------------------------------------- parsing
 
-_BUILDERS = {
-    "matrix": lambda spec, where, resolver, trunc:
-        _as_matrix(_require(spec, "entries", where), where),
-    "monoid": lambda spec, where, resolver, trunc: _build_monoid(spec, where),
-    "hom": _build_hom,
-    "complex": lambda spec, where, resolver, trunc: _build_complex(spec, where),
-    "model": _build_model,
-    "action": _build_action,
-}
+_BUILDERS = {"matrix": _build_matrix, "monoid": _build_monoid, "hom": _build_hom,
+             "complex": _build_complex, "model": _build_model, "action": _build_action}
+
+
+def _task(index, t, resolve) -> Task:
+    """One task: an operation, its arguments and an optional label."""
+    op = _field(t, "op", _text)
+    if op not in OPERATIONS:
+        raise UnknownOperation(f"unknown operation {op!r}")
+    schema, _fn = OPERATIONS[op]
+    raw_args = _field(t, "args", _object, {})
+    args = {}
+    for name, how in schema.items():
+        if isinstance(how, str):       # an object of that kind
+            args[name] = resolve(_field(raw_args, name), how)
+        else:                          # a literal: (reader, default)
+            args[name] = _field(raw_args, name, *how)
+    for extra in raw_args:
+        if extra not in schema:
+            raise ParseError(f"operation {op!r} got unknown argument {extra!r}")
+    return Task(index, op, args, _field(t, "label", _text, None))
 
 
 def parse(text: str, truncation: int | None = None) -> Document:
@@ -456,79 +465,48 @@ def parse(text: str, truncation: int | None = None) -> Document:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
-    version = raw.get("version")
+    version = _field(raw, "version", default=None)
     if version != VERSION_TAG:
         raise ParseError(f"unrecognized version tag {version!r} (expected {VERSION_TAG!r})")
 
-    raw_objects = raw.get("objects", {})
-    if not isinstance(raw_objects, dict):
-        raise ParseError("'objects' must be an object")
+    raw_objects = _field(raw, "objects", _object, {})
     objects: dict = {}
     kinds: dict = {}
     building: set = set()
 
-    def resolver(ref, expected_kind, where):
-        if isinstance(ref, str):
-            if ref not in raw_objects:
-                raise UnresolvedReference(f"{where}: no object named {ref!r}")
-            build(ref)
-            if kinds[ref] != expected_kind:
+    def resolve(ref, kind):
+        if isinstance(ref, dict):          # an inline object; its kind is optional
+            if _field(ref, "kind", _text, kind) != kind:
                 raise KindMismatch(
-                    f"{where}: object {ref!r} has kind {kinds[ref]!r}, "
-                    f"expected {expected_kind!r}")
-            return objects[ref]
-        if isinstance(ref, dict):
-            return _BUILDERS[expected_kind](ref, where, resolver, truncation)
-        raise ParseError(f"{where}: expected a name or an inline object")
+                    f"inline object has kind {ref['kind']!r}, expected {kind!r}")
+            return _BUILDERS[kind](ref, resolve, truncation)
+        if not isinstance(ref, str):
+            raise ParseError("expected a name or an inline object")
+        if ref not in raw_objects:
+            raise UnresolvedReference(f"no object named {ref!r}")
+        build(ref)
+        if kinds[ref] != kind:
+            raise KindMismatch(f"object {ref!r} has kind {kinds[ref]!r}, expected {kind!r}")
+        return objects[ref]
+
+    def named(spec):
+        kind = _field(spec, "kind", _text)
+        if kind not in _BUILDERS:
+            raise ParseError(f"unknown kind {kind!r}")
+        return kind, _BUILDERS[kind](spec, resolve, truncation)
 
     def build(name):
         if name in objects:
             return
         if name in building:
-            raise ParseError(f"object {name!r}: circular reference")
+            raise ParseError(f"circular reference to {name!r}")
         building.add(name)
-        spec = raw_objects[name]
-        where = f"object {name!r}"
-        if not isinstance(spec, dict):
-            raise ParseError(f"{where}: must be a JSON object")
-        kind = _require(spec, "kind", where)
-        if kind not in _BUILDERS:
-            raise ParseError(f"{where}: unknown kind {kind!r}")
-        objects[name] = _BUILDERS[kind](spec, where, resolver, truncation)
-        kinds[name] = kind
-        building.discard(name)
+        kinds[name], objects[name] = _named(f"object {name!r}", named, raw_objects[name])
 
     for name in raw_objects:
         build(name)
-
-    raw_tasks = raw.get("tasks", [])
-    if not isinstance(raw_tasks, list):
-        raise ParseError("'tasks' must be a list")
-    tasks = []
-    for i, t in enumerate(raw_tasks):
-        where = f"task {i}"
-        if not isinstance(t, dict):
-            raise ParseError(f"{where}: must be a JSON object")
-        op = _require(t, "op", where)
-        if op not in OPERATIONS:
-            raise UnknownOperation(f"{where}: unknown operation {op!r}")
-        schema, _fn = OPERATIONS[op]
-        args = {}
-        for arg_name, arg_kind in schema.items():
-            raw_args = t.get("args", {})
-            if arg_name not in raw_args:
-                if arg_kind == "literal":
-                    continue
-                raise ParseError(f"{where}: operation {op!r} needs argument {arg_name!r}")
-            val = raw_args[arg_name]
-            if arg_kind == "literal":
-                args[arg_name] = val
-            else:
-                args[arg_name] = resolver(val, arg_kind, where)
-        for extra in t.get("args", {}):
-            if extra not in schema:
-                raise ParseError(f"{where}: operation {op!r} got unknown argument {extra!r}")
-        tasks.append(Task(i, op, args, t.get("label")))
+    tasks = [_named(f"task {i}", _task, i, t, resolve)
+             for i, t in enumerate(_field(raw, "tasks", _list, []))]
     return Document(version, objects, kinds, tasks, truncation)
 
 

@@ -590,6 +590,18 @@ class DiagonalSubdivision:
     image_flags: tuple[ImageConeFlag, ...]
 
 
+def _check_source_scope(F: GeneralizedConeComplex) -> None:
+    if any(c.dim > 2 for c in F.cones):
+        raise ScopeExceeded("source cones of dimension > 2 are out of scope")
+
+
+def subdivide_along_diagonal(F: GeneralizedConeComplex) -> DiagonalSubdivision:
+    """subdivide_along(diagonal_morphism(F)), with the scope of F checked
+    before F x F is built."""
+    _check_source_scope(F)
+    return subdivide_along(diagonal_morphism(F))
+
+
 def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     """Refine the target of phi along the images of the source cones.
 
@@ -598,10 +610,9 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     intermediate pieces are reported in flags, never returned as cones.
     """
     target = phi.target
+    _check_source_scope(phi.source)
     if not target.is_embedded:
         raise ScopeExceeded("subdividing a self-glued target is not supported")
-    if any(c.dim > 2 for c in phi.source.cones):
-        raise ScopeExceeded("source cones of dimension > 2 are out of scope")
     if any(c.dim > 4 for c in target.cones) or \
             any(not c.is_simplicial for c in target.cones):
         raise ScopeExceeded("target must be simplicial of dimension <= 4")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conecomplex import (DiagonalSubdivision, GeneralizedConeComplex,
-                          Subdivision, diagonal_morphism, subdivide_along)
+                          Subdivision, subdivide_along_diagonal)
 from .errors import InternalInvariant, ScopeExceeded, SeriesNotSupported
 from .logmodel import FINITE, GradedEntry, LogModel
 
@@ -111,7 +111,7 @@ def log_diagonal(X: LogModel) -> LogDiagonalPicture:
     fan = X.artin_fan
     if not fan.is_embedded:
         raise ScopeExceeded("diagonal pictures need an embedded (fan-like) Artin fan")
-    diagonal = subdivide_along(diagonal_morphism(fan))
+    diagonal = subdivide_along_diagonal(fan)
     if X.kind == "point" or X.dimension == 0:
         desc = BDescription("point", 0)
     elif X.kind == "toric":

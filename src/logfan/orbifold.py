@@ -18,13 +18,15 @@ anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotFirm, ScopeExceeded, TruncationTooSmall
 from .hkr import HHTable, hh_homology
-from .logmodel import (DEFAULT_TRUNCATION, GradedEntry, HodgeTable, LogModel,
-                       mixed_affine)
+from .logmodel import GradedEntry, HodgeTable, LogModel, mixed_affine
+
+MAX_GROUP_ORDER = 1_000
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class DiagonalAction:
         for d in self.group_orders:
             if d < 2:
                 raise ValueError("cyclic factor orders must be >= 2")
+        if math.prod(self.group_orders) > MAX_GROUP_ORDER:
+            raise ScopeExceeded(f"groups of order above {MAX_GROUP_ORDER} are out of scope")
         if len(self.characters) != len(self.group_orders):
             raise ValueError("one character row per group generator")
         n = self._coord_count()
@@ -125,6 +129,9 @@ def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
     if not check_firm(a):
         raise NotFirm("the action moves the Artin fan")
     g = tuple(g)
+    if len(g) != len(a.group_orders) or not all(
+            0 <= x < d for x, d in zip(g, a.group_orders)):
+        raise ValueError(f"element {g} must give one residue per order {a.group_orders}")
     if g == a.identity() or not a.group_orders:
         return TwistedSector(g, a.model, a.model.hodge)
     if a.model.kind != "mixed_affine":
@@ -137,7 +144,7 @@ def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
     fixed = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
     log_positions = [fixed.index(i) for i in a.model.log_coords]
     locus = mixed_affine(len(fixed), log_positions,
-                         truncation=a.model.truncation or DEFAULT_TRUNCATION,
+                         truncation=a.model.truncation,
                          name=f"{a.model.name} ^ g={g}")
     return TwistedSector(g, locus, locus.hodge)
 
@@ -156,7 +163,7 @@ def orbifold_hh(a: DiagonalAction, truncation: int | None = None) -> HHTable:
         return hh_homology(a.model)
     if a.model.kind != "mixed_affine":
         raise ScopeExceeded("orbifold tables are computed for mixed-affine models")
-    N = a.model.truncation or DEFAULT_TRUNCATION
+    N = a.model.truncation
     if truncation is not None:
         if truncation > N:
             raise TruncationTooSmall(

@@ -64,7 +64,7 @@ def check_artin_fan_products() -> CheckResult:
 
 def check_log_blowup_affine_line() -> CheckResult:
     a1 = cc.from_toric_fan([(1,)], [(0,)], 1)
-    res = cc.subdivide_along(cc.diagonal_morphism(a1))
+    res = cc.subdivide_along_diagonal(a1)
     refined = res.subdivision.refined
     prod = cc.product(a1, a1)
     star = cc.star_subdivision(prod, prod.cone_count - 1, (1, 1))
@@ -81,7 +81,7 @@ def check_log_blowup_affine_line() -> CheckResult:
 
 def check_a2_diagonal() -> CheckResult:
     a2 = cc.from_toric_fan([(1, 0), (0, 1)], [(0, 1)], 2)
-    res = cc.subdivide_along(cc.diagonal_morphism(a2))
+    res = cc.subdivide_along_diagonal(a2)
     refined = res.subdivision.refined
     diag_cone = tuple(sorted(((1, 0, 1, 0), (0, 1, 0, 1))))
     has_cone = any(c.rays == diag_cone for c in refined.cones)
@@ -386,9 +386,8 @@ def property_subdivision_volumes() -> CheckResult:
     subs = [
         cc.star_subdivision(a2, quadrant, (1, 1)),
         cc.star_subdivision(a2, quadrant, (1, 2)),
-        cc.subdivide_along(cc.diagonal_morphism(a2)).subdivision,
-        cc.subdivide_along(
-            cc.diagonal_morphism(cc.from_toric_fan([(1,)], [(0,)], 1))).subdivision,
+        cc.subdivide_along_diagonal(a2).subdivision,
+        cc.subdivide_along_diagonal(cc.from_toric_fan([(1,)], [(0,)], 1)).subdivision,
     ]
     P2 = lm.p2_toric_model().artin_fan
     q = next(i for i, c in enumerate(P2.cones) if c.rays == ((0, 1), (1, 0)))

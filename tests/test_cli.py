@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from logfan.cli import Document, emit, main, parse, run
+from logfan.cli import OPERATIONS, Document, emit, main, parse, run
 from logfan.errors import (FormatUnavailable, KindMismatch, ParseError,
                            UnknownOperation, UnresolvedReference)
 
@@ -193,6 +193,25 @@ def test_truncation_flag_controls_series(tmp_path, capsys):
     assert payload["results"][0]["data"]["0"]["truncation"] == 3
 
 
+def test_truncation_zero_reaches_orbifold_tables(tmp_path, capsys):
+    halfline = {"kind": "model", "builtin": "mixed_affine", "coords": 1, "log": [0]}
+    bare = {"builtin": "mixed_affine", "coords": 1, "log": []}
+    doc = {"version": "logfan/1",
+           "objects": {"X": halfline,
+                       "A": {"kind": "action", "model": "X", "orders": [2],
+                             "characters": [[1]]},
+                       "B": {"kind": "action", "model": bare, "orders": [2],
+                             "characters": [[1]]}},
+           "tasks": [{"op": "hh_homology", "args": {"model": "X"}},
+                     {"op": "orbifold_hh", "args": {"action": "A"}},
+                     {"op": "twisted_sector", "args": {"action": "B", "element": [1]}}]}
+    p = tmp_path / "t.lf.json"
+    p.write_text(json.dumps(doc))
+    assert main(["--truncation", "0", "run", str(p), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"truncation": 0') == 5 and '"truncation": 1' not in out
+
+
 def test_complex_literal_roundtrip():
     """The waffle cone written out as a raw {cones, face_maps} literal."""
     doc = parse("""
@@ -259,6 +278,7 @@ def test_fixtures_match_published_schema():
     schema = json.loads((FIXTURES.parent / "docs" / "logfan.schema.json").read_text())
     for p in sorted(FIXTURES.glob("*.lf.json")):
         jsonschema.validate(json.loads(p.read_text()), schema)
+    assert set(schema["$defs"]["task"]["properties"]["op"]["enum"]) == set(OPERATIONS)
 
 
 def test_console_script_paper_suite():
@@ -347,3 +367,42 @@ def test_inline_hom_argument_is_built():
     doc = parse(json.dumps({"version": "logfan/1", "objects": {"R": R}, "tasks": [
         {"op": "fs_pushout", "args": {"left": hom, "right": hom}}]}))
     assert run(doc).results[0]["status"] == "ok"
+
+
+_FAN = {"kind": "complex", "builtin": "toric_fan", "rays": [[1, 0], [0, 1]],
+        "maximal_cones": [[0, 1]], "rank": 2}
+_ACTION = {"kind": "action", "model": _MIXED_AFFINE, "orders": [2], "characters": [[1]]}
+_MONOID = {"kind": "monoid", "free_rank": 1, "generators": [[1]]}
+_TORIC = {"kind": "model", "builtin": "toric", "rays": [[1], [-1]],
+          "maximal_cones": [[0], [1]], "rank": 1, "complete": True}
+
+
+def _star(**args):
+    return {"K": _FAN}, {"op": "star_subdivision", "args": {"complex": "K", **args}}
+
+
+@pytest.mark.parametrize("objects, task", [
+    _star(ray="11"),
+    _star(ray=[1, 1], cone=3.9),
+    _star(ray=[1, 1], cone=True),
+    _star(),
+    ({"M": {"kind": "matrix", "entries": [[1.5]]}}, None),
+    ({"M": {"kind": "matrix", "entries": [["7"]]}}, None),
+    ({"M": {"kind": "matrix", "entries": [[True]]}}, None),
+    ({"P": {**_TORIC, "complete": "no"}}, None),
+    ({"P": {**_TORIC, "name": 5}}, None),
+    ({"N": _MONOID}, {"op": "spec_component_count",
+                      "args": {"monoid": "N", "require_saturated": "no"}}),
+    ({"N": _MONOID}, {"op": "is_saturated", "args": {"monoid": "N"}, "label": 5}),
+    ({"A": _ACTION}, {"op": "twisted_sector", "args": {"action": "A"}}),
+    ({"A": _ACTION}, {"op": "twisted_sector", "args": {"action": "A", "element": "1"}}),
+], ids=["ray_string", "cone_float", "cone_bool", "ray_missing", "entry_float",
+        "entry_string", "entry_bool", "complete_string", "name_int",
+        "require_saturated_string", "label_int", "element_missing", "element_string"])
+def test_values_are_read_not_coerced(tmp_path, capsys, objects, task):
+    p = tmp_path / "bad.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects,
+                             "tasks": [task] if task else []}))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ParseError: ")

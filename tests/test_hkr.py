@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -124,6 +125,14 @@ def test_log_diagonal_complete_toric():
 def test_log_diagonal_scope():
     with pytest.raises(ScopeExceeded):
         log_diagonal(nodal_cubic())   # self-glued fan
+
+
+def test_log_diagonal_scope_is_checked_before_the_product():
+    X = affine_space_model(5)
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="source cones of dimension > 2"):
+        log_diagonal(X)
+    assert time.perf_counter() - start < 0.1
 
 
 # ------------------------------------------------------------------- cyclic

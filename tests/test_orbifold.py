@@ -80,6 +80,17 @@ def test_sector_dimension_counts_trivial_characters():
     assert sector.locus.omega_log_rank == 1
 
 
+@pytest.mark.parametrize("g", [(1, 5), (), (7,), (-1,), (2,)])
+def test_twisted_sector_rejects_elements_outside_the_group(g):
+    with pytest.raises(ValueError, match="one residue per order"):
+        twisted_sector(bareline(), g)
+
+
+def test_group_order_is_bounded():
+    with pytest.raises(ScopeExceeded, match="order above 1000"):
+        DiagonalAction(mixed_affine(1, [0]), (10**6,), ((1,),))
+
+
 def test_sector_empty_iff_nontrivial_log_character():
     act = DiagonalAction(mixed_affine(2, [0], truncation=4), (2, 2),
                          ((1, 0), (0, 1)))
