@@ -155,7 +155,10 @@ class ConeGeometry:
 
     @property
     def is_sharp(self) -> bool:
-        return not self.lineality_basis
+        # Independent rays span a sharp cone: if x = sum a_i r_i and
+        # -x = sum b_i r_i with a, b >= 0, then sum (a_i + b_i) r_i = 0 forces
+        # a = b = 0, so x = 0.  Only dependent rays need the lineality space.
+        return len(self.rays) == self.span_dim or not self.lineality_basis
 
     @cached_property
     def span_dim(self) -> int:

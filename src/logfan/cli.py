@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ class Report:
 
 MAX_DIMENSION = 6         # `d` of affine_space and `coords` of mixed_affine
 MAX_MARKED_POINTS = 64    # `n` of marked_p1
+MAX_PRODUCT_CONES = 1_000  # Artin-fan cones of a product model
 
 _REQUIRED = object()
 
@@ -232,7 +234,12 @@ def _build_model(spec, resolve, truncation) -> lm.LogModel:
         factors = _field(spec, "factors", _list)
         if len(factors) < 2:
             raise ParseError("a product needs at least two factors")
-        return functools.reduce(lm.product_model, [resolve(f, "model") for f in factors])
+        models = [resolve(f, "model") for f in factors]
+        cones = math.prod(len(X.artin_fan.cones) for X in models)
+        if cones > MAX_PRODUCT_CONES:
+            raise ScopeExceeded(f"the product's Artin fan would have {cones} cones, "
+                                f"above the desk-scale bound {MAX_PRODUCT_CONES}")
+        return functools.reduce(lm.product_model, models)
     if builtin not in _CONSTANT_MODELS:
         raise ParseError(f"unknown model builtin {builtin!r}")
     return _CONSTANT_MODELS[builtin]()

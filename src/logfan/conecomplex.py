@@ -15,6 +15,7 @@ no-op cases.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,8 +23,8 @@ from functools import cached_property
 from . import _geometry as geom
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
-from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, primitive,
-                      saturate_subgroup, solve_integer, solve_rational)
+from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, lattice_rank,
+                      primitive, saturate_subgroup, solve_integer, solve_rational)
 
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
@@ -206,13 +207,9 @@ class GeneralizedConeComplex:
         return all(fm.matrix.is_identity for fm in self.face_maps)
 
     def maximal_cone_indices(self) -> list[int]:
-        out = []
-        for i in range(len(self.cones)):
-            proper_into = any(fm.source == i and fm.target != i
-                              for fm in self.face_maps)
-            if not proper_into:
-                out.append(i)
-        return out
+        """Cones that are the source of no face map into another cone."""
+        proper = {fm.source for fm in self.face_maps if fm.target != fm.source}
+        return [i for i in range(len(self.cones)) if i not in proper]
 
     def dimension(self) -> int:
         return max((c.dim for c in self.cones), default=0)
@@ -362,20 +359,19 @@ def product(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> Generalized
     maps = []
     for mf in F.face_maps:
         for mg in G.face_maps:
-            rows = mf.matrix.rows + mg.matrix.rows
-            cols = mf.matrix.cols + mg.matrix.cols
-            entries = []
-            for r in range(rows):
-                for c in range(cols):
-                    if r < mf.matrix.rows and c < mf.matrix.cols:
-                        entries.append(mf.matrix.at(r, c))
-                    elif r >= mf.matrix.rows and c >= mf.matrix.cols:
-                        entries.append(mg.matrix.at(r - mf.matrix.rows, c - mf.matrix.cols))
-                    else:
-                        entries.append(0)
+            a, b = mf.matrix, mg.matrix
+            # the block-diagonal matrix of a and b
+            entries = [x for r in range(a.rows) for x in a.row(r) + (0,) * b.cols] + \
+                      [x for r in range(b.rows) for x in (0,) * a.cols + b.row(r)]
             maps.append(FaceMap(idx(mf.source, mg.source), idx(mf.target, mg.target),
-                                IntMatrix(rows, cols, tuple(entries))))
+                                IntMatrix(a.rows + b.rows, a.cols + b.cols, tuple(entries))))
     return GeneralizedConeComplex(tuple(cones), tuple(maps))
+
+
+def _projection(offset: int, rows: int, cols: int) -> IntMatrix:
+    """Z^cols onto its `rows` coordinates starting at `offset`."""
+    return IntMatrix(rows, cols, tuple(int(c == offset + r)
+                                       for r in range(rows) for c in range(cols)))
 
 
 def product_projections(F, G) -> tuple[ComplexMorphism, ComplexMorphism]:
@@ -383,17 +379,9 @@ def product_projections(F, G) -> tuple[ComplexMorphism, ComplexMorphism]:
     left, right = [], []
     for i, cf in enumerate(F.cones):
         for j, cg in enumerate(G.cones):
-            lm = IntMatrix.from_rows(
-                [[1 if c == r else 0 for c in range(cf.lattice_rank + cg.lattice_rank)]
-                 for r in range(cf.lattice_rank)]) if cf.lattice_rank else \
-                IntMatrix.zero(0, cf.lattice_rank + cg.lattice_rank)
-            rm = IntMatrix.from_rows(
-                [[1 if c == cf.lattice_rank + r else 0
-                  for c in range(cf.lattice_rank + cg.lattice_rank)]
-                 for r in range(cg.lattice_rank)]) if cg.lattice_rank else \
-                IntMatrix.zero(0, cf.lattice_rank + cg.lattice_rank)
-            left.append((i, lm))
-            right.append((j, rm))
+            a, b = cf.lattice_rank, cg.lattice_rank
+            left.append((i, _projection(0, a, a + b)))
+            right.append((j, _projection(a, b, a + b)))
     return (ComplexMorphism(P, F, tuple(left)), ComplexMorphism(P, G, tuple(right)))
 
 
@@ -472,22 +460,6 @@ def _truncated_volume(rays, rank: int, ell) -> Fraction:
     return total
 
 
-def _structure_to(refined: GeneralizedConeComplex,
-                  original: GeneralizedConeComplex) -> ComplexMorphism:
-    """Each refined cone goes to the smallest original cone containing it."""
-    assignment = []
-    for rc in refined.cones:
-        best = None
-        for j, oc in enumerate(original.cones):
-            if oc.geometry.contains_cone(rc.geometry):
-                if best is None or oc.dim < original.cones[best].dim:
-                    best = j
-        if best is None:
-            raise ValueError("refined cone escapes the original support")
-        assignment.append((best, IntMatrix.identity(rc.lattice_rank)))
-    return ComplexMorphism(refined, original, tuple(assignment))
-
-
 def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivision:
     """Stellar subdivision at a primitive ray located in a named cone.
 
@@ -501,41 +473,56 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
         raise ValueError("cone index out of range")
     home = F.cones[cone_index]
     if home.lattice_rank != len(v) or not home.contains(v):
-        home = None
-        for i, c in enumerate(F.cones):
-            if c.lattice_rank == len(v) and c.contains(v):
-                home = c
-                cone_index = i
-                break
+        home = next((c for c in F.cones if c.lattice_rank == len(v) and c.contains(v)), None)
         if home is None:
             raise RayOutsideSupport(f"{v} lies in no cone of the complex")
     if v in home.rays:
         return Subdivision(F, identity_morphism(F))
     if not F.is_embedded:
         raise ScopeExceeded("stellar subdivision of self-glued complexes is not supported")
-    refined = _stellar(F, v)
-    return Subdivision(refined, _structure_to(refined, F))
+    refined, homes = _stellar(F, v, tuple(range(len(F.cones))))
+    return _homed(refined, F, homes)
 
 
-def _stellar(K: GeneralizedConeComplex, v: Vector) -> GeneralizedConeComplex:
+def _homed(refined: GeneralizedConeComplex, original: GeneralizedConeComplex,
+           homes) -> Subdivision:
+    """The subdivision whose structure morphism sends refined cone i to
+    original cone homes[i], the smallest one containing it."""
+    return Subdivision(refined, ComplexMorphism(refined, original, tuple(
+        (j, IntMatrix.identity(c.lattice_rank)) for j, c in zip(homes, refined.cones))))
+
+
+def _stellar(K: GeneralizedConeComplex, v: Vector, homes):
     """Stellar subdivision of an embedded complex at a primitive ray v of its
-    support: K itself when v is already a ray, else the refined complex."""
-    # minimal cone containing v in its relative interior
+    support, with its home map: (K, homes) when v is already a ray.
+
+    homes[i] is the index of the smallest original cone containing cone i of
+    K.  A kept cone keeps its home.  A new cone fc + v, for fc a face of a
+    cone c around tau (the cone holding v in its relative interior), has the
+    home of the join of fc and tau in c, the smallest face of c with both as
+    faces: relint(fc) + relint(tau) lies in relint(join), and so does the
+    relative interior of fc + v.
+    """
     tau = next((c for c in K.cones if c.geometry.contains_relative_interior(v)), None)
     if tau is None:
         raise InternalInvariant("embedded complex must have a relative-interior home")
     if v in tau.rays:
-        return K
+        return K, homes
     rank = tau.lattice_rank
-    keep = []
-    new_tops = []
-    for c in K.cones:
-        if tau in c.faces:
-            new_tops += [Cone.make(fc.rays + (v,), rank)
-                         for fc in c.faces if tau not in fc.faces]
-        else:
-            keep.append(c)
-    return _embedded_from_cones(keep + new_tops, rank)
+    index = {c: i for i, c in enumerate(K.cones)}
+    home_of = {}
+    for c, h in zip(K.cones, homes):
+        if tau not in c.faces:
+            home_of[c] = h
+            continue
+        sets = c.face_ray_sets
+        ts = sets[c.faces.index(tau)]
+        for s, fc in zip(sets, c.faces):
+            if not ts <= s:
+                join = next(f for u, f in zip(sets, c.faces) if s | ts <= u)
+                home_of[Cone.make(fc.rays + (v,), rank)] = homes[index[join]]
+    refined = _embedded_from_cones(home_of, rank)
+    return refined, tuple(home_of[c] for c in refined.cones)
 
 
 def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
@@ -634,10 +621,10 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
                 i, ig.span_dim, all(_naive_star_is_fan(c, ig) for c in homes)))
 
     # Every cut lies in the support, as phi is a morphism; the structure
-    # morphism is built once, for the final refinement.
-    current = target
+    # morphism is built once, for the final refinement, from the home map.
+    current, homes = target, tuple(range(len(target.cones)))
     for v in sorted(image_ray_pool):
-        current = _stellar(current, v)
+        current, homes = _stellar(current, v, homes)
 
     rounds = 0
     while True:
@@ -650,27 +637,19 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         bary = pending[0].rays[0]
         for r in pending[0].rays[1:]:
             bary = geom.vadd(bary, r)
-        current = _stellar(current, primitive(bary))
+        current, homes = _stellar(current, primitive(bary), homes)
 
-    structure = _structure_to(current, target)
-    sub = Subdivision(current, structure)
+    sub = _homed(current, target, homes)
 
     inside = [c for c in current.cones
               if any(ig.contains_cone(c.geometry) for ig in image_geoms)]
     image_subcomplex = _embedded_from_cones(inside, rank) if inside else point_complex()
 
-    factoring = None
+    # the factoring exists when every image cone is a cone of the subcomplex
     lookup = {c.rays: i for i, c in enumerate(image_subcomplex.cones)}
-    assignment = []
-    for i in range(len(phi.source.cones)):
-        rays = tuple(sorted(image_geoms[i].rays))
-        j = lookup.get(rays)
-        if j is None:
-            assignment = None
-            break
-        assignment.append((j, phi.assignment[i][1]))
-    if assignment is not None:
-        factoring = ComplexMorphism(phi.source, image_subcomplex, tuple(assignment))
+    found = [lookup.get(ig.rays) for ig in image_geoms]
+    factoring = None if None in found else ComplexMorphism(
+        phi.source, image_subcomplex, tuple((j, m) for j, (_, m) in zip(found, phi.assignment)))
     return DiagonalSubdivision(phi, sub, image_subcomplex, factoring, tuple(image_flags))
 
 
@@ -698,6 +677,10 @@ def face_poset_dot(K: GeneralizedConeComplex) -> str:
 
 
 # ------------------------------------------------------------- isomorphism
+
+# Bound on the basis placements `_iso_candidates` tries for one pair of cones.
+MAX_ISO_CANDIDATES = 20_000
+
 
 def _tighten(K: GeneralizedConeComplex) -> GeneralizedConeComplex:
     """Re-express every cone in the saturated lattice of its own span."""
@@ -734,38 +717,41 @@ def _cone_invariant(K: GeneralizedConeComplex, i: int):
 
 
 def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
-    """Unimodular maps carrying c1 onto c2 (tight cones only)."""
+    """Unimodular maps carrying c1 onto c2 (tight cones only).
+
+    Such a map sends rays to rays and is fixed by the images of a basis
+    chosen from the rays of c1, so only the k!/(k-n)! placements of that
+    basis on the k rays of c2 are tried.
+    """
     if c1.lattice_rank != c2.lattice_rank or len(c1.rays) != len(c2.rays):
         return []
     n = c1.lattice_rank
     if n == 0:
         return [IntMatrix.identity(0)]
+    basis = []
+    for r in c1.rays:
+        if lattice_rank(basis + [r]) > len(basis):
+            basis.append(r)
+    if len(basis) != n:
+        raise InternalInvariant("a tight cone spans its lattice")
+    if math.perm(len(c2.rays), n) > MAX_ISO_CANDIDATES:
+        raise ScopeExceeded(f"a cone with {len(c2.rays)} rays in rank {n} has more than "
+                            f"{MAX_ISO_CANDIDATES} isomorphism candidates")
+    A = IntMatrix.from_columns(basis, rows=n)
+    d = _det(A)
+    # U A = B has the integer solution B (d A^-1) / d when d divides B (d A^-1)
+    adj = IntMatrix.from_columns(
+        [[int(d * x) for x in solve_rational(A, [int(i == j) for i in range(n)])]
+         for j in range(n)], rows=n)
     out = []
-    src_cols = IntMatrix.from_columns(c1.rays, rows=n)
-    for perm in itertools.permutations(range(len(c2.rays))):
-        dst_cols = IntMatrix.from_columns([c2.rays[p] for p in perm], rows=n)
-        U = _solve_matrix(src_cols, dst_cols)
-        if U is None:
+    for images in itertools.permutations(c2.rays, n):
+        dU = IntMatrix.from_columns(images, rows=n) @ adj
+        if any(x % d for x in dU.entries):
             continue
-        if abs(_det(U)) != 1:
-            continue
-        if {tuple(primitive(U.apply(r))) for r in c1.rays} == set(c2.rays):
-            if U not in out:
-                out.append(U)
+        U = IntMatrix(n, n, tuple(x // d for x in dU.entries))
+        if abs(_det(U)) == 1 and {primitive(U.apply(r)) for r in c1.rays} == set(c2.rays):
+            out.append(U)
     return out
-
-
-def _solve_matrix(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
-    """Integer U with U @ A == B, when A's columns span over Q."""
-    rows = []
-    for i in range(B.rows):
-        sol = solve_rational(A.transpose, B.row(i))
-        if sol is None:
-            return None
-        if any(f.denominator != 1 for f in sol):
-            return None
-        rows.append([int(f) for f in sol])
-    return IntMatrix.from_rows(rows)
 
 
 def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:

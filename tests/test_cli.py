@@ -361,6 +361,21 @@ def test_deep_membership_check_is_out_of_scope(tmp_path, capsys):
     assert "500000 generator steps" in err[0]
 
 
+def test_large_product_model_is_out_of_scope(tmp_path, capsys):
+    """Eight copies of P^1 would build 3^8 = 6,561 cones; the product is
+    sized from its factors before any of it is built."""
+    objects = {"P": {"kind": "model", "builtin": "p1"},
+               "X": {"kind": "model", "builtin": "product", "factors": ["P"] * 8}}
+    p = tmp_path / "product.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects, "tasks": []}))
+    start = time.perf_counter()
+    assert main(["check", str(p)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ScopeExceeded: object 'X': ")
+    assert "6561 cones" in err[0]
+
+
 def test_inline_hom_argument_is_built():
     R = {"kind": "monoid", "free_rank": 1, "generators": [[1]]}
     hom = {"kind": "hom", "source": "R", "target": "R", "matrix": [[1]]}

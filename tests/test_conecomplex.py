@@ -1,5 +1,10 @@
 """Cone complexes: constructors, products, subdivisions, isomorphism."""
 
+import itertools
+import math
+import random
+import time
+
 import pytest
 
 from logfan import conecomplex as cc
@@ -12,7 +17,7 @@ from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 star_subdivision, subdivide_along)
 from logfan.errors import (NotAFan, NotSimplicial, RayOutsideSupport,
                            ScopeExceeded)
-from logfan.lattice import IntMatrix
+from logfan.lattice import IntMatrix, det, primitive, solve_rational
 
 
 def a1_complex():
@@ -202,27 +207,92 @@ DIAGONAL_FANS = {
 }
 
 
+def structure_oracle(refined, original):
+    """The pairwise search the home map replaces: each refined cone goes to
+    the smallest original cone containing it (a cone index per refined cone)."""
+    out = []
+    for rc in refined.cones:
+        best = None
+        for j, oc in enumerate(original.cones):
+            if oc.geometry.contains_cone(rc.geometry):
+                if best is None or oc.dim < original.cones[best].dim:
+                    best = j
+        assert best is not None, "refined cone escapes the original support"
+        out.append(best)
+    return tuple(out)
+
+
+def homes(sub):
+    return tuple(j for j, _ in sub.structure.assignment)
+
+
 @pytest.mark.parametrize("name", sorted(DIAGONAL_FANS))
 def test_subdivide_along_matches_stepwise_star_subdivision(name, monkeypatch):
     """The stellar cuts of subdivide_along, replayed through the public
     star_subdivision (a checked structure morphism at every step), give the
-    same refinement; subdivide_along itself builds one structure morphism."""
+    same refinement; every home-map structure morphism, stepwise and final,
+    is the one the pairwise search finds."""
     phi = diagonal_morphism(from_toric_fan(*DIAGONAL_FANS[name]))
-    cuts, structures = [], []
-    stellar, structure_to = cc._stellar, cc._structure_to
-    monkeypatch.setattr(cc, "_stellar", lambda K, v: cuts.append(v) or stellar(K, v))
-    monkeypatch.setattr(cc, "_structure_to",
-                        lambda R, K: structures.append(R) or structure_to(R, K))
+    cuts = []
+    stellar = cc._stellar
+    monkeypatch.setattr(cc, "_stellar",
+                        lambda K, v, h: cuts.append(v) or stellar(K, v, h))
     res = subdivide_along(phi)
-    assert len(structures) == 1 and cuts
+    assert cuts
     monkeypatch.undo()
     K = phi.target
     for v in cuts:
         step = star_subdivision(K, next(i for i, c in enumerate(K.cones) if c.contains(v)), v)
         assert step.support_volumes_ok()
+        assert homes(step) == structure_oracle(step.refined, K)
         K = step.refined
     assert K == res.subdivision.refined
     assert res.subdivision.support_volumes_ok()
+    assert homes(res.subdivision) == structure_oracle(K, phi.target)
+
+
+# embedded complexes with non-simplicial cones (rays, maximal cones, rank)
+CUBE = list(itertools.product((-1, 1), repeat=3))
+NON_SIMPLICIAL_FANS = {
+    # the face fan of the cube: six cones over squares
+    "cube": (CUBE, [[i for i, v in enumerate(CUBE) if v[axis] == sign]
+                    for axis in range(3) for sign in (-1, 1)], 3),
+    # one cone over a 3-cube: its facets are cones over squares, so the join
+    # of two faces can be a proper face that is not on the union of their rays
+    "cube_cone": ([v + (1,) for v in CUBE], [list(range(8))], 4),
+    # a cone over a pentagon next to a cone over a square
+    "pentagon": ([(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1),
+                  (2, -1, 1), (2, 0, 1)], [(0, 1, 2, 3, 4), (0, 4, 5, 6)], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLICIAL_FANS))
+def test_star_subdivision_homes_on_non_simplicial_cones(name):
+    """Seeded stellar steps on fans with non-simplicial cones, where the join
+    of a face and the cone holding the new ray is often not the cone on the
+    union of their rays: the home map equals the pairwise search at every
+    step."""
+    rng = random.Random(sorted(NON_SIMPLICIAL_FANS).index(name) + 8)
+    rank = NON_SIMPLICIAL_FANS[name][2]
+    joins_beyond_union = 0
+    for _ in range(12):
+        K = from_toric_fan(*NON_SIMPLICIAL_FANS[name])
+        for _ in range(3):
+            c = rng.choice([c for c in K.cones if c.dim])
+            picked = [(rng.randint(1, 3), r)
+                      for r in rng.sample(c.rays, rng.randint(1, len(c.rays)))]
+            v = tuple(sum(a * r[k] for a, r in picked) for k in range(rank))
+            tau = next(t for t in K.cones if t.geometry.contains_relative_interior(v))
+            for big in K.cones:
+                if tau in big.faces:
+                    sets = big.face_ray_sets
+                    ts = sets[big.faces.index(tau)]
+                    joins_beyond_union += sum(s | ts not in sets for s in sets)
+            step = star_subdivision(K, K.cones.index(c), v)
+            assert homes(step) == structure_oracle(step.refined, K)
+            assert step.support_volumes_ok()
+            K = step.refined
+    assert joins_beyond_union >= 100
 
 
 def test_subdivide_along_skew_image_cone():
@@ -289,6 +359,98 @@ def test_multiplicity_distinguishes_fans():
     # any unimodular 2-cone fan is isomorphic to the quadrant fan
     sheared = from_toric_fan([(1, 0), (1, 1)], [(0, 1)], 2)
     assert is_isomorphic(smooth, sheared)
+
+
+def iso_candidates_oracle(c1, c2):
+    """The search the basis placement replaces: every permutation of all
+    the rays of c2, as images of the rays of c1."""
+    n = c1.lattice_rank
+    if n == 0:
+        return {IntMatrix.identity(0)}
+    out = set()
+    src = IntMatrix.from_columns(c1.rays, rows=n)
+    for perm in itertools.permutations(c2.rays):
+        dst = IntMatrix.from_columns(perm, rows=n)
+        rows = [solve_rational(src.transpose, dst.row(i)) for i in range(n)]
+        if any(r is None or any(x.denominator != 1 for x in r) for r in rows):
+            continue
+        U = IntMatrix.from_rows([[int(x) for x in r] for r in rows])
+        if abs(det(U)) == 1 and {primitive(U.apply(r)) for r in c1.rays} == set(c2.rays):
+            out.add(U)
+    return out
+
+
+def random_unimodular(rng, n):
+    U = IntMatrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        E = [[int(r == c) for c in range(n)] for r in range(n)]
+        if i == j:
+            E[i][i] = -1
+        else:
+            E[i][j] = rng.choice((-1, 1))
+        U = IntMatrix.from_rows(E) @ U
+    return U
+
+
+def test_iso_candidates_against_all_permutations():
+    """Placing a basis of rays finds exactly the maps the search over every
+    ray permutation finds, on seeded full-dimensional cones of rank 1-3 with
+    up to 5 rays, mapped by seeded unimodular maps or drawn independently."""
+    rng = random.Random(31)
+
+    def full_cone(n, count):
+        try:
+            c = Cone.make([tuple(rng.randint(-2, 2) for _ in range(n))
+                           for _ in range(count)], n)
+        except ValueError:
+            return None
+        return c if c.dim == n else None
+
+    found, compared = 0, 0
+    for case in range(150):
+        n = rng.randint(1, 3)
+        c1 = full_cone(n, rng.randint(n, 5))
+        if c1 is None:
+            continue
+        if case % 3:
+            U = random_unimodular(rng, n)
+            c2 = Cone.make([U.apply(r) for r in c1.rays], n)
+        else:
+            c2 = full_cone(n, len(c1.rays))
+            if c2 is None or len(c2.rays) != len(c1.rays):
+                continue
+        got = cc._iso_candidates(c1, c2)
+        assert len(set(got)) == len(got)
+        assert set(got) == iso_candidates_oracle(c1, c2), (c1, c2)
+        found += bool(got)
+        compared += 1
+    assert found >= 60 and compared - found >= 10
+
+
+def polygon_cone_fan(k, flip=False):
+    """One rank-3 cone over a lattice k-gon, its coordinates reversed if flip."""
+    pts = [(round(10 * math.cos(2 * math.pi * i / k)),
+            round(10 * math.sin(2 * math.pi * i / k))) for i in range(k)]
+    rays = [(x, y, 1)[::-1] if flip else (x, y, 1) for x, y in pts]
+    return from_toric_fan(rays, [list(range(k))], 3)
+
+
+def test_isomorphism_of_an_eight_ray_cone_is_quick():
+    start = time.perf_counter()
+    assert len(polygon_cone_fan(8).cones[-1].rays) == 8
+    assert is_isomorphic(polygon_cone_fan(8), polygon_cone_fan(8, flip=True))
+    assert time.perf_counter() - start < 1
+
+
+def test_isomorphism_candidates_are_bounded():
+    """29 rays in rank 3 give 29 * 28 * 27 basis placements, above the bound."""
+    rays = [(i, i * i, 1) for i in range(29)]
+    K = from_toric_fan(rays, [list(range(29))], 3)
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="isomorphism candidates"):
+        is_isomorphic(K, K)
+    assert time.perf_counter() - start < 1
 
 
 # ------------------------------------------------------------------- other

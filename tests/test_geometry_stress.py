@@ -13,7 +13,8 @@ import random
 from logfan._geometry import ConeGeometry, dot, dual_generators, triangulate
 from logfan.conecomplex import Cone
 from logfan.errors import NotStronglyConvex
-from logfan.lattice import FgAbelianGroup, hnf_rows, in_lattice, primitive
+from logfan.lattice import (FgAbelianGroup, hnf_rows, in_lattice, lattice_rank,
+                            primitive)
 from logfan.monoid import FineMonoid, contains, hilbert_basis, saturate
 
 from test_monoid import brute_hilbert, in_cone_bruteforce
@@ -110,6 +111,35 @@ def test_faces_are_the_intersections_of_facets():
         assert sorted(f.rays for f in c.faces) == sorted(
             tuple(c.rays[i] for i in sorted(s)) for s in want), c.rays
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sharpness_shortcut_against_lineality_space():
+    """is_sharp skips the lineality space for independent rays; on seeded
+    cones of rank 2-5 it agrees with the lineality-space answer, over
+    independent rays, dependent sharp cones and cones containing a line."""
+    rng = random.Random(23)
+    seen = {"independent": 0, "dependent sharp": 0, "line": 0}
+    while min(seen.values()) < 40:
+        dim = rng.randint(2, 5)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, dim + 2))]
+        if rng.random() < 0.3:
+            # minus a positive combination of some rays: a line when nonzero
+            picked = rng.sample(rays, rng.randint(1, len(rays)))
+            rays.append(tuple(-sum(rng.randint(1, 2) * r[k] for r in picked)
+                              for k in range(dim)))
+        rays = [r for r in rays if any(r)]
+        if not rays:
+            continue
+        g = ConeGeometry.of(rays, dim)
+        sharp = not g.lineality_basis
+        assert g.is_sharp == sharp, (rays, dim)
+        if not sharp:
+            seen["line"] += 1
+        elif lattice_rank(list(g.rays)) == len(g.rays):
+            seen["independent"] += 1
+        else:
+            seen["dependent sharp"] += 1
 
 
 def test_triangulation_covers_exactly():

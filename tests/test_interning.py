@@ -9,7 +9,7 @@ import pytest
 
 from logfan import _geometry as geom
 from logfan import conecomplex as cc
-from logfan import hkr
+from logfan import hkr, lattice
 from logfan.conecomplex import Cone
 from logfan.lattice import IntMatrix
 from logfan.logmodel import p2_toric_model
@@ -133,3 +133,33 @@ def test_p2_log_diagonal_runs_each_double_description_once(monkeypatch):
     assert calls, "the diagonal must run double descriptions"
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert not repeated
+
+
+def test_f1_diagonal_work_counts(monkeypatch):
+    """With empty interning tables, one F_1 diagonal subdivision stays within
+    the Smith-form and cone-containment counts of the home-map code.  The
+    pairwise search for the structure morphism alone made 169 x 81 = 13,689
+    containment tests, and a sharpness test through the lineality space for
+    every new cone took the count of Smith forms to 229."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    F = cc.from_toric_fan([(1, 0), (0, 1), (-1, 1), (0, -1)],
+                          [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
+    calls = collections.Counter()
+    real_snf, real_contains = lattice.smith_normal_form, geom.ConeGeometry.contains_cone
+
+    def snf(A):
+        calls["snf"] += 1
+        return real_snf(A)
+
+    def contains_cone(g, other):
+        calls["contains_cone"] += 1
+        return real_contains(g, other)
+
+    for module in (lattice, geom):
+        monkeypatch.setattr(module, "smith_normal_form", snf)
+    monkeypatch.setattr(geom.ConeGeometry, "contains_cone", contains_cone)
+    res = cc.subdivide_along_diagonal(F)
+    assert len(res.subdivision.refined.cones) == 169
+    assert 0 < calls["snf"] <= 20
+    assert 0 < calls["contains_cone"] <= 2_500
