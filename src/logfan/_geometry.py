@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .errors import InternalInvariant
 from .lattice import (IntMatrix, Vector, hnf_rows, kernel_basis,
-                      lattice_rank, primitive, smith_normal_form,
-                      solve_integer)
+                      lattice_rank, primitive, saturate_subgroup,
+                      smith_normal_form, solve_integer)
 
 
 def dot(a, b) -> int:
@@ -305,7 +305,6 @@ def cone_lattice_coords(rays, dim: int):
     Returns (span_basis_rows, coords) where coords[i] expresses rays[i] in the
     basis; the basis is the canonical HNF basis from lattice saturation.
     """
-    from .lattice import saturate_subgroup
     basis = saturate_subgroup(rays, dim)
     if not basis:
         return (), [() for _ in rays]

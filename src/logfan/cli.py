@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -69,7 +70,7 @@ class Report:
 
 MAX_DIMENSION = 6         # `d` of affine_space and `coords` of mixed_affine
 MAX_MARKED_POINTS = 64    # `n` of marked_p1
-MAX_PRODUCT_CONES = 1_000  # Artin-fan cones of a product model
+MAX_CONES = 1_000         # cones of a product model's Artin fan or of an snc complex
 
 _REQUIRED = object()
 
@@ -129,6 +130,22 @@ def _matrix(val, key) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _simplices(val, key) -> tuple[tuple[int, ...], ...]:
+    """Simplices whose snc complex has at most MAX_CONES cones (2^k for one
+    simplex on k vertices), counted face by face before any cone is built."""
+    simplices = _vectors(val, key)
+    faces = {()}
+    for s in simplices:
+        s = sorted(set(s))
+        for k in range(1, len(s) + 1):
+            for face in itertools.combinations(s, k):
+                faces.add(face)
+                if len(faces) > MAX_CONES:
+                    raise ScopeExceeded(f"the simplices give more than {MAX_CONES} cones, "
+                                        f"the desk-scale bound")
+    return simplices
+
+
 def _flag(val, key) -> bool:
     if not isinstance(val, bool):
         raise ParseError(f"{key!r} must be true or false, got {val!r}")
@@ -185,7 +202,7 @@ def _toric_fields(spec):
 def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
     builtin = _field(spec, "builtin", _text, None)
     if builtin == "snc":
-        return cc.snc_artin_fan(_field(spec, "simplices", _vectors))
+        return cc.snc_artin_fan(_field(spec, "simplices", _simplices))
     if builtin == "nodal_cubic":
         return cc.nodal_cubic_complex()
     if builtin == "point":
@@ -236,9 +253,9 @@ def _build_model(spec, resolve, truncation) -> lm.LogModel:
             raise ParseError("a product needs at least two factors")
         models = [resolve(f, "model") for f in factors]
         cones = math.prod(len(X.artin_fan.cones) for X in models)
-        if cones > MAX_PRODUCT_CONES:
+        if cones > MAX_CONES:
             raise ScopeExceeded(f"the product's Artin fan would have {cones} cones, "
-                                f"above the desk-scale bound {MAX_PRODUCT_CONES}")
+                                f"above the desk-scale bound {MAX_CONES}")
         return functools.reduce(lm.product_model, models)
     if builtin not in _CONSTANT_MODELS:
         raise ParseError(f"unknown model builtin {builtin!r}")

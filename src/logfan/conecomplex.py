@@ -14,17 +14,18 @@ no-op cases.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import _geometry as geom
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
 from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, lattice_rank,
-                      primitive, saturate_subgroup, solve_integer, solve_rational)
+                      primitive, saturate_subgroup, smith_normal_form, solve_integer)
 
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
@@ -210,9 +211,6 @@ class GeneralizedConeComplex:
         """Cones that are the source of no face map into another cone."""
         proper = {fm.source for fm in self.face_maps if fm.target != fm.source}
         return [i for i in range(len(self.cones)) if i not in proper]
-
-    def dimension(self) -> int:
-        return max((c.dim for c in self.cones), default=0)
 
 
 def point_complex() -> GeneralizedConeComplex:
@@ -404,10 +402,6 @@ class Subdivision:
 
     refined: GeneralizedConeComplex
     structure: ComplexMorphism        # refined -> original
-
-    @property
-    def original(self) -> GeneralizedConeComplex:
-        return self.structure.target
 
     def is_trivial(self) -> bool:
         return self.refined == self.structure.target
@@ -678,8 +672,10 @@ def face_poset_dot(K: GeneralizedConeComplex) -> str:
 
 # ------------------------------------------------------------- isomorphism
 
-# Bound on the basis placements `_iso_candidates` tries for one pair of cones.
+# Bounds on the basis placements `_iso_candidates` tries for one pair of
+# cones, and on the placements of a cone on a cone `is_isomorphic` tries.
 MAX_ISO_CANDIDATES = 20_000
+MAX_ISO_PLACEMENTS = 100_000
 
 
 def _tighten(K: GeneralizedConeComplex) -> GeneralizedConeComplex:
@@ -737,12 +733,13 @@ def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
     if math.perm(len(c2.rays), n) > MAX_ISO_CANDIDATES:
         raise ScopeExceeded(f"a cone with {len(c2.rays)} rays in rank {n} has more than "
                             f"{MAX_ISO_CANDIDATES} isomorphism candidates")
-    A = IntMatrix.from_columns(basis, rows=n)
-    d = _det(A)
-    # U A = B has the integer solution B (d A^-1) / d when d divides B (d A^-1)
-    adj = IntMatrix.from_columns(
-        [[int(d * x) for x in solve_rational(A, [int(i == j) for i in range(n)])]
-         for j in range(n)], rows=n)
+    # U A = B has the integer solution B (d A^-1) / d when d divides B (d A^-1).
+    # With A = basis columns in Smith form, d A^-1 = V (d D^-1) U is integral
+    # for d the last invariant factor, which every other one divides.
+    snf = smith_normal_form(IntMatrix.from_columns(basis, rows=n))
+    d = snf.diagonal()[-1]
+    adj = snf.V @ IntMatrix.from_rows([[d // di * x for x in snf.U.row(i)]
+                                       for i, di in enumerate(snf.diagonal())])
     out = []
     for images in itertools.permutations(c2.rays, n):
         dU = IntMatrix.from_columns(images, rows=n) @ adj
@@ -764,22 +761,50 @@ def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
     inv_g = [_cone_invariant(Gt, i) for i in range(n)]
     if sorted(inv_f) != sorted(inv_g):
         return False
-    order = sorted(range(n), key=lambda i: (-Ft.cones[i].dim, inv_f[i]))
+    # Place each cone right after one it shares a face map with, so that the
+    # face maps prune a wrong choice at once.  The zero cone, a face of every
+    # cone, links nothing.
+    key = {i: (-Ft.cones[i].dim, inv_f[i], i) for i in range(n)}
+    touching: dict[int, list[FaceMap]] = {i: [] for i in range(n)}
+    for fm in Ft.face_maps:
+        touching[fm.source].append(fm)
+        if fm.source != fm.target:
+            touching[fm.target].append(fm)
+    order: list[int] = []
+    placed: set[int] = set()
+    for start in sorted(range(n), key=key.get):
+        heap = [(key[start], start)]
+        while heap:
+            _, i = heapq.heappop(heap)
+            if i not in placed:
+                placed.add(i)
+                order.append(i)
+                for j in (fm.source + fm.target - i for fm in touching[i]
+                          if Ft.cones[fm.source].dim):
+                    heapq.heappush(heap, (key[j], j))
     gmap_index = {}
     for fm in Gt.face_maps:
         gmap_index.setdefault((fm.source, fm.target), []).append(fm.matrix)
+    candidates = cache(lambda i, j: _iso_candidates(Ft.cones[i], Gt.cones[j]))
+    tried = 0
 
     def extend(pos: int, bij: dict, isos: dict) -> bool:
+        nonlocal tried
         if pos == n:
             return True
         i = order[pos]
         for j in range(n):
             if j in bij.values() or inv_g[j] != inv_f[i]:
                 continue
-            for u in _iso_candidates(Ft.cones[i], Gt.cones[j]):
+            for u in candidates(i, j):
+                tried += 1
+                if tried > MAX_ISO_PLACEMENTS:
+                    raise ScopeExceeded(f"the isomorphism search tried more than "
+                                        f"{MAX_ISO_PLACEMENTS} placements of a cone")
                 bij[i] = j
                 isos[i] = u
-                if _consistent(Ft, Gt, bij, isos, gmap_index) and \
+                # the maps between earlier cones were checked when they were placed
+                if _consistent(Ft, touching[i], bij, isos, gmap_index) and \
                         extend(pos + 1, bij, isos):
                     return True
                 del bij[i]
@@ -789,8 +814,8 @@ def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
     return extend(0, {}, {})
 
 
-def _consistent(Ft, Gt, bij, isos, gmap_index) -> bool:
-    for fm in Ft.face_maps:
+def _consistent(Ft, face_maps, bij, isos, gmap_index) -> bool:
+    for fm in face_maps:
         if fm.source in bij and fm.target in bij:
             ja, jb = bij[fm.source], bij[fm.target]
             ua, ub = isos[fm.source], isos[fm.target]

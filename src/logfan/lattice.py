@@ -3,16 +3,17 @@
 Everything here runs on plain Python integers, so there is no overflow to
 worry about: saturation indices and Hilbert basis determinants overflow
 64-bit arithmetic already on small inputs.  Matrices are immutable and
-row-major.  The workhorse is the Smith normal form with tracked unimodular
-transforms; kernels, cokernels, integer solves and lattice saturation are
-all read off from it.
+row-major.  The workhorse is the Smith normal form U A V = D with its two
+unimodular transforms U and V; kernels, cokernels, integer solves, lattice
+saturation and the inverse of a square matrix of full rank, V D^-1 U, are
+all read off from it.  U^-1 and V^-1 are derived when asked, from one more
+Smith form each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 
 from .errors import InternalInvariant
@@ -165,13 +166,6 @@ class FgAbelianGroup:
     def num_coords(self) -> int:
         return self.free_rank + len(self.torsion_orders)
 
-    @property
-    def torsion_order(self) -> int:
-        n = 1
-        for d in self.torsion_orders:
-            n *= d
-        return n
-
     def reduce(self, v) -> Vector:
         """Canonical coordinates: torsion entries taken mod their orders."""
         v = tuple(int(x) for x in v)
@@ -192,13 +186,15 @@ class FgAbelianGroup:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V = D with U, V unimodular and D a divisibility-chain diagonal."""
+    """U @ A @ V = D with U, V unimodular and D a divisibility-chain diagonal.
+
+    The inverses of U and V are derived on first use, each from one more
+    Smith form.
+    """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    U_inverse: IntMatrix
-    V_inverse: IntMatrix
 
     def diagonal(self) -> Vector:
         return self.D.diagonal()
@@ -206,6 +202,23 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
+
+    @cached_property
+    def U_inverse(self) -> IntMatrix:
+        return _unimodular_inverse(self.U)
+
+    @cached_property
+    def V_inverse(self) -> IntMatrix:
+        return _unimodular_inverse(self.V)
+
+
+def _unimodular_inverse(M: IntMatrix) -> IntMatrix:
+    """M^-1 = V' U' from U' M V' = 1; that form is checked to be the identity,
+    and smith_normal_form checks its recomposition, so the inverse is exact."""
+    snf = smith_normal_form(M)
+    if snf.D != IntMatrix.identity(M.rows):
+        raise InternalInvariant("a Smith transform is not unimodular")
+    return snf.V @ snf.U
 
 
 def _select_pivot(M, t, m, n):
@@ -233,22 +246,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     m, n = A.rows, A.cols
     M = A.as_rows()
     U = IntMatrix.identity(m).as_rows()
-    Ui = IntMatrix.identity(m).as_rows()
     V = IntMatrix.identity(n).as_rows()
-    Vi = IntMatrix.identity(n).as_rows()
 
     def swap_rows(i, j):
         M[i], M[j] = M[j], M[i]
         U[i], U[j] = U[j], U[i]
-        for r in Ui:                       # inverse op swaps columns of Ui
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in M:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def row_sub(i, j, q):
         """row i -= q * row j"""
@@ -256,8 +264,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             return
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        for r in Ui:                       # inverse: col j += q * col i
-            r[j] += q * r[i]
 
     def col_sub(i, j, q):
         """col i -= q * col j"""
@@ -267,13 +273,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             r[i] -= q * r[j]
         for r in V:
             r[i] -= q * r[j]
-        Vi[j] = [a + q * b for a, b in zip(Vi[j], Vi[i])]
 
     def negate_row(i):
         M[i] = [-a for a in M[i]]
         U[i] = [-a for a in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
 
     t = 0
     while True:
@@ -329,10 +332,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 ui, uj = U[i][:], U[i + 1][:]
                 U[i] = [x * p + y * q for p, q in zip(ui, uj)]
                 U[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ui, uj)]
-                for row in Ui:                     # inverse cols: [[a//g, -y], [b//g, x]]
-                    p, q = row[i], row[i + 1]
-                    row[i] = p * (a // g) + q * (b // g)
-                    row[i + 1] = -p * y + q * x
                 col_sub(i + 1, i, M[i][i + 1] // M[i][i])
                 if M[i][i] < 0:
                     negate_row(i)
@@ -342,15 +341,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Um, Dm, Vm = (IntMatrix.from_rows(U) if m else IntMatrix.zero(0, 0),
                   IntMatrix.from_rows(M) if m else IntMatrix.zero(0, n),
                   IntMatrix.from_rows(V) if n else IntMatrix.zero(0, 0))
-    Uim = IntMatrix.from_rows(Ui) if m else IntMatrix.zero(0, 0)
-    Vim = IntMatrix.from_rows(Vi) if n else IntMatrix.zero(0, 0)
     if (Um @ A) @ Vm != Dm:
         raise InternalInvariant("Smith recomposition failed")
-    if Um @ Uim != IntMatrix.identity(m):
-        raise InternalInvariant("Smith row transform and its inverse do not compose to 1")
-    if Vm @ Vim != IntMatrix.identity(n):
-        raise InternalInvariant("Smith column transform and its inverse do not compose to 1")
-    return SmithDecomposition(Um, Dm, Vm, Uim, Vim)
+    return SmithDecomposition(Um, Dm, Vm)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -527,33 +520,3 @@ def primitive(v) -> Vector:
     if g <= 1:
         return v
     return tuple(x // g for x in v)
-
-
-def solve_rational(A: IntMatrix, b) -> tuple[Fraction, ...] | None:
-    """One rational solution of A x = b by Gaussian elimination, or None."""
-    m, n = A.rows, A.cols
-    aug = [[Fraction(A.at(i, j)) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return tuple(x)

@@ -283,13 +283,9 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
         lam_gens: list[Vector] = []
         lin = cone.lineality_basis
         if lin:
-            lin_cols = IntMatrix.from_columns(lin, rows=r)
-            snf = smith_normal_form(lin_cols)
-            if not all(d == 1 for d in snf.diagonal()):
+            quotient, proj = cokernel_projection(IntMatrix.from_columns(lin, rows=r))
+            if quotient != FgAbelianGroup(r - len(lin)):
                 raise InternalInvariant("lineality space is not saturated")
-            proj_rows = [snf.U.row(j) for j in range(len(lin), r)]
-            proj = (IntMatrix.from_rows(proj_rows) if proj_rows
-                    else IntMatrix.zero(0, r))
             projected = [proj.apply(w) for w in ws]
             hb = hilbert_basis(projected, r - len(lin))
             lin_hnf = hnf_rows(lin)

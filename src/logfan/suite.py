@@ -22,7 +22,7 @@ from . import logmodel as lm
 from . import monoid as mn
 from . import orbifold as ob
 from .errors import NotFirm
-from .lattice import FgAbelianGroup, IntMatrix, smith_normal_form
+from .lattice import FgAbelianGroup, IntMatrix, smith_normal_form, solve_integer
 
 
 @dataclass
@@ -344,7 +344,6 @@ def _solve_row(cols, rhs, n, H: FgAbelianGroup, mod: int):
         eqs.append(tuple(d if t == fH + j else 0 for t in range(n)))
         want.append(0)
     if mod == 0:
-        from .lattice import solve_integer
         A = IntMatrix.from_rows(eqs)
         return solve_integer(A, want) if eqs else tuple([0] * n)
     # modular solve: search small space (desk scale: n <= 3, mod <= 3)

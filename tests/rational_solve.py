@@ -1,0 +1,36 @@
+"""Gaussian elimination over the rationals, the oracle that the integer
+solves of logfan are checked against."""
+
+from fractions import Fraction
+
+from logfan.lattice import IntMatrix
+
+
+def solve_rational(A: IntMatrix, b) -> tuple[Fraction, ...] | None:
+    """One rational solution of A x = b by Gaussian elimination, or None."""
+    m, n = A.rows, A.cols
+    aug = [[Fraction(A.at(i, j)) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        sel = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for i in range(row, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][n]
+    return tuple(x)

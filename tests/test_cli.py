@@ -376,6 +376,37 @@ def test_large_product_model_is_out_of_scope(tmp_path, capsys):
     assert "6561 cones" in err[0]
 
 
+def test_large_snc_simplex_is_out_of_scope(tmp_path, capsys):
+    """One simplex on 10 vertices would build 2^10 cones; the simplices are
+    counted before any cone is built."""
+    objects = {"K": {"kind": "complex", "builtin": "snc", "simplices": [list(range(10))]}}
+    p = tmp_path / "simplex.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects, "tasks": []}))
+    start = time.perf_counter()
+    assert main(["check", str(p)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ScopeExceeded: object 'K': ")
+    assert "more than 1000 cones" in err[0]
+
+
+def test_hexagon_is_not_two_triangles(tmp_path, capsys):
+    """The two complexes agree on every cone invariant; the search refutes
+    each placement of a cycle as soon as it closes."""
+    hexagon = [[i, (i + 1) % 6] for i in range(6)]
+    triangles = [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]
+    doc = {"version": "logfan/1",
+           "objects": {"H": {"kind": "complex", "builtin": "snc", "simplices": hexagon},
+                       "T": {"kind": "complex", "builtin": "snc", "simplices": triangles}},
+           "tasks": [{"op": "is_isomorphic", "args": {"left": "H", "right": "T"}}]}
+    p = tmp_path / "cycles.lf.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", str(p), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["results"][0]["data"] == {"isomorphic": False}
+
+
 def test_inline_hom_argument_is_built():
     R = {"kind": "monoid", "free_rank": 1, "generators": [[1]]}
     hom = {"kind": "hom", "source": "R", "target": "R", "matrix": [[1]]}

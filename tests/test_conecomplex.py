@@ -17,7 +17,8 @@ from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 star_subdivision, subdivide_along)
 from logfan.errors import (NotAFan, NotSimplicial, RayOutsideSupport,
                            ScopeExceeded)
-from logfan.lattice import IntMatrix, det, primitive, solve_rational
+from logfan.lattice import IntMatrix, det, primitive
+from rational_solve import solve_rational
 
 
 def a1_complex():
@@ -451,6 +452,127 @@ def test_isomorphism_candidates_are_bounded():
     with pytest.raises(ScopeExceeded, match="isomorphism candidates"):
         is_isomorphic(K, K)
     assert time.perf_counter() - start < 1
+
+
+def dimension_first_isomorphic(F, G):
+    """The search the linked order replaces: cones placed by dimension first,
+    every face map rechecked after each placement."""
+    if len(F.cones) != len(G.cones) or len(F.face_maps) != len(G.face_maps):
+        return False
+    Ft, Gt = cc._tighten(F), cc._tighten(G)
+    n = len(Ft.cones)
+    inv_f = [cc._cone_invariant(Ft, i) for i in range(n)]
+    inv_g = [cc._cone_invariant(Gt, i) for i in range(n)]
+    if sorted(inv_f) != sorted(inv_g):
+        return False
+    order = sorted(range(n), key=lambda i: (-Ft.cones[i].dim, inv_f[i]))
+    gmap_index = {}
+    for fm in Gt.face_maps:
+        gmap_index.setdefault((fm.source, fm.target), []).append(fm.matrix)
+
+    def extend(pos, bij, isos):
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in range(n):
+            if j in bij.values() or inv_g[j] != inv_f[i]:
+                continue
+            for u in cc._iso_candidates(Ft.cones[i], Gt.cones[j]):
+                bij[i], isos[i] = j, u
+                if cc._consistent(Ft, Ft.face_maps, bij, isos, gmap_index) and \
+                        extend(pos + 1, bij, isos):
+                    return True
+                del bij[i], isos[i]
+        return False
+
+    return extend(0, {}, {})
+
+
+def cycles(*lengths):
+    """Edges of disjoint cycles of the given lengths on consecutive vertices."""
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return edges
+
+
+def random_simplices(rng):
+    """A seeded graph or 2-complex on at most 5 vertices and 4 edges."""
+    pairs = list(itertools.combinations(range(rng.randint(3, 5)), 2))
+    edges = rng.sample(pairs, rng.randint(2, min(len(pairs), 4)))
+    return edges + [t for t in itertools.combinations(range(5), 3)
+                    if all(e in edges for e in itertools.combinations(t, 2))
+                    and rng.random() < 0.5]
+
+
+def random_chain(rng):
+    """A seeded chain of 2 or 3 plane cones on rays near compass directions."""
+    dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    steps = [rng.randint(0, 7)]
+    for _ in range(rng.randint(2, 3)):
+        steps.append(steps[-1] + rng.randint(1, 2))
+    rays = [(3 * x + rng.randint(-1, 1), 3 * y + rng.randint(-1, 1))
+            for x, y in (dirs[a % 8] for a in steps)]
+    return rays, [(i, i + 1) for i in range(len(rays) - 1)]
+
+
+def relabelled(rng, simplices):
+    v = 1 + max(x for s in simplices for x in s)
+    perm = rng.sample(range(v), v)
+    return snc_artin_fan([tuple(perm[x] for x in s) for s in simplices])
+
+
+def transformed(rng, rays, cones):
+    U = random_unimodular(rng, 2)
+    return from_toric_fan([U.apply(r) for r in rays], cones, 2)
+
+
+# Two pairs that agree on every cone invariant and are not isomorphic: a path
+# on five vertices and a triangle beside an edge; chains of plane cones of
+# multiplicities 1, 2, 1 and 2, 1, 1.
+PATH_5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+TRIANGLE_AND_EDGE = [(0, 1), (1, 2), (0, 2), (3, 4)]
+CHAIN_121 = ([(1, 0), (0, 1), (-2, 1), (-1, 0)], [(0, 1), (1, 2), (2, 3)])
+CHAIN_211 = ([(1, 0), (1, 2), (0, 1), (-1, 0)], [(0, 1), (1, 2), (2, 3)])
+
+
+def test_linked_order_against_dimension_first_search():
+    """The linked order answers as the dimension-first search does on seeded
+    relabellings and unimodular images of small complexes, isomorphic and
+    not."""
+    rng = random.Random(41)
+    for case in range(32):
+        kind = case % 4
+        if kind == 0:
+            simplices = random_simplices(rng)
+            F, G = relabelled(rng, simplices), relabelled(rng, simplices)
+        elif kind == 1:
+            F, G = relabelled(rng, PATH_5), relabelled(rng, TRIANGLE_AND_EDGE)
+        elif kind == 2:
+            chain = random_chain(rng)
+            F, G = transformed(rng, *chain), transformed(rng, *chain)
+        else:
+            F, G = transformed(rng, *CHAIN_121), transformed(rng, *CHAIN_211)
+        assert is_isomorphic(F, G) == dimension_first_isomorphic(F, G) == (kind % 2 == 0)
+
+
+def test_isomorphism_of_cycles_is_quick():
+    start = time.perf_counter()
+    assert not is_isomorphic(snc_artin_fan(cycles(8)), snc_artin_fan(cycles(4, 4)))
+    assert not is_isomorphic(snc_artin_fan(cycles(12)), snc_artin_fan(cycles(6, 6)))
+    assert is_isomorphic(snc_artin_fan(cycles(12)),
+                         snc_artin_fan([(5 * a % 12, 5 * b % 12) for a, b in cycles(12)]))
+    assert time.perf_counter() - start < 1
+
+
+def test_isomorphism_search_is_bounded():
+    """A 36-cycle against two 18-cycles agrees on every cone invariant and
+    needs more than the bounded number of placements to be refused."""
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="placements of a cone"):
+        is_isomorphic(snc_artin_fan(cycles(36)), snc_artin_fan(cycles(18, 18)))
+    assert time.perf_counter() - start < 3
 
 
 # ------------------------------------------------------------------- other

@@ -163,3 +163,22 @@ def test_f1_diagonal_work_counts(monkeypatch):
     assert len(res.subdivision.refined.cones) == 169
     assert 0 < calls["snf"] <= 20
     assert 0 < calls["contains_cone"] <= 2_500
+
+
+def test_smith_inverses_are_derived_once_and_only_when_read(monkeypatch):
+    """A decomposition costs one Smith form; the first read of U_inverse
+    costs one more, and later reads are free."""
+    calls = collections.Counter()
+    real = lattice.smith_normal_form
+
+    def counting(A):
+        calls["snf"] += 1
+        return real(A)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    snf = lattice.smith_normal_form(A)
+    assert snf.diagonal() == (2, 6, 12) and calls["snf"] == 1
+    first = snf.U_inverse
+    assert snf.U_inverse is first and calls["snf"] == 2
+    assert snf.U @ first == IntMatrix.identity(3)

@@ -22,12 +22,13 @@ import pytest
 from logfan import _geometry as geom
 from logfan.errors import ScopeExceeded
 from logfan.lattice import (IntMatrix, cokernel_projection, det, hnf_rows,
-                            in_lattice, smith_normal_form, solve_rational)
+                            in_lattice, smith_normal_form)
 from logfan.logmodel import mixed_affine
 from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
                            hilbert_basis)
 from logfan.orbifold import DiagonalAction, orbifold_hh
 from logfan.suite import _random_fine_monoid
+from rational_solve import solve_rational
 
 
 # ------------------------------------------------------------------ oracles

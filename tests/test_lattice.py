@@ -53,6 +53,7 @@ def test_smith_row_r_minus_r():
 
 def test_smith_randomized_against_oracle():
     rng = random.Random(0)
+    shapes = set()
     for _ in range(150):
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         A = IntMatrix(m, n, tuple(rng.randint(-5, 5) for _ in range(m * n)))
@@ -65,6 +66,10 @@ def test_smith_randomized_against_oracle():
         assert abs(det(snf.U)) == 1
         assert abs(det(snf.V)) == 1
         assert (snf.U @ A) @ snf.V == snf.D
+        assert snf.U @ snf.U_inverse == IntMatrix.identity(m)
+        assert snf.V_inverse @ snf.V == IntMatrix.identity(n)
+        shapes.add((m > 0, n > 0))
+    assert shapes == {(True, True), (False, True), (True, False), (False, False)}
 
 
 def test_smith_diag_invariant_under_unimodular():
