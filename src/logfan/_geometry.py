@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInvariant
-from .lattice import (IntMatrix, Vector, hnf_rows, kernel_basis,
+from .lattice import (IntMatrix, Vector, hnf_coords, hnf_rows, kernel_basis,
                       lattice_rank, primitive, saturate_subgroup,
-                      smith_normal_form, solve_integer)
+                      smith_normal_form)
 
 
 def dot(a, b) -> int:
@@ -306,13 +306,7 @@ def cone_lattice_coords(rays, dim: int):
     basis; the basis is the canonical HNF basis from lattice saturation.
     """
     basis = saturate_subgroup(rays, dim)
-    if not basis:
-        return (), [() for _ in rays]
-    B = IntMatrix.from_columns(basis, rows=dim)
-    coords = []
-    for r in rays:
-        c = solve_integer(B, r)
-        if c is None:
-            raise InternalInvariant("ray escapes the saturated span lattice")
-        coords.append(c)
+    coords = [hnf_coords(r, basis) for r in rays]
+    if None in coords:
+        raise InternalInvariant("ray escapes the saturated span lattice")
     return basis, coords

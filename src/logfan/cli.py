@@ -70,7 +70,7 @@ class Report:
 
 MAX_DIMENSION = 6         # `d` of affine_space and `coords` of mixed_affine
 MAX_MARKED_POINTS = 64    # `n` of marked_p1
-MAX_CONES = 1_000         # cones of a product model's Artin fan or of an snc complex
+MAX_FACE_MAPS = 10_000    # face maps of a literal complex
 
 _REQUIRED = object()
 
@@ -102,9 +102,12 @@ def _nat(val, key, below=None, limit=None) -> int:
     return val
 
 
-def _list(val, key) -> list:
+def _list(val, key, limit=None) -> list:
+    """A list, of at most `limit` items when given."""
     if not isinstance(val, list):
         raise ParseError(f"{key!r} must be a list")
+    if limit is not None and len(val) > limit:
+        raise ScopeExceeded(f"{key!r} has {len(val)} entries, above the desk-scale bound {limit}")
     return val
 
 
@@ -131,7 +134,7 @@ def _matrix(val, key) -> IntMatrix:
 
 
 def _simplices(val, key) -> tuple[tuple[int, ...], ...]:
-    """Simplices whose snc complex has at most MAX_CONES cones (2^k for one
+    """Simplices whose snc complex has at most cc.MAX_CONES cones (2^k for one
     simplex on k vertices), counted face by face before any cone is built."""
     simplices = _vectors(val, key)
     faces = {()}
@@ -140,8 +143,8 @@ def _simplices(val, key) -> tuple[tuple[int, ...], ...]:
         for k in range(1, len(s) + 1):
             for face in itertools.combinations(s, k):
                 faces.add(face)
-                if len(faces) > MAX_CONES:
-                    raise ScopeExceeded(f"the simplices give more than {MAX_CONES} cones, "
+                if len(faces) > cc.MAX_CONES:
+                    raise ScopeExceeded(f"the simplices give more than {cc.MAX_CONES} cones, "
                                         f"the desk-scale bound")
     return simplices
 
@@ -211,12 +214,14 @@ def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
         return cc.from_toric_fan(*_toric_fields(spec))
     if builtin is not None:
         raise ParseError(f"unknown complex builtin {builtin!r}")
+    raw_cones = _field(spec, "cones", _list, limit=cc.MAX_CONES)
+    raw_maps = _field(spec, "face_maps", _list, limit=MAX_FACE_MAPS)
     cones = []
-    for c in _field(spec, "cones", _list):
+    for c in raw_cones:
         rank = _field(c, "rank", _nat)
         cones.append(cc.Cone.make(_field(c, "rays", _vectors, (), length=rank), rank))
     maps = []
-    for m in _field(spec, "face_maps", _list):
+    for m in raw_maps:
         source = _field(m, "source", _nat, below=len(cones))
         target = _field(m, "target", _nat, below=len(cones))
         matrix = _field(m, "matrix", _matrix, None)
@@ -253,9 +258,9 @@ def _build_model(spec, resolve, truncation) -> lm.LogModel:
             raise ParseError("a product needs at least two factors")
         models = [resolve(f, "model") for f in factors]
         cones = math.prod(len(X.artin_fan.cones) for X in models)
-        if cones > MAX_CONES:
+        if cones > cc.MAX_CONES:
             raise ScopeExceeded(f"the product's Artin fan would have {cones} cones, "
-                                f"above the desk-scale bound {MAX_CONES}")
+                                f"above the desk-scale bound {cc.MAX_CONES}")
         return functools.reduce(lm.product_model, models)
     if builtin not in _CONSTANT_MODELS:
         raise ParseError(f"unknown model builtin {builtin!r}")

@@ -24,9 +24,13 @@ from functools import cache, cached_property
 from . import _geometry as geom
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
-from .lattice import (IntMatrix, Vector, det as _det, hnf_rows, lattice_rank,
-                      primitive, saturate_subgroup, smith_normal_form, solve_integer)
+from .lattice import (IntMatrix, Vector, det as _det, hnf_coords, hnf_rows,
+                      lattice_rank, primitive, saturate_subgroup, smith_normal_form)
 
+
+# Desk-scale bound on the cones of a product, of an snc complex and of a
+# literal complex, stated in README "Scale".
+MAX_CONES = 1_000
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
 # checks below and the cached properties run once per distinct cone.  Inputs
@@ -111,6 +115,7 @@ class Cone:
         return tuple(Cone.make([self.rays[i] for i in s], self.lattice_rank)
                      for s in self.face_ray_sets)
 
+    @cached_property
     def span_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the saturated span lattice."""
         return saturate_subgroup(self.rays, self.lattice_rank)
@@ -136,11 +141,11 @@ def _face_image(src: Cone, dst: Cone, matrix: IntMatrix) -> Cone | None:
     if image not in dst.faces:
         return None
     # isomorphism onto the face: saturated span lattices must correspond
-    src_basis = src.span_basis()
+    src_basis = src.span_basis
     if len(src_basis) != image.dim:
         return None
     mapped = [matrix.apply(b) for b in src_basis]
-    return image if hnf_rows(mapped) == image.span_basis() else None
+    return image if hnf_rows(mapped) == image.span_basis else None
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,9 @@ class GeneralizedConeComplex:
 
     def validate(self) -> None:
         """Full structural check: identities, legality, closure, face-completeness."""
-        for i, c in enumerate(self.cones):
-            if not any(fm.source == i and fm.is_identity() for fm in self.face_maps):
+        has_identity = {fm.source for fm in self.face_maps if fm.is_identity()}
+        for i in range(len(self.cones)):
+            if i not in has_identity:
                 raise ValueError(f"missing identity face map for cone {i}")
         images: dict[int, set[Cone]] = {}
         for fm in self.face_maps:
@@ -167,13 +173,15 @@ class GeneralizedConeComplex:
             if image is None:
                 raise ValueError(f"illegal face map {fm.source} -> {fm.target}")
             images.setdefault(fm.target, set()).add(image)
+        # composition is checked on the distinct maps, pair by composable pair
         key = {(fm.source, fm.target, fm.matrix) for fm in self.face_maps}
-        for a in self.face_maps:
-            for b in self.face_maps:
-                if a.target == b.source:
-                    comp = (a.source, b.target, b.matrix @ a.matrix)
-                    if comp not in key:
-                        raise ValueError("face maps are not closed under composition")
+        by_source: dict[int, list[tuple[int, IntMatrix]]] = {}
+        for source, target, matrix in key:
+            by_source.setdefault(source, []).append((target, matrix))
+        for source, middle, first in key:
+            for target, then in by_source.get(middle, ()):
+                if (source, target, then @ first) not in key:
+                    raise ValueError("face maps are not closed under composition")
         for j, c in enumerate(self.cones):
             if not images.get(j, set()).issuperset(c.faces):
                 raise ValueError(f"face of cone {j} is not the image of any face map")
@@ -342,7 +350,13 @@ def identity_morphism(F: GeneralizedConeComplex) -> ComplexMorphism:
 
 
 def product(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> GeneralizedConeComplex:
-    """Product complex: pairs of cones, pairs of face maps, sum lattices."""
+    """Product complex: pairs of cones, pairs of face maps, sum lattices.
+
+    Raises ScopeExceeded, before building anything, past MAX_CONES cones."""
+    count = len(F.cones) * len(G.cones)
+    if count > MAX_CONES:
+        raise ScopeExceeded(f"the product would have {count} cones, "
+                            f"above the desk-scale bound {MAX_CONES}")
     cones = []
     for cf in F.cones:
         for cg in G.cones:
@@ -689,17 +703,9 @@ def _tighten(K: GeneralizedConeComplex) -> GeneralizedConeComplex:
     new_maps = []
     for fm in K.face_maps:
         sb, tb = bases[fm.source], bases[fm.target]
-        if not tb:
-            new_maps.append(FaceMap(fm.source, fm.target, IntMatrix.zero(0, len(sb))))
-            continue
-        Bt = IntMatrix.from_columns(tb, rows=K.cones[fm.target].lattice_rank)
-        cols = []
-        for b in sb:
-            img = fm.matrix.apply(b)
-            col = solve_integer(Bt, img)
-            if col is None:
-                raise InternalInvariant("face map leaves the span lattice of its target")
-            cols.append(col)
+        cols = [hnf_coords(fm.matrix.apply(b), tb) for b in sb]
+        if None in cols:
+            raise InternalInvariant("face map leaves the span lattice of its target")
         new_maps.append(FaceMap(fm.source, fm.target,
                                 IntMatrix.from_columns(cols, rows=len(tb))))
     return GeneralizedConeComplex(tuple(new_cones), tuple(new_maps))

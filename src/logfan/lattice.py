@@ -4,10 +4,12 @@ Everything here runs on plain Python integers, so there is no overflow to
 worry about: saturation indices and Hilbert basis determinants overflow
 64-bit arithmetic already on small inputs.  Matrices are immutable and
 row-major.  The workhorse is the Smith normal form U A V = D with its two
-unimodular transforms U and V; kernels, cokernels, integer solves, lattice
-saturation and the inverse of a square matrix of full rank, V D^-1 U, are
-all read off from it.  U^-1 and V^-1 are derived when asked, from one more
-Smith form each.
+unimodular transforms U and V; kernels, cokernels, general integer solves,
+lattice saturation and the inverse of a square matrix of full rank, V D^-1 U,
+are all read off from it.  U^-1 and V^-1 are derived when asked, from one
+more Smith form each.  A vector's coordinates in a basis that is already in
+Hermite normal form need no Smith form: `hnf_coords` reads them by walking
+down the echelon.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
+from operator import mul
 
 from .errors import InternalInvariant
 
@@ -90,20 +93,16 @@ class IntMatrix:
             return other
         if other.is_identity:
             return self
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([sum(r[k] * other.at(k, j) for k in range(self.cols))
-                        for j in range(other.cols)])
-        return IntMatrix.from_rows(out) if out else IntMatrix.zero(0, other.cols)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols))
 
     def apply(self, v) -> Vector:
         """Matrix times column vector."""
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
     @property
     def is_identity(self) -> bool:
@@ -466,30 +465,37 @@ def lattice_rank(rows) -> int:
     return len(hnf_rows(rows))
 
 
+def _echelon_walk(v, basis_hnf) -> tuple[Vector, Vector]:
+    """Walk v down echelon rows (such as HNF rows), subtracting from it the
+    floor quotient of its entry in each pivot column: the quotients, and what
+    is left.  The rows after a row vanish in its pivot column, so v lies in
+    their lattice exactly when nothing is left, and then the quotients are its
+    coefficients; for HNF rows, what is left is canonical modulo the lattice.
+    """
+    v = [int(x) for x in v]
+    coeffs = []
+    for row in basis_hnf:
+        col = next(j for j, x in enumerate(row) if x != 0)
+        q = v[col] // row[col]
+        coeffs.append(q)
+        v = [a - q * b for a, b in zip(v, row)]
+    return tuple(coeffs), tuple(v)
+
+
+def hnf_coords(v, basis_hnf) -> Vector | None:
+    """Coefficients of v in HNF rows, or None when v is not in their lattice."""
+    coeffs, rest = _echelon_walk(v, basis_hnf)
+    return None if any(rest) else coeffs
+
+
 def in_lattice(v, basis_hnf) -> bool:
     """Membership of v in the lattice spanned by HNF rows."""
-    v = list(int(x) for x in v)
-    for row in basis_hnf:
-        col = next((j for j, x in enumerate(row) if x != 0), None)
-        if col is None:
-            continue
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return hnf_coords(v, basis_hnf) is not None
 
 
 def reduce_mod_lattice(v, basis_hnf) -> Vector:
     """Canonical coset representative of v modulo the HNF lattice."""
-    v = list(int(x) for x in v)
-    for row in basis_hnf:
-        col = next((j for j, x in enumerate(row) if x != 0), None)
-        if col is None:
-            continue
-        q = v[col] // row[col]
-        v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
+    return _echelon_walk(v, basis_hnf)[1]
 
 
 def saturate_subgroup(generators, ambient_rank: int) -> tuple[Vector, ...]:

@@ -200,7 +200,6 @@ class LogModel:
     complete: bool
     affine: bool
     open_euler: int | None         # chi(X minus D) where known, else None
-    weakly_log_separated: bool = True
     log_coords: tuple[int, ...] = ()
     truncation: int | None = None
 
@@ -419,7 +418,6 @@ def product_model(X: LogModel, Y: LogModel) -> LogModel:
                     affine=X.affine or Y.affine,
                     open_euler=(None if X.open_euler is None or Y.open_euler is None
                                 else X.open_euler * Y.open_euler),
-                    weakly_log_separated=X.weakly_log_separated and Y.weakly_log_separated,
                     truncation=X.truncation if X.truncation is not None else Y.truncation)
 
 

@@ -20,7 +20,7 @@ from . import _geometry as geom
 from .errors import (InternalInvariant, NotSaturated, NotStronglyConvex,
                      ScopeExceeded)
 from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection, det,
-                      hnf_rows, in_lattice, lattice_rank as _span_rank,
+                      hnf_coords, hnf_rows, in_lattice, lattice_rank as _span_rank,
                       reduce_mod_lattice, smith_normal_form, solve_integer)
 
 # Desk-scale bounds, stated in README "Scale".
@@ -77,26 +77,18 @@ class FineMonoid:
     def _gp_torsion(self) -> tuple[int, tuple[Vector, ...]]:
         """Order and cyclic generators of the torsion subgroup of P^gp."""
         f = self.ambient.free_rank
-        k = len(self.ambient.torsion_orders)
-        if k == 0:
+        if not self.ambient.torsion_orders:
             return 1, ()
-        K = [row for row in self.gp_lattice
-             if all(row[j] == 0 for j in range(f))]
-        BK = IntMatrix.from_rows([row[f:] for row in K]) if K else IntMatrix.zero(0, k)
-        rel = IntMatrix.from_rows([row[f:] for row in self._relation_rows])
-        # express each relation in the K basis
-        coeffs = []
-        for i in range(rel.rows):
-            c = solve_integer(BK.transpose, rel.row(i))
-            if c is None:
-                raise InternalInvariant("a torsion relation is outside the torsion of P^gp")
-            coeffs.append(c)
-        E = IntMatrix.from_rows(coeffs)
-        snf = smith_normal_form(E)
+        # the rows of P^gp's HNF with zero free part: an HNF basis of its torsion
+        K = [row[f:] for row in self.gp_lattice if not any(row[:f])]
+        coeffs = [hnf_coords(rel[f:], K) for rel in self._relation_rows]
+        if None in coeffs:
+            raise InternalInvariant("a torsion relation is outside the torsion of P^gp")
+        snf = smith_normal_form(IntMatrix.from_rows(coeffs))
         order = 1
         for d in snf.diagonal():
             order *= max(d, 1)
-        newbasis = snf.V_inverse @ BK
+        newbasis = snf.V_inverse @ IntMatrix.from_rows(K)
         gens = []
         for i, d in enumerate(snf.diagonal()):
             if d >= 2:
@@ -263,22 +255,19 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
     """Generators of P^sat inside the ambient group, plus |torsion(P^gp)|."""
     G = P.ambient
     f = G.free_rank
-    L1 = P.gp_lattice
     torsion_order, torsion_gens = P._gp_torsion
-    K = hnf_rows([row for row in L1 if all(row[j] == 0 for j in range(f))])
-
-    # lattice of free parts of P^gp
-    free_basis = hnf_rows([row[:f] for row in L1])
+    # The HNF rows of P^gp with a nonzero free part have as free parts the HNF
+    # basis of the free parts of P^gp; the other rows are an HNF basis of its
+    # torsion.
+    free_rows = [row for row in P.gp_lattice if any(row[:f])]
+    K = [row for row in P.gp_lattice if not any(row[:f])]
+    free_basis = [row[:f] for row in free_rows]
     r = len(free_basis)
     out: list[Vector] = list(torsion_gens)
     if r:
-        BF = IntMatrix.from_columns(free_basis, rows=f)
-        ws = []
-        for g in P.generators:
-            w = solve_integer(BF, G.free_part(g))
-            if w is None:
-                raise InternalInvariant("a generator's free part is outside P^gp")
-            ws.append(w)
+        ws = [hnf_coords(G.free_part(g), free_basis) for g in P.generators]
+        if None in ws:
+            raise InternalInvariant("a generator's free part is outside P^gp")
         cone = geom.ConeGeometry.of(ws, r)
         lam_gens: list[Vector] = []
         lin = cone.lineality_basis
@@ -299,17 +288,12 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
                 lam_gens.append(geom.vneg(l))
         else:
             lam_gens.extend(hilbert_basis(ws, r))
-        # lift each lattice-coordinate generator into P^gp
-        L1_free = IntMatrix.from_rows([row[:f] for row in L1]).transpose
+        # u in the coordinates of free_basis lifts into P^gp as the same
+        # combination of free_rows, canonical modulo the torsion rows
         for u in lam_gens:
-            target = BF.apply(u)
-            c = solve_integer(L1_free, target)
-            if c is None:
-                raise InternalInvariant("a saturation generator is outside P^gp")
-            vec = tuple(sum(c[i] * L1[i][j] for i in range(len(L1)))
+            vec = tuple(sum(c * row[j] for c, row in zip(u, free_rows))
                         for j in range(G.num_coords))
-            vec = reduce_mod_lattice(vec, K)
-            out.append(G.reduce(vec))
+            out.append(G.reduce(reduce_mod_lattice(vec, K)))
     return tuple(out), torsion_order
 
 

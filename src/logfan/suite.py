@@ -21,7 +21,7 @@ from . import hkr
 from . import logmodel as lm
 from . import monoid as mn
 from . import orbifold as ob
-from .errors import NotFirm
+from .errors import InternalInvariant, NotFirm
 from .lattice import FgAbelianGroup, IntMatrix, smith_normal_form, solve_integer
 
 
@@ -258,7 +258,8 @@ def _enumerate_monoid_homs(src: mn.FineMonoid, dst: mn.FineMonoid, bound: int = 
     return out
 
 
-def property_pushout_universal(seed: int = 11) -> CheckResult:
+def _pushout_cases():
+    """The diagrams R -> P, R -> Q and the targets T of check 11c."""
     N = mn.FineMonoid.free(1)
     N2 = mn.FineMonoid.free(2)
     diagrams = [
@@ -270,20 +271,24 @@ def property_pushout_universal(seed: int = 11) -> CheckResult:
          mn.MonoidHom(N, N, IntMatrix.from_rows([[3]]))),
     ]
     n_mod2 = mn.FineMonoid.make(FgAbelianGroup(1, (2,)), [(1, 0), (0, 1)])
-    targets = [N, N2, n_mod2]
+    return diagrams, [N, N2, n_mod2]
+
+
+def property_pushout_universal(seed: int = 11) -> CheckResult:
+    diagrams, targets = _pushout_cases()
     checked = 0
     for f, g in diagrams:
         data = mn.amalgamated_sum(f, g)
-        S = data.report.saturated
+        section = _leg_section(data)
         for T in targets:
             alphas = _enumerate_monoid_homs(f.target, T, bound=2)
             betas = _enumerate_monoid_homs(g.target, T, bound=2)
+            by_image: dict[IntMatrix, list[IntMatrix]] = {}
+            for B in betas:
+                by_image.setdefault(B @ g.matrix, []).append(B)
             for A in alphas:
-                for B in betas:
-                    if A @ f.matrix != B @ g.matrix:
-                        continue
-                    phi = _mediate(data, S, T, A, B)
-                    if phi is None:
+                for B in by_image.get(A @ f.matrix, ()):
+                    if not _mediates(data, section, T, A, B):
                         return _result("11c fs pushout universal property", False,
                                        "no mediating hom found")
                     checked += 1
@@ -291,67 +296,36 @@ def property_pushout_universal(seed: int = 11) -> CheckResult:
                    f"{checked} commuting cocones mediated uniquely")
 
 
-def _mediate(data: mn.PushoutData, S: mn.FineMonoid, T: mn.FineMonoid,
-             A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
-    """Solve phi . leg == given legs on the pushout; verify phi lands in T."""
-    H = data.ambient
-    nH = H.num_coords
-    nT = T.ambient.num_coords
-    # unknown phi: nT x nH; equations: phi @ leg_left == A, phi @ leg_right == B
-    # plus torsion well-definedness. Solve coordinatewise over the generators
-    # of H carried by the legs (they generate H jointly).
-    cols = []
-    rhs_cols = []
-    for j in range(data.leg_left.cols):
-        cols.append(data.leg_left.column(j))
-        rhs_cols.append(A.column(j))
-    for j in range(data.leg_right.cols):
-        cols.append(data.leg_right.column(j))
-        rhs_cols.append(B.column(j))
-    # phi must satisfy phi(col) = rhs modulo nothing (exact in H coordinates,
-    # modulo torsion of T on torsion rows).
-    rows_phi = []
-    fT = T.ambient.free_rank
-    for i in range(nT):
-        # solve x . col_k == rhs_cols[k][i] (mod torsion order for torsion rows)
-        mod = 0 if i < fT else T.ambient.torsion_orders[i - fT]
-        sol = _solve_row(cols, [rc[i] for rc in rhs_cols], nH, H, mod)
-        if sol is None:
-            return None
-        rows_phi.append(sol)
-    phi = IntMatrix.from_rows(rows_phi)
+def _leg_section(data: mn.PushoutData) -> IntMatrix:
+    """S with (leg_left | leg_right) S = 1: the legs side by side are the
+    projection onto the pushout's group H, which is onto, so each unit vector
+    of H has a preimage."""
+    legs = IntMatrix.from_rows([data.leg_left.row(i) + data.leg_right.row(i)
+                                for i in range(data.ambient.num_coords)])
+    cols = [solve_integer(legs, e) for e in IntMatrix.identity(legs.rows).as_rows()]
+    if None in cols:
+        raise InternalInvariant("the pushout legs do not generate its group")
+    return IntMatrix.from_columns(cols, rows=legs.cols)
+
+
+def _mediates(data: mn.PushoutData, section: IntMatrix, T: mn.FineMonoid,
+              A: IntMatrix, B: IntMatrix) -> bool:
+    """Is there a hom phi from the pushout to T with phi . legs == (A, B)?
+
+    Any such phi equals phi . legs . section = (A | B) . section, so that is
+    the one candidate; it must be well defined, map the saturated pushout into
+    T, and give both legs modulo the torsion of T."""
+    phi = IntMatrix.from_rows([A.row(i) + B.row(i) for i in range(A.rows)]) @ section
+    H, S = data.ambient, data.report.saturated
     if not mn.hom_well_defined(H, T.ambient, phi):
-        return None
+        return False
     if not all(mn.contains(T, phi.apply(s)) for s in S.generators):
-        return None
-    if any(T.ambient.reduce(phi.apply(data.leg_left.column(j)))
-           != T.ambient.reduce(A.column(j)) for j in range(A.cols)):
-        return None
-    if any(T.ambient.reduce(phi.apply(data.leg_right.column(j)))
-           != T.ambient.reduce(B.column(j)) for j in range(B.cols)):
-        return None
-    return phi
-
-
-def _solve_row(cols, rhs, n, H: FgAbelianGroup, mod: int):
-    """One row of the mediating matrix: x with x . col == rhs (mod mod),
-    respecting the torsion relations of H."""
-    fH = H.free_rank
-    # augment with torsion relations of H: x . (d_j e_j) == 0 (mod mod)
-    eqs = [tuple(c) for c in cols]
-    want = list(rhs)
-    for j, d in enumerate(H.torsion_orders):
-        eqs.append(tuple(d if t == fH + j else 0 for t in range(n)))
-        want.append(0)
-    if mod == 0:
-        A = IntMatrix.from_rows(eqs)
-        return solve_integer(A, want) if eqs else tuple([0] * n)
-    # modular solve: search small space (desk scale: n <= 3, mod <= 3)
-    for x in itertools.product(range(-mod, mod + 1), repeat=n):
-        if all((sum(a * b for a, b in zip(x, e)) - w) % mod == 0
-               for e, w in zip(eqs, want)):
-            return tuple(x)
-    return None
+        return False
+    for leg, given in ((data.leg_left, A), (data.leg_right, B)):
+        if any(T.ambient.reduce(phi.apply(leg.column(j)))
+               != T.ambient.reduce(given.column(j)) for j in range(given.cols)):
+            return False
+    return True
 
 
 def property_smith_recomposition(trials: int = 120, seed: int = 3) -> CheckResult:

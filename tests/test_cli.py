@@ -390,6 +390,41 @@ def test_large_snc_simplex_is_out_of_scope(tmp_path, capsys):
     assert "more than 1000 cones" in err[0]
 
 
+def test_large_product_task_is_out_of_scope(tmp_path, capsys):
+    """Two snc simplices on 6 vertices have 64 cones each, but their product
+    would build 4,096 cones and 531,441 face maps; it is sized first."""
+    doc = {"version": "logfan/1",
+           "objects": {"K": {"kind": "complex", "builtin": "snc",
+                             "simplices": [list(range(6))]}},
+           "tasks": [{"op": "product", "args": {"left": "K", "right": "K"}}]}
+    p = tmp_path / "product.lf.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", str(p), "--format", "json"]) == 1
+    assert time.perf_counter() - start < 0.1
+    error = json.loads(capsys.readouterr().out)["results"][0]["error"]
+    assert error["type"] == "ScopeExceeded" and "4096 cones" in error["message"]
+
+
+@pytest.mark.parametrize("fields, count", [
+    ({"cones": [{"rank": 0}] * 1_001, "face_maps": []}, "'cones' has 1001 entries"),
+    ({"cones": [{"rank": 0}], "face_maps": [{"source": 0, "target": 0}] * 10_001},
+     "'face_maps' has 10001 entries"),
+], ids=["cones", "face_maps"])
+def test_large_literal_complex_is_out_of_scope(tmp_path, capsys, fields, count):
+    """A literal complex is counted before any cone is built or any face map
+    is checked."""
+    p = tmp_path / "literal.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1",
+                             "objects": {"K": {"kind": "complex", **fields}}, "tasks": []}))
+    start = time.perf_counter()
+    assert main(["check", str(p)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ScopeExceeded: object 'K': ")
+    assert count in err[0]
+
+
 def test_hexagon_is_not_two_triangles(tmp_path, capsys):
     """The two complexes agree on every cone invariant; the search refutes
     each placement of a cycle as soon as it closes."""

@@ -14,7 +14,8 @@ from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 from_toric_fan, is_isomorphic,
                                 nodal_cubic_complex, point_complex, product,
                                 product_projections, snc_artin_fan,
-                                star_subdivision, subdivide_along)
+                                star_subdivision, subdivide_along,
+                                subdivide_along_diagonal)
 from logfan.errors import (NotAFan, NotSimplicial, RayOutsideSupport,
                            ScopeExceeded)
 from logfan.lattice import IntMatrix, det, primitive
@@ -584,6 +585,26 @@ def test_face_map_validation():
     K = GeneralizedConeComplex((rho, sigma), (bad,))
     with pytest.raises(ValueError):
         K.validate()
+
+
+def test_validate_finds_a_missing_composite():
+    """Dropping the zero cone's map into the top cone of a triangle leaves
+    its composite through a vertex without a face map."""
+    K = snc_artin_fan([(0, 1, 2)])
+    top = len(K.cones) - 1
+    maps = tuple(fm for fm in K.face_maps if (fm.source, fm.target) != (0, top))
+    with pytest.raises(ValueError, match="not closed under composition"):
+        GeneralizedConeComplex(K.cones, maps).validate()
+
+
+def test_large_diagonal_is_out_of_scope():
+    """The product is sized before it is built: the diagonal of 200 disjoint
+    rays (201 cones) is refused at once."""
+    rays = snc_artin_fan([(i,) for i in range(200)])
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="40401 cones"):
+        subdivide_along_diagonal(rays)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_renderings():

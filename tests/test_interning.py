@@ -182,3 +182,27 @@ def test_smith_inverses_are_derived_once_and_only_when_read(monkeypatch):
     first = snf.U_inverse
     assert snf.U_inverse is first and calls["snf"] == 2
     assert snf.U @ first == IntMatrix.identity(3)
+
+
+def test_cone_lattice_coords_costs_only_the_saturation(monkeypatch):
+    """The coordinates of k rays in the saturated lattice of their span take
+    the Smith forms of `saturate_subgroup` and no more, whatever k is."""
+    calls = collections.Counter()
+    real = lattice.smith_normal_form
+
+    def counting(A):
+        calls["snf"] += 1
+        return real(A)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+
+    def snf_count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return calls["snf"]
+
+    for k in (1, 3, 8, 20):
+        rays = [(2 * i + 1, 2 * (i % 3), 4 * i + 2, 0) for i in range(k)]
+        saturation = snf_count(lattice.saturate_subgroup, rays, 4)
+        assert saturation > 0
+        assert snf_count(geom.cone_lattice_coords, rays, 4) == saturation

@@ -5,8 +5,8 @@ import random
 from math import gcd
 
 from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel,
-                            cokernel_projection, det, hnf_rows, in_lattice,
-                            kernel_basis, saturate_subgroup,
+                            cokernel_projection, det, hnf_coords, hnf_rows,
+                            in_lattice, kernel_basis, saturate_subgroup,
                             smith_normal_form, solve_integer)
 
 
@@ -185,3 +185,28 @@ def test_kernel_and_solve():
     x = solve_integer(A, (6, 12))
     assert x is not None and A.apply(x) == (6, 12)
     assert solve_integer(A, (1, 1)) is None
+
+
+def test_hnf_coords_against_solve_integer():
+    """The echelon walk agrees with a Smith-form solve against the same HNF
+    basis: exact coefficients on combinations of the basis, and None exactly
+    when the solve finds no solution."""
+    rng = random.Random(29)
+    ranks, members, strangers = set(), 0, 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        basis = hnf_rows(gens)
+        ranks.add(len(basis))
+        B = IntMatrix.from_columns(basis, rows=n)
+        coeffs = tuple(rng.randint(-5, 5) for _ in basis)
+        combination = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n))
+        assert hnf_coords(combination, basis) == coeffs
+        v = tuple(rng.randint(-6, 6) for _ in range(n))
+        want = solve_integer(B, v)
+        assert hnf_coords(v, basis) == want
+        assert in_lattice(v, basis) == (want is not None)
+        members += want is not None
+        strangers += want is None
+    assert ranks == {0, 1, 2, 3, 4}
+    assert members > 20 and strangers > 20

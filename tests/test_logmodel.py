@@ -99,7 +99,6 @@ def test_every_model_is_log_smooth():
               mixed_affine(3, [0, 2])]
     for X in models:
         assert X.omega_log_rank == X.dimension
-        assert X.weakly_log_separated
 
 
 def test_product_point_is_unit():

@@ -1,0 +1,85 @@
+"""Check 11c reads the mediating hom of an fs pushout off a section of its
+legs; cross-checked against a row-by-row solve with a search mod the torsion
+of the target."""
+
+import itertools
+
+from logfan import monoid as mn
+from logfan import suite
+from logfan.lattice import FgAbelianGroup, IntMatrix, solve_integer
+
+
+def searched_mediator(data, S, T, A, B):
+    """Solve phi . leg == given legs on the pushout, one row of phi at a time;
+    verify phi lands in T.  Rows of phi with a torsion coordinate of T are
+    searched for in [-m, m]^n, m the order of that coordinate."""
+    H = data.ambient
+    nH = H.num_coords
+    cols = [data.leg_left.column(j) for j in range(data.leg_left.cols)] + \
+           [data.leg_right.column(j) for j in range(data.leg_right.cols)]
+    rhs_cols = [A.column(j) for j in range(A.cols)] + [B.column(j) for j in range(B.cols)]
+    rows_phi = []
+    fT = T.ambient.free_rank
+    for i in range(T.ambient.num_coords):
+        mod = 0 if i < fT else T.ambient.torsion_orders[i - fT]
+        sol = solve_row(cols, [rc[i] for rc in rhs_cols], nH, H, mod)
+        if sol is None:
+            return None
+        rows_phi.append(sol)
+    phi = IntMatrix.from_rows(rows_phi)
+    if not mn.hom_well_defined(H, T.ambient, phi):
+        return None
+    if not all(mn.contains(T, phi.apply(s)) for s in S.generators):
+        return None
+    for leg, given in ((data.leg_left, A), (data.leg_right, B)):
+        if any(T.ambient.reduce(phi.apply(leg.column(j)))
+               != T.ambient.reduce(given.column(j)) for j in range(given.cols)):
+            return None
+    return phi
+
+
+def solve_row(cols, rhs, n, H: FgAbelianGroup, mod: int):
+    """x with x . col == rhs (mod mod), killing the torsion relations of H."""
+    fH = H.free_rank
+    eqs = [tuple(c) for c in cols]
+    want = list(rhs)
+    for j, d in enumerate(H.torsion_orders):
+        eqs.append(tuple(d if t == fH + j else 0 for t in range(n)))
+        want.append(0)
+    if mod == 0:
+        return solve_integer(IntMatrix.from_rows(eqs), want) if eqs else (0,) * n
+    for x in itertools.product(range(-mod, mod + 1), repeat=n):
+        if all((sum(a * b for a, b in zip(x, e)) - w) % mod == 0
+               for e, w in zip(eqs, want)):
+            return x
+    return None
+
+
+def test_mediates_against_searched_mediator():
+    """On every diagram and target of check 11c, and for every pair of homs
+    (A, B) out of the two legs, commuting or not, the one candidate of
+    `_mediates` is accepted exactly when the search finds a mediator."""
+    diagrams, targets = suite._pushout_cases()
+    accepted = rejected = 0
+    for f, g in diagrams:
+        data = mn.amalgamated_sum(f, g)
+        section = suite._leg_section(data)
+        S = data.report.saturated
+        for T in targets:
+            alphas = suite._enumerate_monoid_homs(f.target, T, bound=2)
+            betas = suite._enumerate_monoid_homs(g.target, T, bound=2)
+            for A in alphas:
+                for B in betas:
+                    found = searched_mediator(data, S, T, A, B) is not None
+                    assert suite._mediates(data, section, T, A, B) == found, (A, B, T)
+                    accepted += found
+                    rejected += not found
+    assert accepted >= 186 and rejected > 0
+
+
+def test_leg_section_is_a_section():
+    for f, g in suite._pushout_cases()[0]:
+        data = mn.amalgamated_sum(f, g)
+        legs = IntMatrix.from_rows([data.leg_left.row(i) + data.leg_right.row(i)
+                                    for i in range(data.ambient.num_coords)])
+        assert legs @ suite._leg_section(data) == IntMatrix.identity(legs.rows)
