@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .errors import InternalInvariant
 from .lattice import (IntMatrix, Vector, hnf_coords, hnf_rows, kernel_basis,
                       lattice_rank, primitive, saturate_subgroup,
@@ -109,8 +109,7 @@ def primitive_rays(rays) -> tuple[Vector, ...]:
 _GEOMETRIES: dict[tuple[int, tuple[Vector, ...]], "ConeGeometry"] = {}
 
 
-@dataclass(frozen=True)
-class ConeGeometry:
+class ConeGeometry(Record, frozen=True):
     """Cached double description of a single rational cone."""
 
     dim: int

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import conecomplex as cc
 from . import hkr
@@ -27,6 +26,7 @@ from . import lattice
 from . import logmodel as lm
 from . import monoid as mn
 from . import orbifold as ob
+from ._record import Record
 from .errors import (FormatUnavailable, KindMismatch, LogfanError, ParseError,
                      ScopeExceeded, UnknownOperation, UnresolvedReference)
 from .lattice import FgAbelianGroup, IntMatrix
@@ -35,16 +35,14 @@ from .suite import run_paper_suite
 VERSION_TAG = "logfan/1"
 
 
-@dataclass
-class Task:
+class Task(Record):
     index: int
     op: str
     args: dict
     label: str | None = None
 
 
-@dataclass
-class Document:
+class Document(Record):
     version: str
     objects: dict
     kinds: dict
@@ -52,10 +50,12 @@ class Document:
     truncation: int = lm.DEFAULT_TRUNCATION
 
 
-@dataclass
-class Report:
+class Report(Record):
     results: list[dict]
-    attachments: list = field(default_factory=list)   # (label, complex) pairs
+    attachments: list   # (label, complex) pairs
+
+    def __init__(self, results: list[dict], attachments: list | None = None):
+        super().__init__(results, [] if attachments is None else attachments)
 
     @property
     def exit_status(self) -> int:
@@ -220,10 +220,18 @@ def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
     for c in raw_cones:
         rank = _field(c, "rank", _nat)
         cones.append(cc.Cone.make(_field(c, "rays", _vectors, (), length=rank), rank))
+
+    def ends(m):
+        return (_field(m, "source", _nat, below=len(cones)),
+                _field(m, "target", _nat, below=len(cones)))
+
+    # the maps `validate` counts, told apart by their matrices as written: a
+    # document past the bound is refused before any matrix, or any map past
+    # the bound, is read
+    cc.check_composable_pairs((*ends(m), repr(m.get("matrix"))) for m in raw_maps)
     maps = []
     for m in raw_maps:
-        source = _field(m, "source", _nat, below=len(cones))
-        target = _field(m, "target", _nat, below=len(cones))
+        source, target = ends(m)
         matrix = _field(m, "matrix", _matrix, None)
         maps.append(cc.FaceMap(source, target, matrix if matrix is not None else
                                IntMatrix.identity(cones[target].lattice_rank)))
@@ -624,9 +632,6 @@ def main(argv=None) -> int:
                         default=os.environ.get("LOGFAN_TRUNCATION",
                                                lm.DEFAULT_TRUNCATION),
                         help="series truncation order (default 10)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for harness compatibility; computations "
-                             "are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a document")

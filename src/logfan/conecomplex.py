@@ -17,11 +17,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 
 from . import _geometry as geom
+from ._record import Record, set_field
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
 from .lattice import (IntMatrix, Vector, det as _det, hnf_coords, hnf_rows,
@@ -31,6 +32,8 @@ from .lattice import (IntMatrix, Vector, det as _det, hnf_coords, hnf_rows,
 # Desk-scale bound on the cones of a product, of an snc complex and of a
 # literal complex, stated in README "Scale".
 MAX_CONES = 1_000
+# Bound on the composable pairs of distinct face maps `validate` checks.
+MAX_COMPOSABLE_PAIRS = 100_000
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
 # checks below and the cached properties run once per distinct cone.  Inputs
@@ -38,8 +41,7 @@ MAX_CONES = 1_000
 _CONES: dict[tuple[int, tuple[Vector, ...]], "Cone"] = {}
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record, frozen=True):
     """Strongly convex rational cone given by primitive ray generators."""
 
     lattice_rank: int
@@ -121,13 +123,17 @@ class Cone:
         return saturate_subgroup(self.rays, self.lattice_rank)
 
 
-@dataclass(frozen=True)
-class FaceMap:
+class FaceMap(Record, frozen=True):
     """Lattice map carrying the source cone isomorphically onto a face of the target."""
 
     source: int
     target: int
     matrix: IntMatrix
+
+    def __init__(self, source: int, target: int, matrix: IntMatrix):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "matrix", matrix)
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.matrix.is_identity
@@ -148,8 +154,28 @@ def _face_image(src: Cone, dst: Cone, matrix: IntMatrix) -> Cone | None:
     return image if hnf_rows(mapped) == image.span_basis else None
 
 
-@dataclass(frozen=True)
-class GeneralizedConeComplex:
+def check_composable_pairs(maps) -> None:
+    """Raise ScopeExceeded once the distinct face maps among these (source,
+    target, matrix) keys have more than MAX_COMPOSABLE_PAIRS composable
+    pairs, a map into a cone followed by a map out of it.  The pairs are
+    (maps into a cone) x (maps out of it), summed over the cones, and are
+    counted map by map, so no key past the bound is read."""
+    seen, into, out_of, pairs = set(), Counter(), Counter(), 0
+    for key in maps:
+        if key in seen:
+            continue
+        seen.add(key)
+        source, target = key[0], key[1]
+        into[target] += 1
+        out_of[source] += 1
+        # pairs that begin with the new map, end with it, or (a loop) both
+        pairs += out_of[target] + into[source] - (source == target)
+        if pairs > MAX_COMPOSABLE_PAIRS:
+            raise ScopeExceeded(f"the face maps have more than {MAX_COMPOSABLE_PAIRS} "
+                                f"composable pairs, the desk-scale bound")
+
+
+class GeneralizedConeComplex(Record, frozen=True):
     """Finite diagram of cones and face maps; self-gluing allowed."""
 
     cones: tuple[Cone, ...]
@@ -162,7 +188,12 @@ class GeneralizedConeComplex:
                 raise ValueError("face map endpoints out of range")
 
     def validate(self) -> None:
-        """Full structural check: identities, legality, closure, face-completeness."""
+        """Full structural check: identities, legality, closure, face-completeness.
+
+        Closure is one check per composable pair of distinct face maps, so
+        the pairs are counted, up to their bound, before any check runs."""
+        key = {(fm.source, fm.target, fm.matrix) for fm in self.face_maps}
+        check_composable_pairs(key)
         has_identity = {fm.source for fm in self.face_maps if fm.is_identity()}
         for i in range(len(self.cones)):
             if i not in has_identity:
@@ -173,8 +204,6 @@ class GeneralizedConeComplex:
             if image is None:
                 raise ValueError(f"illegal face map {fm.source} -> {fm.target}")
             images.setdefault(fm.target, set()).add(image)
-        # composition is checked on the distinct maps, pair by composable pair
-        key = {(fm.source, fm.target, fm.matrix) for fm in self.face_maps}
         by_source: dict[int, list[tuple[int, IntMatrix]]] = {}
         for source, target, matrix in key:
             by_source.setdefault(source, []).append((target, matrix))
@@ -312,8 +341,7 @@ def nodal_cubic_complex() -> GeneralizedConeComplex:
     return GeneralizedConeComplex(cones, maps)
 
 
-@dataclass(frozen=True)
-class ComplexMorphism:
+class ComplexMorphism(Record, frozen=True):
     """Morphism of complexes: a cone assignment commuting with face maps."""
 
     source: GeneralizedConeComplex
@@ -410,8 +438,7 @@ def diagonal_morphism(F: GeneralizedConeComplex) -> ComplexMorphism:
     return ComplexMorphism(F, P, tuple(assignment))
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(Record, frozen=True):
     """A refinement of a complex together with its structure morphism."""
 
     refined: GeneralizedConeComplex
@@ -559,8 +586,7 @@ def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ImageConeFlag:
+class ImageConeFlag(Record, frozen=True):
     """The image of source cone `index`, of dimension `dim` >= 2, and whether
     its naive star in every target cone around it is a fan."""
 
@@ -569,8 +595,7 @@ class ImageConeFlag:
     naive_star_convex: bool
 
 
-@dataclass(frozen=True)
-class DiagonalSubdivision:
+class DiagonalSubdivision(Record, frozen=True):
     """Result of subdividing along a morphism.
 
     Carries the fan refinement of the target, the subcomplex of refined
@@ -662,17 +687,6 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
 
 
 # ------------------------------------------------------------------ rendering
-
-def face_poset_text(K: GeneralizedConeComplex) -> str:
-    lines = [f"cones: {K.cone_count}"]
-    for i, c in enumerate(K.cones):
-        rays = ", ".join(str(r) for r in c.rays) or "origin"
-        lines.append(f"  [{i}] dim {c.dim} rank {c.lattice_rank}: {rays}")
-    lines.append("face maps (nontrivial):")
-    for fm in K.nontrivial_face_maps():
-        lines.append(f"  {fm.source} -> {fm.target} via {fm.matrix.as_rows()}")
-    return "\n".join(lines) + "\n"
-
 
 def face_poset_dot(K: GeneralizedConeComplex) -> str:
     out = ["digraph face_poset {"]

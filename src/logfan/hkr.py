@@ -15,16 +15,15 @@ indexing is spelled out in the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import Record
 from .conecomplex import (DiagonalSubdivision, GeneralizedConeComplex,
                           Subdivision, subdivide_along_diagonal)
 from .errors import InternalInvariant, ScopeExceeded, SeriesNotSupported
 from .logmodel import FINITE, GradedEntry, LogModel
 
 
-@dataclass(frozen=True)
-class HHTable:
+class HHTable(Record, frozen=True):
     """Graded dimensions of log Hochschild homology or cohomology."""
 
     variant: str                                  # "homology" | "cohomology"
@@ -75,16 +74,14 @@ def hh_cohomology(X: LogModel) -> HHTable:
     return HHTable.build("cohomology", out)
 
 
-@dataclass(frozen=True)
-class BDescription:
+class BDescription(Record, frozen=True):
     """What the log diagonal's middle object looks like."""
 
     text: str
     torus_rank: int | None = None
 
 
-@dataclass(frozen=True)
-class LogDiagonalPicture:
+class LogDiagonalPicture(Record, frozen=True):
     """The factorization X -> B -> X x X at the cone-complex level."""
 
     base_model: LogModel
@@ -125,8 +122,7 @@ def log_diagonal(X: LogModel) -> LogDiagonalPicture:
     return LogDiagonalPicture(X, desc, diagonal)
 
 
-@dataclass(frozen=True)
-class CyclicTable:
+class CyclicTable(Record, frozen=True):
     """Periodic cyclic homology: 2-periodic even/odd totals."""
 
     even: GradedEntry

@@ -14,30 +14,32 @@ down the echelon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
+from ._record import Record, set_field
 from .errors import InternalInvariant
 
 
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record, frozen=True):
     """Immutable integer matrix, entries stored flat in row-major order."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows x cols")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -80,10 +82,6 @@ class IntMatrix:
 
     def as_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -139,8 +137,7 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record, frozen=True):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     The torsion orders satisfy d1 | d2 | ... and are each at least 2.
@@ -183,8 +180,7 @@ class FgAbelianGroup:
         return tuple(v[:self.free_rank])
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record, frozen=True):
     """U @ A @ V = D with U, V unimodular and D a divisibility-chain diagonal.
 
     The inverses of U and V are derived on first use, each from one more
@@ -194,6 +190,11 @@ class SmithDecomposition:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        set_field(self, "U", U)
+        set_field(self, "D", D)
+        set_field(self, "V", V)
 
     def diagonal(self) -> Vector:
         return self.D.diagonal()

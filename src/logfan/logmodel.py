@@ -14,11 +14,11 @@ log subset, the orbifold substrate), products, and subdivided toric models.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
 from . import _geometry as geom
 from . import monoid as monoid_mod
+from ._record import Record, set_field
 from .conecomplex import (GeneralizedConeComplex, Subdivision, from_toric_fan,
                           point_complex, product as complex_product,
                           snc_artin_fan)
@@ -32,12 +32,15 @@ FINITE = "finite"
 SERIES = "series"
 
 
-@dataclass(frozen=True)
-class GradedEntry:
+class GradedEntry(Record, frozen=True):
     """A dimension: a plain count, or a truncated weight-graded series."""
 
     kind: str
     value: int | tuple[int, ...]
+
+    def __init__(self, kind: str, value: int | tuple[int, ...]):
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
 
     @staticmethod
     def finite(n: int) -> "GradedEntry":
@@ -126,8 +129,7 @@ def _zero_entry(kind: str, truncation: int | None) -> GradedEntry:
     return GradedEntry.series([0] * (truncation + 1))
 
 
-@dataclass(frozen=True)
-class HodgeTable:
+class HodgeTable(Record, frozen=True):
     """h^p(X, Omega^{q,log}) for 0 <= p, q <= dim, one entry kind per table."""
 
     dim: int
@@ -187,8 +189,7 @@ class HodgeTable:
         return {f"{p},{q}": e.to_json() for (p, q), e in self.cells}
 
 
-@dataclass(frozen=True)
-class LogModel:
+class LogModel(Record, frozen=True):
     """A log-smooth combinatorial model; omega_log_rank always equals dim."""
 
     name: str

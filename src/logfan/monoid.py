@@ -13,10 +13,10 @@ sum inside the cokernel, image monoid, then saturation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _geometry as geom
+from ._record import Record
 from .errors import (InternalInvariant, NotSaturated, NotStronglyConvex,
                      ScopeExceeded)
 from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection, det,
@@ -29,8 +29,7 @@ MAX_MEMBERSHIP_DEPTH = 1_000
 MAX_MEMBERSHIP_STATES = 10_000
 
 
-@dataclass(frozen=True)
-class FineMonoid:
+class FineMonoid(Record, frozen=True):
     """Finitely generated submonoid of a finitely generated abelian group."""
 
     ambient: FgAbelianGroup
@@ -242,8 +241,7 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(Record, frozen=True):
     """Result of saturating a fine monoid."""
 
     saturated: FineMonoid
@@ -319,8 +317,7 @@ def is_saturated(P: FineMonoid) -> bool:
     return all(contains(P, g) for g in sat.generators)
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(Record, frozen=True):
     """Homomorphism of fine monoids, given on ambient groups.
 
     The matrix acts on presentation coordinates (target coords x source
@@ -360,8 +357,7 @@ def hom_well_defined(src: FgAbelianGroup, dst: FgAbelianGroup, matrix: IntMatrix
     return True
 
 
-@dataclass(frozen=True)
-class PushoutData:
+class PushoutData(Record, frozen=True):
     """fs pushout together with the chart maps into it."""
 
     report: SaturationReport

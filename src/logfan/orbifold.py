@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .errors import NotFirm, ScopeExceeded, TruncationTooSmall
 from .hkr import HHTable, hh_homology
 from .logmodel import GradedEntry, HodgeTable, LogModel, mixed_affine
@@ -29,8 +29,7 @@ from .logmodel import GradedEntry, HodgeTable, LogModel, mixed_affine
 MAX_GROUP_ORDER = 1_000
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
+class DiagonalAction(Record, frozen=True):
     """Finite abelian group acting by characters on model coordinates.
 
     group_orders are the cyclic factor orders; characters[j][i] is the
@@ -55,7 +54,7 @@ class DiagonalAction:
         for row in self.characters:
             if len(row) != n:
                 raise ValueError("character row length must match the coordinate count")
-        object.__setattr__(self, "characters", tuple(
+        set_field(self, "characters", tuple(
             tuple(x % d for x in row)
             for row, d in zip(self.characters, self.group_orders)))
         if self.permutation is not None:
@@ -110,8 +109,7 @@ def check_firm(a: DiagonalAction) -> bool:
     return not a._permutation_moves_rays()
 
 
-@dataclass(frozen=True)
-class TwistedSector:
+class TwistedSector(Record, frozen=True):
     """The g-summand of the orbifold decomposition."""
 
     g: tuple[int, ...]

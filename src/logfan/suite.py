@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -21,12 +20,12 @@ from . import hkr
 from . import logmodel as lm
 from . import monoid as mn
 from . import orbifold as ob
+from ._record import Record
 from .errors import InternalInvariant, NotFirm
 from .lattice import FgAbelianGroup, IntMatrix, smith_normal_form, solve_integer
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

@@ -1,7 +1,9 @@
 """CLI: parsing, execution, emission formats, determinism, fixtures."""
 
+import importlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ import time
 import pytest
 
 from logfan.cli import OPERATIONS, Document, emit, main, parse, run
+from logfan.conecomplex import MAX_COMPOSABLE_PAIRS
 from logfan.errors import (FormatUnavailable, KindMismatch, ParseError,
                            UnknownOperation, UnresolvedReference)
 
@@ -164,9 +167,12 @@ def test_main_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_main_seed_and_truncation_accepted():
+    """--truncation is accepted; --seed, which did nothing, is gone."""
     path = str(FIXTURES / "a2_product.lf.json")
-    assert main(["--seed", "42", "--truncation", "5", "run", path,
-                 "--format", "json"]) == 0
+    assert main(["--truncation", "5", "run", path, "--format", "json"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "42", "run", path])
+    assert exc.value.code == 2
 
 
 def test_negative_truncation_rejected(capsys, monkeypatch):
@@ -279,6 +285,24 @@ def test_fixtures_match_published_schema():
     for p in sorted(FIXTURES.glob("*.lf.json")):
         jsonschema.validate(json.loads(p.read_text()), schema)
     assert set(schema["$defs"]["task"]["properties"]["op"]["enum"]) == set(OPERATIONS)
+
+
+def test_every_bound_is_stated_in_readme_scale():
+    """Each MAX_* constant of src/ is named in README "Scale", with its value
+    in the same paragraph."""
+    root = FIXTURES.parent
+    scale = (root / "README.md").read_text().split("\n## Scale\n")[1].split("\n## ")[0]
+    paragraphs = [" ".join(p.split()) for p in scale.split("\n\n")]
+    bounds = {}
+    for path in sorted((root / "src" / "logfan").glob("*.py")):
+        module = importlib.import_module(f"logfan.{path.stem}")
+        for name in re.findall(r"^(MAX_\w+) =", path.read_text(), re.M):
+            bounds[name] = getattr(module, name)
+    assert len(bounds) >= 11
+    for name, value in bounds.items():
+        stated = [p for p in paragraphs if f"`{name}`" in p]
+        assert stated, f"{name} is not named in README Scale"
+        assert any(f"{value:,}" in p for p in stated), f"{name} = {value:,} is not stated"
 
 
 def test_console_script_paper_suite():
@@ -406,14 +430,26 @@ def test_large_product_task_is_out_of_scope(tmp_path, capsys):
     assert error["type"] == "ScopeExceeded" and "4096 cones" in error["message"]
 
 
+def _glued_ray(maps):
+    """The zero cone and the ray (1, 0) in rank 2, with the maps [[1, a], [0, 0]]
+    from each onto the ray: closed under composition, and 2 (maps / 2)^2
+    composable pairs."""
+    glue = [{"source": s, "target": 1, "matrix": [[1, a], [0, 0]]}
+            for a in range(maps // 2 - 1) for s in (0, 1)]
+    return {"cones": [{"rank": 2, "rays": []}, {"rank": 2, "rays": [[1, 0]]}],
+            "face_maps": [{"source": 0, "target": 0}, {"source": 1, "target": 1}] + glue}
+
+
 @pytest.mark.parametrize("fields, count", [
     ({"cones": [{"rank": 0}] * 1_001, "face_maps": []}, "'cones' has 1001 entries"),
     ({"cones": [{"rank": 0}], "face_maps": [{"source": 0, "target": 0}] * 10_001},
      "'face_maps' has 10001 entries"),
-], ids=["cones", "face_maps"])
+    (_glued_ray(10_000), "more than 100000 composable pairs"),
+], ids=["cones", "face_maps", "composable_pairs"])
 def test_large_literal_complex_is_out_of_scope(tmp_path, capsys, fields, count):
-    """A literal complex is counted before any cone is built or any face map
-    is checked."""
+    """A literal complex is counted before its face maps are checked: cones
+    and face maps before any cone is built, the composable pairs of the face
+    maps before any matrix is read."""
     p = tmp_path / "literal.lf.json"
     p.write_text(json.dumps({"version": "logfan/1",
                              "objects": {"K": {"kind": "complex", **fields}}, "tasks": []}))
@@ -423,6 +459,19 @@ def test_large_literal_complex_is_out_of_scope(tmp_path, capsys, fields, count):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ScopeExceeded: object 'K': ")
     assert count in err[0]
+
+
+def test_repeated_face_map_counts_once(tmp_path, capsys):
+    """The pre-count, like `validate`, counts distinct face maps: an identity
+    listed 317 times is 100,489 listed pairs but one composable pair."""
+    maps = [{"source": 0, "target": 0}] * 317
+    p = tmp_path / "repeated.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": {"K": {
+        "kind": "complex", "cones": [{"rank": 1}], "face_maps": maps}},
+        "tasks": []}))
+    assert 317 ** 2 > MAX_COMPOSABLE_PAIRS
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_hexagon_is_not_two_triangles(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from logfan import conecomplex as cc
 from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 GeneralizedConeComplex, diagonal_morphism,
-                                face_poset_dot, face_poset_text,
+                                face_poset_dot,
                                 from_toric_fan, is_isomorphic,
                                 nodal_cubic_complex, point_complex, product,
                                 product_projections, snc_artin_fan,
@@ -370,10 +370,10 @@ def iso_candidates_oracle(c1, c2):
     if n == 0:
         return {IntMatrix.identity(0)}
     out = set()
-    src = IntMatrix.from_columns(c1.rays, rows=n)
+    src_t = IntMatrix.from_rows(c1.rays)   # the rays of c1 as rows
     for perm in itertools.permutations(c2.rays):
         dst = IntMatrix.from_columns(perm, rows=n)
-        rows = [solve_rational(src.transpose, dst.row(i)) for i in range(n)]
+        rows = [solve_rational(src_t, dst.row(i)) for i in range(n)]
         if any(r is None or any(x.denominator != 1 for x in r) for r in rows):
             continue
         U = IntMatrix.from_rows([[int(x) for x in r] for r in rows])
@@ -597,6 +597,29 @@ def test_validate_finds_a_missing_composite():
         GeneralizedConeComplex(K.cones, maps).validate()
 
 
+def test_validate_bounds_composable_pairs_first():
+    """Closure is one check per composable pair of distinct face maps; the
+    pairs are counted before any map is checked."""
+    zero, ray = Cone.zero(2), Cone.make([(1, 0)], 2)
+
+    def glued(n, copies=1):
+        # maps [[1, a], [0, 0]] onto the ray: 2 (n + 1)^2 pairs of distinct maps
+        maps = [FaceMap(s, 1, IntMatrix.from_rows([[1, a], [0, 0]]))
+                for a in range(n) for s in (0, 1)] * copies
+        ends = [FaceMap(i, i, IntMatrix.identity(2)) for i in (0, 1)]
+        return GeneralizedConeComplex((zero, ray), tuple(ends + maps))
+
+    glued(10, copies=100).validate()     # 2,000 listed maps, 242 distinct pairs
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="more than 100000 composable pairs"):
+        glued(223).validate()
+    assert time.perf_counter() - start < 0.1
+    # n distinct maps of a cone to itself have n^2 pairs: 99,856 pass, 100,489 do not
+    cc.check_composable_pairs([(0, 0, a) for a in range(316)] * 2)
+    with pytest.raises(ScopeExceeded):
+        cc.check_composable_pairs([(0, 0, a) for a in range(317)])
+
+
 def test_large_diagonal_is_out_of_scope():
     """The product is sized before it is built: the diagonal of 200 disjoint
     rays (201 cones) is refused at once."""
@@ -605,6 +628,17 @@ def test_large_diagonal_is_out_of_scope():
     with pytest.raises(ScopeExceeded, match="40401 cones"):
         subdivide_along_diagonal(rays)
     assert time.perf_counter() - start < 0.1
+
+
+def face_poset_text(K: GeneralizedConeComplex) -> str:
+    lines = [f"cones: {K.cone_count}"]
+    for i, c in enumerate(K.cones):
+        rays = ", ".join(str(r) for r in c.rays) or "origin"
+        lines.append(f"  [{i}] dim {c.dim} rank {c.lattice_rank}: {rays}")
+    lines.append("face maps (nontrivial):")
+    for fm in K.nontrivial_face_maps():
+        lines.append(f"  {fm.source} -> {fm.target} via {fm.matrix.as_rows()}")
+    return "\n".join(lines) + "\n"
 
 
 def test_renderings():
