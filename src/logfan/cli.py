@@ -500,6 +500,8 @@ def parse(text: str, truncation: int | None = None) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("document nested too deeply")
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     version = _field(raw, "version", default=None)
@@ -595,11 +597,48 @@ def _render_value(value, indent="    "):
     return f"{indent}{value}"
 
 
+_escape_json = json.encoder.encode_basestring_ascii   # the stdlib encoder's C escaper
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append to `out` the stdlib's JSON text of `value` with sorted keys and
+    `indent=2`, in parts; `indent` is a newline and the current level's spaces."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep + inner + _escape_json(key) + ": ")   # TypeError on a non-str key
+            _write_json(value[key], out, inner)
+            sep = ","
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        if value and all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+            return
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]" if value else "[]")
+    elif isinstance(value, str):
+        out.append(_escape_json(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(report: Report, format: str = "text") -> bytes:
     """Serialize a report; bit-stable for a fixed input and version."""
     if format == "json":
-        payload = {"version": VERSION_TAG, "results": report.results}
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        out: list = []
+        _write_json({"version": VERSION_TAG, "results": report.results}, out, "\n")
+        return ("".join(out) + "\n").encode()
     if format == "text":
         blocks = []
         for r in report.results:

@@ -1,5 +1,6 @@
 """CLI: parsing, execution, emission formats, determinism, fixtures."""
 
+import hashlib
 import importlib
 import json
 import pathlib
@@ -15,7 +16,8 @@ from logfan.conecomplex import MAX_COMPOSABLE_PAIRS
 from logfan.errors import (FormatUnavailable, KindMismatch, ParseError,
                            UnknownOperation, UnresolvedReference)
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 MINIMAL = """
 {
@@ -115,6 +117,19 @@ def test_json_round_trip_and_determinism():
         assert parsed["results"] == r1.results
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("fixture", sorted(p.name[:-len(".lf.json")]
+                                            for p in FIXTURES.glob("*.lf.json")))
+def test_fixture_output_bytes_are_pinned(capsysbinary, fixture, fmt):
+    """Every fixture's stdout is byte-identical to its digest in the benchmark
+    goldens (read here, never written)."""
+    goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["outputs"]
+    status = main(["run", str(FIXTURES / f"{fixture}.lf.json"), "--format", fmt])
+    assert status == (1 if fixture == "orbifold_a1" else 0)
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == goldens[f"fixture:{fixture}:{fmt}"]
+
+
 def test_fixture_r_lines_component_counts():
     report = run(parse((FIXTURES / "r_lines.lf.json").read_text()))
     counts = [r["data"]["component_count"] for r in report.results]
@@ -164,6 +179,18 @@ def test_main_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.lf.json"
     bad.write_text("{]")
     assert main(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("depth", [995, 100_000])
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys, depth):
+    """A document nested past the JSON parser's recursion limit is refused
+    with a ParseError and exit 2, not a RecursionError traceback."""
+    deep = "[" * depth + "]" * depth
+    p = tmp_path / "deep.lf.json"
+    p.write_text('{"version": "logfan/1", "objects": {"M": {"kind": "matrix", '
+                 f'"entries": {deep}}}}}, "tasks": []}}')
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == "ParseError: document nested too deeply\n"
 
 
 def test_main_seed_and_truncation_accepted():
