@@ -10,7 +10,7 @@ from .errors import (FormatUnavailable, InternalInvariant, KindMismatch,
                      LogfanError, NotAFan, NotComplete, NotFirm,
                      NotSaturated, NotSimplicial,
                      NotStronglyConvex, ParseError, RayOutsideSupport,
-                     ScopeExceeded, SeriesNotSupported, TruncationTooSmall,
+                     ScopeExceeded, SeriesNotSupported,
                      UnknownOperation, UnresolvedReference)
 from .lattice import (FgAbelianGroup, IntMatrix, SmithDecomposition, cokernel,
                       saturate_subgroup, smith_normal_form)

@@ -109,7 +109,7 @@ def primitive_rays(rays) -> tuple[Vector, ...]:
 _GEOMETRIES: dict[tuple[int, tuple[Vector, ...]], "ConeGeometry"] = {}
 
 
-class ConeGeometry(Record, frozen=True):
+class ConeGeometry(Record):
     """Cached double description of a single rational cone."""
 
     dim: int

@@ -1,8 +1,8 @@
 """Records: classes whose fields are their annotations, as with `dataclasses`,
 without its import and its `exec` per class.  `Record` reads a subclass's
 fields and defaults once and supplies `__init__` (then `__post_init__`), `==`
-within one class, the dataclass `repr` and, with `frozen=True`, a hash of the
-fields and the refusal to assign.
+within one class, the dataclass `repr`, a hash of the fields and the refusal
+to assign: every record is frozen.
 """
 
 from operator import attrgetter
@@ -14,7 +14,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__annotations__", ()))
         get = attrgetter(*names)
@@ -30,9 +30,7 @@ class Record:
 
         cls._fields, cls._values, cls.__eq__ = names, staticmethod(values), __eq__
         cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-        cls.__hash__ = __hash__ if frozen else None
-        if frozen:
-            cls.__setattr__, cls.__delattr__ = Record._refuse, Record._refuse
+        cls.__hash__ = __hash__
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -56,3 +54,5 @@ class Record:
 
     def _refuse(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _refuse

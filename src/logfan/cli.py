@@ -39,23 +39,17 @@ class Task(Record):
     index: int
     op: str
     args: dict
-    label: str | None = None
+    label: str | None
 
 
 class Document(Record):
-    version: str
     objects: dict
-    kinds: dict
     tasks: list[Task]
-    truncation: int = lm.DEFAULT_TRUNCATION
 
 
 class Report(Record):
     results: list[dict]
     attachments: list   # (label, complex) pairs
-
-    def __init__(self, results: list[dict], attachments: list | None = None):
-        super().__init__(results, [] if attachments is None else attachments)
 
     @property
     def exit_status(self) -> int:
@@ -68,7 +62,7 @@ class Report(Record):
 # it.  A reader checks a JSON value and returns it as a Python value; its
 # messages name the field, and `_named` puts the object or task in front.
 
-MAX_DIMENSION = 6         # `d` of affine_space and `coords` of mixed_affine
+MAX_DIMENSION = 6         # `d` of affine_space, `coords` of mixed_affine, toric `rank`
 MAX_MARKED_POINTS = 64    # `n` of marked_p1
 MAX_FACE_MAPS = 10_000    # face maps of a literal complex
 
@@ -197,7 +191,7 @@ def _build_hom(spec, resolve, truncation) -> mn.MonoidHom:
 
 def _toric_fields(spec):
     """Rays, maximal cones and rank of a toric fan."""
-    rank = _field(spec, "rank", _nat)
+    rank = _field(spec, "rank", _nat, limit=MAX_DIMENSION)
     rays = _field(spec, "rays", _vectors, length=rank)
     return rays, _field(spec, "maximal_cones", _vectors, below=len(rays)), rank
 
@@ -221,20 +215,26 @@ def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
         rank = _field(c, "rank", _nat)
         cones.append(cc.Cone.make(_field(c, "rays", _vectors, (), length=rank), rank))
 
+    identities = [IntMatrix.identity(c.lattice_rank) for c in cones]
+
     def ends(m):
         return (_field(m, "source", _nat, below=len(cones)),
                 _field(m, "target", _nat, below=len(cones)))
 
+    def written(m):
+        source, target = ends(m)
+        matrix = m["matrix"] if "matrix" in m else identities[target].as_rows()
+        return source, target, repr(matrix)
+
     # the maps `validate` counts, told apart by their matrices as written: a
     # document past the bound is refused before any matrix, or any map past
     # the bound, is read
-    cc.check_composable_pairs((*ends(m), repr(m.get("matrix"))) for m in raw_maps)
+    cc.check_composable_pairs(map(written, raw_maps))
     maps = []
     for m in raw_maps:
         source, target = ends(m)
-        matrix = _field(m, "matrix", _matrix, None)
-        maps.append(cc.FaceMap(source, target, matrix if matrix is not None else
-                               IntMatrix.identity(cones[target].lattice_rank)))
+        matrix = _field(m, "matrix", _matrix, identities[target])
+        maps.append(cc.FaceMap(source, target, matrix))
     K = cc.GeneralizedConeComplex(tuple(cones), tuple(maps))
     K.validate()
     return K
@@ -546,7 +546,7 @@ def parse(text: str, truncation: int | None = None) -> Document:
         build(name)
     tasks = [_named(f"task {i}", _task, i, t, resolve)
              for i, t in enumerate(_field(raw, "tasks", _list, []))]
-    return Document(version, objects, kinds, tasks, truncation)
+    return Document(objects, tasks)
 
 
 # ------------------------------------------------------------------- running

@@ -41,7 +41,7 @@ MAX_COMPOSABLE_PAIRS = 100_000
 _CONES: dict[tuple[int, tuple[Vector, ...]], "Cone"] = {}
 
 
-class Cone(Record, frozen=True):
+class Cone(Record):
     """Strongly convex rational cone given by primitive ray generators."""
 
     lattice_rank: int
@@ -68,7 +68,7 @@ class Cone(Record, frozen=True):
         return c
 
     @staticmethod
-    def zero(rank: int = 0) -> "Cone":
+    def zero(rank: int) -> "Cone":
         return Cone(rank, ())
 
     @cached_property
@@ -123,7 +123,7 @@ class Cone(Record, frozen=True):
         return saturate_subgroup(self.rays, self.lattice_rank)
 
 
-class FaceMap(Record, frozen=True):
+class FaceMap(Record):
     """Lattice map carrying the source cone isomorphically onto a face of the target."""
 
     source: int
@@ -175,7 +175,7 @@ def check_composable_pairs(maps) -> None:
                                 f"composable pairs, the desk-scale bound")
 
 
-class GeneralizedConeComplex(Record, frozen=True):
+class GeneralizedConeComplex(Record):
     """Finite diagram of cones and face maps; self-gluing allowed."""
 
     cones: tuple[Cone, ...]
@@ -341,7 +341,7 @@ def nodal_cubic_complex() -> GeneralizedConeComplex:
     return GeneralizedConeComplex(cones, maps)
 
 
-class ComplexMorphism(Record, frozen=True):
+class ComplexMorphism(Record):
     """Morphism of complexes: a cone assignment commuting with face maps."""
 
     source: GeneralizedConeComplex
@@ -438,11 +438,14 @@ def diagonal_morphism(F: GeneralizedConeComplex) -> ComplexMorphism:
     return ComplexMorphism(F, P, tuple(assignment))
 
 
-class Subdivision(Record, frozen=True):
-    """A refinement of a complex together with its structure morphism."""
+class Subdivision(Record):
+    """A refinement of a complex, given by its structure morphism."""
 
-    refined: GeneralizedConeComplex
     structure: ComplexMorphism        # refined -> original
+
+    @property
+    def refined(self) -> GeneralizedConeComplex:
+        return self.structure.source
 
     def is_trivial(self) -> bool:
         return self.refined == self.structure.target
@@ -512,7 +515,7 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
         if home is None:
             raise RayOutsideSupport(f"{v} lies in no cone of the complex")
     if v in home.rays:
-        return Subdivision(F, identity_morphism(F))
+        return Subdivision(identity_morphism(F))
     if not F.is_embedded:
         raise ScopeExceeded("stellar subdivision of self-glued complexes is not supported")
     refined, homes = _stellar(F, v, tuple(range(len(F.cones))))
@@ -523,7 +526,7 @@ def _homed(refined: GeneralizedConeComplex, original: GeneralizedConeComplex,
            homes) -> Subdivision:
     """The subdivision whose structure morphism sends refined cone i to
     original cone homes[i], the smallest one containing it."""
-    return Subdivision(refined, ComplexMorphism(refined, original, tuple(
+    return Subdivision(ComplexMorphism(refined, original, tuple(
         (j, IntMatrix.identity(c.lattice_rank)) for j, c in zip(homes, refined.cones))))
 
 
@@ -586,7 +589,7 @@ def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
     return True
 
 
-class ImageConeFlag(Record, frozen=True):
+class ImageConeFlag(Record):
     """The image of source cone `index`, of dimension `dim` >= 2, and whether
     its naive star in every target cone around it is a fan."""
 
@@ -595,7 +598,7 @@ class ImageConeFlag(Record, frozen=True):
     naive_star_convex: bool
 
 
-class DiagonalSubdivision(Record, frozen=True):
+class DiagonalSubdivision(Record):
     """Result of subdividing along a morphism.
 
     Carries the fan refinement of the target, the subcomplex of refined
@@ -603,7 +606,6 @@ class DiagonalSubdivision(Record, frozen=True):
     cones of the refinement) the factoring morphism through that subcomplex.
     """
 
-    morphism: ComplexMorphism
     subdivision: Subdivision
     image_subcomplex: GeneralizedConeComplex
     factoring: ComplexMorphism | None
@@ -683,7 +685,7 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     found = [lookup.get(ig.rays) for ig in image_geoms]
     factoring = None if None in found else ComplexMorphism(
         phi.source, image_subcomplex, tuple((j, m) for j, (_, m) in zip(found, phi.assignment)))
-    return DiagonalSubdivision(phi, sub, image_subcomplex, factoring, tuple(image_flags))
+    return DiagonalSubdivision(sub, image_subcomplex, factoring, tuple(image_flags))
 
 
 # ------------------------------------------------------------------ rendering

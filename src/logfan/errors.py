@@ -49,10 +49,6 @@ class SeriesNotSupported(LogfanError):
     """The operation is only defined for models with finite Hodge entries."""
 
 
-class TruncationTooSmall(LogfanError):
-    """A coefficient beyond the stored series truncation was requested."""
-
-
 class ParseError(LogfanError):
     """An input document is syntactically or structurally invalid."""
 

@@ -23,16 +23,14 @@ from .errors import InternalInvariant, ScopeExceeded, SeriesNotSupported
 from .logmodel import FINITE, GradedEntry, LogModel
 
 
-class HHTable(Record, frozen=True):
+class HHTable(Record):
     """Graded dimensions of log Hochschild homology or cohomology."""
 
-    variant: str                                  # "homology" | "cohomology"
     degrees: tuple[tuple[int, GradedEntry], ...]  # sorted, nonzero entries only
 
     @staticmethod
-    def build(variant: str, entries: dict) -> "HHTable":
-        cells = tuple(sorted((n, e) for n, e in entries.items() if not e.is_zero()))
-        return HHTable(variant, cells)
+    def build(entries: dict) -> "HHTable":
+        return HHTable(tuple(sorted((n, e) for n, e in entries.items() if not e.is_zero())))
 
     def entry(self, n: int) -> GradedEntry | None:
         for d, e in self.degrees:
@@ -60,7 +58,7 @@ def hh_homology(X: LogModel) -> HHTable:
     for (p, q), e in X.hodge.cells:
         n = q - p
         out[n] = out[n] + e if n in out else e
-    return HHTable.build("homology", out)
+    return HHTable.build(out)
 
 
 def hh_cohomology(X: LogModel) -> HHTable:
@@ -71,22 +69,32 @@ def hh_cohomology(X: LogModel) -> HHTable:
     for (p, q), e in X.dual_hodge.cells:
         n = p + q
         out[n] = out[n] + e if n in out else e
-    return HHTable.build("cohomology", out)
+    return HHTable.build(out)
 
 
-class BDescription(Record, frozen=True):
+class BDescription(Record):
     """What the log diagonal's middle object looks like."""
 
     text: str
-    torus_rank: int | None = None
+    torus_rank: int | None
 
 
-class LogDiagonalPicture(Record, frozen=True):
+class LogDiagonalPicture(Record):
     """The factorization X -> B -> X x X at the cone-complex level."""
 
     base_model: LogModel
-    b_description: BDescription
     diagonal: DiagonalSubdivision     # fan x fan subdivided along the diagonal
+
+    @property
+    def b_description(self) -> BDescription:
+        X = self.base_model
+        if X.kind == "point" or X.dimension == 0:
+            return BDescription("point", 0)
+        if X.kind == "toric":
+            d = X.dimension
+            torus = "G_m" if d == 1 else f"G_m^{d}"
+            return BDescription(f"{X.name} x {torus}", d)
+        return BDescription(f"B({X.name})", None)
 
     @property
     def diagonal_subdivision(self) -> Subdivision:
@@ -109,20 +117,12 @@ def log_diagonal(X: LogModel) -> LogDiagonalPicture:
     if not fan.is_embedded:
         raise ScopeExceeded("diagonal pictures need an embedded (fan-like) Artin fan")
     diagonal = subdivide_along_diagonal(fan)
-    if X.kind == "point" or X.dimension == 0:
-        desc = BDescription("point", 0)
-    elif X.kind == "toric":
-        d = X.dimension
-        torus = "G_m" if d == 1 else f"G_m^{d}"
-        desc = BDescription(f"{X.name} x {torus}", d)
-    else:
-        desc = BDescription(f"B({X.name})", None)
     if diagonal.factoring is None:
         raise InternalInvariant(f"{X.name}: the diagonal should factor through its image")
-    return LogDiagonalPicture(X, desc, diagonal)
+    return LogDiagonalPicture(X, diagonal)
 
 
-class CyclicTable(Record, frozen=True):
+class CyclicTable(Record):
     """Periodic cyclic homology: 2-periodic even/odd totals."""
 
     even: GradedEntry

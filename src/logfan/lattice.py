@@ -25,7 +25,7 @@ from .errors import InternalInvariant
 Vector = tuple[int, ...]
 
 
-class IntMatrix(Record, frozen=True):
+class IntMatrix(Record):
     """Immutable integer matrix, entries stored flat in row-major order."""
 
     rows: int
@@ -137,7 +137,7 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-class FgAbelianGroup(Record, frozen=True):
+class FgAbelianGroup(Record):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     The torsion orders satisfy d1 | d2 | ... and are each at least 2.
@@ -180,7 +180,7 @@ class FgAbelianGroup(Record, frozen=True):
         return tuple(v[:self.free_rank])
 
 
-class SmithDecomposition(Record, frozen=True):
+class SmithDecomposition(Record):
     """U @ A @ V = D with U, V unimodular and D a divisibility-chain diagonal.
 
     The inverses of U and V are derived on first use, each from one more

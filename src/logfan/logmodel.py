@@ -1,7 +1,8 @@
 """Desk-scale log-smooth models: an Artin fan plus a log Hodge table.
 
 A model packages exactly what the homology calculators consume: its cone
-complex, its dimension, flags, and the table h^p(X, Omega^{q,log}).  For
+complex, its flags, and the table h^p(X, Omega^{q,log}), which fixes its
+dimension, whether it is affine and its truncation.  For
 affine models the entries are weight-graded dimension series truncated at a
 configurable order; for complete models they are plain integers.  The two
 kinds never mix inside one table.
@@ -32,21 +33,20 @@ FINITE = "finite"
 SERIES = "series"
 
 
-class GradedEntry(Record, frozen=True):
-    """A dimension: a plain count, or a truncated weight-graded series."""
+class GradedEntry(Record):
+    """A dimension: a plain count (an int), or a truncated weight-graded
+    series (a tuple of coefficients)."""
 
-    kind: str
     value: int | tuple[int, ...]
 
-    def __init__(self, kind: str, value: int | tuple[int, ...]):
-        set_field(self, "kind", kind)
+    def __init__(self, value: int | tuple[int, ...]):
         set_field(self, "value", value)
 
     @staticmethod
     def finite(n: int) -> "GradedEntry":
         if n < 0:
             raise ValueError("dimensions are nonnegative")
-        return GradedEntry(FINITE, int(n))
+        return GradedEntry(int(n))
 
     @staticmethod
     def series(coeffs, truncation: int | None = None) -> "GradedEntry":
@@ -55,7 +55,11 @@ class GradedEntry(Record, frozen=True):
             coeffs = (coeffs + [0] * (truncation + 1))[:truncation + 1]
         if any(c < 0 for c in coeffs):
             raise ValueError("series coefficients are nonnegative")
-        return GradedEntry(SERIES, tuple(coeffs))
+        return GradedEntry(tuple(coeffs))
+
+    @property
+    def kind(self) -> str:
+        return FINITE if isinstance(self.value, int) else SERIES
 
     @property
     def truncation(self) -> int | None:
@@ -129,7 +133,7 @@ def _zero_entry(kind: str, truncation: int | None) -> GradedEntry:
     return GradedEntry.series([0] * (truncation + 1))
 
 
-class HodgeTable(Record, frozen=True):
+class HodgeTable(Record):
     """h^p(X, Omega^{q,log}) for 0 <= p, q <= dim, one entry kind per table."""
 
     dim: int
@@ -156,10 +160,7 @@ class HodgeTable(Record, frozen=True):
 
     @property
     def truncation(self) -> int | None:
-        for _, e in self.cells:
-            if e.kind == SERIES:
-                return e.truncation
-        return None
+        return self.cells[0][1].truncation if self.cells else None
 
     def entry(self, p: int, q: int) -> GradedEntry:
         for key, e in self.cells:
@@ -189,40 +190,45 @@ class HodgeTable(Record, frozen=True):
         return {f"{p},{q}": e.to_json() for (p, q), e in self.cells}
 
 
-class LogModel(Record, frozen=True):
-    """A log-smooth combinatorial model; omega_log_rank always equals dim."""
+class LogModel(Record):
+    """A log-smooth combinatorial model; omega_log_rank always equals dim.
+
+    The Hodge table fixes the dimension, whether the model is affine (its
+    entries are weight series) and the series truncation."""
 
     name: str
-    dimension: int
     artin_fan: GeneralizedConeComplex
     hodge: HodgeTable
     dual_hodge: HodgeTable | None
     kind: str
     complete: bool
-    affine: bool
     open_euler: int | None         # chi(X minus D) where known, else None
     log_coords: tuple[int, ...] = ()
-    truncation: int | None = None
 
     def __post_init__(self):
-        if self.affine:
-            for (p, q), e in self.hodge.cells:
-                if p > 0 and not e.is_zero():
-                    raise ValueError("affine models have no higher cohomology")
+        # a series table has no entry with p > 0
+        if self.affine and any(p > 0 and not e.is_zero() for (p, _), e in self.hodge.cells):
+            raise ValueError("affine models have no higher cohomology")
 
     @property
-    def omega_log_rank(self) -> int:
-        return self.dimension
+    def dimension(self) -> int:
+        return self.hodge.dim
 
     @property
-    def entry_kind(self) -> str:
-        return self.hodge.kind
+    def affine(self) -> bool:
+        return self.hodge.kind == SERIES
+
+    @property
+    def truncation(self) -> int | None:
+        return self.hodge.truncation
+
+    omega_log_rank = dimension
 
 
 def point_model() -> LogModel:
     table = HodgeTable.build(0, {(0, 0): GradedEntry.finite(1)})
-    return LogModel("point", 0, point_complex(), table, table,
-                    kind="point", complete=True, affine=False, open_euler=1)
+    return LogModel("point", point_complex(), table, table,
+                    kind="point", complete=True, open_euler=1)
 
 
 def _covers_space(fan: GeneralizedConeComplex, rank: int) -> bool:
@@ -254,8 +260,7 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
             raise NotComplete("fan support is not the whole space")
         entries = {(0, q): GradedEntry.finite(comb(rank, q)) for q in range(rank + 1)}
         table = HodgeTable.build(rank, entries)
-        return LogModel(name, rank, fan, table, table,
-                        kind="toric", complete=True, affine=False,
+        return LogModel(name, fan, table, table, kind="toric", complete=True,
                         open_euler=0 ** rank)    # chi of the torus (C^*)^rank
     if len(maximal_cones) != 1:
         raise ScopeExceeded("affine toric models use a single maximal cone")
@@ -270,9 +275,8 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
         dual_entries = {(0, q): (GradedEntry.finite(comb(rank, q)) * S).shifted(q)
                         for q in range(rank + 1)}
         dual = HodgeTable.build(rank, dual_entries)
-    return LogModel(name, rank, fan, table, dual,
-                    kind="toric", complete=False, affine=True, open_euler=None,
-                    log_coords=tuple(range(rank)), truncation=truncation)
+    return LogModel(name, fan, table, dual, kind="toric", complete=False,
+                    open_euler=None, log_coords=tuple(range(rank)))
 
 
 def _affine_weight_series(sigma_rays, rank: int, truncation: int) -> GradedEntry:
@@ -343,9 +347,9 @@ def marked_p1(n: int) -> LogModel:
         (1, 1): GradedEntry.finite(_line_bundle_h1(2 - n)),
     }
     fan = snc_artin_fan([(i,) for i in range(n)]) if n else point_complex()
-    return LogModel(f"P^1 with {n} marked points", 1, fan,
+    return LogModel(f"P^1 with {n} marked points", fan,
                     HodgeTable.build(1, entries), HodgeTable.build(1, dual_entries),
-                    kind="marked_p1", complete=True, affine=False, open_euler=2 - n)
+                    kind="marked_p1", complete=True, open_euler=2 - n)
 
 
 def nodal_cubic() -> LogModel:
@@ -357,8 +361,8 @@ def nodal_cubic() -> LogModel:
     one = GradedEntry.finite(1)
     entries = {(0, 0): one, (1, 0): one, (0, 1): one, (1, 1): one}
     table = HodgeTable.build(1, entries)
-    return LogModel("nodal cubic", 1, nodal_cubic_complex(), table, table,
-                    kind="nodal_cubic", complete=True, affine=False, open_euler=0)
+    return LogModel("nodal cubic", nodal_cubic_complex(), table, table,
+                    kind="nodal_cubic", complete=True, open_euler=0)
 
 
 def mixed_affine(num_coords: int, log_coords, *,
@@ -395,15 +399,14 @@ def mixed_affine(num_coords: int, log_coords, *,
         fan = from_toric_fan(rays, [tuple(range(l))], l)
     else:
         fan = point_complex()
-    return LogModel(name, num_coords, fan, HodgeTable.build(num_coords, entries),
-                    None, kind="mixed_affine", complete=(num_coords == 0),
-                    affine=True, open_euler=None, log_coords=log_coords,
-                    truncation=truncation)
+    return LogModel(name, fan, HodgeTable.build(num_coords, entries), None,
+                    kind="mixed_affine", complete=(num_coords == 0),
+                    open_euler=None, log_coords=log_coords)
 
 
 def product_model(X: LogModel, Y: LogModel) -> LogModel:
     """Product: Artin fans multiply, Hodge tables convolve (Kunneth)."""
-    if X.entry_kind == SERIES and Y.entry_kind == SERIES:
+    if X.hodge.kind == SERIES and Y.hodge.kind == SERIES:
         raise KindMismatch("series x series product models are out of scope")
     table = X.hodge.convolve(Y.hodge)
     dual = None
@@ -413,13 +416,10 @@ def product_model(X: LogModel, Y: LogModel) -> LogModel:
         except KindMismatch:
             dual = None
     fan = complex_product(X.artin_fan, Y.artin_fan)
-    return LogModel(f"{X.name} x {Y.name}", X.dimension + Y.dimension, fan,
-                    table, dual, kind="product",
+    return LogModel(f"{X.name} x {Y.name}", fan, table, dual, kind="product",
                     complete=X.complete and Y.complete,
-                    affine=X.affine or Y.affine,
                     open_euler=(None if X.open_euler is None or Y.open_euler is None
-                                else X.open_euler * Y.open_euler),
-                    truncation=X.truncation if X.truncation is not None else Y.truncation)
+                                else X.open_euler * Y.open_euler))
 
 
 def subdivided_model(X: LogModel, s: Subdivision) -> LogModel:
@@ -433,6 +433,5 @@ def subdivided_model(X: LogModel, s: Subdivision) -> LogModel:
         raise ScopeExceeded("subdivision does not refine this model's fan")
     if not s.all_unimodular():
         raise ScopeExceeded("subdivision must be unimodular (log modification)")
-    return LogModel(f"{X.name} (subdivided)", X.dimension, s.refined,
-                    X.hodge, X.dual_hodge, kind="toric",
-                    complete=True, affine=False, open_euler=X.open_euler)
+    return LogModel(f"{X.name} (subdivided)", s.refined, X.hodge, X.dual_hodge,
+                    kind="toric", complete=True, open_euler=X.open_euler)

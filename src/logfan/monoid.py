@@ -29,7 +29,7 @@ MAX_MEMBERSHIP_DEPTH = 1_000
 MAX_MEMBERSHIP_STATES = 10_000
 
 
-class FineMonoid(Record, frozen=True):
+class FineMonoid(Record):
     """Finitely generated submonoid of a finitely generated abelian group."""
 
     ambient: FgAbelianGroup
@@ -241,19 +241,23 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
     return False
 
 
-class SaturationReport(Record, frozen=True):
+class SaturationReport(Record):
     """Result of saturating a fine monoid."""
 
     saturated: FineMonoid
-    torsion_order: int
     index_data: tuple[Vector, ...]   # generators the saturation added
 
+    @property
+    def torsion_order(self) -> int:
+        """|torsion(P^gp)|, which saturating P does not change."""
+        return self.saturated.gp_torsion_order
 
-def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
-    """Generators of P^sat inside the ambient group, plus |torsion(P^gp)|."""
+
+def _saturate_generators(P: FineMonoid) -> tuple[Vector, ...]:
+    """Generators of P^sat inside the ambient group."""
     G = P.ambient
     f = G.free_rank
-    torsion_order, torsion_gens = P._gp_torsion
+    torsion_gens = P._gp_torsion[1]
     # The HNF rows of P^gp with a nonzero free part have as free parts the HNF
     # basis of the free parts of P^gp; the other rows are an HNF basis of its
     # torsion.
@@ -292,7 +296,7 @@ def _saturate_generators(P: FineMonoid) -> tuple[tuple[Vector, ...], int]:
             vec = tuple(sum(c * row[j] for c, row in zip(u, free_rows))
                         for j in range(G.num_coords))
             out.append(G.reduce(reduce_mod_lattice(vec, K)))
-    return tuple(out), torsion_order
+    return tuple(out)
 
 
 def saturate(P: FineMonoid) -> SaturationReport:
@@ -302,13 +306,11 @@ def saturate(P: FineMonoid) -> SaturationReport:
     parts; the full torsion subgroup of P^gp is absorbed.  Re-saturating
     the result is checked to change nothing.
     """
-    gens, torsion_order = _saturate_generators(P)
-    sat = FineMonoid.make(P.ambient, gens)
+    sat = FineMonoid.make(P.ambient, _saturate_generators(P))
     added = tuple(g for g in sat.generators if g not in set(P.generators))
-    gens2, _ = _saturate_generators(sat)
-    if FineMonoid.make(P.ambient, gens2) != sat:
+    if FineMonoid.make(P.ambient, _saturate_generators(sat)) != sat:
         raise InternalInvariant("saturation failed to be idempotent")
-    return SaturationReport(sat, torsion_order, added)
+    return SaturationReport(sat, added)
 
 
 def is_saturated(P: FineMonoid) -> bool:
@@ -317,7 +319,7 @@ def is_saturated(P: FineMonoid) -> bool:
     return all(contains(P, g) for g in sat.generators)
 
 
-class MonoidHom(Record, frozen=True):
+class MonoidHom(Record):
     """Homomorphism of fine monoids, given on ambient groups.
 
     The matrix acts on presentation coordinates (target coords x source
@@ -357,14 +359,16 @@ def hom_well_defined(src: FgAbelianGroup, dst: FgAbelianGroup, matrix: IntMatrix
     return True
 
 
-class PushoutData(Record, frozen=True):
+class PushoutData(Record):
     """fs pushout together with the chart maps into it."""
 
     report: SaturationReport
-    ambient: FgAbelianGroup
-    unsaturated: FineMonoid
     leg_left: IntMatrix    # target-of-f coords -> pushout coords
     leg_right: IntMatrix   # target-of-g coords -> pushout coords
+
+    @property
+    def ambient(self) -> FgAbelianGroup:
+        return self.report.saturated.ambient
 
 
 def amalgamated_sum(f: MonoidHom, g: MonoidHom) -> PushoutData:
@@ -399,8 +403,7 @@ def amalgamated_sum(f: MonoidHom, g: MonoidHom) -> PushoutData:
 
     gens = [leg_left.apply(v) for v in P.generators] + \
            [leg_right.apply(v) for v in Q.generators]
-    unsat = FineMonoid.make(H, gens)
-    return PushoutData(saturate(unsat), H, unsat, leg_left, leg_right)
+    return PushoutData(saturate(FineMonoid.make(H, gens)), leg_left, leg_right)
 
 
 def fs_pushout(f: MonoidHom, g: MonoidHom) -> SaturationReport:

@@ -22,14 +22,14 @@ import math
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .errors import NotFirm, ScopeExceeded, TruncationTooSmall
+from .errors import NotFirm, ScopeExceeded
 from .hkr import HHTable, hh_homology
 from .logmodel import GradedEntry, HodgeTable, LogModel, mixed_affine
 
 MAX_GROUP_ORDER = 1_000
 
 
-class DiagonalAction(Record, frozen=True):
+class DiagonalAction(Record):
     """Finite abelian group acting by characters on model coordinates.
 
     group_orders are the cyclic factor orders; characters[j][i] is the
@@ -109,16 +109,19 @@ def check_firm(a: DiagonalAction) -> bool:
     return not a._permutation_moves_rays()
 
 
-class TwistedSector(Record, frozen=True):
+class TwistedSector(Record):
     """The g-summand of the orbifold decomposition."""
 
     g: tuple[int, ...]
     locus: LogModel | None
-    hodge_contribution: HodgeTable | None
 
     @property
     def is_empty(self) -> bool:
         return self.locus is None
+
+    @property
+    def hodge_contribution(self) -> HodgeTable | None:
+        return None if self.locus is None else self.locus.hodge
 
 
 def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
@@ -131,23 +134,23 @@ def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
             0 <= x < d for x, d in zip(g, a.group_orders)):
         raise ValueError(f"element {g} must give one residue per order {a.group_orders}")
     if g == a.identity() or not a.group_orders:
-        return TwistedSector(g, a.model, a.model.hodge)
+        return TwistedSector(g, a.model)
     if a.model.kind != "mixed_affine":
         raise ScopeExceeded("twisted sectors are computed for mixed-affine models")
     if a.permutation is not None and any(a.permutation[i] != i
                                          for i in range(len(a.permutation))):
         raise ScopeExceeded("sector machinery needs a purely diagonal action")
     if any(not a.acts_trivially(g, i) for i in a.model.log_coords):
-        return TwistedSector(g, None, None)
+        return TwistedSector(g, None)
     fixed = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
     log_positions = [fixed.index(i) for i in a.model.log_coords]
     locus = mixed_affine(len(fixed), log_positions,
                          truncation=a.model.truncation,
                          name=f"{a.model.name} ^ g={g}")
-    return TwistedSector(g, locus, locus.hodge)
+    return TwistedSector(g, locus)
 
 
-def orbifold_hh(a: DiagonalAction, truncation: int | None = None) -> HHTable:
+def orbifold_hh(a: DiagonalAction) -> HHTable:
     """Orbifold log Hochschild homology: sector sum followed by G-invariants.
 
     Sectors are affine here, so homology degree n only sees q = n.  A basis
@@ -162,11 +165,6 @@ def orbifold_hh(a: DiagonalAction, truncation: int | None = None) -> HHTable:
     if a.model.kind != "mixed_affine":
         raise ScopeExceeded("orbifold tables are computed for mixed-affine models")
     N = a.model.truncation
-    if truncation is not None:
-        if truncation > N:
-            raise TruncationTooSmall(
-                f"model series are truncated at {N}, requested {truncation}")
-        N = truncation
 
     counts = [[0] * (N + 1) for _ in range(a.model.dimension + 1)]
     for g in a.elements():
@@ -176,7 +174,7 @@ def orbifold_hh(a: DiagonalAction, truncation: int | None = None) -> HHTable:
         for (q, w, residue), c in _residue_table(a, coords, N).items():
             if residue == a.identity():
                 counts[q][w] += c
-    return HHTable.build("homology", {q: GradedEntry.series(c) for q, c in enumerate(counts)})
+    return HHTable.build({q: GradedEntry.series(c) for q, c in enumerate(counts)})
 
 
 def _residue_table(a: DiagonalAction, coords, N: int) -> dict:

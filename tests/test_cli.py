@@ -501,6 +501,48 @@ def test_repeated_face_map_counts_once(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_written_identity_counts_as_the_identity_left_out(tmp_path, capsys):
+    """The pre-count keys a map with no matrix by the identity it stands for,
+    as `validate` does: the ray's identity, left out and written out, is one
+    map, so 99,542 composable pairs stay under the bound."""
+    maps = ([{"source": 0, "target": 0}, {"source": 1, "target": 1},
+             {"source": 0, "target": 1, "matrix": [[], []]}]
+            + [{"source": 1, "target": 1, "matrix": [[1, a], [0, 0]]} for a in range(1, 315)]
+            + [{"source": 1, "target": 1, "matrix": [[1, 0], [0, 1]]}])
+    p = tmp_path / "identity.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": {"K": {
+        "kind": "complex", "cones": [{"rank": 0}, {"rank": 2, "rays": [[1, 0]]}],
+        "face_maps": maps}}, "tasks": []}))
+    assert 317 * 316 + 2 > MAX_COMPOSABLE_PAIRS >= 316 * 315 + 2
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("builtin, rank", [("toric", 7), ("toric_fan", 11)])
+def test_large_toric_rank_is_out_of_scope(tmp_path, capsys, builtin, rank):
+    """A toric rank is bounded like `d`: the identity cone of rank 11 would
+    give a fan of 2^11 cones."""
+    fields = {"builtin": builtin, "rays": [[int(i == j) for j in range(rank)]
+                                           for i in range(rank)],
+              "maximal_cones": [list(range(rank))], "rank": rank}
+    if builtin == "toric":
+        fields.update(kind="model", complete=False)
+    else:
+        fields.update(kind="complex")
+    p = tmp_path / "toric.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": {"X": fields}, "tasks": []}))
+    start = time.perf_counter()
+    assert main(["check", str(p)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ScopeExceeded: object 'X': ")
+    assert f"'rank' is {rank}, above the desk-scale bound 6" in err[0]
+    fields.update(rays=[row[:6] for row in fields["rays"][:6]],
+                  maximal_cones=[list(range(6))], rank=6)
+    p.write_text(json.dumps({"version": "logfan/1", "objects": {"X": fields}, "tasks": []}))
+    assert main(["check", str(p)]) == 0
+
+
 def test_hexagon_is_not_two_triangles(tmp_path, capsys):
     """The two complexes agree on every cone invariant; the search refutes
     each placement of a cycle as soon as it closes."""

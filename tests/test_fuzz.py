@@ -1,6 +1,8 @@
-"""Single-field mutations of the fixtures through `main`: every malformed
-document ends in exit 0, 1 or 2 with a one-line diagnostic, never a
-traceback, and fast enough to need no alarm or memory limit."""
+"""Documents through `main`: single-field mutations of the fixtures end in
+exit 0, 1 or 2 with a one-line diagnostic, never a traceback, and fast
+enough to need no alarm or memory limit; and a document just outside each
+bound read while parsing is refused at once, while one just inside it is
+read in full."""
 
 import copy
 import json
@@ -8,7 +10,9 @@ import pathlib
 import random
 import time
 
-from logfan.cli import main
+from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, main
+from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
+from logfan.orbifold import MAX_GROUP_ORDER
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -63,4 +67,132 @@ def test_every_field_mutation_exits_cleanly(tmp_path, capsysbinary):
         assert "Traceback" not in err, case
         if code == 2:
             assert err.count("\n") == 1, (case, err)
+    assert time.perf_counter() - start < 5.0
+
+
+# ------------------------------------------------------------------ scale fuzz
+
+INSIDE_BUDGET = 2.0    # seconds for `logfan check` on a document inside a bound
+
+
+def _model(**fields):
+    return {"kind": "model", **fields}
+
+
+def _complex(**fields):
+    return {"kind": "complex", **fields}
+
+
+def _unit_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _toric(rng, rank):
+    """A toric model or a toric fan on the identity cone of this rank."""
+    rays, cones = _unit_rows(rank), [list(range(rank))]
+    if rng.random() < 0.5:
+        return _model(builtin="toric", rays=rays, maximal_cones=cones, rank=rank,
+                      complete=False)
+    return _complex(builtin="toric_fan", rays=rays, maximal_cones=cones, rank=rank)
+
+
+def _action(rng, orders):
+    coords = rng.randint(1, 2)
+    return {"kind": "action", "model": _model(builtin="mixed_affine", coords=coords),
+            "orders": rng.sample(orders, len(orders)),
+            "characters": [[rng.randrange(d) for _ in range(coords)] for d in orders]}
+
+
+def _product(rng, factors):
+    """A product model of these factors, in a random order."""
+    return _model(builtin="product", factors=[
+        _model(builtin=f) if isinstance(f, str) else _model(builtin="marked_p1", n=f)
+        for f in rng.sample(factors, len(factors))])
+
+
+def _snc(rng, cones):
+    """One simplex on k vertices (2^k faces, the empty one included) and
+    enough isolated points to make `cones` cones."""
+    k = rng.randint(1, 8)
+    return _complex(builtin="snc", simplices=[list(range(k))]
+                    + [[v] for v in range(k, k + cones - 2 ** k)])
+
+
+def _literal(rng, cones):
+    ranks = [rng.randint(0, 2) for _ in range(cones)]
+    return _complex(cones=[{"rank": r} for r in ranks],
+                    face_maps=[{"source": i, "target": i} for i in range(cones)])
+
+
+def _face_maps(rng, maps):
+    return _complex(cones=[{"rank": rng.randint(0, 2)}],
+                    face_maps=[{"source": 0, "target": 0}] * maps)
+
+
+def _glued_ray(rng, k):
+    """The zero cone (rank 0) and the ray (1, 0) in rank 2, each with its
+    identity, the 2x0 map between them and the maps [[1, a], [0, 0]] of the
+    ray to itself for a = 1..k: (k + 2)(k + 1) + 2 composable pairs.  The
+    ray's identity is left out, written out, or both, which is one map."""
+    ray_identity = rng.choice([[{}], [{"matrix": [[1, 0], [0, 1]]}],
+                               [{}, {"matrix": [[1, 0], [0, 1]]}]])
+    maps = ([{"source": 0, "target": 0}, {"source": 0, "target": 1, "matrix": [[], []]}]
+            + [{"source": 1, "target": 1, **m} for m in ray_identity]
+            + [{"source": 1, "target": 1, "matrix": [[1, a], [0, 0]]}
+               for a in range(1, k + 1)])
+    rng.shuffle(maps)
+    return _complex(cones=[{"rank": 0}, {"rank": 2, "rays": [[1, 0]]}], face_maps=maps)
+
+
+def _bounds(rng):
+    """(bound, object just inside it, object just outside it)."""
+    groups = {1000: [[1000], [2, 500], [10, 100], [8, 125], [4, 5, 50], [2, 2, 2, 125]],
+              1001: [[1001], [7, 143], [11, 91], [13, 77], [7, 11, 13]]}
+    # factors: marked P^1s by their count of points (n + 1 cones), the point
+    # (1 cone) and P^2 (7 cones)
+    products = {1000: [[9, 9, 9], [3, 4, 49], [4, 9, 19], [1, 4, 4, 19], ["point", 9, 9, 9]],
+                1001: [[6, 10, 12], ["p2", 10, 12]]}
+    coords = rng.randint(0, MAX_DIMENSION - 1)
+    return [
+        ("d", _model(builtin="affine_space", d=MAX_DIMENSION),
+         _model(builtin="affine_space", d=MAX_DIMENSION + 1)),
+        ("coords", _model(builtin="mixed_affine", coords=MAX_DIMENSION, log=[coords]),
+         _model(builtin="mixed_affine", coords=MAX_DIMENSION + 1, log=[coords])),
+        ("n", _model(builtin="marked_p1", n=MAX_MARKED_POINTS),
+         _model(builtin="marked_p1", n=MAX_MARKED_POINTS + 1)),
+        ("rank", _toric(rng, MAX_DIMENSION), _toric(rng, MAX_DIMENSION + 1)),
+        ("group order", _action(rng, rng.choice(groups[MAX_GROUP_ORDER])),
+         _action(rng, rng.choice(groups[MAX_GROUP_ORDER + 1]))),
+        ("product cones", _product(rng, rng.choice(products[MAX_CONES])),
+         _product(rng, rng.choice(products[MAX_CONES + 1]))),
+        ("snc cones", _snc(rng, MAX_CONES), _snc(rng, MAX_CONES + 1)),
+        ("literal cones", _literal(rng, MAX_CONES), _literal(rng, MAX_CONES + 1)),
+        ("face maps", _face_maps(rng, MAX_FACE_MAPS), _face_maps(rng, MAX_FACE_MAPS + 1)),
+        ("composable pairs", _glued_ray(rng, 314), _glued_ray(rng, 315)),
+    ]
+
+
+def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, capsys):
+    assert (MAX_DIMENSION, MAX_MARKED_POINTS, MAX_GROUP_ORDER, MAX_CONES,
+            MAX_FACE_MAPS, MAX_COMPOSABLE_PAIRS) == (6, 64, 1000, 1000, 10_000, 100_000)
+    assert 316 * 315 + 2 <= MAX_COMPOSABLE_PAIRS < 317 * 316 + 2
+    target = tmp_path / "scale.lf.json"
+    start = time.perf_counter()
+    for bound, inside, outside in _bounds(random.Random(13)):
+        for where, obj in (("inside", inside), ("outside", outside)):
+            target.write_text(json.dumps({"version": "logfan/1",
+                                          "objects": {"X": obj}, "tasks": []}))
+            began = time.perf_counter()
+            code = main(["check", str(target)])
+            took = time.perf_counter() - began
+            out, err = capsys.readouterr()
+            if where == "inside":
+                assert (code, err) == (0, ""), (bound, err)
+                assert took < INSIDE_BUDGET, (bound, took)
+            else:
+                assert code == 2 and out == "", (bound, out)
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("ScopeExceeded: object 'X': "), \
+                    (bound, err)
+                assert took < 0.1, (bound, took)
     assert time.perf_counter() - start < 5.0

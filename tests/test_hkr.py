@@ -172,9 +172,8 @@ def test_euler_check():
     assert euler_check(point_model()) == 1
     with pytest.raises(InternalInvariant):
         X = marked_p1(3)
-        euler_check(LogModel(X.name, X.dimension, X.artin_fan, X.hodge, X.dual_hodge,
-                             X.kind, X.complete, X.affine, open_euler=2,
-                             log_coords=X.log_coords, truncation=X.truncation))
+        euler_check(LogModel(X.name, X.artin_fan, X.hodge, X.dual_hodge,
+                             X.kind, X.complete, open_euler=2, log_coords=X.log_coords))
 
 
 # ----------------------------------------------------------------- invariance

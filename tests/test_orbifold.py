@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from logfan.errors import NotFirm, ScopeExceeded, TruncationTooSmall
+from logfan.errors import NotFirm, ScopeExceeded
 from logfan.hkr import hh_homology
 from logfan.logmodel import marked_p1, mixed_affine, nodal_cubic
 from logfan.orbifold import (DiagonalAction, check_firm, orbifold_hh,
@@ -211,14 +211,6 @@ def brute_per_sector(act, g):
     dxs = [i for i in coords if i not in act.model.log_coords]
     return brute_invariant_counts(logs, dxs, act.group_orders, act.characters,
                                   act.model.truncation)
-
-
-def test_truncation_too_small():
-    act = halfline(6)
-    with pytest.raises(TruncationTooSmall):
-        orbifold_hh(act, truncation=12)
-    hh = orbifold_hh(act, truncation=4)
-    assert hh.entry(0).truncation == 4
 
 
 def test_marked_p1_characters_out_of_sector_scope():
