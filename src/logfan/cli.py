@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -127,22 +126,6 @@ def _matrix(val, key) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _simplices(val, key) -> tuple[tuple[int, ...], ...]:
-    """Simplices whose snc complex has at most cc.MAX_CONES cones (2^k for one
-    simplex on k vertices), counted face by face before any cone is built."""
-    simplices = _vectors(val, key)
-    faces = {()}
-    for s in simplices:
-        s = sorted(set(s))
-        for k in range(1, len(s) + 1):
-            for face in itertools.combinations(s, k):
-                faces.add(face)
-                if len(faces) > cc.MAX_CONES:
-                    raise ScopeExceeded(f"the simplices give more than {cc.MAX_CONES} cones, "
-                                        f"the desk-scale bound")
-    return simplices
-
-
 def _flag(val, key) -> bool:
     if not isinstance(val, bool):
         raise ParseError(f"{key!r} must be true or false, got {val!r}")
@@ -172,18 +155,18 @@ def _named(where, build, *args):
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def _build_matrix(spec, resolve, truncation) -> IntMatrix:
+def _build_matrix(spec, resolve) -> IntMatrix:
     return _field(spec, "entries", _matrix)
 
 
-def _build_monoid(spec, resolve, truncation) -> mn.FineMonoid:
+def _build_monoid(spec, resolve) -> mn.FineMonoid:
     free = _field(spec, "free_rank", _nat, 0)
     torsion = _field(spec, "torsion", _vector, ())
     gens = _field(spec, "generators", _vectors, length=free + len(torsion))
     return mn.FineMonoid.make(FgAbelianGroup(free, torsion), gens)
 
 
-def _build_hom(spec, resolve, truncation) -> mn.MonoidHom:
+def _build_hom(spec, resolve) -> mn.MonoidHom:
     return mn.MonoidHom(resolve(_field(spec, "source"), "monoid"),
                         resolve(_field(spec, "target"), "monoid"),
                         _field(spec, "matrix", _matrix))
@@ -196,10 +179,10 @@ def _toric_fields(spec):
     return rays, _field(spec, "maximal_cones", _vectors, below=len(rays)), rank
 
 
-def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
+def _build_complex(spec, resolve) -> cc.GeneralizedConeComplex:
     builtin = _field(spec, "builtin", _text, None)
     if builtin == "snc":
-        return cc.snc_artin_fan(_field(spec, "simplices", _simplices))
+        return cc.snc_artin_fan(_field(spec, "simplices", _vectors))
     if builtin == "nodal_cubic":
         return cc.nodal_cubic_complex()
     if builtin == "point":
@@ -217,25 +200,18 @@ def _build_complex(spec, resolve, truncation) -> cc.GeneralizedConeComplex:
 
     identities = [IntMatrix.identity(c.lattice_rank) for c in cones]
 
-    def ends(m):
-        return (_field(m, "source", _nat, below=len(cones)),
-                _field(m, "target", _nat, below=len(cones)))
+    def face_map(m):
+        """The map's (source, target, matrix), the key `validate` counts; a map
+        with no matrix is the identity of its target's rank."""
+        source = _field(m, "source", _nat, below=len(cones))
+        target = _field(m, "target", _nat, below=len(cones))
+        return source, target, _field(m, "matrix", _matrix, identities[target])
 
-    def written(m):
-        source, target = ends(m)
-        matrix = m["matrix"] if "matrix" in m else identities[target].as_rows()
-        return source, target, repr(matrix)
-
-    # the maps `validate` counts, told apart by their matrices as written: a
-    # document past the bound is refused before any matrix, or any map past
-    # the bound, is read
-    cc.check_composable_pairs(map(written, raw_maps))
-    maps = []
-    for m in raw_maps:
-        source, target = ends(m)
-        matrix = _field(m, "matrix", _matrix, identities[target])
-        maps.append(cc.FaceMap(source, target, matrix))
-    K = cc.GeneralizedConeComplex(tuple(cones), tuple(maps))
+    # each map is read once and counted as it is read, so no map past the
+    # bound is read
+    keys = []
+    cc.check_composable_pairs(keys.append(key) or key for key in map(face_map, raw_maps))
+    K = cc.GeneralizedConeComplex(tuple(cones), tuple(cc.FaceMap(*key) for key in keys))
     K.validate()
     return K
 
@@ -275,7 +251,7 @@ def _build_model(spec, resolve, truncation) -> lm.LogModel:
     return _CONSTANT_MODELS[builtin]()
 
 
-def _build_action(spec, resolve, truncation) -> ob.DiagonalAction:
+def _build_action(spec, resolve) -> ob.DiagonalAction:
     return ob.DiagonalAction(resolve(_field(spec, "model"), "model"),
                              _field(spec, "orders", _vector, ()),
                              _field(spec, "characters", _vectors, ()),
@@ -509,6 +485,7 @@ def parse(text: str, truncation: int | None = None) -> Document:
         raise ParseError(f"unrecognized version tag {version!r} (expected {VERSION_TAG!r})")
 
     raw_objects = _field(raw, "objects", _object, {})
+    builders = dict(_BUILDERS, model=functools.partial(_build_model, truncation=truncation))
     objects: dict = {}
     kinds: dict = {}
     building: set = set()
@@ -518,7 +495,7 @@ def parse(text: str, truncation: int | None = None) -> Document:
             if _field(ref, "kind", _text, kind) != kind:
                 raise KindMismatch(
                     f"inline object has kind {ref['kind']!r}, expected {kind!r}")
-            return _BUILDERS[kind](ref, resolve, truncation)
+            return builders[kind](ref, resolve)
         if not isinstance(ref, str):
             raise ParseError("expected a name or an inline object")
         if ref not in raw_objects:
@@ -530,9 +507,9 @@ def parse(text: str, truncation: int | None = None) -> Document:
 
     def named(spec):
         kind = _field(spec, "kind", _text)
-        if kind not in _BUILDERS:
+        if kind not in builders:
             raise ParseError(f"unknown kind {kind!r}")
-        return kind, _BUILDERS[kind](spec, resolve, truncation)
+        return kind, builders[kind](spec, resolve)
 
     def build(name):
         if name in objects:

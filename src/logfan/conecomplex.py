@@ -8,7 +8,7 @@ diagonal picture) live here.
 
 Complexes built from honest fans are "embedded": every cone sits in one
 ambient lattice and every face map is an identity matrix.  Subdivision
-machinery requires embedded complexes; self-glued complexes only support the
+machinery requires embedded complexes; other complexes only support the
 no-op cases.
 """
 
@@ -293,7 +293,9 @@ def snc_artin_fan(simplices) -> GeneralizedConeComplex:
 
     `simplices` is an iterable of vertex tuples (the nonempty faces, or just
     the maximal ones; the downward closure is taken).  Raises NotSimplicial
-    for degenerate input.
+    for degenerate input, and ScopeExceeded once the faces and the zero cone
+    pass MAX_CONES cones (2^k for one simplex on k vertices), counted face by
+    face before any cone is built.
     """
     closed: set[tuple] = set()
     for s in simplices:
@@ -302,7 +304,11 @@ def snc_artin_fan(simplices) -> GeneralizedConeComplex:
             raise NotSimplicial(f"simplex {s} repeats a vertex")
         s = tuple(sorted(s))
         for k in range(1, len(s) + 1):
-            closed.update(itertools.combinations(s, k))
+            for face in itertools.combinations(s, k):
+                closed.add(face)
+                if len(closed) >= MAX_CONES:
+                    raise ScopeExceeded(f"the simplices give more than {MAX_CONES} cones, "
+                                        f"the desk-scale bound")
     ordered = [()] + sorted(closed, key=lambda s: (len(s), s))
     cones = []
     for s in ordered:
@@ -502,7 +508,7 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
     """Stellar subdivision at a primitive ray located in a named cone.
 
     Subdividing at an existing ray is the identity subdivision.  Genuine
-    subdivision requires an embedded complex (no self-gluing).
+    subdivision requires an embedded complex.
     """
     v = primitive(ray)
     if geom.is_zero(v):
@@ -517,50 +523,50 @@ def star_subdivision(F: GeneralizedConeComplex, cone_index: int, ray) -> Subdivi
     if v in home.rays:
         return Subdivision(identity_morphism(F))
     if not F.is_embedded:
-        raise ScopeExceeded("stellar subdivision of self-glued complexes is not supported")
-    refined, homes = _stellar(F, v, tuple(range(len(F.cones))))
-    return _homed(refined, F, homes)
+        raise ScopeExceeded("stellar subdivision needs an embedded complex "
+                            "(one lattice, identity face maps)")
+    return _homed(F, _stellar({c: i for i, c in enumerate(F.cones)}, v))
 
 
-def _homed(refined: GeneralizedConeComplex, original: GeneralizedConeComplex,
-           homes) -> Subdivision:
-    """The subdivision whose structure morphism sends refined cone i to
-    original cone homes[i], the smallest one containing it."""
+def _homed(original: GeneralizedConeComplex, home_of: dict[Cone, int]) -> Subdivision:
+    """The subdivision of an embedded complex into the cones of home_of, whose
+    structure morphism sends each cone to its home, the smallest original
+    cone containing it."""
+    refined = _embedded_from_cones(home_of, original.cones[0].lattice_rank)
     return Subdivision(ComplexMorphism(refined, original, tuple(
-        (j, IntMatrix.identity(c.lattice_rank)) for j, c in zip(homes, refined.cones))))
+        (home_of[c], IntMatrix.identity(c.lattice_rank)) for c in refined.cones)))
 
 
-def _stellar(K: GeneralizedConeComplex, v: Vector, homes):
-    """Stellar subdivision of an embedded complex at a primitive ray v of its
-    support, with its home map: (K, homes) when v is already a ray.
+def _stellar(home_of: dict[Cone, int], v: Vector) -> dict[Cone, int]:
+    """Stellar subdivision at a primitive ray v of the support of an embedded
+    complex in progress, given as the home map of its cones: the home map of
+    the result, or home_of itself when v is already a ray.
 
-    homes[i] is the index of the smallest original cone containing cone i of
-    K.  A kept cone keeps its home.  A new cone fc + v, for fc a face of a
-    cone c around tau (the cone holding v in its relative interior), has the
-    home of the join of fc and tau in c, the smallest face of c with both as
-    faces: relint(fc) + relint(tau) lies in relint(join), and so does the
-    relative interior of fc + v.
+    home_of[c] is the index of the smallest original cone containing c.  A
+    kept cone keeps its home.  A new cone fc + v, for fc a face of a cone c
+    around tau (the cone holding v in its relative interior), has the home of
+    the join of fc and tau in c, the smallest face of c with both as faces:
+    relint(fc) + relint(tau) lies in relint(join), and so does the relative
+    interior of fc + v.
     """
-    tau = next((c for c in K.cones if c.geometry.contains_relative_interior(v)), None)
+    tau = next((c for c in home_of if c.geometry.contains_relative_interior(v)), None)
     if tau is None:
         raise InternalInvariant("embedded complex must have a relative-interior home")
     if v in tau.rays:
-        return K, homes
+        return home_of
     rank = tau.lattice_rank
-    index = {c: i for i, c in enumerate(K.cones)}
-    home_of = {}
-    for c, h in zip(K.cones, homes):
+    out = {}
+    for c, h in home_of.items():
         if tau not in c.faces:
-            home_of[c] = h
+            out[c] = h
             continue
         sets = c.face_ray_sets
         ts = sets[c.faces.index(tau)]
         for s, fc in zip(sets, c.faces):
             if not ts <= s:
                 join = next(f for u, f in zip(sets, c.faces) if s | ts <= u)
-                home_of[Cone.make(fc.rays + (v,), rank)] = homes[index[join]]
-    refined = _embedded_from_cones(home_of, rank)
-    return refined, tuple(home_of[c] for c in refined.cones)
+                out[Cone.make(fc.rays + (v,), rank)] = home_of[join]
+    return out
 
 
 def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
@@ -634,7 +640,8 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     target = phi.target
     _check_source_scope(phi.source)
     if not target.is_embedded:
-        raise ScopeExceeded("subdividing a self-glued target is not supported")
+        raise ScopeExceeded("subdividing needs an embedded target "
+                            "(one lattice, identity face maps)")
     if any(c.dim > 4 for c in target.cones) or \
             any(not c.is_simplicial for c in target.cones):
         raise ScopeExceeded("target must be simplicial of dimension <= 4")
@@ -655,15 +662,15 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
             image_flags.append(ImageConeFlag(
                 i, ig.span_dim, all(_naive_star_is_fan(c, ig) for c in homes)))
 
-    # Every cut lies in the support, as phi is a morphism; the structure
-    # morphism is built once, for the final refinement, from the home map.
-    current, homes = target, tuple(range(len(target.cones)))
+    # Every cut lies in the support, as phi is a morphism; the refined complex
+    # and its structure morphism are built once, from the final home map.
+    unrefined = home_of = {c: i for i, c in enumerate(target.cones)}
     for v in sorted(image_ray_pool):
-        current, homes = _stellar(current, v, homes)
+        home_of = _stellar(home_of, v)
 
     rounds = 0
     while True:
-        pending = [ig for ig in image_geoms if not _tiled_by(ig, current.cones)]
+        pending = [ig for ig in image_geoms if not _tiled_by(ig, home_of)]
         if not pending:
             break
         rounds += 1
@@ -672,12 +679,14 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         bary = pending[0].rays[0]
         for r in pending[0].rays[1:]:
             bary = geom.vadd(bary, r)
-        current, homes = _stellar(current, primitive(bary), homes)
+        home_of = _stellar(home_of, primitive(bary))
 
-    sub = _homed(current, target, homes)
+    if home_of is unrefined:    # no cut changed anything: keep the target's cone order
+        sub = Subdivision(identity_morphism(target))
+    else:
+        sub = _homed(target, home_of)
 
-    inside = [c for c in current.cones
-              if any(ig.contains_cone(c.geometry) for ig in image_geoms)]
+    inside = [c for c in home_of if any(ig.contains_cone(c.geometry) for ig in image_geoms)]
     image_subcomplex = _embedded_from_cones(inside, rank) if inside else point_complex()
 
     # the factoring exists when every image cone is a cone of the subcomplex

@@ -142,9 +142,6 @@ def periodic_cyclic(X: LogModel) -> CyclicTable:
             even += e.total()
         else:
             odd += e.total()
-    if even + odd != X.hodge.total():
-        raise InternalInvariant(f"{X.name}: even {even} + odd {odd} is not the "
-                                f"Hodge total {X.hodge.total()}")
     return CyclicTable(GradedEntry.finite(even), GradedEntry.finite(odd))
 
 

@@ -168,9 +168,6 @@ class HodgeTable(Record):
                 return e
         return _zero_entry(self.kind, self.truncation)
 
-    def as_dict(self) -> dict:
-        return {key: e for key, e in self.cells}
-
     def total(self) -> int:
         return sum(e.total() for _, e in self.cells)
 

@@ -52,13 +52,13 @@ def check_artin_fan_products() -> CheckResult:
     a1 = cc.from_toric_fan([(1,)], [(0,)], 1)
     a2 = cc.from_toric_fan([(1, 0), (0, 1)], [(0, 1)], 2)
     prod = cc.product(a1, a1)
-    waffle = cc.nodal_cubic_complex()
+    glued = cc.product(cc.nodal_cubic_complex(), a1)
     ok = (prod.cone_count == 4
           and cc.is_isomorphic(prod, a2)
-          and cc.product(waffle, a1).cone_count == 6)
+          and glued.cone_count == 6)
     return _result("02 product of Artin fans", ok,
                    f"A1xA1: {prod.cone_count} cones, waffle x A1: "
-                   f"{cc.product(waffle, a1).cone_count} cones")
+                   f"{glued.cone_count} cones")
 
 
 def check_log_blowup_affine_line() -> CheckResult:
@@ -207,9 +207,9 @@ def property_saturation_idempotence() -> CheckResult:
     rng = random.Random(7)
     for _ in range(30):
         P = _random_fine_monoid(rng)
-        rep = mn.saturate(P)
-        again = mn.saturate(rep.saturated)
-        if again.saturated != rep.saturated:
+        try:
+            rep = mn.saturate(P)    # re-saturates its result, and raises unless nothing changes
+        except InternalInvariant:
             return _result("11a saturation idempotence", False, f"failed on {P}")
         if rep.saturated.gp_lattice != P.gp_lattice:
             return _result("11a saturation idempotence", False,

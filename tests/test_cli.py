@@ -457,12 +457,14 @@ def test_large_product_task_is_out_of_scope(tmp_path, capsys):
     assert error["type"] == "ScopeExceeded" and "4096 cones" in error["message"]
 
 
-def _glued_ray(maps):
+def _glued_ray(maps, malformed_last=False):
     """The zero cone and the ray (1, 0) in rank 2, with the maps [[1, a], [0, 0]]
     from each onto the ray: closed under composition, and 2 (maps / 2)^2
-    composable pairs."""
+    composable pairs.  With `malformed_last`, the last matrix is not integral."""
     glue = [{"source": s, "target": 1, "matrix": [[1, a], [0, 0]]}
             for a in range(maps // 2 - 1) for s in (0, 1)]
+    if malformed_last:
+        glue[-1]["matrix"] = [[1, "a"], [0, 0]]
     return {"cones": [{"rank": 2, "rays": []}, {"rank": 2, "rays": [[1, 0]]}],
             "face_maps": [{"source": 0, "target": 0}, {"source": 1, "target": 1}] + glue}
 
@@ -472,11 +474,13 @@ def _glued_ray(maps):
     ({"cones": [{"rank": 0}], "face_maps": [{"source": 0, "target": 0}] * 10_001},
      "'face_maps' has 10001 entries"),
     (_glued_ray(10_000), "more than 100000 composable pairs"),
-], ids=["cones", "face_maps", "composable_pairs"])
+    (_glued_ray(10_000, malformed_last=True), "more than 100000 composable pairs"),
+], ids=["cones", "face_maps", "composable_pairs", "composable_pairs_then_malformed"])
 def test_large_literal_complex_is_out_of_scope(tmp_path, capsys, fields, count):
     """A literal complex is counted before its face maps are checked: cones
     and face maps before any cone is built, the composable pairs of the face
-    maps before any matrix is read."""
+    maps as each map is read, so no map past the bound, not even a malformed
+    one, is read."""
     p = tmp_path / "literal.lf.json"
     p.write_text(json.dumps({"version": "logfan/1",
                              "objects": {"K": {"kind": "complex", **fields}}, "tasks": []}))
@@ -516,6 +520,26 @@ def test_written_identity_counts_as_the_identity_left_out(tmp_path, capsys):
     assert 317 * 316 + 2 > MAX_COMPOSABLE_PAIRS >= 316 * 315 + 2
     assert main(["check", str(p)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("op, args, message", [
+    ("subdivide_along_diagonal", {},
+     "subdividing needs an embedded target (one lattice, identity face maps)"),
+    ("star_subdivision", {"cone": 4, "ray": [1, 1]},
+     "stellar subdivision needs an embedded complex (one lattice, identity face maps)"),
+], ids=["subdivide_along_diagonal", "star_subdivision"])
+def test_subdividing_snc_complex_is_refused_as_not_embedded(tmp_path, capsys, op, args, message):
+    """An snc complex has no parallel face maps, so it is not self-glued; it is
+    refused because its cones live in lattices of ranks 0, 1 and 2."""
+    doc = {"version": "logfan/1",
+           "objects": {"K": {"kind": "complex", "builtin": "snc",
+                             "simplices": [[0, 1], [1, 2]]}},
+           "tasks": [{"op": op, "args": {"complex": "K", **args}}]}
+    p = tmp_path / "snc.lf.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--format", "json"]) == 1
+    error = json.loads(capsys.readouterr().out)["results"][0]["error"]
+    assert error == {"type": "ScopeExceeded", "message": message}
 
 
 @pytest.mark.parametrize("builtin, rank", [("toric", 7), ("toric_fan", 11)])

@@ -60,6 +60,18 @@ def test_snc_artin_fan():
         snc_artin_fan([(0, 0)])
 
 
+def test_large_snc_simplex_is_out_of_scope():
+    """The simplices are closed face by face against MAX_CONES, so a library
+    caller is refused before any cone is built: a simplex on k vertices has
+    2^k cones, and at 30 vertices the closure alone would never finish."""
+    for vertices in (10, 11, 30):
+        start = time.perf_counter()
+        with pytest.raises(ScopeExceeded, match="more than 1000 cones"):
+            snc_artin_fan([tuple(range(vertices))])
+        assert time.perf_counter() - start < 0.1
+    assert snc_artin_fan([tuple(range(9))]).cone_count == 512
+
+
 def test_nodal_cubic_complex():
     W = nodal_cubic_complex()
     W.validate()
@@ -238,7 +250,7 @@ def test_subdivide_along_matches_stepwise_star_subdivision(name, monkeypatch):
     cuts = []
     stellar = cc._stellar
     monkeypatch.setattr(cc, "_stellar",
-                        lambda K, v, h: cuts.append(v) or stellar(K, v, h))
+                        lambda home_of, v: cuts.append(v) or stellar(home_of, v))
     res = subdivide_along(phi)
     assert cuts
     monkeypatch.undo()

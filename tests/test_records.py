@@ -214,3 +214,33 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# Parameters that a shared signature makes a function take without reading:
+# the `resolve` of the object builders `cli.parse` dispatches to, and the
+# value `__setattr__` passes to `Record._refuse`.
+UNREAD_PARAMETERS = {
+    ("logfan/cli.py", "_build_complex", "resolve"),
+    ("logfan/cli.py", "_build_matrix", "resolve"),
+    ("logfan/cli.py", "_build_monoid", "resolve"),
+    ("logfan/_record.py", "_refuse", "value"),
+}
+
+
+def test_every_parameter_in_src_is_read():
+    """A parameter that its function's body never reads is a value passed for
+    nothing.  A method's `self` or `cls` is not counted."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if p is not None} - {"self", "cls"}
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found |= {(path.relative_to(SRC).as_posix(), getattr(node, "name", "<lambda>"), p)
+                      for p in params - read}
+    assert found == UNREAD_PARAMETERS
