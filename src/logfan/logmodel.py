@@ -168,9 +168,6 @@ class HodgeTable(Record):
                 return e
         return _zero_entry(self.kind, self.truncation)
 
-    def total(self) -> int:
-        return sum(e.total() for _, e in self.cells)
-
     def convolve(self, other: "HodgeTable") -> "HodgeTable":
         if self.kind == SERIES and other.kind == SERIES:
             raise KindMismatch("series x series products are out of scope")

@@ -102,6 +102,31 @@ class FineMonoid(Record):
     def free_cone(self) -> geom.ConeGeometry:
         return geom.ConeGeometry.of(self.free_parts(), self.free_rank)
 
+    @cached_property
+    def _sharp_quotient(self) -> "tuple[IntMatrix, FineMonoid] | None":
+        """The projection onto the ambient group modulo the units of P, and
+        the image of P there (sharp); None when P has no units."""
+        units = _unit_subgroup_rows(self)
+        if not units:
+            return None
+        H, proj = cokernel_projection(IntMatrix.from_columns(
+            units + list(self._relation_rows), rows=self.ambient.num_coords))
+        return proj, FineMonoid.make(H, [proj.apply(g) for g in self.generators])
+
+    @cached_property
+    def _search_data(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...], int]:
+        """For the membership search in a sharp P: the generators with a
+        nonzero free part, an HNF basis of the torsion lattice spanned by the
+        others and the relations, and the least facet-normal degree of the
+        former (1 when there are none)."""
+        G = self.ambient
+        f = G.free_rank
+        mixed = tuple(g for g in self.generators if not geom.is_zero(G.free_part(g)))
+        tors_lat = hnf_rows([g[f:] for g in self.generators if g not in mixed]
+                            + [rel[f:] for rel in self._relation_rows])
+        least = min((_degree(self.free_cone, G.free_part(g)) for g in mixed), default=1)
+        return mixed, tors_lat, least
+
     def __contains__(self, x) -> bool:
         return contains(self, x)
 
@@ -187,13 +212,15 @@ def contains(P: FineMonoid, x) -> bool:
         return True
     if not P.generators:
         return False
-    units = _unit_subgroup_rows(P)
-    if units:
-        H, proj = cokernel_projection(IntMatrix.from_columns(
-            units + list(P._relation_rows), rows=G.num_coords))
-        Q = FineMonoid.make(H, [proj.apply(g) for g in P.generators])
-        return _contains_sharp(Q, H.reduce(proj.apply(x)))
+    if P._sharp_quotient is not None:
+        proj, Q = P._sharp_quotient
+        return _contains_sharp(Q, Q.ambient.reduce(proj.apply(x)))
     return _contains_sharp(P, x)
+
+
+def _degree(cone: geom.ConeGeometry, v: Vector) -> int:
+    """The grading of the membership search: the sum of v's facet values."""
+    return sum(geom.dot(n, v) for n in cone.normals)
 
 
 def _contains_sharp(P: FineMonoid, x) -> bool:
@@ -209,14 +236,10 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
     cone = P.free_cone
     if not cone.is_sharp:
         raise InternalInvariant("membership search needs a sharp monoid")
-    mixed = [g for g in P.generators if not geom.is_zero(G.free_part(g))]
-    tors_lat = hnf_rows([g[f:] for g in P.generators if g not in mixed]
-                        + [tuple(d if j == i else 0 for j in range(len(G.torsion_orders)))
-                           for i, d in enumerate(G.torsion_orders)])
     if not cone.contains(G.free_part(x)):
         return False
-    degrees = [sum(geom.dot(n, G.free_part(v)) for n in cone.normals) for v in [x] + mixed]
-    depth = degrees[0] // min(degrees[1:], default=1)
+    mixed, tors_lat, least = P._search_data
+    depth = _degree(cone, G.free_part(x)) // least
     if depth > MAX_MEMBERSHIP_DEPTH:
         raise ScopeExceeded(f"membership of {x} may take {depth} generator steps, "
                             f"more than {MAX_MEMBERSHIP_DEPTH}")

@@ -22,7 +22,7 @@ from . import monoid as mn
 from . import orbifold as ob
 from ._record import Record
 from .errors import InternalInvariant, NotFirm
-from .lattice import FgAbelianGroup, IntMatrix, smith_normal_form, solve_integer
+from .lattice import FgAbelianGroup, IntMatrix, Vector, smith_normal_form, solve_integer
 
 
 class CheckResult(Record):
@@ -245,14 +245,24 @@ def property_hilbert_minimality() -> CheckResult:
 
 
 def _enumerate_monoid_homs(src: mn.FineMonoid, dst: mn.FineMonoid, bound: int):
-    """All ambient-group homs with small entries mapping src into dst."""
+    """All ambient-group homs with small entries mapping src into dst.
+
+    Many matrices send a generator to the same vector, so each distinct image
+    is tested for membership in dst once."""
     rows, cols = dst.ambient.num_coords, src.ambient.num_coords
+    member: dict[Vector, bool] = {}
+
+    def inside(v) -> bool:
+        if v not in member:
+            member[v] = mn.contains(dst, v)
+        return member[v]
+
     out = []
     for entries in itertools.product(range(-bound, bound + 1), repeat=rows * cols):
         M = IntMatrix(rows, cols, entries)
         if not mn.hom_well_defined(src.ambient, dst.ambient, M):
             continue
-        if all(mn.contains(dst, M.apply(g)) for g in src.generators):
+        if all(inside(M.apply(g)) for g in src.generators):
             out.append(M)
     return out
 

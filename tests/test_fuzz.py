@@ -5,6 +5,7 @@ bound read while parsing is refused at once, while one just inside it is
 read in full."""
 
 import copy
+import gc
 import json
 import pathlib
 import random
@@ -182,6 +183,9 @@ def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, cap
         for where, obj in (("inside", inside), ("outside", outside)):
             target.write_text(json.dumps({"version": "logfan/1",
                                           "objects": {"X": obj}, "tasks": []}))
+            # A full collection of the test run's heap (other tests' objects)
+            # can fall inside the timed call and take longer than the bound.
+            gc.collect()
             began = time.perf_counter()
             code = main(["check", str(target)])
             took = time.perf_counter() - began

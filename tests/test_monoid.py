@@ -1,11 +1,14 @@
 """Monoid layer: Hilbert bases, saturation, fs pushouts, component counts."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from logfan import monoid as mn
+from logfan import suite
 from logfan.errors import NotSaturated, NotStronglyConvex
 from logfan.lattice import FgAbelianGroup, IntMatrix
 from logfan.monoid import (FineMonoid, MonoidHom, amalgamated_sum, contains,
@@ -199,6 +202,83 @@ def test_membership_with_torsion():
     assert contains(P, (2, 0))
     assert not contains(P, (1, 0))
     assert contains(P, (3, 1))
+
+
+def reachable_within(P, radius):
+    """Every sum of generators of P, reduced in the ambient group, that some
+    order of its summands reaches with every partial sum's free part within
+    `radius` in the max norm: one generator added at a time."""
+    f, orders = P.ambient.free_rank, P.ambient.torsion_orders
+    start = (0,) * P.ambient.num_coords
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for g in P.generators:
+            w = tuple(a + b for a, b in zip(v, g))
+            w = w[:f] + tuple(x % d for x, d in zip(w[f:], orders))
+            if w not in seen and max(map(abs, w[:f]), default=0) <= radius:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_membership_against_generator_sums():
+    """`contains` on every vector of a box, free part in [-2, 2]^rank, against
+    the sums of generators, on seeded random monoids (with units and with
+    torsion), the targets of check 11c and one monoid with a generator of
+    pure torsion.
+
+    The search is exact on the box.  By the Steinitz lemma (in any norm, with
+    the dimension as constant), the free parts of the summands of x and of -x
+    can be ordered so that every partial sum has norm at most
+    rank * max(|g|, |x|).  Leaving -x out of that order moves the later
+    partial sums by x, so the summands of x alone stay within that plus |x|.
+
+    Each monoid is asked twice, and a freshly built equal one once, so a
+    stale or shared per-monoid set-up shows."""
+    rng = random.Random(5)
+    monoids = [suite._random_fine_monoid(rng) for _ in range(60)]
+    monoids += suite._pushout_cases()[1]
+    # a generator of pure torsion, 2 in Z/3, spans all of Z/3 only with the relation
+    monoids.append(FineMonoid.make(FgAbelianGroup(1, (3,)), [(1, 0), (0, 2)]))
+    box = 2
+    units = torsion = members = 0
+    for P in monoids:
+        G = P.ambient
+        f = G.free_rank
+        units += bool(P.free_cone.lineality_basis)
+        torsion += bool(G.torsion_orders)
+        largest = max((max(map(abs, g[:f])) for g in P.generators), default=0)
+        reach = reachable_within(P, f * max(largest, box) + box)
+        fresh = FineMonoid.make(G, P.generators)
+        for x in itertools.product(*[range(-box, box + 1)] * f,
+                                   *[range(d) for d in G.torsion_orders]):
+            want = x in reach
+            members += want
+            assert [contains(Q, x) for Q in (P, P, fresh)] == [want] * 3, (P, x)
+    assert units >= 10 and torsion >= 10 and members >= 300
+
+
+def test_membership_set_up_runs_once_per_monoid(monkeypatch):
+    """The unit subgroup and the torsion lattice of the search are found once
+    per monoid, however often membership is asked."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(mn, name, wrapped)
+
+    counting("_unit_subgroup_rows", mn._unit_subgroup_rows)
+    counting("hnf_rows", mn.hnf_rows)
+    with_units = FineMonoid.free(2, [(1, 0), (-1, 0), (0, 1)])
+    with_torsion = FineMonoid.make(FgAbelianGroup(1, (2,)), [(1, 1), (2, 1)])
+    for P in (with_units, with_torsion):
+        calls.clear()
+        answers = [contains(P, (i % 7 - 3, i % 3 - 1)) for i in range(50)]
+        assert any(answers) and not all(answers)
+        assert calls == {"_unit_subgroup_rows": 1, "hnf_rows": 1}, (P, calls)
 
 
 # ---------------------------------------------------------------- fs pushout

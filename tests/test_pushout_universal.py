@@ -1,6 +1,7 @@
 """Check 11c reads the mediating hom of an fs pushout off a section of its
 legs; cross-checked against a row-by-row solve with a search mod the torsion
-of the target."""
+of the target.  Its hom enumeration, which tests each distinct generator
+image once, is cross-checked against one that tests every image."""
 
 import itertools
 
@@ -53,6 +54,33 @@ def solve_row(cols, rhs, n, H: FgAbelianGroup, mod: int):
                for e, w in zip(eqs, want)):
             return x
     return None
+
+
+def enumerated_homs(src, dst, bound):
+    """All ambient-group homs with small entries mapping src into dst, with a
+    membership test for every generator of every matrix."""
+    rows, cols = dst.ambient.num_coords, src.ambient.num_coords
+    out = []
+    for entries in itertools.product(range(-bound, bound + 1), repeat=rows * cols):
+        M = IntMatrix(rows, cols, entries)
+        if not mn.hom_well_defined(src.ambient, dst.ambient, M):
+            continue
+        if all(mn.contains(dst, M.apply(g)) for g in src.generators):
+            out.append(M)
+    return out
+
+
+def test_enumerated_homs_match_per_matrix_membership():
+    """Every source and target of check 11c: the same homs in the same order."""
+    diagrams, targets = suite._pushout_cases()
+    sources = list(dict.fromkeys(h.target for f, g in diagrams for h in (f, g)))
+    found = 0
+    for src in sources:
+        for T in targets:
+            homs = suite._enumerate_monoid_homs(src, T, bound=2)
+            assert homs == enumerated_homs(src, T, bound=2), (src, T)
+            found += len(homs)
+    assert found > 0
 
 
 def test_mediates_against_searched_mediator():
