@@ -197,23 +197,6 @@ class ConeGeometry(Record):
             raise InternalInvariant("intersection of sharp cones grew a line")
         return rays
 
-    def meets_interior_of(self, other: "ConeGeometry") -> bool:
-        """Does this cone meet the relative interior of `other`?
-
-        Checked exactly: the intersection must have a point strictly inside
-        `other`, i.e. some positive combination of intersection rays is
-        strictly positive on every facet normal of `other`.
-        """
-        rays = self.intersect_rays(other)
-        if not rays:
-            return False
-        s = rays[0]
-        for r in rays[1:]:
-            s = vadd(s, r)
-        # The sum of all rays is relatively interior to the intersection,
-        # which meets rel-int(other) iff this point lies there.
-        return other.contains_relative_interior(s)
-
 
 def simplicial_index(rays) -> int:
     """Lattice-normalized volume of the cone spanned by independent rays.

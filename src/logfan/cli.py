@@ -555,23 +555,21 @@ def run(doc: Document) -> Report:
 # ------------------------------------------------------------------ emission
 
 def _render_value(value, indent="    "):
-    if isinstance(value, dict):
-        if set(value) == {"series", "truncation"}:
-            return f"{indent}{lm.GradedEntry.series(value['series']).render()}"
-        lines = []
-        for k in sorted(value, key=str):
-            v = value[k]
-            if isinstance(v, dict) and set(v) == {"series", "truncation"}:
-                lines.append(f"{indent}{k}: {lm.GradedEntry.series(v['series']).render()}")
-            elif isinstance(v, (dict, list)):
-                lines.append(f"{indent}{k}:")
-                lines.append(_render_value(v, indent + "  "))
-            else:
-                lines.append(f"{indent}{k}: {v}")
-        return "\n".join(lines)
+    """Text of a task's data, a dict, or of a list inside it; a series is
+    rendered where it is a member, so it is never a whole value here."""
     if isinstance(value, list):
         return "\n".join(f"{indent}- {item}" for item in value)
-    return f"{indent}{value}"
+    lines = []
+    for k in sorted(value, key=str):
+        v = value[k]
+        if isinstance(v, dict) and set(v) == {"series", "truncation"}:
+            lines.append(f"{indent}{k}: {lm.GradedEntry.series(v['series']).render()}")
+        elif isinstance(v, (dict, list)):
+            lines.append(f"{indent}{k}:")
+            lines.append(_render_value(v, indent + "  "))
+        else:
+            lines.append(f"{indent}{k}: {v}")
+    return "\n".join(lines)
 
 
 _escape_json = json.encoder.encode_basestring_ascii   # the stdlib encoder's C escaper

@@ -569,35 +569,32 @@ def _stellar(home_of: dict[Cone, int], v: Vector) -> dict[Cone, int]:
     return out
 
 
-def _naive_star_is_fan(target: Cone, image: geom.ConeGeometry) -> bool:
-    """Would coning the image cone to the target's faces tile convexly?
-
-    This is the "naive" one-shot subdivision along an image cone.  When
-    wedges overlap in full dimension the honest pieces are non-convex, which
-    is recorded as a flag and resolved by successive stellar subdivisions.
-    """
-    if image.span_dim < 2:
-        return True
-    rank = target.lattice_rank
-    wedges = []
-    for f in target.faces:
-        if f == target:
-            continue
-        if f.geometry.meets_interior_of(image) or image.contains_cone(f.geometry):
-            continue
-        w = geom.ConeGeometry.of(image.rays + f.rays, rank)
-        if w.span_dim == target.dim:
-            wedges.append(w)
-    for a, b in itertools.combinations(wedges, 2):
-        inter = geom.ConeGeometry.of(a.intersect_rays(b), rank)
-        if inter.span_dim == target.dim:
-            return False
-    return True
-
-
 class ImageConeFlag(Record):
     """The image of source cone `index`, of dimension `dim` >= 2, and whether
-    its naive star in every target cone around it is a fan."""
+    its naive star in every target cone around it is a fan.
+
+    The naive star of an image cone I in a target cone T around it cones I
+    to each proper face of T that neither meets the relative interior of I
+    nor lies in I; it is a fan when no two of these wedges of full dimension
+    overlap in full dimension.  `subdivide_along` only asks this for I =
+    cone(a, b) of dimension 2 and T simplicial of dimension k >= 3 (the
+    target is simplicial and T is a cone of higher dimension than I), and
+    there the naive star is never a fan:
+
+    1. Let F be the smallest face of T containing I.  In the coordinates of
+       T's rays, a and b are independent and supported on F's rays, so some
+       two rays s, s' of F give a nonzero 2x2 minor of (a, b).
+    2. Let Ts and Ts' be the facets of T without s and without s'.  Neither
+       meets relint I: the s (or s') coordinate of a point of relint I is a
+       positive combination of those of a and b, not both zero.  So neither
+       lies in I either, as a facet, of dimension k - 1 >= 2, inside I would.
+    3. By the minor, a, b and the rays of T other than s and s' form a basis,
+       and a + b plus those rays is interior to the cone they span.  That
+       cone lies in the wedges over Ts and Ts', so they overlap in full
+       dimension.
+
+    So `naive_star_convex` is true exactly when no target cone of higher
+    dimension contains the image."""
 
     index: int
     dim: int
@@ -633,9 +630,15 @@ def subdivide_along_diagonal(F: GeneralizedConeComplex) -> DiagonalSubdivision:
 def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     """Refine the target of phi along the images of the source cones.
 
-    Deterministic star-subdivision order: primitive image rays first in lex
-    order, then barycenters of still-unresolved image cones.  Non-convex
-    intermediate pieces are reported in flags, never returned as cones.
+    The target is cut by stellar subdivision at the primitive image rays,
+    in lex order.  A cut keeps an image cone that is a union of cones one,
+    as each new cone fc + v lies in the cone it replaces.  But a cut at one
+    image cone's ray can cross another image cone through a point that is
+    no ray, before that cone's own rays are cut: in the 3-d orthant, the cut
+    at (0, 1, 1) crosses cone((0, 0, 1), (1, 1, 0)) at (1, 1, 1).  So while
+    an image cone is not a union of cones, a round cuts the first such cone
+    at the sum of its rays.  Each 2-d image cone is flagged (see
+    ImageConeFlag).
     """
     target = phi.target
     _check_source_scope(phi.source)
@@ -658,9 +661,8 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     for i, ig in enumerate(image_geoms):
         if ig.span_dim >= 2:
             homes = [c for c in target.cones
-                     if c.geometry.contains_cone(ig) and c.dim > ig.span_dim]
-            image_flags.append(ImageConeFlag(
-                i, ig.span_dim, all(_naive_star_is_fan(c, ig) for c in homes)))
+                     if c.dim > ig.span_dim and c.geometry.contains_cone(ig)]
+            image_flags.append(ImageConeFlag(i, ig.span_dim, not homes))
 
     # Every cut lies in the support, as phi is a morphism; the refined complex
     # and its structure morphism are built once, from the final home map.
@@ -711,8 +713,9 @@ def face_poset_dot(K: GeneralizedConeComplex) -> str:
 
 # ------------------------------------------------------------- isomorphism
 
-# Bounds on the basis placements `_iso_candidates` tries for one pair of
-# cones, and on the placements of a cone on a cone `is_isomorphic` tries.
+# Bounds on the basis placements `_iso_candidates` would try for one pair of
+# cones, checked for every cone before the search, and on the placements of a
+# cone on a cone `is_isomorphic` tries.
 MAX_ISO_CANDIDATES = 20_000
 MAX_ISO_PLACEMENTS = 100_000
 
@@ -736,11 +739,12 @@ def _tighten(K: GeneralizedConeComplex) -> GeneralizedConeComplex:
     return GeneralizedConeComplex(tuple(new_cones), tuple(new_maps))
 
 
-def _cone_invariant(K: GeneralizedConeComplex, i: int):
-    c = K.cones[i]
-    ins = sum(1 for fm in K.face_maps if fm.target == i)
-    outs = sum(1 for fm in K.face_maps if fm.source == i)
-    return (c.dim, len(c.rays), c.multiplicity, ins, outs)
+def _cone_invariants(K: GeneralizedConeComplex) -> list[tuple]:
+    """(dim, ray count, multiplicity, maps in, maps out) of each cone."""
+    ins = Counter(fm.target for fm in K.face_maps)
+    outs = Counter(fm.source for fm in K.face_maps)
+    return [(c.dim, len(c.rays), c.multiplicity, ins[i], outs[i])
+            for i, c in enumerate(K.cones)]
 
 
 def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
@@ -761,9 +765,6 @@ def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
             basis.append(r)
     if len(basis) != n:
         raise InternalInvariant("a tight cone spans its lattice")
-    if math.perm(len(c2.rays), n) > MAX_ISO_CANDIDATES:
-        raise ScopeExceeded(f"a cone with {len(c2.rays)} rays in rank {n} has more than "
-                            f"{MAX_ISO_CANDIDATES} isomorphism candidates")
     # U A = B has the integer solution B (d A^-1) / d when d divides B (d A^-1).
     # With A = basis columns in Smith form, d A^-1 = V (d D^-1) U is integral
     # for d the last invariant factor, which every other one divides.
@@ -783,13 +784,23 @@ def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
 
 
 def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
-    """Isomorphism search over cone bijections with lattice identifications."""
+    """Isomorphism search over cone bijections with lattice identifications.
+
+    Raises ScopeExceeded when a cone of k rays and dimension n has more than
+    MAX_ISO_CANDIDATES basis placements, k!/(k-n)!, checked for every cone
+    once the counts agree and before any cone is re-expressed."""
     if len(F.cones) != len(G.cones) or len(F.face_maps) != len(G.face_maps):
         return False
+    shape = sorted((c.dim, len(c.rays)) for c in F.cones)
+    if shape != sorted((c.dim, len(c.rays)) for c in G.cones):
+        return False
+    for dim, k in shape:
+        if math.perm(k, dim) > MAX_ISO_CANDIDATES:
+            raise ScopeExceeded(f"a cone with {k} rays in rank {dim} has more than "
+                                f"{MAX_ISO_CANDIDATES} isomorphism candidates")
     Ft, Gt = _tighten(F), _tighten(G)
     n = len(Ft.cones)
-    inv_f = [_cone_invariant(Ft, i) for i in range(n)]
-    inv_g = [_cone_invariant(Gt, i) for i in range(n)]
+    inv_f, inv_g = _cone_invariants(Ft), _cone_invariants(Gt)
     if sorted(inv_f) != sorted(inv_g):
         return False
     # Place each cone right after one it shares a face map with, so that the
@@ -813,9 +824,6 @@ def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
                 for j in (fm.source + fm.target - i for fm in touching[i]
                           if Ft.cones[fm.source].dim):
                     heapq.heappush(heap, (key[j], j))
-    gmap_index = {}
-    for fm in Gt.face_maps:
-        gmap_index.setdefault((fm.source, fm.target), []).append(fm.matrix)
     candidates = cache(lambda i, j: _iso_candidates(Ft.cones[i], Gt.cones[j]))
     tried = 0
 
@@ -835,7 +843,7 @@ def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
                 bij[i] = j
                 isos[i] = u
                 # the maps between earlier cones were checked when they were placed
-                if _consistent(Ft, touching[i], bij, isos, gmap_index) and \
+                if _consistent(Ft, Gt, touching[i], bij, isos) and \
                         extend(pos + 1, bij, isos):
                     return True
                 del bij[i]
@@ -845,18 +853,16 @@ def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
     return extend(0, {}, {})
 
 
-def _consistent(Ft, face_maps, bij, isos, gmap_index) -> bool:
+def _consistent(Ft, Gt, face_maps, bij, isos) -> bool:
+    """Do the placed cones carry each of these face maps between them to a
+    map of Gt, with as many maps between their images as between them?"""
     for fm in face_maps:
         if fm.source in bij and fm.target in bij:
-            ja, jb = bij[fm.source], bij[fm.target]
-            ua, ub = isos[fm.source], isos[fm.target]
-            want_candidates = gmap_index.get((ja, jb), [])
-            if not want_candidates:
+            images = Gt._maps_by_ends.get((bij[fm.source], bij[fm.target]), ())
+            if len(images) != len(Ft._maps_by_ends[fm.source, fm.target]):
                 return False
-            lhs = ub @ fm.matrix
             # need psi with psi @ ua == ub @ fm.matrix
-            if not any(psi @ ua == lhs for psi in want_candidates):
-                return False
-            if len(Ft.maps_between(fm.source, fm.target)) != len(want_candidates):
+            lhs = isos[fm.target] @ fm.matrix
+            if not any(psi.matrix @ isos[fm.source] == lhs for psi in images):
                 return False
     return True

@@ -11,10 +11,15 @@ import time
 
 import pytest
 
+from logfan import conecomplex as cc
+from logfan import hkr, lattice
+from logfan import logmodel as lm
+from logfan import monoid as mn
 from logfan.cli import OPERATIONS, Document, emit, main, parse, run
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS
 from logfan.errors import (FormatUnavailable, KindMismatch, ParseError,
                            UnknownOperation, UnresolvedReference)
+from logfan.lattice import FgAbelianGroup, IntMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -629,3 +634,139 @@ def test_values_are_read_not_coerced(tmp_path, capsys, objects, task):
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ParseError: ")
+
+
+def _main_json(tmp_path, capsysbinary, objects, tasks):
+    """(exit status, results) of one document through `main --format json`."""
+    p = tmp_path / "doc.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects, "tasks": tasks}))
+    status = main(["run", str(p), "--format", "json"])
+    return status, json.loads(capsysbinary.readouterr().out)["results"]
+
+
+# (1, 1) is in the group and 2 (1, 1) = (2, 0) is in the monoid, but (1, 1) is not
+_SATURABLE = {"kind": "monoid", "free_rank": 1, "torsion": [2], "generators": [[2, 0], [3, 1]]}
+_TWO_COMPONENTS = {"kind": "monoid", "free_rank": 1, "torsion": [2],
+                   "generators": [[1, 0], [0, 1]]}
+
+
+def _monoid(spec):
+    return mn.FineMonoid.make(FgAbelianGroup(spec["free_rank"], spec.get("torsion", ())),
+                              spec["generators"])
+
+
+def _expect_saturate():
+    rep = mn.saturate(_monoid(_SATURABLE))
+    S = rep.saturated
+    return {"ambient": {"free_rank": S.ambient.free_rank,
+                        "torsion": list(S.ambient.torsion_orders)},
+            "generators": [list(g) for g in S.generators],
+            "torsion_order": rep.torsion_order,
+            "added_generators": [list(g) for g in rep.index_data]}
+
+
+def _expect_star():
+    sub = cc.star_subdivision(cc.from_toric_fan([(1, 0), (0, 1)], [(0, 1)], 2), 3, (1, 2))
+    K = sub.refined
+    return {"cones": [{"rank": c.lattice_rank, "rays": [list(r) for r in c.rays]}
+                      for c in K.cones],
+            "face_maps": [{"source": fm.source, "target": fm.target,
+                           "matrix": fm.matrix.as_rows()} for fm in K.face_maps],
+            "cone_count": K.cone_count, "ray_count": K.ray_count,
+            "trivial": sub.is_trivial(),
+            "unimodular": {str(k): v for k, v in sub.unimodular.items()}}
+
+
+_M = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+
+
+def _snf():
+    snf = lattice.smith_normal_form(IntMatrix.from_rows(_M))
+    return {"U": snf.U.as_rows(), "D": snf.D.as_rows(), "V": snf.V.as_rows(),
+            "diagonal": list(snf.diagonal())}
+
+
+def _cokernel():
+    G = lattice.cokernel(IntMatrix.from_rows(_M))
+    return {"free_rank": G.free_rank, "torsion": list(G.torsion_orders)}
+
+
+# op: (objects, args, the data the library gives)
+HANDLER_CASES = {
+    "smith_normal_form": ({"M": {"kind": "matrix", "entries": _M}}, {"matrix": "M"}, _snf),
+    "cokernel": ({"M": {"kind": "matrix", "entries": _M}}, {"matrix": "M"}, _cokernel),
+    "saturate_subgroup": (
+        {"G": {"kind": "matrix", "entries": [[2, 0, 2], [0, 3, 3]]}}, {"generators": "G"},
+        lambda: {"basis": [list(b) for b in
+                           lattice.saturate_subgroup([(2, 0, 2), (0, 3, 3)], 3)]}),
+    "hilbert_basis": (
+        {"G": {"kind": "matrix", "entries": [[1, 0], [2, 7]]}}, {"generators": "G"},
+        lambda: {"basis": [list(b) for b in mn.hilbert_basis([(1, 0), (2, 7)], 2)]}),
+    "saturate": ({"P": _SATURABLE}, {"monoid": "P"}, _expect_saturate),
+    "is_saturated": ({"P": _SATURABLE}, {"monoid": "P"},
+                     lambda: {"saturated": mn.is_saturated(_monoid(_SATURABLE))}),
+    "spec_component_count": (
+        {"P": _TWO_COMPONENTS}, {"monoid": "P"},
+        lambda: {"count": mn.spec_component_count(_monoid(_TWO_COMPONENTS))}),
+    "star_subdivision": ({"K": _FAN}, {"complex": "K", "cone": 3, "ray": [1, 2]},
+                         _expect_star),
+    "periodic_cyclic": ({"X": {"kind": "model", "builtin": "p2"}}, {"model": "X"},
+                        lambda: hkr.periodic_cyclic(lm.p2_toric_model()).to_json()),
+}
+
+
+@pytest.mark.parametrize("op", sorted(HANDLER_CASES))
+def test_handler_data_through_main_matches_the_library(tmp_path, capsysbinary, op):
+    objects, args, expect = HANDLER_CASES[op]
+    status, results = _main_json(tmp_path, capsysbinary, objects,
+                                 [{"op": op, "args": args}])
+    assert status == 0
+    assert results[0]["status"] == "ok"
+    assert results[0]["data"] == expect()
+
+
+def test_euler_check_of_an_open_model_is_a_task_error(tmp_path, capsysbinary):
+    objects = {"X": {"kind": "model", "builtin": "affine_space", "d": 2}}
+    status, results = _main_json(tmp_path, capsysbinary, objects,
+                                 [{"op": "euler_check", "args": {"model": "X"}}])
+    assert status == 1
+    assert results[0]["error"]["type"] == "SeriesNotSupported"
+
+
+def test_product_model_of_series_and_finite_factors_commutes(tmp_path, capsysbinary):
+    """A^1 x P^1 multiplies series entries by finite ones, P^1 x A^1 finite
+    by series: both give the same Hodge table and homology."""
+    A, P = lm.affine_space_model(1), lm.p1_toric_model()
+    assert lm.product_model(A, P).hodge == lm.product_model(P, A).hodge
+    objects = {"A": {"kind": "model", "builtin": "affine_space", "d": 1},
+               "P": {"kind": "model", "builtin": "p1"},
+               "AP": {"kind": "model", "builtin": "product", "factors": ["A", "P"]},
+               "PA": {"kind": "model", "builtin": "product", "factors": ["P", "A"]}}
+    status, results = _main_json(tmp_path, capsysbinary, objects,
+                                 [{"op": "hh_homology", "args": {"model": m}}
+                                  for m in ("AP", "PA")])
+    assert status == 0
+    assert results[0]["data"] == results[1]["data"]
+    assert results[0]["data"] == hkr.hh_homology(lm.product_model(A, P)).to_json()
+
+
+def _perfbench_workloads():
+    """The benchmark's job lists and output checks, imported read-only."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+@pytest.mark.parametrize("surface", ["P1", "A2", "P2", "F1", "F2", "F3"])
+def test_diagonal_outputs_match_the_benchmark_goldens(surface):
+    """The log_diagonal and subdivide_along_diagonal results of each surface
+    of the benchmark's diagonal family, run in process, pass its check."""
+    workloads = _perfbench_workloads()
+    job = workloads.diagonal_job(surface)
+    report = run(parse(json.dumps(job.document)))
+    checks = workloads.check(job, report.exit_status, emit(report, "json"),
+                             workloads.load_goldens())
+    assert len(checks) == 1 + len(job.tasks)
+    assert all(ok for _, ok in checks), checks

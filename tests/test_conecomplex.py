@@ -8,17 +8,18 @@ import time
 import pytest
 
 from logfan import conecomplex as cc
+from logfan._geometry import ConeGeometry
 from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 GeneralizedConeComplex, diagonal_morphism,
                                 face_poset_dot,
-                                from_toric_fan, is_isomorphic,
+                                from_toric_fan, identity_morphism, is_isomorphic,
                                 nodal_cubic_complex, point_complex, product,
                                 product_projections, snc_artin_fan,
                                 star_subdivision, subdivide_along,
                                 subdivide_along_diagonal)
 from logfan.errors import (NotAFan, NotSimplicial, RayOutsideSupport,
                            ScopeExceeded)
-from logfan.lattice import IntMatrix, det, primitive
+from logfan.lattice import IntMatrix, det, lattice_rank, primitive
 from rational_solve import solve_rational
 
 
@@ -193,7 +194,6 @@ def test_subdivide_along_a1_diagonal():
 
 
 def test_subdivide_along_identity_is_trivial():
-    from logfan.conecomplex import identity_morphism
     a2 = a2_complex()
     res = subdivide_along(identity_morphism(a2))
     assert res.subdivision.is_trivial()
@@ -309,19 +309,135 @@ def test_star_subdivision_homes_on_non_simplicial_cones(name):
     assert joins_beyond_union >= 100
 
 
+def orthant_morphism(source, images):
+    """source -> the orthant of Z^len(images[0]), every cone sent into the
+    top cone by the matrix with these columns."""
+    n = len(images[0])
+    A = from_toric_fan([tuple(int(i == j) for j in range(n)) for i in range(n)],
+                       [tuple(range(n))], n)
+    M = IntMatrix.from_columns(images, rows=n)
+    return ComplexMorphism(source, A, tuple((len(A.cones) - 1, M) for _ in source.cones))
+
+
+def skew_image_morphism():
+    return orthant_morphism(a2_complex(), [(1, 1, 0, 0), (0, 1, 1, 1)])
+
+
 def test_subdivide_along_skew_image_cone():
     """An image plane not parallel to any coordinate pair still resolves."""
-    A4 = from_toric_fan([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-                        [(0, 1, 2, 3)], 4)
-    big = max(range(len(A4.cones)), key=lambda i: A4.cones[i].dim)
-    M = IntMatrix.from_columns([(1, 1, 0, 0), (0, 1, 1, 1)], rows=4)
-    phi = ComplexMorphism(a2_complex(), A4,
-                          tuple((big, M) for _ in a2_complex().cones))
-    res = subdivide_along(phi)
+    res = subdivide_along(skew_image_morphism())
     diag = tuple(sorted(((1, 1, 0, 0), (0, 1, 1, 1))))
     assert any(c.rays == diag for c in res.subdivision.refined.cones)
     assert res.factoring is not None
     assert res.subdivision.support_volumes_ok()
+
+
+def test_barycenter_round_resolves_a_crossed_image_cone(monkeypatch):
+    """The cut at (0, 1, 1), the image of a lone ray, crosses the image
+    cone((0, 0, 1), (1, 1, 0)) at (1, 1, 1) before (1, 1, 0) is cut, so the
+    image is not a union of cones after the ray cuts; one barycenter round,
+    at (1, 1, 1), resolves it, and splits it in two."""
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    source = from_toric_fan(e, [(0, 1), (2,)], 3)
+    phi = orthant_morphism(source, [(0, 0, 1), (1, 1, 0), (0, 1, 1)])
+    cuts = []
+    stellar = cc._stellar
+    monkeypatch.setattr(cc, "_stellar",
+                        lambda home_of, v: cuts.append(v) or stellar(home_of, v))
+    res = subdivide_along(phi)
+    assert cuts == [(0, 0, 1), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+    assert res.subdivision.support_volumes_ok()
+    refined = res.subdivision.refined
+    for half in [((0, 0, 1), (1, 1, 1)), ((1, 1, 0), (1, 1, 1))]:
+        assert any(c.rays == half for c in refined.cones)
+    assert res.factoring is None
+
+
+def meets_interior_of(g, other):
+    """Does cone g meet the relative interior of cone `other`?  The sum of
+    the rays of their intersection is in its relative interior, which meets
+    relint(other) exactly when that point lies there."""
+    rays = g.intersect_rays(other)
+    return bool(rays) and other.contains_relative_interior(
+        tuple(map(sum, zip(*rays))))
+
+
+def naive_star_is_fan(target, image):
+    """Would coning the image cone to the target's faces tile convexly?  The
+    naive one-shot subdivision along an image cone: its wedges over the
+    proper faces that neither meet relint(image) nor lie in it must not
+    overlap in full dimension."""
+    if image.span_dim < 2:
+        return True
+    rank = target.lattice_rank
+    wedges = []
+    for f in target.faces:
+        if f == target:
+            continue
+        if meets_interior_of(f.geometry, image) or image.contains_cone(f.geometry):
+            continue
+        w = ConeGeometry.of(image.rays + f.rays, rank)
+        if w.span_dim == target.dim:
+            wedges.append(w)
+    for a, b in itertools.combinations(wedges, 2):
+        if ConeGeometry.of(a.intersect_rays(b), rank).span_dim == target.dim:
+            return False
+    return True
+
+
+def test_naive_star_is_never_a_fan_around_a_plane():
+    """The naive star of a 2-d image cone in a simplicial cone of dimension
+    3 or 4 is never a fan (the argument in ImageConeFlag), on 200 seeded
+    pairs in rank 3 and 4, within 1.5 s; around a plane of its own
+    dimension it is."""
+    rng = random.Random(16)
+    start = time.perf_counter()
+    pairs = 0
+    while pairs < 200:
+        rank = rng.choice((3, 4))
+        k = rng.randint(3, rank)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(k)]
+        if lattice_rank(rays) < k:
+            continue
+        home = Cone.make(rays, rank)
+        a, b = ([sum(t * x for t, x in zip(ts, col)) for col in zip(*home.rays)]
+                for ts in ([rng.randint(0, 2) for _ in home.rays] for _ in range(2)))
+        image = ConeGeometry.of([a, b], rank)
+        if image.span_dim != 2:
+            continue
+        assert home.geometry.contains_cone(image) and home.dim == k
+        assert not naive_star_is_fan(home, image), (home, image.rays)
+        pairs += 1
+    assert time.perf_counter() - start < 1.5
+    plane = Cone.make(image.rays, rank)
+    assert naive_star_is_fan(plane, image)
+
+
+MORPHISMS = {**{f"diagonal-{name}": lambda name=name: diagonal_morphism(
+                    from_toric_fan(*DIAGONAL_FANS[name])) for name in DIAGONAL_FANS},
+             "skew": skew_image_morphism,
+             "identity-A2": lambda: identity_morphism(a2_complex()),
+             "identity-P2": lambda: identity_morphism(from_toric_fan(*DIAGONAL_FANS["P2"]))}
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISMS))
+def test_image_flags_match_the_naive_star_oracle(name):
+    """Each 2-d image cone's flag is the naive-star oracle over its homes,
+    the target cones of higher dimension around it."""
+    phi = MORPHISMS[name]()
+    rank = phi.target.cones[0].lattice_rank
+    images = [ConeGeometry.of(phi.image_cone_rays(i), rank)
+              for i in range(len(phi.source.cones))]
+    flags = subdivide_along(phi).image_flags
+    assert [f.index for f in flags] == [i for i, g in enumerate(images) if g.span_dim >= 2]
+    for f in flags:
+        image = images[f.index]
+        homes = [c for c in phi.target.cones
+                 if c.geometry.contains_cone(image) and c.dim > image.span_dim]
+        assert f.dim == image.span_dim
+        assert f.naive_star_convex == all(naive_star_is_fan(c, image) for c in homes)
+    # the 2-d images of the diagonals and of the skew map lie in 4-d cones
+    assert {f.naive_star_convex for f in flags} <= {name.startswith("identity")}
 
 
 def test_subdivide_along_scope():
@@ -467,6 +583,17 @@ def test_isomorphism_candidates_are_bounded():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("vertices", [8, 9])
+def test_large_simplex_isomorphism_is_refused_first(vertices):
+    """The top cone of the snc simplex on 8 (9) vertices has 8! (9!) basis
+    placements; every cone is checked before any work starts."""
+    K = snc_artin_fan([tuple(range(vertices))])
+    start = time.perf_counter()
+    with pytest.raises(ScopeExceeded, match="isomorphism candidates"):
+        is_isomorphic(K, K)
+    assert time.perf_counter() - start < 0.1
+
+
 def dimension_first_isomorphic(F, G):
     """The search the linked order replaces: cones placed by dimension first,
     every face map rechecked after each placement."""
@@ -474,14 +601,10 @@ def dimension_first_isomorphic(F, G):
         return False
     Ft, Gt = cc._tighten(F), cc._tighten(G)
     n = len(Ft.cones)
-    inv_f = [cc._cone_invariant(Ft, i) for i in range(n)]
-    inv_g = [cc._cone_invariant(Gt, i) for i in range(n)]
+    inv_f, inv_g = cc._cone_invariants(Ft), cc._cone_invariants(Gt)
     if sorted(inv_f) != sorted(inv_g):
         return False
     order = sorted(range(n), key=lambda i: (-Ft.cones[i].dim, inv_f[i]))
-    gmap_index = {}
-    for fm in Gt.face_maps:
-        gmap_index.setdefault((fm.source, fm.target), []).append(fm.matrix)
 
     def extend(pos, bij, isos):
         if pos == n:
@@ -492,7 +615,7 @@ def dimension_first_isomorphic(F, G):
                 continue
             for u in cc._iso_candidates(Ft.cones[i], Gt.cones[j]):
                 bij[i], isos[i] = j, u
-                if cc._consistent(Ft, Ft.face_maps, bij, isos, gmap_index) and \
+                if cc._consistent(Ft, Gt, Ft.face_maps, bij, isos) and \
                         extend(pos + 1, bij, isos):
                     return True
                 del bij[i], isos[i]
