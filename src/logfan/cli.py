@@ -645,7 +645,7 @@ def main(argv=None) -> int:
     parser.add_argument("--truncation", type=int,
                         default=os.environ.get("LOGFAN_TRUNCATION",
                                                lm.DEFAULT_TRUNCATION),
-                        help="series truncation order (default 10)")
+                        help="series truncation order of documents (default 10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a document")
@@ -664,7 +664,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "paper-suite":
-        results = run_paper_suite(truncation=args.truncation)
+        results = run_paper_suite()
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
         failed = sum(1 for r in results if not r.passed)

@@ -5,16 +5,16 @@ worry about: saturation indices and Hilbert basis determinants overflow
 64-bit arithmetic already on small inputs.  Matrices are immutable and
 row-major.  The workhorse is the Smith normal form U A V = D with its two
 unimodular transforms U and V; kernels, cokernels, general integer solves,
-lattice saturation and the inverse of a square matrix of full rank, V D^-1 U,
-are all read off from it.  U^-1 and V^-1 are derived when asked, from one
-more Smith form each.  A vector's coordinates in a basis that is already in
-Hermite normal form need no Smith form: `hnf_coords` reads them by walking
-down the echelon.
+and lattice saturation are all read off from it; where a column of U^-1 or
+a row of V^-1 is needed, it is read off A V = U^-1 D or U A = D V^-1, so no
+transform is ever inverted.  A vector's coordinates in a basis that is
+already in Hermite normal form need no Smith form: `hnf_coords` reads them by
+walking down the echelon.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from math import gcd
 from operator import mul
 
@@ -170,22 +170,12 @@ class FgAbelianGroup(Record):
         f = self.free_rank
         return v[:f] + tuple(x % d for x, d in zip(v[f:], self.torsion_orders))
 
-    def zero(self) -> Vector:
-        return (0,) * self.num_coords
-
-    def add(self, a, b) -> Vector:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
     def free_part(self, v) -> Vector:
         return tuple(v[:self.free_rank])
 
 
 class SmithDecomposition(Record):
-    """U @ A @ V = D with U, V unimodular and D a divisibility-chain diagonal.
-
-    The inverses of U and V are derived on first use, each from one more
-    Smith form.
-    """
+    """U @ A @ V = D with U, V unimodular and D a divisibility-chain diagonal."""
 
     U: IntMatrix
     D: IntMatrix
@@ -202,23 +192,6 @@ class SmithDecomposition(Record):
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
-
-    @cached_property
-    def U_inverse(self) -> IntMatrix:
-        return _unimodular_inverse(self.U)
-
-    @cached_property
-    def V_inverse(self) -> IntMatrix:
-        return _unimodular_inverse(self.V)
-
-
-def _unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """M^-1 = V' U' from U' M V' = 1; that form is checked to be the identity,
-    and smith_normal_form checks its recomposition, so the inverse is exact."""
-    snf = smith_normal_form(M)
-    if snf.D != IntMatrix.identity(M.rows):
-        raise InternalInvariant("a Smith transform is not unimodular")
-    return snf.V @ snf.U
 
 
 def _select_pivot(M, t, m, n):
@@ -513,9 +486,17 @@ def saturate_subgroup(generators, ambient_rank: int) -> tuple[Vector, ...]:
         return ()
     A = IntMatrix.from_columns(gens, rows=ambient_rank)
     snf = smith_normal_form(A)
-    r = snf.rank
-    basis = [snf.U_inverse.column(i) for i in range(r)]
-    return hnf_rows(basis)
+    # A V = U^-1 D: column i < rank of A V is d_i times column i of U^-1
+    AV = A @ snf.V
+    return hnf_rows([divide_exactly(AV.column(i), d)
+                     for i, d in enumerate(snf.diagonal()[:snf.rank])])
+
+
+def divide_exactly(v, d: int) -> Vector:
+    """v / d for a vector that d divides; a remainder is an internal fault."""
+    if any(x % d for x in v):
+        raise InternalInvariant(f"{d} does not divide {tuple(v)}")
+    return tuple(x // d for x in v)
 
 
 def primitive(v) -> Vector:

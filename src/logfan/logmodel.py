@@ -185,7 +185,8 @@ class HodgeTable(Record):
 
 
 class LogModel(Record):
-    """A log-smooth combinatorial model; omega_log_rank always equals dim.
+    """A log-smooth combinatorial model, so the rank of its log differentials
+    is its dimension.
 
     The Hodge table fixes the dimension, whether the model is affine (its
     entries are weight series) and the series truncation."""
@@ -215,8 +216,6 @@ class LogModel(Record):
     @property
     def truncation(self) -> int | None:
         return self.hodge.truncation
-
-    omega_log_rank = dimension
 
 
 def point_model() -> LogModel:

@@ -20,8 +20,9 @@ from ._record import Record
 from .errors import (InternalInvariant, NotSaturated, NotStronglyConvex,
                      ScopeExceeded)
 from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection, det,
-                      hnf_coords, hnf_rows, in_lattice, lattice_rank as _span_rank,
-                      reduce_mod_lattice, smith_normal_form, solve_integer)
+                      divide_exactly, hnf_coords, hnf_rows, in_lattice,
+                      lattice_rank as _span_rank, reduce_mod_lattice, smith_normal_form,
+                      solve_integer)
 
 # Desk-scale bounds, stated in README "Scale".
 MAX_PARALLELEPIPED_POINTS = 10_000
@@ -83,16 +84,17 @@ class FineMonoid(Record):
         coeffs = [hnf_coords(rel[f:], K) for rel in self._relation_rows]
         if None in coeffs:
             raise InternalInvariant("a torsion relation is outside the torsion of P^gp")
-        snf = smith_normal_form(IntMatrix.from_rows(coeffs))
+        C = IntMatrix.from_rows(coeffs)
+        snf = smith_normal_form(C)
         order = 1
         for d in snf.diagonal():
             order *= max(d, 1)
-        newbasis = snf.V_inverse @ IntMatrix.from_rows(K)
-        gens = []
-        for i, d in enumerate(snf.diagonal()):
-            if d >= 2:
-                gens.append(self.ambient.reduce((0,) * f + tuple(newbasis.row(i))))
-        return order, tuple(gens)
+        # U C = D V^-1: row i of U C is d_i times row i of V^-1, whose
+        # combination of the rows of K is the i-th cyclic generator
+        UC, Kt = snf.U @ C, IntMatrix.from_columns(K)
+        return order, tuple(
+            self.ambient.reduce((0,) * f + Kt.apply(divide_exactly(UC.row(i), d)))
+            for i, d in enumerate(snf.diagonal()) if d >= 2)
 
     @property
     def gp_torsion_order(self) -> int:
@@ -126,9 +128,6 @@ class FineMonoid(Record):
                             + [rel[f:] for rel in self._relation_rows])
         least = min((_degree(self.free_cone, G.free_part(g)) for g in mixed), default=1)
         return mixed, tors_lat, least
-
-    def __contains__(self, x) -> bool:
-        return contains(self, x)
 
 
 def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
@@ -363,9 +362,6 @@ class MonoidHom(Record):
         for g in self.source.generators:
             if not contains(self.target, self.matrix.apply(g)):
                 raise ValueError(f"generator {g} does not map into the target monoid")
-
-    def apply(self, v) -> Vector:
-        return self.target.ambient.reduce(self.matrix.apply(self.source.ambient.reduce(v)))
 
 
 def hom_well_defined(src: FgAbelianGroup, dst: FgAbelianGroup, matrix: IntMatrix) -> bool:

@@ -122,8 +122,8 @@ def _is_shifted_ones(coeffs) -> bool:
     return False
 
 
-def check_a1_concentration(truncation: int = 10) -> CheckResult:
-    X = lm.affine_space_model(1, truncation=truncation)
+def check_a1_concentration() -> CheckResult:
+    X = lm.affine_space_model(1)
     hh = hkr.hh_homology(X)
     co = hkr.hh_cohomology(X)
     ok = (hh.support() == (0, 1) and co.support() == (0, 1)
@@ -155,12 +155,10 @@ def check_periodic_cyclic() -> CheckResult:
                    f"3 marks (even, odd) = {got[:2]}, classical P^1 = {got[2:]}")
 
 
-def check_orbifold_decomposition(truncation: int = 10) -> CheckResult:
-    logged = ob.DiagonalAction(lm.mixed_affine(1, [0], truncation=truncation),
-                               (2,), ((1,),))
-    bare = ob.DiagonalAction(lm.mixed_affine(1, [], truncation=truncation),
-                             (2,), ((1,),))
-    even = [1 if w % 2 == 0 else 0 for w in range(truncation + 1)]
+def check_orbifold_decomposition() -> CheckResult:
+    logged = ob.DiagonalAction(lm.mixed_affine(1, [0]), (2,), ((1,),))
+    bare = ob.DiagonalAction(lm.mixed_affine(1, []), (2,), ((1,),))
+    even = [1 if w % 2 == 0 else 0 for w in range(lm.DEFAULT_TRUNCATION + 1)]
 
     sector = ob.twisted_sector(logged, (1,))
     hh_logged = ob.orbifold_hh(logged)
@@ -420,16 +418,15 @@ def _koszul_basis(d: int, box: int):
     return bases
 
 
-def _koszul_matrix(d: int, box: int, q: int, bases, domain_filter=None):
+def _koszul_matrix(d: int, box: int, q: int, bases):
     """Differential K_q -> K_{q-1} on the truncated Laurent box.
 
-    Columns indexed by the (filtered) q-basis; entries over the full
-    (q-1)-basis.  Terms leaving the box are dropped.
+    One column per element of the q-basis, as a sparse map from indices of
+    the (q-1)-basis.  Terms leaving the box are dropped.
     """
-    dom = [x for x in bases[q] if domain_filter is None or domain_filter(x)]
     cod_index = {x: i for i, x in enumerate(bases[q - 1])}
     cols = []
-    for S, b in dom:
+    for S, b in bases[q]:
         col: dict[int, int] = {}
         for pos, i in enumerate(S):
             sign = (-1) ** pos
@@ -441,65 +438,58 @@ def _koszul_matrix(d: int, box: int, q: int, bases, domain_filter=None):
             k = cod_index[(rest, b)]
             col[k] = col.get(k, 0) - sign
         cols.append({k: v for k, v in col.items() if v})
-    return dom, cols, len(bases[q - 1])
+    return cols
 
 
 def _rational_rank(cols) -> int:
     return len(cols) - len(_rational_kernel(cols))
 
 
-def _koszul_resolution_window(d: int, box: int) -> bool:
+def _koszul_resolution_window(box: int, bases, diffs) -> bool:
     """Exactness of the t-part Koszul complex in a truncation window.
 
-    Kernels are taken over columns whose differentials stay inside the box,
-    and images only use such exact columns, so the truncated image is an
-    honest subset of the true one.
+    `diffs[q]` holds the columns of d_q over the whole q-basis.  Kernels are
+    taken over columns whose differentials stay inside the box, and images
+    only use such exact columns, so the truncated image is an honest subset
+    of the true one.
     """
-    bases = _koszul_basis(d, box)
+    d = len(bases) - 1
+
+    def kept(q, test):
+        return [i for i, x in enumerate(bases[q]) if test(x)]
+
     inner = lambda x: max((abs(v) for v in x[1]), default=0) <= box - 1
     exact = lambda x: all(x[1][i] + 1 <= box for i in x[0])
 
     # d . d == 0 on the inner domain (no truncation effects there)
     for q in range(2, d + 1):
-        dom_q, cols_q, _ = _koszul_matrix(d, box, q, bases,
-                                          domain_filter=lambda x: inner(x))
-        full_dom, full_cols, _ = _koszul_matrix(d, box, q - 1, bases)
-        index = {x: c for x, c in zip(full_dom, full_cols)}
-        base_q1 = bases[q - 1]
-        for col in cols_q:
+        for j in kept(q, inner):
             acc: dict[int, int] = {}
-            for k, v in col.items():
-                for kk, vv in index[base_q1[k]].items():
+            for k, v in diffs[q][j].items():
+                for kk, vv in diffs[q - 1][k].items():
                     acc[kk] = acc.get(kk, 0) + v * vv
             if any(acc.values()):
                 return False
 
     # window homology: inner kernel of d_q lands in the image of d_{q+1}
     for q in range(1, d + 1):
-        dom, cols, nrows = _koszul_matrix(d, box, q, bases, domain_filter=inner)
-        kern = _rational_kernel(cols)
+        dom = kept(q, inner)
+        kern = _rational_kernel([diffs[q][j] for j in dom])
         if not kern:
             continue
         if q == d:
             return False    # top differential must be injective
-        _, img_cols, _ = _koszul_matrix(d, box, q + 1, bases, domain_filter=exact)
-        full_index = {x: i for i, x in enumerate(bases[q])}
-        embedded = []
-        for kv in kern:
-            e: dict[int, Fraction] = {}
-            for ci, coef in kv.items():
-                e[full_index[dom[ci]]] = coef
-            embedded.append(e)
+        img_cols = [diffs[q + 1][j] for j in kept(q + 1, exact)]
+        embedded = [{dom[ci]: coef for ci, coef in kv.items()} for kv in kern]
         base_rank = _rational_rank(img_cols)
         aug_rank = _rational_rank(img_cols + embedded)
         if aug_rank != base_rank:
             return False
 
     # H_0 window: the class of t^0 is nonzero against the exact image
-    _, img_cols, _ = _koszul_matrix(d, box, 1, bases, domain_filter=exact)
+    img_cols = [diffs[1][j] for j in kept(1, exact)]
     zero_pt = ((), (0,) * d)
-    idx = {x: i for i, x in enumerate(bases[0])}
-    v = {idx[zero_pt]: Fraction(1)}
+    v = {bases[0].index(zero_pt): Fraction(1)}
     if _rational_rank(img_cols + [v]) == _rational_rank(img_cols):
         return False
     return True
@@ -543,15 +533,15 @@ def check_koszul_oracle() -> CheckResult:
     """
     for d in (1, 2, 3):
         box = 2 if d <= 2 else 1
-        if not _koszul_resolution_window(d, box):
+        bases = _koszul_basis(d, box)
+        diffs = {q: _koszul_matrix(d, box, q, bases) for q in range(1, d + 1)}
+        if not _koszul_resolution_window(box, bases, diffs):
             return _result("12 Koszul oracle", False,
                            f"resolution window failed for d={d}")
-        bases = _koszul_basis(d, box)
         for q in range(1, d + 1):
-            dom, cols, _ = _koszul_matrix(d, box, q, bases)
             # substitute t = 1: each column entry pairs +1 at b+e_i with -1
             # at b; after substitution every column must vanish identically.
-            for (S, b), col in zip(dom, cols):
+            for (S, b), col in zip(bases[q], diffs[q]):
                 collapsed: dict[tuple, int] = {}
                 for k, v in col.items():
                     rest, pt = bases[q - 1][k]
@@ -574,7 +564,8 @@ def check_koszul_oracle() -> CheckResult:
 
 # ---------------------------------------------------------------- aggregate
 
-def run_paper_suite(truncation: int = 10) -> list[CheckResult]:
+def run_paper_suite() -> list[CheckResult]:
+    """Every check, at the default truncation whatever a document would use."""
     checks = [
         check_r_disjoint_lines(),
         check_artin_fan_products(),
@@ -582,10 +573,10 @@ def run_paper_suite(truncation: int = 10) -> list[CheckResult]:
         check_a2_diagonal(),
         check_nodal_cubic_hkr(),
         check_marked_p1_family(),
-        check_a1_concentration(truncation),
+        check_a1_concentration(),
         check_log_alteration_invariance(),
         check_periodic_cyclic(),
-        check_orbifold_decomposition(truncation),
+        check_orbifold_decomposition(),
     ]
     checks.extend(check_property_suites())
     checks.append(check_koszul_oracle())

@@ -218,6 +218,17 @@ def test_negative_truncation_rejected(capsys, monkeypatch):
     assert main(["paper-suite"]) == 2
 
 
+def test_paper_suite_runs_at_the_default_truncation(capsys):
+    """--truncation applies to documents; the suite's lines do not move."""
+    assert main(["paper-suite"]) == 0
+    default = capsys.readouterr().out
+    for t in range(4):
+        assert main(["--truncation", str(t), "paper-suite"]) == 0
+        assert capsys.readouterr().out == default
+    assert main(["--truncation", "-1", "paper-suite"]) == 2
+    assert main(["--truncation", "-1", "check", str(FIXTURES / "a1_diagonal.lf.json")]) == 2
+
+
 def test_truncation_flag_controls_series(tmp_path, capsys):
     doc = """
     {"version": "logfan/1",

@@ -182,13 +182,14 @@ def test_random_hilbert_bases_against_bruteforce():
 
 def _brute_closure(P, coord_bound, steps):
     G = P.ambient
-    reach = {G.zero()}
-    frontier = [G.zero()]
+    zero = (0,) * G.num_coords
+    reach = {zero}
+    frontier = [zero]
     for _ in range(steps):
         nxt = []
         for v in frontier:
             for g in P.generators:
-                w = G.add(v, g)
+                w = G.reduce(tuple(a + b for a, b in zip(v, g)))
                 if all(abs(c) <= coord_bound for c in G.free_part(w)) and w not in reach:
                     reach.add(w)
                     nxt.append(w)

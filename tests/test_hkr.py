@@ -109,6 +109,11 @@ def test_log_diagonal_a2():
     assert any(c.rays == diag for c in pic.b_subcomplex.cones)
 
 
+def test_log_diagonal_of_a_non_toric_model_names_b_only():
+    b = log_diagonal(mixed_affine(2, [0, 1])).b_description
+    assert (b.text, b.torus_rank) == ("B(A^2 (log at x0,x1))", None)
+
+
 def test_log_diagonal_complete_toric():
     pic = log_diagonal(p1_toric_model())
     assert pic.b_description.text == "P^1 x G_m"

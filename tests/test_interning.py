@@ -10,8 +10,9 @@ import pytest
 from logfan import _geometry as geom
 from logfan import conecomplex as cc
 from logfan import hkr, lattice
+from logfan import monoid as mn
 from logfan.conecomplex import Cone
-from logfan.lattice import IntMatrix
+from logfan.lattice import FgAbelianGroup, IntMatrix
 from logfan.logmodel import p2_toric_model
 
 
@@ -165,9 +166,9 @@ def test_f1_diagonal_work_counts(monkeypatch):
     assert 0 < calls["contains_cone"] <= 2_500
 
 
-def test_smith_inverses_are_derived_once_and_only_when_read(monkeypatch):
-    """A decomposition costs one Smith form; the first read of U_inverse
-    costs one more, and later reads are free."""
+def test_saturation_and_torsion_take_one_smith_form_each(monkeypatch):
+    """`saturate_subgroup` reads U^-1 off A V and `_gp_torsion` reads V^-1
+    off U C, so neither takes a Smith form beyond its own."""
     calls = collections.Counter()
     real = lattice.smith_normal_form
 
@@ -175,13 +176,14 @@ def test_smith_inverses_are_derived_once_and_only_when_read(monkeypatch):
         calls["snf"] += 1
         return real(A)
 
-    monkeypatch.setattr(lattice, "smith_normal_form", counting)
-    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    snf = lattice.smith_normal_form(A)
-    assert snf.diagonal() == (2, 6, 12) and calls["snf"] == 1
-    first = snf.U_inverse
-    assert snf.U_inverse is first and calls["snf"] == 2
-    assert snf.U @ first == IntMatrix.identity(3)
+    for module in (lattice, mn):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    assert lattice.saturate_subgroup([(2, 4, 6), (0, 6, 12)], 3) == ((1, 0, -1), (0, 1, 2))
+    assert calls["snf"] == 1
+    # both Smith transforms of this torsion are not the identity
+    P = mn.FineMonoid.make(FgAbelianGroup(1, (2, 6)), [(-2, 1, 3), (1, 1, 1), (2, 0, 2)])
+    assert P._gp_torsion == (6, ((0, 1, 1),))
+    assert calls["snf"] == 2
 
 
 def test_cone_lattice_coords_costs_only_the_saturation(monkeypatch):

@@ -9,7 +9,10 @@ faster one is checked against it on seeded inputs:
   class representative over the rationals;
 * `enumerated_orbifold_series` tests every monomial-and-form of each twisted
   sector for invariance;
-* `recursive_contains` is the recursive depth-first membership search.
+* `recursive_contains` is the recursive depth-first membership search;
+* `unimodular_inverse` inverts a Smith transform by one more Smith form, and
+  `saturate_subgroup_by_inverse` and `gp_torsion_by_inverse` read the
+  saturation and the torsion generators off such inverses.
 """
 
 import itertools
@@ -21,11 +24,12 @@ import pytest
 
 from logfan import _geometry as geom
 from logfan.errors import ScopeExceeded
-from logfan.lattice import (IntMatrix, cokernel_projection, det, hnf_rows,
-                            in_lattice, smith_normal_form)
+from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel_projection, det,
+                            hnf_coords, hnf_rows, in_lattice, saturate_subgroup,
+                            smith_normal_form)
 from logfan.logmodel import mixed_affine
 from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
-                           hilbert_basis)
+                           hilbert_basis, saturate)
 from logfan.orbifold import DiagonalAction, orbifold_hh
 from logfan.suite import _random_fine_monoid
 from rational_solve import solve_rational
@@ -33,14 +37,51 @@ from rational_solve import solve_rational
 
 # ------------------------------------------------------------------ oracles
 
+def unimodular_inverse(M: IntMatrix) -> IntMatrix:
+    """M^-1 = V' U' from U' M V' = 1; that form is checked to be the identity,
+    and smith_normal_form checks its recomposition, so the inverse is exact."""
+    snf = smith_normal_form(M)
+    assert snf.D == IntMatrix.identity(M.rows), "a Smith transform is not unimodular"
+    return snf.V @ snf.U
+
+
+def saturate_subgroup_by_inverse(generators, ambient_rank: int):
+    """HNF basis of the saturation: the first rank columns of U^-1."""
+    gens = [tuple(g) for g in generators]
+    if not gens:
+        return ()
+    snf = smith_normal_form(IntMatrix.from_columns(gens, rows=ambient_rank))
+    U_inverse = unimodular_inverse(snf.U)
+    return hnf_rows([U_inverse.column(i) for i in range(snf.rank)])
+
+
+def gp_torsion_by_inverse(P: FineMonoid):
+    """Order and cyclic generators of the torsion of P^gp: the rows of V^-1
+    with a diagonal entry of at least 2, as combinations of the torsion rows
+    of P^gp's HNF."""
+    f = P.ambient.free_rank
+    if not P.ambient.torsion_orders:
+        return 1, ()
+    K = [row[f:] for row in P.gp_lattice if not any(row[:f])]
+    coeffs = [hnf_coords(rel[f:], K) for rel in P._relation_rows]
+    snf = smith_normal_form(IntMatrix.from_rows(coeffs))
+    order = 1
+    for d in snf.diagonal():
+        order *= max(d, 1)
+    newbasis = unimodular_inverse(snf.V) @ IntMatrix.from_rows(K)
+    return order, tuple(P.ambient.reduce((0,) * f + newbasis.row(i))
+                        for i, d in enumerate(snf.diagonal()) if d >= 2)
+
+
 def rational_parallelepiped_points(basis):
     basis = [tuple(b) for b in basis]
     k = len(basis)
     W = IntMatrix.from_columns(basis, rows=k)
     snf = smith_normal_form(W)
+    U_inverse = unimodular_inverse(snf.U)
     points = set()
     for rep in itertools.product(*(range(d) for d in snf.diagonal())):
-        x = snf.U_inverse.apply(rep)
+        x = U_inverse.apply(rep)
         shift = tuple(int(Fraction(t).__floor__()) for t in solve_rational(W, x))
         x = geom.vsub(x, W.apply(shift))
         assert all(0 <= t < 1 for t in solve_rational(W, x))
@@ -232,3 +273,38 @@ def test_membership_search_is_bounded():
     assert not contains(P, (61, 60))
     with pytest.raises(ScopeExceeded, match="visits more than"):
         contains(P, (500, 499))
+
+
+def test_saturate_subgroup_matches_the_inverse_oracle():
+    rng = random.Random(29)
+    proper = 0
+    for _ in range(3000):
+        rank = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-6, 6) for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 1))]
+        got = saturate_subgroup(gens, rank)
+        assert got == saturate_subgroup_by_inverse(gens, rank), (gens, rank)
+        proper += bool(gens) and got != hnf_rows(gens)
+    assert proper >= 1000
+
+
+TORSION = [(2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 6)]
+
+
+def test_gp_torsion_and_saturation_match_the_inverse_oracle(monkeypatch):
+    rng = random.Random(31)
+    monoids = []
+    while len(monoids) < 600:
+        orders = rng.choice(TORSION)
+        rank = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-2, 3) for _ in range(rank))
+                + tuple(rng.randrange(d) for d in orders)
+                for _ in range(rng.randint(1, 4))]
+        P = FineMonoid.make(FgAbelianGroup(rank, orders), gens)
+        assert P._gp_torsion == gp_torsion_by_inverse(P), P
+        if P.gp_torsion_order > 1:
+            monoids.append(P)
+    assert sum(len(P._gp_torsion[1]) == 2 for P in monoids) >= 60
+    got = [saturate(P) for P in monoids]
+    monkeypatch.setattr(FineMonoid, "_gp_torsion", property(gp_torsion_by_inverse))
+    assert got == [saturate(P) for P in monoids]

