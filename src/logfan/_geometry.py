@@ -45,7 +45,7 @@ def is_zero(a) -> bool:
 
 
 def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Generators (lines, rays) of {y : y . c >= 0 for every constraint c}.
+    """Generators (lines, rays) of {y : y . c >= 0 for every nonzero constraint c}.
 
     Incremental double description.  Lines come back as an HNF basis of the
     lineality space; rays are primitive, minimal and sorted.
@@ -55,9 +55,6 @@ def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Ve
     rays: list[tuple[Vector, frozenset]] = []
     processed = 0
     for a in constraints:
-        if is_zero(a):
-            processed += 1
-            continue
         pivot = next((l for l in lines if dot(l, a) != 0), None)
         if pivot is not None:
             d0 = dot(pivot, a)
@@ -218,7 +215,7 @@ def simplicial_index(rays) -> int:
 
 
 def triangulate(rays, dim: int) -> list[tuple[int, ...]]:
-    """Placing triangulation of cone(rays), rays inserted in lex order.
+    """Placing triangulation of cone(nonzero rays), rays inserted in lex order.
 
     Returns maximal simplices as tuples of ray indices.  Rays interior to the
     cone already placed are skipped (they are redundant generators).
@@ -228,8 +225,6 @@ def triangulate(rays, dim: int) -> list[tuple[int, ...]]:
     simplices: list[tuple[int, ...]] = []
     for idx in order:
         v = rays[idx]
-        if is_zero(v):
-            continue
         if not placed:
             placed.append(idx)
             simplices = [(idx,)]

@@ -29,6 +29,7 @@ from ._record import Record
 from .errors import (FormatUnavailable, KindMismatch, LogfanError, ParseError,
                      ScopeExceeded, UnknownOperation, UnresolvedReference)
 from .lattice import FgAbelianGroup, IntMatrix
+from .monoid import MAX_DIMENSION
 from .suite import run_paper_suite
 
 VERSION_TAG = "logfan/1"
@@ -61,7 +62,6 @@ class Report(Record):
 # it.  A reader checks a JSON value and returns it as a Python value; its
 # messages name the field, and `_named` puts the object or task in front.
 
-MAX_DIMENSION = 6         # `d` of affine_space, `coords` of mixed_affine, toric `rank`
 MAX_MARKED_POINTS = 64    # `n` of marked_p1
 MAX_FACE_MAPS = 10_000    # face maps of a literal complex
 
@@ -195,7 +195,8 @@ def _build_complex(spec, resolve) -> cc.GeneralizedConeComplex:
     raw_maps = _field(spec, "face_maps", _list, limit=MAX_FACE_MAPS)
     cones = []
     for c in raw_cones:
-        rank = _field(c, "rank", _nat)
+        # twice the model bound: a product of two models still reads back
+        rank = _field(c, "rank", _nat, limit=2 * MAX_DIMENSION)
         cones.append(cc.Cone.make(_field(c, "rays", _vectors, (), length=rank), rank))
 
     identities = [IntMatrix.identity(c.lattice_rank) for c in cones]

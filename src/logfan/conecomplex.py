@@ -320,8 +320,6 @@ def snc_artin_fan(simplices) -> GeneralizedConeComplex:
     for s in ordered:
         for k in range(0, len(s) + 1):
             for t in itertools.combinations(s, k):
-                if t not in index:
-                    continue
                 cols = [tuple(1 if s.index(v) == i else 0 for i in range(len(s)))
                         for v in t]
                 m = IntMatrix.from_columns(cols, rows=len(s))
@@ -748,14 +746,12 @@ def _cone_invariants(K: GeneralizedConeComplex) -> list[tuple]:
 
 
 def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
-    """Unimodular maps carrying c1 onto c2 (tight cones only).
+    """Unimodular maps carrying c1 onto c2 (tight cones of one rank and ray count).
 
     Such a map sends rays to rays and is fixed by the images of a basis
     chosen from the rays of c1, so only the k!/(k-n)! placements of that
     basis on the k rays of c2 are tried.
     """
-    if c1.lattice_rank != c2.lattice_rank or len(c1.rays) != len(c2.rays):
-        return []
     n = c1.lattice_rank
     if n == 0:
         return [IntMatrix.identity(0)]

@@ -146,13 +146,7 @@ def periodic_cyclic(X: LogModel) -> CyclicTable:
 
 
 def euler_check(X: LogModel) -> int:
-    """Alternating sum of HH dimensions, checked against the Euler
-    characteristic chi(X minus D) that the model's constructor recorded."""
-    if X.hodge.kind != FINITE or X.open_euler is None:
+    """Alternating sum of HH dimensions, which is chi(X minus D)."""
+    if X.hodge.kind != FINITE:
         raise SeriesNotSupported("euler characteristics need a complete model")
-    hh = hh_homology(X)
-    chi = sum((-1 if n % 2 else 1) * e.total() for n, e in hh.degrees)
-    if chi != X.open_euler:
-        raise InternalInvariant(f"{X.name}: sum of (-1)^n dim HH_n is {chi}, "
-                                f"but chi(X minus D) is {X.open_euler}")
-    return chi
+    return sum((-1 if n % 2 else 1) * e.total() for n, e in hh_homology(X).degrees)

@@ -233,15 +233,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     def row_sub(i, j, q):
         """row i -= q * row j"""
-        if q == 0:
-            return
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_sub(i, j, q):
         """col i -= q * col j"""
-        if q == 0:
-            return
         for r in M:
             r[i] -= q * r[j]
         for r in V:
@@ -298,7 +294,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 changed = True
                 col_sub(i, i + 1, -1)              # col i += col i+1
                 g, x, y = _xgcd(a, b)
-                # unimodular row pair op [[x, y], [-b//g, a//g]]
+                # unimodular row pair op [[x, y], [-b//g, a//g]]; it leaves
+                # [[g, y*b/g], [0, a*b/g]] with g > 0, a*b/g > 0 and y != 0
                 ri, rj = M[i][:], M[i + 1][:]
                 M[i] = [x * p + y * q for p, q in zip(ri, rj)]
                 M[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
@@ -306,10 +303,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 U[i] = [x * p + y * q for p, q in zip(ui, uj)]
                 U[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ui, uj)]
                 col_sub(i + 1, i, M[i][i + 1] // M[i][i])
-                if M[i][i] < 0:
-                    negate_row(i)
-                if M[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
 
     Um, Dm, Vm = (IntMatrix.from_rows(U) if m else IntMatrix.zero(0, 0),
                   IntMatrix.from_rows(M) if m else IntMatrix.zero(0, n),

@@ -196,8 +196,6 @@ class LogModel(Record):
     hodge: HodgeTable
     dual_hodge: HodgeTable | None
     kind: str
-    complete: bool
-    open_euler: int | None         # chi(X minus D) where known, else None
     log_coords: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -220,8 +218,7 @@ class LogModel(Record):
 
 def point_model() -> LogModel:
     table = HodgeTable.build(0, {(0, 0): GradedEntry.finite(1)})
-    return LogModel("point", point_complex(), table, table,
-                    kind="point", complete=True, open_euler=1)
+    return LogModel("point", point_complex(), table, table, kind="point")
 
 
 def _covers_space(fan: GeneralizedConeComplex, rank: int) -> bool:
@@ -253,8 +250,7 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
             raise NotComplete("fan support is not the whole space")
         entries = {(0, q): GradedEntry.finite(comb(rank, q)) for q in range(rank + 1)}
         table = HodgeTable.build(rank, entries)
-        return LogModel(name, fan, table, table, kind="toric", complete=True,
-                        open_euler=0 ** rank)    # chi of the torus (C^*)^rank
+        return LogModel(name, fan, table, table, kind="toric")
     if len(maximal_cones) != 1:
         raise ScopeExceeded("affine toric models use a single maximal cone")
     sigma = [tuple(int(x) for x in rays[i]) for i in maximal_cones[0]]
@@ -268,8 +264,7 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
         dual_entries = {(0, q): (GradedEntry.finite(comb(rank, q)) * S).shifted(q)
                         for q in range(rank + 1)}
         dual = HodgeTable.build(rank, dual_entries)
-    return LogModel(name, fan, table, dual, kind="toric", complete=False,
-                    open_euler=None, log_coords=tuple(range(rank)))
+    return LogModel(name, fan, table, dual, kind="toric", log_coords=tuple(range(rank)))
 
 
 def _affine_weight_series(sigma_rays, rank: int, truncation: int) -> GradedEntry:
@@ -342,7 +337,7 @@ def marked_p1(n: int) -> LogModel:
     fan = snc_artin_fan([(i,) for i in range(n)]) if n else point_complex()
     return LogModel(f"P^1 with {n} marked points", fan,
                     HodgeTable.build(1, entries), HodgeTable.build(1, dual_entries),
-                    kind="marked_p1", complete=True, open_euler=2 - n)
+                    kind="marked_p1")
 
 
 def nodal_cubic() -> LogModel:
@@ -354,8 +349,7 @@ def nodal_cubic() -> LogModel:
     one = GradedEntry.finite(1)
     entries = {(0, 0): one, (1, 0): one, (0, 1): one, (1, 1): one}
     table = HodgeTable.build(1, entries)
-    return LogModel("nodal cubic", nodal_cubic_complex(), table, table,
-                    kind="nodal_cubic", complete=True, open_euler=0)
+    return LogModel("nodal cubic", nodal_cubic_complex(), table, table, kind="nodal_cubic")
 
 
 def mixed_affine(num_coords: int, log_coords, *,
@@ -393,8 +387,7 @@ def mixed_affine(num_coords: int, log_coords, *,
     else:
         fan = point_complex()
     return LogModel(name, fan, HodgeTable.build(num_coords, entries), None,
-                    kind="mixed_affine", complete=(num_coords == 0),
-                    open_euler=None, log_coords=log_coords)
+                    kind="mixed_affine", log_coords=log_coords)
 
 
 def product_model(X: LogModel, Y: LogModel) -> LogModel:
@@ -402,17 +395,12 @@ def product_model(X: LogModel, Y: LogModel) -> LogModel:
     if X.hodge.kind == SERIES and Y.hodge.kind == SERIES:
         raise KindMismatch("series x series product models are out of scope")
     table = X.hodge.convolve(Y.hodge)
+    # a dual table has its Hodge table's kind, so two series were refused above
     dual = None
     if X.dual_hodge is not None and Y.dual_hodge is not None:
-        try:
-            dual = X.dual_hodge.convolve(Y.dual_hodge)
-        except KindMismatch:
-            dual = None
+        dual = X.dual_hodge.convolve(Y.dual_hodge)
     fan = complex_product(X.artin_fan, Y.artin_fan)
-    return LogModel(f"{X.name} x {Y.name}", fan, table, dual, kind="product",
-                    complete=X.complete and Y.complete,
-                    open_euler=(None if X.open_euler is None or Y.open_euler is None
-                                else X.open_euler * Y.open_euler))
+    return LogModel(f"{X.name} x {Y.name}", fan, table, dual, kind="product")
 
 
 def subdivided_model(X: LogModel, s: Subdivision) -> LogModel:
@@ -420,11 +408,10 @@ def subdivided_model(X: LogModel, s: Subdivision) -> LogModel:
 
     Scope: complete smooth toric models and unimodular subdivisions.
     """
-    if not (X.kind == "toric" and X.complete):
+    if X.kind != "toric" or X.affine:
         raise ScopeExceeded("subdivided models require a complete toric model")
     if s.structure.target != X.artin_fan:
         raise ScopeExceeded("subdivision does not refine this model's fan")
     if not s.all_unimodular():
         raise ScopeExceeded("subdivision must be unimodular (log modification)")
-    return LogModel(f"{X.name} (subdivided)", s.refined, X.hodge, X.dual_hodge,
-                    kind="toric", complete=True, open_euler=X.open_euler)
+    return LogModel(f"{X.name} (subdivided)", s.refined, X.hodge, X.dual_hodge, kind="toric")

@@ -25,6 +25,7 @@ from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection, de
                       solve_integer)
 
 # Desk-scale bounds, stated in README "Scale".
+MAX_DIMENSION = 6         # `d` of affine_space, `coords` of mixed_affine, toric `rank`
 MAX_PARALLELEPIPED_POINTS = 10_000
 MAX_MEMBERSHIP_DEPTH = 1_000
 MAX_MEMBERSHIP_STATES = 10_000
@@ -139,8 +140,12 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
     half its degree reduces (Bruns-Ichim).  Output is sorted lexicographically.
 
     Raises NotStronglyConvex when the cone contains a line, and ScopeExceeded
-    past MAX_PARALLELEPIPED_POINTS parallelepiped points.
+    above lattice rank 2 * MAX_DIMENSION, that of a product of two models,
+    before any work, and past MAX_PARALLELEPIPED_POINTS parallelepiped points.
     """
+    if lattice_rank > 2 * MAX_DIMENSION:
+        raise ScopeExceeded(f"the lattice rank is {lattice_rank}, above the desk-scale "
+                            f"bound {2 * MAX_DIMENSION}")
     rays = [tuple(int(x) for x in v) for v in cone_generators]
     for r in rays:
         if len(r) != lattice_rank:

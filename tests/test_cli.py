@@ -12,7 +12,7 @@ import time
 import pytest
 
 from logfan import conecomplex as cc
-from logfan import hkr, lattice
+from logfan import cli, hkr, lattice
 from logfan import logmodel as lm
 from logfan import monoid as mn
 from logfan.cli import OPERATIONS, Document, emit, main, parse, run
@@ -20,6 +20,7 @@ from logfan.conecomplex import MAX_COMPOSABLE_PAIRS
 from logfan.errors import (FormatUnavailable, KindMismatch, ParseError,
                            UnknownOperation, UnresolvedReference)
 from logfan.lattice import FgAbelianGroup, IntMatrix
+from test_conecomplex import orthant_morphism
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -759,6 +760,163 @@ def test_product_model_of_series_and_finite_factors_commutes(tmp_path, capsysbin
     assert status == 0
     assert results[0]["data"] == results[1]["data"]
     assert results[0]["data"] == hkr.hh_homology(lm.product_model(A, P)).to_json()
+
+
+# ------------------------------------------- documents reaching rare branches
+
+_P1 = {"kind": "model", "builtin": "p1"}
+
+
+def _product_of(*factors):
+    return {"kind": "model", "builtin": "product", "factors": list(factors)}
+
+
+def _toric_model(rays, cones, rank, complete):
+    return {"kind": "model", "builtin": "toric", "rays": rays, "maximal_cones": cones,
+            "rank": rank, "complete": complete}
+
+
+def _literal(cones, maps):
+    return {"kind": "complex", "cones": cones,
+            "face_maps": [{"source": s, "target": t, **({"matrix": m} if m else {})}
+                          for s, t, m in maps]}
+
+
+# A ray in rank 2 glued to itself twice, as the nodal cubic's quadrant is:
+# both have 3 cones and 7 face maps, but different cone shapes.
+_GLUED_RAYS = _literal([{"rank": 0}, {"rank": 1, "rays": [[1]]}, {"rank": 2, "rays": [[1, 0]]}],
+                       [(0, 0, None), (1, 1, None), (2, 2, None), (0, 1, [[]]),
+                        (0, 2, [[], []]), (2, 2, [[1, 1], [0, 0]]), (2, 2, [[1, 2], [0, 0]])])
+
+# name: (objects, tasks, the one line `main` writes to stderr)
+REFUSED_WHILE_READ = {
+    "unknown_complex_builtin": (
+        {"K": {"kind": "complex", "builtin": "sphere"}}, [],
+        "ParseError: object 'K': unknown complex builtin 'sphere'"),
+    "product_of_one": (
+        {"X": _product_of(_P1)}, [],
+        "ParseError: object 'X': a product needs at least two factors"),
+    "ragged_rows": (
+        {"M": {"kind": "matrix", "entries": [[1, 2], [3]]}}, [],
+        "ParseError: object 'M': 'entries' rows must have equal lengths"),
+    "unknown_argument": (
+        {"X": _P1}, [{"op": "hh_homology", "args": {"model": "X", "degree": 1}}],
+        "ParseError: task 0: operation 'hh_homology' got unknown argument 'degree'"),
+    "inline_wrong_kind": (
+        {}, [{"op": "hh_homology", "args": {"model": {"kind": "complex", "builtin": "point"}}}],
+        "KindMismatch: task 0: inline object has kind 'complex', expected 'model'"),
+    "circular_reference": (
+        {"A": _product_of("B", _P1), "B": _product_of("A", _P1)}, [],
+        "ParseError: object 'A': object 'B': circular reference to 'A'"),
+    "illegal_face_map": (
+        {"K": _literal([{"rank": 1, "rays": [[1]]}, {"rank": 2, "rays": [[1, 0], [0, 1]]}],
+                       [(0, 0, None), (1, 1, None), (0, 1, [[1], [1]])])}, [],
+        "ParseError: object 'K': illegal face map 0 -> 1"),
+    "missing_face": (
+        {"K": _literal([{"rank": 1, "rays": [[1]]}], [(0, 0, None)])}, [],
+        "ParseError: object 'K': face of cone 0 is not the image of any face map"),
+    "complete_with_a_lower_dimensional_cone": (
+        {"X": _toric_model([[1, 0], [-1, 0]], [[0], [1]], 2, True)}, [],
+        "NotComplete: object 'X': fan support is not the whole space"),
+    "affine_with_two_cones": (
+        {"X": _toric_model([[1], [-1]], [[0], [1]], 1, False)}, [],
+        "ScopeExceeded: object 'X': affine toric models use a single maximal cone"),
+    "affine_with_a_lower_dimensional_cone": (
+        {"X": _toric_model([[1, 0]], [[0]], 2, False)}, [],
+        "ScopeExceeded: object 'X': affine toric models need a full-dimensional cone"),
+    "group_on_p1": (
+        {"A": {"kind": "action", "model": _P1, "orders": [2], "characters": [[1]]}}, [],
+        "ScopeExceeded: object 'A': nontrivial actions are supported on mixed-affine "
+        "models and marked P^1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_WHILE_READ))
+def test_document_refused_while_read(tmp_path, capsys, name):
+    objects, tasks, message = REFUSED_WHILE_READ[name]
+    p = tmp_path / "doc.lf.json"
+    p.write_text(json.dumps({"version": "logfan/1", "objects": objects, "tasks": tasks}))
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+_MARKED_P1_ACTION = {"kind": "action", "model": {"kind": "model", "builtin": "marked_p1", "n": 2},
+                     "orders": [2], "characters": [[1, 0]]}
+
+# name: (objects, task, the task's error type and message)
+TASK_ERRORS = {
+    "star_at_zero": ({"K": _FAN}, _star(ray=[0, 0], cone=3)[1],
+                     ("RayOutsideSupport", "the zero vector generates no ray")),
+    "star_cone_out_of_range": ({"K": _FAN}, _star(ray=[1, 1], cone=4)[1],
+                               ("ValueError", "cone index out of range")),
+    "orbifold_hh_of_marked_p1": (
+        {"A": _MARKED_P1_ACTION}, {"op": "orbifold_hh", "args": {"action": "A"}},
+        ("ScopeExceeded", "orbifold tables are computed for mixed-affine models")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TASK_ERRORS))
+def test_task_error_reached_through_main(tmp_path, capsysbinary, name):
+    objects, task, (kind, message) = TASK_ERRORS[name]
+    status, results = _main_json(tmp_path, capsysbinary, objects, [task])
+    assert status == 1
+    assert results[0]["error"] == {"type": kind, "message": message}
+
+
+def test_small_builtins_through_main(tmp_path, capsysbinary):
+    """The point complex, a toric fan with no maximal cone (the zero cone of
+    its rank), A^0, a toric model of rank 0 (its cone has no rays, so index
+    1), and two complexes with equal counts but different cone shapes."""
+    objects = {"pt": {"kind": "complex", "builtin": "point"},
+               "zero": {"kind": "complex", "builtin": "toric_fan", "rays": [[1, 0]],
+                        "maximal_cones": [], "rank": 2},
+               "A0": {"kind": "model", "builtin": "affine_space", "d": 0},
+               "T0": _toric_model([], [[]], 0, False),
+               "waffle": {"kind": "complex", "builtin": "nodal_cubic"},
+               "glued": _GLUED_RAYS}
+    tasks = [{"op": "complex_info", "args": {"complex": "pt"}},
+             {"op": "complex_info", "args": {"complex": "zero"}},
+             {"op": "hh_homology", "args": {"model": "A0"}},
+             {"op": "hh_cohomology", "args": {"model": "T0"}},
+             {"op": "is_isomorphic", "args": {"left": "waffle", "right": "glued"}}]
+    status, results = _main_json(tmp_path, capsysbinary, objects, tasks)
+    assert status == 0
+    data = [r["data"] for r in results]
+    assert data[0] == {"cones": [{"rank": 0, "rays": []}], "cone_count": 1, "ray_count": 0,
+                       "face_maps": [{"source": 0, "target": 0, "matrix": []}]}
+    assert data[1] == {"cones": [{"rank": 2, "rays": []}], "cone_count": 1, "ray_count": 0,
+                       "face_maps": [{"source": 0, "target": 0, "matrix": [[1, 0], [0, 1]]}]}
+    assert data[2] == {"0": 1}
+    assert data[3] == {"0": {"series": [1] + [0] * 10, "truncation": 10}}
+    assert data[4] == {"isomorphic": False}
+
+
+def test_main_refuses_what_it_cannot_read_or_draw(tmp_path, capsys):
+    p = tmp_path / "doc.lf.json"
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+    p.write_text("[]")
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == "ParseError: document must be a JSON object\n"
+    assert main(["run", str(FIXTURES / "r_lines.lf.json"), "--format", "dot"]) == 2
+    assert capsys.readouterr() == (
+        "", "FormatUnavailable: no face-poset-bearing results in this report\n")
+
+
+def test_emit_refuses_an_unknown_format():
+    with pytest.raises(FormatUnavailable, match="unknown format 'xml'"):
+        emit(run(parse(MINIMAL)), "xml")
+
+
+def test_image_flags_say_when_the_diagonal_was_subdivided():
+    """A morphism whose image cone a barycenter round splits (see
+    test_barycenter_round_resolves_a_crossed_image_cone) does not factor."""
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    source = cc.from_toric_fan(e, [(0, 1), (2,)], 3)
+    res = cc.subdivide_along(orthant_morphism(source, [(0, 0, 1), (1, 1, 0), (0, 1, 1)]))
+    assert res.factoring is None
+    assert cli._json_image_flags(res) == {
+        "4": {"dim": 2, "naive_star_convex": False}, "diagonal_subdivided": True}
 
 
 def _perfbench_workloads():

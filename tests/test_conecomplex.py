@@ -445,6 +445,11 @@ def test_subdivide_along_scope():
     big = from_toric_fan(p2_rays, [(0, 1, 2)], 3)
     with pytest.raises(ScopeExceeded):
         subdivide_along(diagonal_morphism(big))   # source cones of dim 3
+    square = from_toric_fan([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)], 3)
+    M = IntMatrix.from_columns([(1, 0, 1)], rows=3)
+    phi = ComplexMorphism(a1_complex(), square, ((0, M), (len(square.cones) - 1, M)))
+    with pytest.raises(ScopeExceeded, match="target must be simplicial"):
+        subdivide_along(phi)
 
 
 def test_image_subcomplex():

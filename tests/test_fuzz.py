@@ -11,6 +11,8 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, main
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
 from logfan.orbifold import MAX_GROUP_ORDER
@@ -125,6 +127,12 @@ def _literal(rng, cones):
                     face_maps=[{"source": i, "target": i} for i in range(cones)])
 
 
+def _literal_rank(rank):
+    """A literal zero cone of this rank: a product of two models' cones has
+    rank up to 2 * MAX_DIMENSION, and `emit` writes it as a literal."""
+    return _complex(cones=[{"rank": rank}], face_maps=[{"source": 0, "target": 0}])
+
+
 def _face_maps(rng, maps):
     return _complex(cones=[{"rank": rng.randint(0, 2)}],
                     face_maps=[{"source": 0, "target": 0}] * maps)
@@ -168,6 +176,7 @@ def _bounds(rng):
          _product(rng, rng.choice(products[MAX_CONES + 1]))),
         ("snc cones", _snc(rng, MAX_CONES), _snc(rng, MAX_CONES + 1)),
         ("literal cones", _literal(rng, MAX_CONES), _literal(rng, MAX_CONES + 1)),
+        ("literal rank", _literal_rank(2 * MAX_DIMENSION), _literal_rank(2 * MAX_DIMENSION + 1)),
         ("face maps", _face_maps(rng, MAX_FACE_MAPS), _face_maps(rng, MAX_FACE_MAPS + 1)),
         ("composable pairs", _glued_ray(rng, 314), _glued_ray(rng, 315)),
     ]
@@ -200,3 +209,27 @@ def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, cap
                     (bound, err)
                 assert took < 0.1, (bound, took)
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("width", [600, 2 * MAX_DIMENSION])
+def test_hilbert_basis_rank_is_bounded_before_the_double_description(tmp_path, capsysbinary,
+                                                                     width):
+    """Width 600 would build a double description whose O(rank^3) normal
+    form runs first; it is refused at once, and width 12 still runs."""
+    target = tmp_path / "rank.lf.json"
+    target.write_text(json.dumps({
+        "version": "logfan/1",
+        "objects": {"M": {"kind": "matrix", "entries": [[1] + [0] * (width - 1)]}},
+        "tasks": [{"op": "hilbert_basis", "args": {"generators": "M"}}]}))
+    gc.collect()
+    began = time.perf_counter()
+    code = main(["run", str(target), "--format", "json"])
+    took = time.perf_counter() - began
+    result = json.loads(capsysbinary.readouterr().out)["results"][0]
+    assert took < 0.1, took
+    if width > 2 * MAX_DIMENSION:
+        assert code == 1 and result["error"] == {
+            "type": "ScopeExceeded",
+            "message": "the lattice rank is 600, above the desk-scale bound 12"}
+    else:
+        assert code == 0 and result["data"] == {"basis": [[1] + [0] * (width - 1)]}

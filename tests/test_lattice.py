@@ -4,6 +4,7 @@ import itertools
 import random
 from math import gcd
 
+from logfan import lattice
 from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel,
                             cokernel_projection, det, hnf_coords, hnf_rows,
                             in_lattice, kernel_basis, saturate_subgroup,
@@ -72,6 +73,33 @@ def test_smith_randomized_against_oracle():
         assert unimodular_inverse(snf.V) @ snf.V == IntMatrix.identity(n)
         shapes.add((m > 0, n > 0))
     assert shapes == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_smith_gcd_repair_leaves_a_positive_chain(monkeypatch):
+    """Diagonal and near-diagonal inputs up to 5x5 whose diagonal is no
+    divisibility chain, so the 2x2 gcd repair runs.  Recomposition alone would
+    pass a negative d_i, so the diagonal is compared with the oracle."""
+    repairs = []
+    xgcd = lattice._xgcd
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: repairs.append(a) or xgcd(a, b))
+    rng = random.Random(18)
+    cases = [[[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 10, 0], [0, 0, 0, 15]]]
+    for case in range(120):
+        n = rng.randint(2, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice((-1, 1)) * rng.randint(2, 1000)
+        for _ in range(case % 3):              # a third stay diagonal
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rng.randint(-1000, 1000)
+        cases.append(rows)
+    for rows in cases:
+        A = IntMatrix.from_rows(rows)
+        diag = smith_normal_form(A).diagonal()
+        assert diag == minor_gcd_diagonal(A), rows
+        assert all(d > 0 for d in diag)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert repairs[0] == 4 and len(repairs) >= 200
 
 
 def test_smith_diag_invariant_under_unimodular():

@@ -68,7 +68,7 @@ def test_toric_completeness_check():
     signs = e + [tuple(-x for x in r) for r in e]
     p1_cubed = toric_model(signs, [(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)],
                            3, complete=True)
-    assert p3.complete and p1_cubed.complete
+    assert not p3.affine and not p1_cubed.affine
 
 
 def test_marked_p1_family():
@@ -165,8 +165,13 @@ def test_subdivided_model_scope():
     fan = p2_toric_model().artin_fan
     quad = next(i for i, c in enumerate(fan.cones) if c.rays == ((0, 1), (1, 0)))
     sub = star_subdivision(fan, quad, (1, 1))
-    with pytest.raises(ScopeExceeded):
+    with pytest.raises(ScopeExceeded, match="require a complete toric model"):
         subdivided_model(A1, sub)
+    # P^1 x P^1 is complete toric, but this subdivides P^2's fan
+    signs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    P1xP1 = toric_model(signs, [(0, 1), (1, 2), (2, 3), (3, 0)], 2, complete=True)
+    with pytest.raises(ScopeExceeded, match="does not refine this model's fan"):
+        subdivided_model(P1xP1, sub)
     # non-unimodular subdivisions are not log modifications
     P2 = p2_toric_model()
     bad = star_subdivision(fan, quad, (1, 2))

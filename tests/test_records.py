@@ -146,7 +146,7 @@ def _affine_marked_p1():
     X = marked_p1(0)
     table = HodgeTable.build(1, {(0, 0): GradedEntry.series([1]),
                                  (1, 1): GradedEntry.series([1])})
-    return LogModel(X.name, X.artin_fan, table, None, X.kind, X.complete, X.open_euler)
+    return LogModel(X.name, X.artin_fan, table, None, X.kind)
 
 
 def _a1_morphism(zero_cone_matrix, ray_matrix):
