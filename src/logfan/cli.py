@@ -13,7 +13,9 @@ validate a document without executing it.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
+import gc
 import json
 import math
 import os
@@ -33,6 +35,9 @@ from .monoid import MAX_DIMENSION
 from .suite import run_paper_suite
 
 VERSION_TAG = "logfan/1"
+# At exit, move what is left into the permanent generation, which the final
+# collection skips.  `main` registers it once: atexit keeps unregistered slots.
+_freeze_at_exit = functools.cache(functools.partial(atexit.register, gc.freeze))
 
 
 class Task(Record):
@@ -659,6 +664,7 @@ def main(argv=None) -> int:
     sub.add_parser("paper-suite", help="run the built-in reproduction suite")
 
     args = parser.parse_args(argv)
+    _freeze_at_exit()
     if args.truncation < 0:
         print(f"error: truncation must be >= 0, got {args.truncation}",
               file=sys.stderr)

@@ -19,10 +19,15 @@ from math import gcd
 from operator import mul
 
 from ._record import Record, set_field
-from .errors import InternalInvariant
+from .errors import InternalInvariant, ScopeExceeded
 
 
 Vector = tuple[int, ...]
+
+# Desk-scale bound on a Smith normal form, stated in README "Scale": rows and
+# columns each, and the bit lengths of the entries summed.
+MAX_SMITH_SIDE = 32
+MAX_SMITH_BITS = 1_024
 
 
 class IntMatrix(Record):
@@ -214,9 +219,15 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     Deterministic: pivots are chosen by smallest absolute value, ties broken
     by lowest (row, col).  Handles empty matrices.  Checks the exact
-    identity U @ A @ V == D before returning.
+    identity U @ A @ V == D before returning.  Raises ScopeExceeded, before
+    any elimination, past MAX_SMITH_SIDE rows or columns or MAX_SMITH_BITS.
     """
     m, n = A.rows, A.cols
+    bits = sum(abs(x).bit_length() for x in A.entries)
+    if max(m, n) > MAX_SMITH_SIDE or bits > MAX_SMITH_BITS:
+        raise ScopeExceeded(f"the matrix is {m}x{n} with {bits} bits of entries, above the "
+                            f"desk-scale bound of {MAX_SMITH_SIDE} rows and columns and "
+                            f"{MAX_SMITH_BITS} bits")
     M = A.as_rows()
     U = IntMatrix.identity(m).as_rows()
     V = IntMatrix.identity(n).as_rows()
@@ -390,42 +401,36 @@ def hnf_rows(rows) -> tuple[Vector, ...]:
 
     Pivots are positive, entries below a pivot are zero and entries above are
     reduced into [0, pivot).  Zero rows are dropped, so equal lattices give
-    equal outputs.
+    equal outputs.  Rows join the basis one at a time, each by 2x2 gcd steps
+    against the pivots it meets, and the basis is reduced after each, so
+    entries stay near the size of the pivots instead of doubling per column.
     """
-    work = [list(int(x) for x in r) for r in rows]
-    if not work:
-        return ()
-    n = len(work[0])
-    pivot_row = 0
-    for col in range(n):
-        best = None
-        for i in range(pivot_row, len(work)):
-            if work[i][col] != 0 and (best is None or abs(work[i][col]) < abs(work[best][col])):
-                best = i
-        if best is None:
-            continue
-        work[pivot_row], work[best] = work[best], work[pivot_row]
-        while True:
-            done = True
-            for i in range(pivot_row + 1, len(work)):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[pivot_row][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
-                    if work[i][col] != 0:
-                        work[pivot_row], work[i] = work[i], work[pivot_row]
-                        done = False
-            if done:
+    basis = {}   # pivot column -> row
+    for r in rows:
+        v, changed = [int(x) for x in r], False
+        for j in range(len(v)):
+            a = v[j]
+            if a == 0:
+                continue
+            b = basis.get(j)
+            if b is None:
+                basis[j], changed = (v if a > 0 else [-x for x in v]), True
                 break
-        if work[pivot_row][col] < 0:
-            work[pivot_row] = [-a for a in work[pivot_row]]
-        p = work[pivot_row][col]
-        for i in range(pivot_row):
-            q = work[i][col] // p
-            work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row] if any(r))
+            if a % b[j] == 0:
+                v = [q - (a // b[j]) * p for p, q in zip(b, v)]
+                continue
+            # unimodular row pair op [[x, y], [-a/g, b_j/g]]: pivot g, v_j = 0
+            g, x, y = _xgcd(b[j], a)
+            basis[j], changed = [x * p + y * q for p, q in zip(b, v)], True
+            v = [(b[j] // g) * q - (a // g) * p for p, q in zip(b, v)]
+        if changed:
+            cols = sorted(basis)
+            for i, c in enumerate(cols):
+                for d in cols[i + 1:]:
+                    q = basis[c][d] // basis[d][d]
+                    if q:
+                        basis[c] = [p - q * t for p, t in zip(basis[c], basis[d])]
+    return tuple(tuple(basis[c]) for c in sorted(basis))
 
 
 def lattice_rank(rows) -> int:

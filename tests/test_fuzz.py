@@ -15,6 +15,7 @@ import pytest
 
 from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, main
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
+from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE
 from logfan.orbifold import MAX_GROUP_ORDER
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -233,3 +234,45 @@ def test_hilbert_basis_rank_is_bounded_before_the_double_description(tmp_path, c
             "message": "the lattice rank is 600, above the desk-scale bound 12"}
     else:
         assert code == 0 and result["data"] == {"basis": [[1] + [0] * (width - 1)]}
+
+
+def test_smith_form_is_bounded_before_the_elimination(tmp_path, capsysbinary):
+    """A matrix at both Smith-form bounds, 32x32 with entries +-1 (1,024
+    bits), runs every Smith-form task; one more row, one more column or one
+    more bit is refused before any elimination, for every such task."""
+    assert (MAX_SMITH_SIDE, MAX_SMITH_BITS) == (32, 1024)
+    rng = random.Random(19)
+    inside = [[rng.choice((-1, 1)) for _ in range(MAX_SMITH_SIDE)]
+              for _ in range(MAX_SMITH_SIDE)]
+    heavier = copy.deepcopy(inside)
+    heavier[rng.randrange(MAX_SMITH_SIDE)][rng.randrange(MAX_SMITH_SIDE)] *= 2
+    outside = {"rows": [[1]] * (MAX_SMITH_SIDE + 1), "columns": [[1] * (MAX_SMITH_SIDE + 1)],
+               "bits": heavier}
+    target = tmp_path / "smith.lf.json"
+
+    def run_tasks(rows):
+        target.write_text(json.dumps({
+            "version": "logfan/1", "objects": {"M": {"kind": "matrix", "entries": rows}},
+            "tasks": [{"op": "smith_normal_form", "args": {"matrix": "M"}},
+                      {"op": "cokernel", "args": {"matrix": "M"}},
+                      {"op": "saturate_subgroup", "args": {"generators": "M"}}]}))
+        gc.collect()
+        began = time.perf_counter()
+        code = main(["run", str(target), "--format", "json"])
+        took = time.perf_counter() - began
+        return code, took, json.loads(capsysbinary.readouterr().out)["results"]
+
+    code, took, results = run_tasks(inside)
+    assert code == 0 and [r["status"] for r in results] == ["ok"] * 3, results
+    assert took < INSIDE_BUDGET, took
+    for bound, rows in outside.items():
+        code, took, results = run_tasks(rows)
+        m, n = len(rows), len(rows[0])
+        bits = m * n + (bound == "bits")
+        # saturate_subgroup puts the generators, the rows here, in columns
+        assert code == 1 and [r["error"] for r in results] == [
+            {"type": "ScopeExceeded",
+             "message": f"the matrix is {shape} with {bits} bits of entries, above the "
+                        "desk-scale bound of 32 rows and columns and 1024 bits"}
+            for shape in (f"{m}x{n}", f"{m}x{n}", f"{n}x{m}")], (bound, results)
+        assert took < 0.1, (bound, took)

@@ -12,7 +12,9 @@ faster one is checked against it on seeded inputs:
 * `recursive_contains` is the recursive depth-first membership search;
 * `unimodular_inverse` inverts a Smith transform by one more Smith form, and
   `saturate_subgroup_by_inverse` and `gp_torsion_by_inverse` read the
-  saturation and the torsion generators off such inverses.
+  saturation and the torsion generators off such inverses;
+* `euclid_hnf_rows` reduces column by column, the rows below each pivot
+  left unreduced.
 """
 
 import itertools
@@ -53,6 +55,32 @@ def saturate_subgroup_by_inverse(generators, ambient_rank: int):
     snf = smith_normal_form(IntMatrix.from_columns(gens, rows=ambient_rank))
     U_inverse = unimodular_inverse(snf.U)
     return hnf_rows([U_inverse.column(i) for i in range(snf.rank)])
+
+
+def euclid_hnf_rows(rows):
+    """Row-style HNF by repeated division down each column in turn, with the
+    rows above each pivot reduced once its column is done."""
+    work = [list(r) for r in rows]
+    pivot_row = 0
+    for col in range(len(work[0]) if work else 0):
+        nonzero = [i for i in range(pivot_row, len(work)) if work[i][col]]
+        if not nonzero:
+            continue
+        best = min(nonzero, key=lambda i: abs(work[i][col]))
+        work[pivot_row], work[best] = work[best], work[pivot_row]
+        while any(work[i][col] for i in range(pivot_row + 1, len(work))):
+            for i in range(pivot_row + 1, len(work)):
+                q = work[i][col] // work[pivot_row][col]
+                work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
+                if work[i][col]:
+                    work[pivot_row], work[i] = work[i], work[pivot_row]
+        if work[pivot_row][col] < 0:
+            work[pivot_row] = [-a for a in work[pivot_row]]
+        for i in range(pivot_row):
+            q = work[i][col] // work[pivot_row][col]
+            work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
+        pivot_row += 1
+    return tuple(tuple(r) for r in work[:pivot_row])
 
 
 def gp_torsion_by_inverse(P: FineMonoid):
@@ -286,6 +314,30 @@ def test_saturate_subgroup_matches_the_inverse_oracle():
         assert got == saturate_subgroup_by_inverse(gens, rank), (gens, rank)
         proper += bool(gens) and got != hnf_rows(gens)
     assert proper >= 1000
+
+
+def test_hnf_rows_matches_the_column_by_column_oracle():
+    rng = random.Random(37)
+    for _ in range(3000):
+        cols = rng.randint(1, 7)
+        rows = [[rng.randint(-e, e) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                for e in [rng.choice([1, 2, 9, 100])] for _ in range(rng.randint(0, 7))]
+        rows += [[k * x for x in rows[0]] for k in (-2, 3) if rows and rng.random() < 0.3]
+        assert hnf_rows(rows) == euclid_hnf_rows(rows), rows
+
+
+def test_hnf_and_saturation_of_twelve_random_vectors_stay_small():
+    """Column by column, the unreduced rows below a pivot about double in
+    size per column: the oracle took 0.45 s on ten of these vectors in Z^10
+    and did not finish twelve in Z^12 in 100 s (Python 3.11, 2-core VM)."""
+    rng = random.Random(41)
+    gens = [tuple(rng.randint(-9, 9) for _ in range(12)) for _ in range(12)]
+    began = time.perf_counter()
+    basis = hnf_rows(gens)
+    saturation = saturate_subgroup(gens, 12)
+    assert time.perf_counter() - began < 0.1
+    assert len(basis) == 12 and max(abs(x) for r in basis for x in r) < 10 ** 15
+    assert saturation == tuple(IntMatrix.identity(12).row(i) for i in range(12))
 
 
 TORSION = [(2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 6)]

@@ -216,6 +216,27 @@ def test_no_assert_statements_in_src():
     assert not found, found
 
 
+def test_no_finalizers_or_weakrefs_in_src():
+    """The CLI freezes what is left at exit, so the final collection skips
+    it: the `__del__` of an object in a cycle, or a weakref callback on it,
+    would no longer run then.  src/ has neither."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                names = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                names |= {t.id for n in node.body if isinstance(n, ast.Assign)
+                          for t in n.targets if isinstance(t, ast.Name)}
+                bad = "__del__" in names
+            elif isinstance(node, ast.Import):
+                bad = any(a.name.split(".")[0] == "weakref" for a in node.names)
+            else:
+                bad = isinstance(node, ast.ImportFrom) and node.module == "weakref"
+            if bad:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
+
+
 # Parameters that a shared signature makes a function take without reading:
 # the `resolve` of the object builders `cli.parse` dispatches to, and the
 # value `__setattr__` passes to `Record._refuse`.
