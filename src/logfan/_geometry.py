@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
+from operator import mul
 
 from ._record import Record
 from .errors import InternalInvariant
@@ -21,7 +22,7 @@ from .lattice import (IntMatrix, Vector, hnf_coords, hnf_rows, kernel_basis,
 
 
 def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b) -> Vector:
@@ -41,7 +42,7 @@ def vscale(c, a) -> Vector:
 
 
 def is_zero(a) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -102,7 +103,8 @@ def primitive_rays(rays) -> tuple[Vector, ...]:
 
 
 # Interning table of ConeGeometry.of: one object per (dim, primitive rays), so
-# the double description and everything cached on it are computed once.
+# the double description and everything cached on it are computed once.  Keys
+# are normalized, so rays found here as given need no normalizing.
 _GEOMETRIES: dict[tuple[int, tuple[Vector, ...]], "ConeGeometry"] = {}
 
 
@@ -114,6 +116,12 @@ class ConeGeometry(Record):
 
     @staticmethod
     def of(rays, dim: int) -> "ConeGeometry":
+        """Looked up as given, then, on a miss, by `primitive_rays`, which
+        leaves every stored key as it is; so a hit needs no normalizing."""
+        rays = tuple(map(tuple, rays))
+        g = _GEOMETRIES.get((dim, rays))
+        if g is not None:
+            return g
         key = (dim, primitive_rays(rays))
         g = _GEOMETRIES.get(key)
         if g is None:
@@ -168,8 +176,8 @@ class ConeGeometry(Record):
 
     def contains(self, x) -> bool:
         x = self._vector(x)
-        return (all(dot(e, x) == 0 for e in self.equations)
-                and all(dot(n, x) >= 0 for n in self.normals))
+        return (not any(sum(map(mul, e, x)) for e in self.equations)
+                and all(sum(map(mul, n, x)) >= 0 for n in self.normals))
 
     def contains_relative_interior(self, x) -> bool:
         x = self._vector(x)

@@ -37,7 +37,8 @@ MAX_COMPOSABLE_PAIRS = 100_000
 
 # Interning table of Cone.make: one object per (rank, primitive rays), so the
 # checks below and the cached properties run once per distinct cone.  Inputs
-# that fail a check are never stored, so they raise on every call.
+# that fail a check are never stored, so they raise on every call, and every
+# key holds rays that passed them: rays found here as given need no checks.
 _CONES: dict[tuple[int, tuple[Vector, ...]], "Cone"] = {}
 
 
@@ -49,7 +50,12 @@ class Cone(Record):
 
     @staticmethod
     def make(rays, rank: int) -> "Cone":
-        rays = list(rays)
+        """Looked up as given, then, on a miss, checked and normalized: a hit is
+        a stored key, so its rays are primitive, sorted, of length rank, sharp."""
+        rays = tuple(map(tuple, rays))
+        c = _CONES.get((rank, rays))
+        if c is not None:
+            return c
         if any(len(r) != rank for r in rays):
             raise ValueError("ray length does not match the lattice rank")
         key = (rank, geom.primitive_rays(rays))

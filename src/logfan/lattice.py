@@ -25,9 +25,10 @@ from .errors import InternalInvariant, ScopeExceeded
 Vector = tuple[int, ...]
 
 # Desk-scale bound on a Smith normal form, stated in README "Scale": rows and
-# columns each, and the bit lengths of the entries summed.
+# columns each, the entries' bit lengths summed, and the bits of any transform entry.
 MAX_SMITH_SIDE = 32
 MAX_SMITH_BITS = 1_024
+MAX_SMITH_TRANSFORM_BITS = 8_192
 
 
 class IntMatrix(Record):
@@ -220,7 +221,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Deterministic: pivots are chosen by smallest absolute value, ties broken
     by lowest (row, col).  Handles empty matrices.  Checks the exact
     identity U @ A @ V == D before returning.  Raises ScopeExceeded, before
-    any elimination, past MAX_SMITH_SIDE rows or columns or MAX_SMITH_BITS.
+    any elimination, past MAX_SMITH_SIDE rows or columns or MAX_SMITH_BITS,
+    and after it past MAX_SMITH_TRANSFORM_BITS in an entry of U or V.
     """
     m, n = A.rows, A.cols
     bits = sum(abs(x).bit_length() for x in A.entries)
@@ -318,6 +320,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Um, Dm, Vm = (IntMatrix.from_rows(U) if m else IntMatrix.zero(0, 0),
                   IntMatrix.from_rows(M) if m else IntMatrix.zero(0, n),
                   IntMatrix.from_rows(V) if n else IntMatrix.zero(0, 0))
+    top = max(map(abs, Um.entries + Vm.entries), default=0).bit_length()
+    if top > MAX_SMITH_TRANSFORM_BITS:
+        raise ScopeExceeded(f"the transforms of the {m}x{n} matrix have an entry of {top} bits, "
+                            f"above the desk-scale bound of {MAX_SMITH_TRANSFORM_BITS} bits")
     if (Um @ A) @ Vm != Dm:
         raise InternalInvariant("Smith recomposition failed")
     return SmithDecomposition(Um, Dm, Vm)

@@ -15,7 +15,7 @@ import pytest
 
 from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, main
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
-from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE
+from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS
 from logfan.orbifold import MAX_GROUP_ORDER
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -276,3 +276,33 @@ def test_smith_form_is_bounded_before_the_elimination(tmp_path, capsysbinary):
                         "desk-scale bound of 32 rows and columns and 1024 bits"}
             for shape in (f"{m}x{n}", f"{m}x{n}", f"{n}x{m}")], (bound, results)
         assert took < 0.1, (bound, took)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_smith_transforms_are_bounded_before_the_emit(tmp_path, capsysbinary, fmt):
+    """A 2x3 matrix of 976 bits, inside MAX_SMITH_BITS, has a transform entry
+    of 15,974 bits: more digits than `str` of an int accepts, so writing it
+    out raised a ValueError with a traceback.  It is refused instead, and a
+    2x2 matrix with 60-digit entries (4,880-bit transforms) is still solved."""
+    assert MAX_SMITH_TRANSFORM_BITS == 8192
+    rng = random.Random(0)
+    a, b, c = (rng.randrange(10 ** (d - 1), 10 ** d) for d in (143, 72, 79))
+    inside = [[rng.randrange(10 ** 59, 10 ** 60) for _ in range(2)] for _ in range(2)]
+    target = tmp_path / "smith.lf.json"
+    for rows, code in (([[a, 0, 0], [b, c, 0]], 1), (inside, 0)):
+        assert sum(abs(x).bit_length() for row in rows for x in row) <= MAX_SMITH_BITS
+        target.write_text(json.dumps({
+            "version": "logfan/1", "objects": {"M": {"kind": "matrix", "entries": rows}},
+            "tasks": [{"op": "smith_normal_form", "args": {"matrix": "M"}}]}))
+        assert main(["run", str(target), "--format", fmt]) == code
+        out, err = capsysbinary.readouterr()
+        assert b"Traceback" not in out + err and not err
+        if code == 0:
+            assert b"ERROR" not in out and b'"error"' not in out
+            continue
+        message = (b"ScopeExceeded: the transforms of the 2x3 matrix have an entry of "
+                   b"15974 bits, above the desk-scale bound of 8192 bits")
+        if fmt == "json":
+            error = json.loads(out)["results"][0]["error"]
+            out = f"{error['type']}: {error['message']}".encode()
+        assert message in out, out

@@ -90,6 +90,76 @@ def test_non_sharp_cone_raises_every_time():
         Cone.make([(1, 0, 0)], 2)
 
 
+def spellings(rng, rays):
+    """Ways to write the same cone: canonical, scaled, shuffled, duplicated,
+    with zero rays, and as lists of lists."""
+    rank = len(rays[0])
+    shuffled = list(rays)
+    rng.shuffle(shuffled)
+    return {"canonical": tuple(rays),
+            "scaled": [geom.vscale(rng.randint(2, 5), r) for r in rays],
+            "shuffled": shuffled,
+            "duplicated": list(rays) + [rng.choice(rays) for _ in range(2)],
+            "zero rays": [(0,) * rank, *rays, (0,) * rank],
+            "lists": [list(r) for r in reversed(rays)]}
+
+
+def test_every_spelling_interns_to_one_object_whichever_comes_first(monkeypatch):
+    """The as-given lookup returns the object the normalized lookup made, and
+    the normalized lookup the one the as-given lookup found."""
+    rng = random.Random(20)
+    cones = 0
+    while cones < 40:
+        rank, rays = random_cone_input(rng)
+        prims = reference_rays(rays)
+        if not prims or not uninterned_cone(prims, rank).geometry.is_sharp:
+            continue
+        cones += 1
+        forms = spellings(rng, prims)
+        for first in forms:
+            monkeypatch.setattr(cc, "_CONES", {})
+            monkeypatch.setattr(geom, "_GEOMETRIES", {})
+            c = Cone.make(forms[first], rank)
+            g = geom.ConeGeometry.of(forms[first], rank)
+            assert c.rays == reference_extreme(prims, rank) and g.rays == prims
+            for name, form in forms.items():
+                assert Cone.make(form, rank) is c, (first, name)
+                assert geom.ConeGeometry.of(form, rank) is g, (first, name)
+            assert set(cc._CONES) <= {(rank, prims), (rank, c.rays)}
+            assert set(geom._GEOMETRIES) <= {(rank, prims), (rank, c.rays)}
+
+
+def test_failing_inputs_raise_on_every_call_in_every_spelling(monkeypatch):
+    """Wrong-length and non-sharp rays never reach `_CONES`, so they raise on
+    every call, whichever spelling comes first.  A wrong-length input leaves
+    both tables as they were; a non-sharp one leaves its geometry in
+    `_GEOMETRIES`, which interns every geometry, after its first call only."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    rng = random.Random(21)
+    stored = Cone.make([(1, 0), (0, 1)], 2)
+    cases = [([(1, 0), (0, 1)], 3, "ray length")]   # a stored key, at another rank
+    while len(cases) < 30:
+        rank, rays = random_cone_input(rng)
+        prims = reference_rays(rays)
+        if prims and not uninterned_cone(prims, rank).geometry.is_sharp:
+            cases.append((prims, rank, "not strongly convex"))
+        elif prims and rank > 1:
+            cases.append((prims + ((1,) * (rank - 1),), rank, "ray length"))
+    for prims, rank, message in cases:
+        geometries = set(geom._GEOMETRIES)
+        for form in spellings(rng, prims).values():
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    Cone.make(form, rank)
+                assert set(cc._CONES) == {(2, stored.rays)}
+                if message == "ray length":
+                    assert set(geom._GEOMETRIES) == geometries
+                else:
+                    assert set(geom._GEOMETRIES) == geometries | {(rank, prims)}
+    assert {message for *_, message in cases} == {"ray length", "not strongly convex"}
+
+
 def entrywise_product(A, B):
     return IntMatrix(A.rows, B.cols, tuple(
         sum(A.at(i, k) * B.at(k, j) for k in range(A.cols))
@@ -118,7 +188,8 @@ def test_identity_fast_path_matches_entrywise_product():
 
 def test_p2_log_diagonal_runs_each_double_description_once(monkeypatch):
     """With empty interning tables, one P^2 log diagonal computes no double
-    description input twice."""
+    description input twice, and leaves 155 normalized keys in each table:
+    the lookup of rays as given stores nothing."""
     monkeypatch.setattr(cc, "_CONES", {})
     monkeypatch.setattr(geom, "_GEOMETRIES", {})
     X = p2_toric_model()
@@ -134,6 +205,10 @@ def test_p2_log_diagonal_runs_each_double_description_once(monkeypatch):
     assert calls, "the diagonal must run double descriptions"
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert not repeated
+    assert len(cc._CONES) == len(geom._GEOMETRIES) == 155
+    for table in (cc._CONES, geom._GEOMETRIES):
+        for rank, rays in table:
+            assert reference_rays(rays) == rays and all(len(r) == rank for r in rays)
 
 
 def test_f1_diagonal_work_counts(monkeypatch):
@@ -141,17 +216,24 @@ def test_f1_diagonal_work_counts(monkeypatch):
     the Smith-form and cone-containment counts of the home-map code.  The
     pairwise search for the structure morphism alone made 169 x 81 = 13,689
     containment tests, and a sharpness test through the lineality space for
-    every new cone took the count of Smith forms to 229."""
+    every new cone took the count of Smith forms to 229.  It normalizes at
+    most 600 ray lists (527 today): normalizing before every intern lookup
+    made 2,771, though only 222 distinct cones come out."""
     monkeypatch.setattr(cc, "_CONES", {})
     monkeypatch.setattr(geom, "_GEOMETRIES", {})
     F = cc.from_toric_fan([(1, 0), (0, 1), (-1, 1), (0, -1)],
                           [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
     calls = collections.Counter()
     real_snf, real_contains = lattice.smith_normal_form, geom.ConeGeometry.contains_cone
+    real_primitive_rays = geom.primitive_rays
 
     def snf(A):
         calls["snf"] += 1
         return real_snf(A)
+
+    def primitive_rays(rays):
+        calls["primitive_rays"] += 1
+        return real_primitive_rays(rays)
 
     def contains_cone(g, other):
         calls["contains_cone"] += 1
@@ -160,10 +242,12 @@ def test_f1_diagonal_work_counts(monkeypatch):
     for module in (lattice, geom):
         monkeypatch.setattr(module, "smith_normal_form", snf)
     monkeypatch.setattr(geom.ConeGeometry, "contains_cone", contains_cone)
+    monkeypatch.setattr(geom, "primitive_rays", primitive_rays)
     res = cc.subdivide_along_diagonal(F)
     assert len(res.subdivision.refined.cones) == 169
     assert 0 < calls["snf"] <= 20
     assert 0 < calls["contains_cone"] <= 2_500
+    assert 0 < calls["primitive_rays"] <= 600
 
 
 def test_saturation_and_torsion_take_one_smith_form_each(monkeypatch):

@@ -14,7 +14,9 @@ faster one is checked against it on seeded inputs:
   `saturate_subgroup_by_inverse` and `gp_torsion_by_inverse` read the
   saturation and the torsion generators off such inverses;
 * `euclid_hnf_rows` reduces column by column, the rows below each pivot
-  left unreduced.
+  left unreduced;
+* `generator_dot`, `generator_is_zero` and `generator_contains` take the
+  geometry kernel's inner products and zero tests by generator expressions.
 """
 
 import itertools
@@ -25,11 +27,13 @@ from fractions import Fraction
 import pytest
 
 from logfan import _geometry as geom
+from logfan import conecomplex as cc
+from logfan import hkr
 from logfan.errors import ScopeExceeded
 from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel_projection, det,
                             hnf_coords, hnf_rows, in_lattice, saturate_subgroup,
                             smith_normal_form)
-from logfan.logmodel import mixed_affine
+from logfan.logmodel import mixed_affine, p2_toric_model
 from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
                            hilbert_basis, saturate)
 from logfan.orbifold import DiagonalAction, orbifold_hh
@@ -99,6 +103,22 @@ def gp_torsion_by_inverse(P: FineMonoid):
     newbasis = unimodular_inverse(snf.V) @ IntMatrix.from_rows(K)
     return order, tuple(P.ambient.reduce((0,) * f + newbasis.row(i))
                         for i, d in enumerate(snf.diagonal()) if d >= 2)
+
+
+def generator_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def generator_is_zero(a):
+    return all(x == 0 for x in a)
+
+
+def generator_contains(g: geom.ConeGeometry, x) -> bool:
+    x = tuple(x)
+    if len(x) != g.dim:
+        raise ValueError(f"vector {x} does not have the cone's rank {g.dim}")
+    return (all(generator_dot(e, x) == 0 for e in g.equations)
+            and all(generator_dot(n, x) >= 0 for n in g.normals))
 
 
 def rational_parallelepiped_points(basis):
@@ -360,3 +380,52 @@ def test_gp_torsion_and_saturation_match_the_inverse_oracle(monkeypatch):
     got = [saturate(P) for P in monoids]
     monkeypatch.setattr(FineMonoid, "_gp_torsion", property(gp_torsion_by_inverse))
     assert got == [saturate(P) for P in monoids]
+
+
+def _vector(rng, length):
+    bound = rng.choice([1, 3, 10 ** 6])
+    return tuple(rng.randint(-bound, bound) if rng.random() < 0.6 else 0
+                 for _ in range(length))
+
+
+def test_dot_and_is_zero_match_the_generator_oracles():
+    rng = random.Random(43)
+    zeros = 0
+    for _ in range(5000):
+        a = _vector(rng, rng.randint(0, 8))
+        b = _vector(rng, len(a) if rng.random() < 0.9 else rng.randint(0, 8))
+        assert geom.dot(a, b) == generator_dot(a, b), (a, b)
+        assert geom.is_zero(a) == generator_is_zero(a), a
+        zeros += generator_is_zero(a)
+    assert zeros >= 200
+
+
+def test_contains_matches_the_generator_oracle(monkeypatch):
+    """Every geometry the P^2 and F_1 diagonals intern, from empty tables,
+    against its rays, sums and negations of them, and seeded vectors."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    hkr.log_diagonal(p2_toric_model())
+    cc.subdivide_along_diagonal(cc.from_toric_fan([(1, 0), (0, 1), (-1, 1), (0, -1)],
+                                                  [(0, 1), (1, 2), (2, 3), (3, 0)], 2))
+    geometries = set(geom._GEOMETRIES.values())
+    assert len(geometries) >= 300
+    rng = random.Random(47)
+    inside = outside = 0
+    for g in sorted(geometries, key=lambda g: (g.dim, g.rays)):
+        vectors = [_vector(rng, g.dim) for _ in range(8)] + list(g.rays)
+        for _ in range(4):
+            picked = [r for r in g.rays if rng.random() < 0.5]
+            total = tuple(map(sum, zip(*picked))) if picked else (0,) * g.dim
+            vectors += [total, geom.vneg(total)]
+        for x in vectors:
+            got = g.contains(x)
+            assert got == generator_contains(g, x), (g, x)
+            assert g.contains(list(x)) == got
+            inside += got
+            outside += not got
+        for length in {0, g.dim - 1, g.dim + 1}:
+            for check in (g.contains, lambda x: generator_contains(g, x)):
+                with pytest.raises(ValueError, match="does not have the cone's rank"):
+                    check(_vector(rng, length))
+    assert inside >= 1000 and outside >= 1000
