@@ -3,16 +3,17 @@
 Cones are handed around as tuples of integer ray generators.  The double
 description step converts between ray and inequality descriptions with the
 classic incremental algorithm (lineality handled explicitly, adjacency by
-zero-set inclusion), entirely over Python integers.  Dimensions stay tiny
-(<= 8 after products), so no effort is spent on asymptotics.
+zero-set inclusion), entirely over Python integers.  Dimensions stay small:
+at most 12, the lattice rank `monoid.hilbert_basis` allows (twice
+`monoid.MAX_DIMENSION`, that of a product of two models), so no effort is
+spent on asymptotics.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
-from operator import mul
+from operator import add, mul, sub
 
 from ._record import Record
 from .errors import InternalInvariant
@@ -261,24 +262,56 @@ def parallelepiped_points(basis) -> list[Vector]:
     """Lattice points of the half-open parallelepiped spanned by a basis.
 
     `basis` is a list of k >= 1 linearly independent integer vectors of length k.
-    Returns all x in Z^k with x = sum t_i b_i, 0 <= t_i < 1.  With U W V = D
-    the Smith form of the basis matrix W, the classes r in the box of D have
-    box coordinates t = V D^-1 r, integer vectors m over the last invariant
-    factor d; taken mod d, they give the point W m / d.
+    Returns all x in Z^k with x = sum t_i b_i, 0 <= t_i < 1, sorted.  These
+    points are one per class of the finite group Z^k / W Z^k, W the basis
+    matrix, so they are found by walking that group.  With U W V = D the
+    Smith form and `last` the last invariant factor, a point is stored with
+    its box numerators m = last * t.  Each invariant factor d > 1 gives a
+    step: numerators g = (last / d) V e_i mod last and lattice point
+    s = W g / last.  Taking a step adds g and s, then, for every numerator
+    that wrapped past `last`, subtracts `last` from it and that basis vector
+    from the point.  The steps turn the digits of an odometer: d turns of a
+    digit bring the walk back to where the digit was 0, and carry one turn
+    to the next digit.  So every class is met once, and no list of
+    (numerators, point) pairs is kept.  Integrality is checked once per step;
+    by linearity that covers every point.
     """
     W = IntMatrix.from_columns(basis)
     snf = smith_normal_form(W)
     diag = snf.diagonal()
-    if not all(d != 0 for d in diag):
+    if not all(diag):
         raise InternalInvariant("parallelepiped basis is degenerate")
     last = diag[-1]
-    points = set()
-    for rep in itertools.product(*(range(0, last, last // d) for d in diag)):
-        m = tuple(x % last for x in snf.V.apply(rep))
-        x = W.apply(m)
+    steps = []
+    for i, d in enumerate(diag):
+        if d == 1:
+            continue
+        g = tuple(last // d * v % last for v in snf.V.column(i))
+        x = W.apply(g)
         if any(c % last for c in x):
             raise InternalInvariant("parallelepiped point is not a lattice point")
-        points.add(tuple(c // last for c in x))
+        steps.append((d, g, tuple(c // last for c in x)))
+    coords = range(len(diag))
+    m, point = [0] * len(diag), (0,) * len(diag)
+    points = {point}
+    digits = [0] * len(steps)
+    i = 0
+    while i < len(steps):
+        d, g, s = steps[i]
+        point = tuple(map(add, point, s))
+        for j in coords:
+            x = m[j] + g[j]
+            if x >= last:
+                x -= last
+                point = tuple(map(sub, point, basis[j]))
+            m[j] = x
+        digits[i] += 1
+        if digits[i] < d:
+            points.add(point)
+            i = 0
+        else:
+            digits[i] = 0
+            i += 1
     if len(points) != math.prod(diag):
         raise InternalInvariant("parallelepiped point count differs from the index")
     return sorted(points)

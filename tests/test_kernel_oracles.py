@@ -19,7 +19,9 @@ faster one is checked against it on seeded inputs:
   geometry kernel's inner products and zero tests by generator expressions.
 """
 
+import collections
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -238,6 +240,44 @@ def test_parallelepiped_points_match_rational_solve():
     assert nontrivial >= 20
 
 
+def _unimodular(rng, k):
+    """A seeded unimodular k x k matrix: row operations on the identity."""
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(2 * k):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows)
+
+
+def test_parallelepiped_points_of_non_cyclic_groups_match_rational_solve():
+    """Bases U diag(d_1 | ... | d_k) V with two or more invariant factors
+    above 1, so the walk carries from one step to the next."""
+    rng = random.Random(53)
+    ranks = {k: 0 for k in range(2, 7)}
+    cases = 0
+    while min(ranks.values()) < 2:
+        k = rng.randint(2, 6)
+        factors = [rng.choice((2, 3))]
+        for _ in range(rng.randint(1, k - 1)):
+            factors.append(factors[-1] * rng.choice((1, 2, 3)))
+        diag = (1,) * (k - len(factors)) + tuple(factors)
+        if math.prod(diag) > 3000:
+            continue
+        D = IntMatrix.from_rows([[d if i == j else 0 for j in range(k)]
+                                 for i, d in enumerate(diag)])
+        W = _unimodular(rng, k) @ D @ _unimodular(rng, k)
+        basis = [W.column(j) for j in range(k)]
+        assert smith_normal_form(W).diagonal() == diag
+        points = geom.parallelepiped_points(basis)
+        assert points == rational_parallelepiped_points(basis), basis
+        assert len(points) == math.prod(diag)
+        ranks[k] += 1
+        cases += sum(d > 1 for d in diag) >= 2
+    assert cases >= 10
+
+
 def test_hilbert_basis_matches_pairwise_minimisation():
     rng = random.Random(17)
     families = {"simplicial": 0, "non-simplicial": 0, "lower-dimensional": 0}
@@ -274,6 +314,37 @@ def test_hilbert_basis_scope_is_checked_before_enumeration():
         hilbert_basis([(1, 0), (1, 10 ** 6)], 2)
     assert time.perf_counter() - start < 0.1
     assert len(hilbert_basis([(1, 0), (1, 1000)], 2)) == 1001
+
+
+def test_hilbert_basis_takes_no_matrix_product_per_point(monkeypatch):
+    """One Smith form per parallelepiped, and as many matrix-vector products
+    for the plane cone of determinant 1000 as for determinant 10."""
+    calls = collections.Counter()
+    real_snf, real_apply = geom.smith_normal_form, IntMatrix.apply
+    real_points = geom.parallelepiped_points
+
+    def snf(A):
+        calls["snf"] += 1
+        return real_snf(A)
+
+    def apply(M, v):
+        calls["apply"] += 1
+        return real_apply(M, v)
+
+    def parallelepiped_points(basis):
+        calls["blocks"] += 1
+        return real_points(basis)
+
+    monkeypatch.setattr(geom, "smith_normal_form", snf)
+    monkeypatch.setattr(IntMatrix, "apply", apply)
+    monkeypatch.setattr(geom, "parallelepiped_points", parallelepiped_points)
+    applies = {}
+    for q in (10, 100, 1000):
+        calls.clear()
+        assert len(hilbert_basis([(1, 0), (1, q)], 2)) == q + 1
+        assert calls["blocks"] == calls["snf"] == 1
+        applies[q] = calls["apply"]
+    assert applies[10] == applies[100] == applies[1000] <= 2
 
 
 GROUPS = [(2,), (4,), (2, 2), (3, 2)]
