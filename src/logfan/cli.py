@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 from . import conecomplex as cc
 from . import hkr
@@ -88,6 +89,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INT = frozenset((int,))
+
+
 def _nat(val, key, below=None, limit=None) -> int:
     """An integer >= 0: an index below `below`, or a size of at most `limit`."""
     if below is not None:
@@ -115,7 +119,9 @@ def _vector(val, key, length=None, below=None) -> tuple[int, ...]:
         raise ParseError(f"{key!r} must hold vectors of length {length}")
     if below is not None:
         return tuple(_nat(x, key, below) for x in val)
-    if not all(_is_int(x) for x in val):
+    # one C-level pass over the entries' types; only another type falls back
+    # to `_is_int` per entry
+    if not (_INT.issuperset(map(type, val)) or all(map(_is_int, val))):
         raise ParseError(f"{key!r} must hold integers")
     return tuple(val)
 
@@ -126,9 +132,10 @@ def _vectors(val, key, length=None, below=None) -> tuple[tuple[int, ...], ...]:
 
 def _matrix(val, key) -> IntMatrix:
     rows = _vectors(val, key)
-    if len({len(r) for r in rows}) > 1:
+    if len(set(map(len, rows))) > 1:
         raise ParseError(f"{key!r} rows must have equal lengths")
-    return IntMatrix.from_rows(rows)
+    # the rows hold checked ints already, so `from_rows` would only copy them
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, tuple(chain.from_iterable(rows)))
 
 
 def _flag(val, key) -> bool:
@@ -267,11 +274,15 @@ def _build_action(spec, resolve) -> ob.DiagonalAction:
 # ---------------------------------------------------------------- operations
 
 def _json_complex(K: cc.GeneralizedConeComplex):
+    # one rows list per matrix object, so `_write_json` writes a matrix that
+    # many maps share once
+    matrices = {id(fm.matrix): fm.matrix for fm in K.face_maps}
+    rows = {key: matrix.as_rows() for key, matrix in matrices.items()}
     return {
         "cones": [{"rank": c.lattice_rank, "rays": [list(r) for r in c.rays]}
                   for c in K.cones],
         "face_maps": [{"source": fm.source, "target": fm.target,
-                       "matrix": fm.matrix.as_rows()} for fm in K.face_maps],
+                       "matrix": rows[id(fm.matrix)]} for fm in K.face_maps],
         "cone_count": K.cone_count,
         "ray_count": K.ray_count,
     }
@@ -581,27 +592,50 @@ def _render_value(value, indent="    "):
 _escape_json = json.encoder.encode_basestring_ascii   # the stdlib encoder's C escaper
 
 
-def _write_json(value, out: list, indent: str) -> None:
+def _write_json(value, out: list, indent: str, seen: dict | None = None) -> None:
     """Append to `out` the stdlib's JSON text of `value` with sorted keys and
-    `indent=2`, in parts; `indent` is a newline and the current level's spaces."""
+    `indent=2`, in parts; `indent` is a newline and the current level's spaces.
+
+    A list or tuple that is not a flat int list, met again at the same indent,
+    is written from its first writing: that writing records its span of `out`
+    in `seen` under `(id(value), indent)`, and the first repeat joins the span
+    once and keeps the string.  The span stays valid because `out` is only
+    appended to, and each key because the payload being written keeps every
+    object in it alive."""
+    if seen is None:
+        seen = {}
     inner = indent + "  "
     if isinstance(value, dict):
         sep = "{"
         for key in sorted(value):
-            out.append(sep + inner + _escape_json(key) + ": ")   # TypeError on a non-str key
-            _write_json(value[key], out, inner)
+            head = sep + inner + _escape_json(key) + ": "   # TypeError on a non-str key
+            item = value[key]
+            if type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write_json(item, out, inner, seen)
             sep = ","
         out.append(indent + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         if value and all(type(x) is int for x in value):
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
             return
+        key = (id(value), indent)
+        span = seen.get(key)
+        if span is not None:
+            if type(span) is tuple:
+                span = seen[key] = "".join(out[span[0]:span[1]])
+            out.append(span)
+            return
+        start = len(out)
         sep = "["
         for item in value:
             out.append(sep + inner)
-            _write_json(item, out, inner)
+            _write_json(item, out, inner, seen)
             sep = ","
         out.append(indent + "]" if value else "[]")
+        seen[key] = (start, len(out))
     elif isinstance(value, str):
         out.append(_escape_json(value))
     elif value is None:
