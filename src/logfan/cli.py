@@ -119,9 +119,8 @@ def _vector(val, key, length=None, below=None) -> tuple[int, ...]:
         raise ParseError(f"{key!r} must hold vectors of length {length}")
     if below is not None:
         return tuple(_nat(x, key, below) for x in val)
-    # one C-level pass over the entries' types; only another type falls back
-    # to `_is_int` per entry
-    if not (_INT.issuperset(map(type, val)) or all(map(_is_int, val))):
+    # one C-level pass over the entries' types
+    if not _INT.issuperset(map(type, val)):
         raise ParseError(f"{key!r} must hold integers")
     return tuple(val)
 
