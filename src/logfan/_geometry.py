@@ -151,12 +151,9 @@ class ConeGeometry(Record):
 
     @cached_property
     def lineality_basis(self) -> tuple[Vector, ...]:
-        stacked = list(self.equations) + list(self.normals)
-        if not stacked:
-            return hnf_rows([tuple(1 if i == j else 0 for j in range(self.dim))
-                             for i in range(self.dim)])
-        A = IntMatrix.from_rows(stacked)
-        return hnf_rows(kernel_basis(A))
+        stacked = self.equations + self.normals
+        entries = tuple(x for r in stacked for x in r)
+        return kernel_basis(IntMatrix(len(stacked), self.dim, entries))
 
     @property
     def is_sharp(self) -> bool:

@@ -3,13 +3,13 @@
 Everything here runs on plain Python integers, so there is no overflow to
 worry about: saturation indices and Hilbert basis determinants overflow
 64-bit arithmetic already on small inputs.  Matrices are immutable and
-row-major.  The workhorse is the Smith normal form U A V = D with its two
-unimodular transforms U and V; kernels, cokernels, general integer solves,
-and lattice saturation are all read off from it; where a column of U^-1 or
-a row of V^-1 is needed, it is read off A V = U^-1 D or U A = D V^-1, so no
-transform is ever inverted.  A vector's coordinates in a basis that is
-already in Hermite normal form need no Smith form: `hnf_coords` reads them by
-walking down the echelon.
+row-major.  Two forms do the work.  The Smith normal form U A V = D with its
+two unimodular transforms U and V gives cokernels, general integer solves and
+lattice saturation; where a column of U^-1 or a row of V^-1 is needed, it is
+read off A V = U^-1 D or U A = D V^-1, so no transform is ever inverted.  The
+row Hermite normal form gives ranks, kernels (from the rows (column | e_j))
+and a vector's coordinates in a basis already in that form, which
+`hnf_coords` reads by walking down the echelon; it has no side bound.
 """
 
 from __future__ import annotations
@@ -364,16 +364,17 @@ def cokernel(A: IntMatrix) -> FgAbelianGroup:
     return cokernel_projection(A)[0]
 
 
-def kernel_basis(A: IntMatrix) -> list[Vector]:
-    """Basis of the (saturated) integer kernel of A, as column vectors."""
-    snf = smith_normal_form(A)
-    diag = snf.diagonal()
-    out = []
-    for j in range(A.cols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            out.append(snf.V.column(j))
-    return out
+def kernel_basis(A: IntMatrix) -> tuple[Vector, ...]:
+    """HNF basis of the (saturated) integer kernel of A, as column vectors.
+
+    The rows (column j of A | e_j) span {(A x | x)}; their HNF rows that vanish
+    on the A part are the HNF basis of {x : A x = 0}.  No Smith form is taken,
+    so no side bound applies; the rank of A over Q is cols minus its length.
+    """
+    m, n = A.rows, A.cols
+    unit = IntMatrix.identity(n)
+    return tuple(r[m:] for r in hnf_rows([A.column(j) + unit.row(j) for j in range(n)])
+                 if not any(r[:m]))
 
 
 def solve_integer(A: IntMatrix, b) -> Vector | None:
@@ -440,6 +441,7 @@ def hnf_rows(rows) -> tuple[Vector, ...]:
 
 
 def lattice_rank(rows) -> int:
+    """Rank of the rows over Q: the number of their HNF rows (no side bound)."""
     return len(hnf_rows(rows))
 
 

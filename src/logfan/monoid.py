@@ -317,12 +317,11 @@ def _saturate_generators(P: FineMonoid) -> tuple[Vector, ...]:
                 raise InternalInvariant("lineality space is not saturated")
             projected = [proj.apply(w) for w in ws]
             hb = hilbert_basis(projected, r - len(lin))
-            lin_hnf = hnf_rows(lin)
             for h in hb:
                 lift = solve_integer(proj, h)
                 if lift is None:
                     raise InternalInvariant("Hilbert basis element does not lift")
-                lam_gens.append(reduce_mod_lattice(lift, lin_hnf))
+                lam_gens.append(reduce_mod_lattice(lift, lin))
             for l in lin:
                 lam_gens.append(tuple(l))
                 lam_gens.append(geom.vneg(l))

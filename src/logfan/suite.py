@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import comb
 
 from . import conecomplex as cc
@@ -22,7 +21,8 @@ from . import monoid as mn
 from . import orbifold as ob
 from ._record import Record
 from .errors import InternalInvariant, NotFirm
-from .lattice import FgAbelianGroup, IntMatrix, Vector, smith_normal_form, solve_integer
+from .lattice import (FgAbelianGroup, IntMatrix, Vector, kernel_basis, lattice_rank,
+                      smith_normal_form, solve_integer)
 
 
 class CheckResult(Record):
@@ -444,22 +444,23 @@ def _koszul_matrix(d: int, box: int, q: int, bases):
     return cols
 
 
-def _rational_rank(cols) -> int:
-    return len(cols) - len(_rational_kernel(cols))
-
-
 def _koszul_resolution_window(box: int, bases, diffs) -> bool:
     """Exactness of the t-part Koszul complex in a truncation window.
 
     `diffs[q]` holds the columns of d_q over the whole q-basis.  Kernels are
     taken over columns whose differentials stay inside the box, and images
     only use such exact columns, so the truncated image is an honest subset
-    of the true one.
+    of the true one.  Kernels and ranks (over Q: the number of HNF rows) are
+    taken on the dense columns.
     """
     d = len(bases) - 1
 
     def kept(q, test):
         return [i for i, x in enumerate(bases[q]) if test(x)]
+
+    def dense(cols, q):
+        """Sparse columns as dense vectors over the q-basis."""
+        return [tuple(col.get(i, 0) for i in range(len(bases[q]))) for col in cols]
 
     inner = lambda x: max((abs(v) for v in x[1]), default=0) <= box - 1
     exact = lambda x: all(x[1][i] + 1 <= box for i in x[0])
@@ -477,51 +478,21 @@ def _koszul_resolution_window(box: int, bases, diffs) -> bool:
     # window homology: inner kernel of d_q lands in the image of d_{q+1}
     for q in range(1, d + 1):
         dom = kept(q, inner)
-        kern = _rational_kernel([diffs[q][j] for j in dom])
+        cols = dense([diffs[q][j] for j in dom], q - 1)
+        kern = kernel_basis(IntMatrix.from_columns(cols, rows=len(bases[q - 1])))
         if not kern:
             continue
         if q == d:
             return False    # top differential must be injective
-        img_cols = [diffs[q + 1][j] for j in kept(q + 1, exact)]
-        embedded = [{dom[ci]: coef for ci, coef in kv.items()} for kv in kern]
-        base_rank = _rational_rank(img_cols)
-        aug_rank = _rational_rank(img_cols + embedded)
-        if aug_rank != base_rank:
+        img = dense([diffs[q + 1][j] for j in kept(q + 1, exact)], q)
+        embedded = dense([dict(zip(dom, kv)) for kv in kern], q)
+        if lattice_rank(img + embedded) != lattice_rank(img):
             return False
 
     # H_0 window: the class of t^0 is nonzero against the exact image
-    img_cols = [diffs[1][j] for j in kept(1, exact)]
-    zero_pt = ((), (0,) * d)
-    v = {bases[0].index(zero_pt): Fraction(1)}
-    if _rational_rank(img_cols + [v]) == _rational_rank(img_cols):
-        return False
-    return True
-
-
-def _rational_kernel(cols) -> list[dict[int, Fraction]]:
-    """Kernel of the column family, as combinations of column indices."""
-    rows: list[tuple[dict[int, Fraction], dict[int, Fraction]]] = []
-    kernel = []
-    for j, col in enumerate(cols):
-        vec = {i: Fraction(v) for i, v in col.items() if v}
-        combo = {j: Fraction(1)}
-        for prow, pcombo in sorted(rows, key=lambda rc: min(rc[0])):
-            lead = min(prow)
-            if lead in vec:
-                f = vec[lead] / prow[lead]
-                for k, v in prow.items():
-                    vec[k] = vec.get(k, Fraction(0)) - f * v
-                    if vec[k] == 0:
-                        del vec[k]
-                for k, v in pcombo.items():
-                    combo[k] = combo.get(k, Fraction(0)) - f * v
-                    if combo[k] == 0:
-                        del combo[k]
-        if vec:
-            rows.append((vec, combo))
-        else:
-            kernel.append(combo)
-    return kernel
+    img = dense([diffs[1][j] for j in kept(1, exact)], 0)
+    t0 = dense([{bases[0].index(((), (0,) * d)): 1}], 0)
+    return lattice_rank(img + t0) != lattice_rank(img)
 
 
 def check_koszul_oracle() -> CheckResult:

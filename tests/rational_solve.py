@@ -1,5 +1,5 @@
 """Gaussian elimination over the rationals, the oracle that the integer
-solves of logfan are checked against."""
+solves, ranks and kernels of logfan are checked against."""
 
 from fractions import Fraction
 
@@ -34,3 +34,35 @@ def solve_rational(A: IntMatrix, b) -> tuple[Fraction, ...] | None:
     for i, col in enumerate(pivots):
         x[col] = aug[i][n]
     return tuple(x)
+
+
+def rational_kernel(cols) -> list[dict[int, Fraction]]:
+    """Kernel of a family of sparse columns (dicts from row index to entry),
+    as combinations of column indices, by elimination over Q."""
+    rows: list[tuple[dict[int, Fraction], dict[int, Fraction]]] = []
+    kernel = []
+    for j, col in enumerate(cols):
+        vec = {i: Fraction(v) for i, v in col.items() if v}
+        combo = {j: Fraction(1)}
+        for prow, pcombo in sorted(rows, key=lambda rc: min(rc[0])):
+            lead = min(prow)
+            if lead in vec:
+                f = vec[lead] / prow[lead]
+                for k, v in prow.items():
+                    vec[k] = vec.get(k, Fraction(0)) - f * v
+                    if vec[k] == 0:
+                        del vec[k]
+                for k, v in pcombo.items():
+                    combo[k] = combo.get(k, Fraction(0)) - f * v
+                    if combo[k] == 0:
+                        del combo[k]
+        if vec:
+            rows.append((vec, combo))
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def rational_rank(cols) -> int:
+    """Rank over Q of a family of sparse columns."""
+    return len(cols) - len(rational_kernel(cols))

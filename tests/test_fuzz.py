@@ -4,6 +4,7 @@ enough to need no alarm or memory limit; and a document just outside each
 bound read while parsing is refused at once, while one just inside it is
 read in full."""
 
+import collections
 import copy
 import gc
 import json
@@ -13,8 +14,10 @@ import time
 
 import pytest
 
-from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, main
+from logfan import cli
+from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, OPERATIONS, main
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
+from logfan.errors import LogfanError
 from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS
 from logfan.orbifold import MAX_GROUP_ORDER
 
@@ -306,3 +309,161 @@ def test_smith_transforms_are_bounded_before_the_emit(tmp_path, capsysbinary, fm
             error = json.loads(out)["results"][0]["error"]
             out = f"{error['type']}: {error['message']}".encode()
         assert message in out, out
+
+
+# -------------------------------------------------------------- operation fuzz
+
+OPERATION_BUDGET = 0.5    # seconds for `logfan run` on one fuzzed document
+# A run-time error is a diagnostic of the toolkit, or a ValueError for an
+# argument outside its object (a cone index, a group element); an internal
+# fault or any other Python error is a bug.
+RUN_ERRORS = {cls.__name__ for cls in LogfanError.__subclasses__()} - {"InternalInvariant"} \
+    | {"ValueError"}
+
+
+def _entries(rng, rows, cols, low=-6, high=6):
+    return [[rng.randint(low, high) for _ in range(cols)] for _ in range(rows)]
+
+
+def _fan(rng):
+    """Rays, maximal cones and rank of a small toric fan, and whether it is
+    complete: P^1, A^2, P^2, a Hirzebruch surface or a seeded 2-d cone."""
+    a = rng.randint(0, 2)
+    return rng.choice([
+        ([[1], [-1]], [[0], [1]], 1, True),
+        ([[1, 0], [0, 1]], [[0, 1]], 2, False),
+        ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]], 2, True),
+        ([[1, 0], [0, 1], [-1, a], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]], 2, True),
+        ([[1, 0], [rng.randint(-3, 3), rng.randint(1, 3)]], [[0, 1]], 2, False),
+    ])
+
+
+def _fuzz_complex(rng):
+    rays, cones, rank, _ = _fan(rng)
+    return rng.choice([
+        _complex(builtin="toric_fan", rays=rays, maximal_cones=cones, rank=rank),
+        _complex(builtin="snc", simplices=[list(range(rng.randint(1, 3)))]),
+        _complex(builtin=rng.choice(["point", "nodal_cubic"])),
+        _literal(rng, rng.randint(1, 3)),
+    ])
+
+
+def _fuzz_model(rng, factor=False):
+    coords = rng.randint(0, 3)
+    rays, cones, rank, complete = _fan(rng)
+    models = [
+        _model(builtin="affine_space", d=rng.randint(0, 3)),
+        _model(builtin=rng.choice(["point", "p1", "p2", "nodal_cubic"])),
+        _model(builtin="marked_p1", n=rng.randint(0, 5)),
+        _model(builtin="mixed_affine", coords=coords,
+               log=sorted(rng.sample(range(coords), rng.randint(0, coords)))),
+        _model(builtin="toric", rays=rays, maximal_cones=cones, rank=rank, complete=complete),
+    ]
+    if not factor:
+        models.append(_model(builtin="product",
+                             factors=[_fuzz_model(rng, True), _fuzz_model(rng, True)]))
+    return rng.choice(models)
+
+
+def _fuzz_monoid(rng):
+    free, torsion = rng.randint(1, 2), rng.choice([[], [], [2], [3]])
+    return {"kind": "monoid", "free_rank": free, "torsion": torsion,
+            "generators": [[rng.randint(-1, 3) for _ in range(free)]
+                           + [rng.randrange(d) for d in torsion]
+                           for _ in range(rng.randint(1, 3))]}
+
+
+def _fuzz_hom(rng):
+    """A hom from the named monoid N = (N, +) that sends 1 to a sum of
+    target generators."""
+    target = _fuzz_monoid(rng)
+    gens = rng.sample(target["generators"], rng.randint(1, len(target["generators"])))
+    return {"kind": "hom", "source": "N", "target": target,
+            "matrix": [[sum(column)] for column in zip(*gens)]}
+
+
+def _fuzz_action(rng):
+    coords = rng.randint(1, 3)
+    orders = rng.choice([[], [2], [3], [2, 2], [4]])
+    action = {"kind": "action",
+              "model": _model(builtin="mixed_affine", coords=coords,
+                              log=sorted(rng.sample(range(coords), rng.randint(0, coords)))),
+              "orders": orders,
+              "characters": _entries(rng, len(orders), coords, 0, 3)}
+    if rng.random() < 0.3:
+        action["permutation"] = rng.sample(range(coords), coords)
+    return action, orders
+
+
+def _fuzz_args(rng, op):
+    """Valid-shaped arguments of one task of `op`."""
+    if op in ("smith_normal_form", "cokernel"):
+        return {"matrix": {"kind": "matrix", "entries": _entries(rng, rng.randint(1, 4),
+                                                                 rng.randint(1, 4))}}
+    if op == "saturate_subgroup":
+        return {"generators": {"kind": "matrix",
+                               "entries": _entries(rng, rng.randint(1, 4), rng.randint(1, 4))}}
+    if op == "hilbert_basis":
+        return {"generators": {"kind": "matrix",
+                               "entries": _entries(rng, rng.randint(1, 4), rng.randint(1, 3),
+                                                   -3, 4)}}
+    if op in ("saturate", "is_saturated"):
+        return {"monoid": _fuzz_monoid(rng)}
+    if op == "spec_component_count":
+        return {"monoid": _fuzz_monoid(rng), "require_saturated": rng.random() < 0.5}
+    if op == "fs_pushout":
+        return {"left": _fuzz_hom(rng), "right": _fuzz_hom(rng)}
+    if op in ("product", "is_isomorphic"):
+        return {"left": _fuzz_complex(rng), "right": _fuzz_complex(rng)}
+    if op == "star_subdivision":
+        rays, cones, rank, _ = _fan(rng)
+        return {"complex": _complex(builtin="toric_fan", rays=rays, maximal_cones=cones,
+                                    rank=rank),
+                "cone": rng.randint(0, len(cones) + 1),
+                "ray": [rng.randint(-2, 2) for _ in range(rank)]}
+    if op in ("subdivide_along_diagonal", "complex_info"):
+        return {"complex": _fuzz_complex(rng)}
+    if op in ("check_firm", "orbifold_hh"):
+        return {"action": _fuzz_action(rng)[0]}
+    if op == "twisted_sector":
+        action, orders = _fuzz_action(rng)
+        return {"action": action, "element": [rng.randint(0, d) for d in orders]}
+    return {"model": _fuzz_model(rng)}
+
+
+def test_seeded_operation_fuzz_through_main(tmp_path, capsysbinary, monkeypatch):
+    """Seeded valid-shaped single-task documents for every operation, run
+    through `main`: exit 0, 1 or 2, no traceback, only toolkit diagnostics
+    as run-time errors, each document under OPERATION_BUDGET, and every
+    `_op_*` handler reached."""
+    ran = set()
+    for op, (schema, fn) in list(OPERATIONS.items()):
+        monkeypatch.setitem(OPERATIONS, op, (schema, lambda args, fn=fn: ran.add(fn) or fn(args)))
+    rng = random.Random(67)
+    target = tmp_path / "op.lf.json"
+    codes, errors = collections.Counter(), collections.Counter()
+    gc.collect()
+    start = time.perf_counter()
+    for i, op in enumerate(sorted(OPERATIONS) * 10):
+        doc = {"version": "logfan/1",
+               "objects": {"N": {"kind": "monoid", "free_rank": 1, "generators": [[1]]}},
+               "tasks": [{"op": op, "args": _fuzz_args(rng, op)}]}
+        target.write_text(json.dumps(doc))
+        fmt = ("json", "text")[i % 2]
+        began = time.perf_counter()
+        code = main(["run", str(target), "--format", fmt])
+        took = time.perf_counter() - began
+        out, err = capsysbinary.readouterr()
+        assert code in (0, 1, 2) and b"Traceback" not in out + err, (doc, err)
+        assert took < OPERATION_BUDGET, (doc, took)
+        codes[code] += 1
+        if fmt == "json" and code != 2:
+            for result in json.loads(out)["results"]:
+                if result["status"] == "error":
+                    errors[result["error"]["type"]] += 1
+                    assert result["error"]["type"] in RUN_ERRORS, (doc, result)
+    assert time.perf_counter() - start < 3.0
+    handlers = {getattr(cli, name) for name in dir(cli) if name.startswith("_op_")}
+    assert ran == handlers and len(handlers) == 21
+    # most documents run to the end, and the errors are of several kinds
+    assert codes[0] >= 150 and len(errors) >= 3, (codes, errors)

@@ -15,6 +15,9 @@ faster one is checked against it on seeded inputs:
   saturation and the torsion generators off such inverses;
 * `euclid_hnf_rows` reduces column by column, the rows below each pivot
   left unreduced;
+* `smith_kernel_basis` reads an integer kernel off a whole Smith form, and
+  `rational_kernel` and `rational_rank` (in `rational_solve`) are the
+  elimination over Q that check 12 took its kernels and ranks from;
 * `generator_dot`, `generator_is_zero` and `generator_contains` take the
   geometry kernel's inner products and zero tests by generator expressions.
 """
@@ -31,16 +34,17 @@ import pytest
 from logfan import _geometry as geom
 from logfan import conecomplex as cc
 from logfan import hkr
+from logfan import suite
 from logfan.errors import ScopeExceeded
-from logfan.lattice import (FgAbelianGroup, IntMatrix, cokernel_projection, det,
-                            hnf_coords, hnf_rows, in_lattice, saturate_subgroup,
-                            smith_normal_form)
+from logfan.lattice import (MAX_SMITH_SIDE, FgAbelianGroup, IntMatrix, cokernel_projection,
+                            det, hnf_coords, hnf_rows, in_lattice, kernel_basis,
+                            lattice_rank, saturate_subgroup, smith_normal_form)
 from logfan.logmodel import mixed_affine, p2_toric_model
 from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
                            hilbert_basis, saturate)
 from logfan.orbifold import DiagonalAction, orbifold_hh
 from logfan.suite import _random_fine_monoid
-from rational_solve import solve_rational
+from rational_solve import rational_kernel, rational_rank, solve_rational
 
 
 # ------------------------------------------------------------------ oracles
@@ -87,6 +91,14 @@ def euclid_hnf_rows(rows):
             work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
         pivot_row += 1
     return tuple(tuple(r) for r in work[:pivot_row])
+
+
+def smith_kernel_basis(A: IntMatrix):
+    """Basis of the integer kernel of A: the columns of V in U A V = D whose
+    diagonal entry is 0."""
+    snf = smith_normal_form(A)
+    diag = snf.diagonal()
+    return [snf.V.column(j) for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
 
 
 def gp_torsion_by_inverse(P: FineMonoid):
@@ -500,3 +512,140 @@ def test_contains_matches_the_generator_oracle(monkeypatch):
                 with pytest.raises(ValueError, match="does not have the cone's rank"):
                     check(_vector(rng, length))
     assert inside >= 1000 and outside >= 1000
+
+
+def koszul_complex(d):
+    """The box, bases and differentials that check 12 builds for A^d."""
+    box = 2 if d <= 2 else 1
+    bases = suite._koszul_basis(d, box)
+    return box, bases, {q: suite._koszul_matrix(d, box, q, bases) for q in range(1, d + 1)}
+
+
+def test_criterion_12_window_fails_on_corrupted_complexes():
+    """The window test passes the true complexes and fails three corruptions,
+    one per failure branch: an inner column of the top differential zeroed
+    (not injective); an exact column of d_1 outside the inner domain made
+    t^0, so t^0 enters the exact image (H_0); and one sign flipped in an
+    inner column of d_2 (d . d != 0)."""
+    for d in (1, 2, 3):
+        box, bases, diffs = koszul_complex(d)
+        assert suite._koszul_resolution_window(box, bases, diffs)
+        inner = [j for j, (_, b) in enumerate(bases[d]) if max(map(abs, b)) < box]
+        zeroed = {**diffs, d: list(diffs[d])}
+        zeroed[d][inner[0]] = {}
+        assert not suite._koszul_resolution_window(box, bases, zeroed), d
+
+        t0 = bases[0].index(((), (0,) * d))
+        outside = bases[1].index(((0,), (-box,) + (0,) * (d - 1)))
+        with_t0 = {**diffs, 1: list(diffs[1])}
+        with_t0[1][outside] = {t0: 1}
+        assert not suite._koszul_resolution_window(box, bases, with_t0), d
+
+        if d >= 2:
+            inner = [j for j, (_, b) in enumerate(bases[2]) if max(map(abs, b)) < box]
+            col = dict(diffs[2][inner[0]])
+            k = min(col)
+            col[k] = -col[k]
+            flipped = {**diffs, 2: list(diffs[2])}
+            flipped[2][inner[0]] = col
+            assert not suite._koszul_resolution_window(box, bases, flipped), d
+
+
+def test_kernel_basis_matches_the_smith_kernel():
+    """Inside the Smith bounds, the kernel read off the Hermite form of the
+    rows (column | e_j) is the HNF of the kernel read off a Smith form."""
+    rng = random.Random(53)
+    nonzero = 0
+    for _ in range(1500):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        e = rng.choice([1, 2, 9, 100])
+        rows = [[rng.randint(-e, e) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(m)]
+        rows += [[k * x for x in rows[0]] for k in (-2, 3) if rows and rng.random() < 0.3]
+        A = IntMatrix(len(rows), n, tuple(x for r in rows for x in r))
+        got = kernel_basis(A)
+        assert got == hnf_rows(smith_kernel_basis(A)), rows
+        nonzero += bool(got) and bool(rows)
+    assert nonzero >= 300
+    assert kernel_basis(IntMatrix.zero(0, 3)) == tuple(IntMatrix.identity(3).row(i)
+                                                       for i in range(3))
+
+
+def sparse_family(rng, rows, cols):
+    """Sparse columns with entries in +-1..3, some of them combinations of
+    earlier ones, so the family has a kernel."""
+    family = []
+    for _ in range(cols):
+        if family and rng.random() < 0.3:
+            a, b = rng.sample(family, 2) if len(family) > 1 else family * 2
+            ka, kb = rng.choice((-1, 1)), rng.choice((-2, -1, 1))
+            col = {i: ka * a.get(i, 0) + kb * b.get(i, 0) for i in set(a) | set(b)}
+        else:
+            col = {i: rng.choice((-3, -2, -1, 1, 2, 3))
+                   for i in rng.sample(range(rows), rng.randint(1, min(3, rows)))}
+        family.append({i: v for i, v in col.items() if v})
+    return family
+
+
+def test_kernels_and_ranks_past_the_smith_side_match_elimination_over_q():
+    """On sparse families of up to 81 columns, among them every differential
+    check 12 builds and its inner and exact parts, the HNF rank is the rank
+    over Q, and the HNF kernel has the kernel's size over Q, lies in the
+    kernel, and spans the kernel found over Q."""
+    rng = random.Random(59)
+    families = [(rows, sparse_family(rng, rows, rng.randint(1, 81)))
+                for rows in (rng.randint(1, 81) for _ in range(30))]
+    for d in (1, 2, 3):
+        box, bases, diffs = koszul_complex(d)
+        for q, cols in diffs.items():
+            inner = [c for c, (_, b) in zip(cols, bases[q]) if max(map(abs, b)) < box]
+            exact = [c for c, (S, b) in zip(cols, bases[q]) if all(b[i] < box for i in S)]
+            families += [(len(bases[q - 1]), f) for f in (cols, inner, exact)]
+    assert max(len(f) for _, f in families) == 81 > MAX_SMITH_SIDE
+    for rows, family in families:
+        dense = [tuple(col.get(i, 0) for i in range(rows)) for col in family]
+        A = IntMatrix.from_columns(dense, rows=rows)
+        assert lattice_rank(dense) == rational_rank(family)
+        kernel, over_q = kernel_basis(A), rational_kernel(family)
+        assert len(kernel) == len(over_q)
+        assert all(not any(A.apply(v)) for v in kernel)
+        as_columns = [{j: x for j, x in enumerate(v) if x} for v in kernel]
+        assert rational_rank(as_columns) == rational_rank(as_columns + over_q) == len(kernel)
+
+
+def test_check_12_verdicts_match_elimination_over_q(monkeypatch):
+    """Seeded corruptions of check 12's differentials get one verdict from the
+    window test whether its kernels and ranks come from the Hermite form or
+    from elimination over Q."""
+    def sparse(cols):
+        return [{i: x for i, x in enumerate(c) if x} for c in cols]
+
+    def q_kernel(A):
+        cols = sparse(A.column(j) for j in range(A.cols))
+        return [tuple(c.get(j, 0) for j in range(A.cols)) for c in rational_kernel(cols)]
+
+    rng = random.Random(61)
+    cases = []
+    for d in (1, 2, 3):
+        box, bases, diffs = koszul_complex(d)
+        for _ in range(30):
+            q = rng.randint(1, d)
+            j = rng.randrange(len(diffs[q]))
+            col = dict(diffs[q][j])
+            how = rng.choice(("zero", "flip", "bump"))
+            if how == "zero":
+                col = {}
+            elif how == "flip":
+                k = rng.choice(sorted(col))
+                col[k] = -col[k]
+            else:
+                k = rng.randrange(len(bases[q - 1]))
+                col[k] = col.get(k, 0) + rng.choice((-1, 1))
+            changed = {**diffs, q: list(diffs[q])}
+            changed[q][j] = {k: v for k, v in col.items() if v}
+            cases.append((box, bases, changed))
+    verdicts = [suite._koszul_resolution_window(*case) for case in cases]
+    monkeypatch.setattr(suite, "kernel_basis", q_kernel)
+    monkeypatch.setattr(suite, "lattice_rank", lambda cols: rational_rank(sparse(cols)))
+    assert verdicts == [suite._koszul_resolution_window(*case) for case in cases]
+    assert 10 <= verdicts.count(False) <= len(cases) - 10
