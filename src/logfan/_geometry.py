@@ -3,10 +3,10 @@
 Cones are handed around as tuples of integer ray generators.  The double
 description step converts between ray and inequality descriptions with the
 classic incremental algorithm (lineality handled explicitly, adjacency by
-zero-set inclusion), entirely over Python integers.  Dimensions stay small:
-at most 12, the lattice rank `monoid.hilbert_basis` allows (twice
-`monoid.MAX_DIMENSION`, that of a product of two models), so no effort is
-spent on asymptotics.
+inclusion of zero sets kept as int bitmasks), entirely over Python integers.
+Dimensions stay small: at most 12, the lattice rank `monoid.hilbert_basis`
+allows (twice `monoid.MAX_DIMENSION`, that of a product of two models), so
+no effort is spent on asymptotics.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ def vneg(a) -> Vector:
     return tuple(-x for x in a)
 
 
-def vscale(c, a) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def is_zero(a) -> bool:
     return not any(a)
 
@@ -50,51 +46,56 @@ def dual_generators(constraints, dim: int) -> tuple[tuple[Vector, ...], tuple[Ve
     """Generators (lines, rays) of {y : y . c >= 0 for every nonzero constraint c}.
 
     Incremental double description.  Lines come back as an HNF basis of the
-    lineality space; rays are primitive, minimal and sorted.
+    lineality space; rays are primitive, minimal and sorted.  A ray's zero set,
+    the constraints it is tight on, is an int with bit k set for constraint k,
+    so the adjacency test (no third ray tight on every constraint two rays
+    share) is one `&` per ray.
     """
-    constraints = [tuple(int(x) for x in c) for c in constraints]
-    lines: list[Vector] = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[Vector, frozenset]] = []
-    processed = 0
+    unit = IntMatrix.identity(dim)
+    lines: list[Vector] = [unit.row(i) for i in range(dim)]
+    rays: list[tuple[Vector, int]] = []
+    bit = 1
     for a in constraints:
-        pivot = next((l for l in lines if dot(l, a) != 0), None)
-        if pivot is not None:
-            d0 = dot(pivot, a)
+        a = tuple(map(int, a))
+        dls = [dot(l, a) for l in lines]
+        k = next((i for i, dl in enumerate(dls) if dl), None)
+        if k is not None:
+            pivot, d0 = lines[k], dls[k]
             if d0 < 0:
                 pivot = vneg(pivot)
                 d0 = -d0
-            new_lines = []
-            for l in lines:
-                if l == pivot or l == vneg(pivot):
-                    continue
-                dl = dot(l, a)
-                if dl != 0:
-                    l = primitive(vsub(vscale(d0, l), vscale(dl, pivot)))
-                new_lines.append(l)
+            # the lines stay independent, so only the pivot's own line drops
+            lines = [primitive([d0 * x - dl * y for x, y in zip(l, pivot)]) if dl else l
+                     for i, (l, dl) in enumerate(zip(lines, dls)) if i != k]
             new_rays = []
             for r, z in rays:
                 dr = dot(r, a)
                 if dr != 0:
-                    r = primitive(vsub(vscale(d0, r), vscale(dr, pivot)))
-                new_rays.append((r, z | {processed}))
-            new_rays.append((primitive(pivot), frozenset(range(processed))))
-            lines = new_lines
+                    r = primitive([d0 * x - dr * y for x, y in zip(r, pivot)])
+                new_rays.append((r, z | bit))
+            new_rays.append((primitive(pivot), bit - 1))
             rays = new_rays
         else:
-            plus = [(r, z) for r, z in rays if dot(r, a) > 0]
-            zero = [(r, z | {processed}) for r, z in rays if dot(r, a) == 0]
-            minus = [(r, z) for r, z in rays if dot(r, a) < 0]
+            plus, zero, minus = [], [], []
+            for r, z in rays:
+                d = dot(r, a)
+                if d > 0:
+                    plus.append((r, z, d))
+                elif d < 0:
+                    minus.append((r, z, d))
+                else:
+                    zero.append((r, z | bit))
             combos = []
-            for rp, zp in plus:
-                for rm, zm in minus:
+            for rp, zp, dp in plus:
+                for rm, zm, dm in minus:
                     common = zp & zm
-                    if any((common <= z) and r != rp and r != rm for r, z in rays):
+                    if any(not (common & ~z) and r != rp and r != rm for r, z in rays):
                         continue
                     # (a.rp) rm - (a.rm) rp: tight on a, nonnegative combination
-                    vec = primitive(vsub(vscale(dot(rp, a), rm), vscale(dot(rm, a), rp)))
-                    combos.append((vec, common | {processed}))
-            rays = plus + zero + combos
-        processed += 1
+                    combos.append((primitive([dp * x - dm * y for x, y in zip(rm, rp)]),
+                                   common | bit))
+            rays = [(r, z) for r, z, _ in plus] + zero + combos
+        bit <<= 1
     return hnf_rows(lines), tuple(sorted({r for r, _ in rays if not is_zero(r)}))
 
 

@@ -18,8 +18,9 @@ import heapq
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import _geometry as geom
 from ._record import Record, set_field
@@ -371,8 +372,9 @@ class ComplexMorphism(Record):
         for fm in self.source.face_maps:
             ja, ma = self.assignment[fm.source]
             jb, mb = self.assignment[fm.target]
-            want = mb @ fm.matrix
-            ok = any(psi.matrix @ ma == want
+            # psi.matrix @ ma and want have one shape, so their entries decide
+            want = (mb @ fm.matrix).entries
+            ok = any((psi.matrix @ ma).entries == want
                      for psi in self.target.maps_between(ja, jb))
             if not ok:
                 raise ValueError("assignment does not commute with a face map")
@@ -751,16 +753,18 @@ def _cone_invariants(K: GeneralizedConeComplex) -> list[tuple]:
             for i, c in enumerate(K.cones)]
 
 
-def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
+def _iso_candidates(c1: Cone, c2: Cone) -> Iterator[IntMatrix]:
     """Unimodular maps carrying c1 onto c2 (tight cones of one rank and ray count).
 
     Such a map sends rays to rays and is fixed by the images of a basis
     chosen from the rays of c1, so only the k!/(k-n)! placements of that
-    basis on the k rays of c2 are tried.
+    basis on the k rays of c2 are tried, each when the map before it has
+    been read.
     """
     n = c1.lattice_rank
     if n == 0:
-        return [IntMatrix.identity(0)]
+        yield IntMatrix.identity(0)
+        return
     basis = []
     for r in c1.rays:
         if lattice_rank(basis + [r]) > len(basis):
@@ -774,15 +778,13 @@ def _iso_candidates(c1: Cone, c2: Cone) -> list[IntMatrix]:
     d = snf.diagonal()[-1]
     adj = snf.V @ IntMatrix.from_rows([[d // di * x for x in snf.U.row(i)]
                                        for i, di in enumerate(snf.diagonal())])
-    out = []
     for images in itertools.permutations(c2.rays, n):
         dU = IntMatrix.from_columns(images, rows=n) @ adj
         if any(x % d for x in dU.entries):
             continue
         U = IntMatrix(n, n, tuple(x // d for x in dU.entries))
         if abs(_det(U)) == 1 and {primitive(U.apply(r)) for r in c1.rays} == set(c2.rays):
-            out.append(U)
-    return out
+            yield U
 
 
 def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
@@ -826,7 +828,22 @@ def is_isomorphic(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> bool:
                 for j in (fm.source + fm.target - i for fm in touching[i]
                           if Ft.cones[fm.source].dim):
                     heapq.heappush(heap, (key[j], j))
-    candidates = cache(lambda i, j: _iso_candidates(Ft.cones[i], Gt.cones[j]))
+    # One memo per cone pair, filled as it is read and read by index, so each
+    # candidate is computed once and every read of a pair sees all of them.
+    memo: dict[tuple[int, int], tuple[list[IntMatrix], Iterator[IntMatrix]]] = {}
+
+    def candidates(i: int, j: int) -> Iterator[IntMatrix]:
+        if (i, j) not in memo:
+            memo[i, j] = [], _iso_candidates(Ft.cones[i], Gt.cones[j])
+        found, more = memo[i, j]
+        for k in itertools.count():
+            if k == len(found):
+                u = next(more, None)
+                if u is None:
+                    return
+                found.append(u)
+            yield found[k]
+
     tried = 0
 
     def extend(pos: int, bij: dict, isos: dict) -> bool:

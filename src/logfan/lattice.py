@@ -49,7 +49,7 @@ class IntMatrix(Record):
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(map(int, r)) for r in rows]
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
@@ -110,7 +110,7 @@ class IntMatrix(Record):
 
     @property
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
+        return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries
 
     def diagonal(self) -> Vector:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -170,9 +170,11 @@ class FgAbelianGroup(Record):
 
     def reduce(self, v) -> Vector:
         """Canonical coordinates: torsion entries taken mod their orders."""
-        v = tuple(int(x) for x in v)
+        v = tuple(map(int, v))
         if len(v) != self.num_coords:
             raise ValueError("coordinate length mismatch")
+        if not self.torsion_orders:
+            return v
         f = self.free_rank
         return v[:f] + tuple(x % d for x, d in zip(v[f:], self.torsion_orders))
 
@@ -220,9 +222,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     Deterministic: pivots are chosen by smallest absolute value, ties broken
     by lowest (row, col).  Handles empty matrices.  Checks the exact
-    identity U @ A @ V == D before returning.  Raises ScopeExceeded, before
-    any elimination, past MAX_SMITH_SIDE rows or columns or MAX_SMITH_BITS,
-    and after it past MAX_SMITH_TRANSFORM_BITS in an entry of U or V.
+    identity U A V = D on the elimination's own rows of U, D and V, before
+    they become matrices.  Raises ScopeExceeded, before any elimination, past
+    MAX_SMITH_SIDE rows or columns or MAX_SMITH_BITS, and after it past
+    MAX_SMITH_TRANSFORM_BITS in an entry of U or V.
     """
     m, n = A.rows, A.cols
     bits = sum(abs(x).bit_length() for x in A.entries)
@@ -317,16 +320,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 U[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ui, uj)]
                 col_sub(i + 1, i, M[i][i + 1] // M[i][i])
 
-    Um, Dm, Vm = (IntMatrix.from_rows(U) if m else IntMatrix.zero(0, 0),
-                  IntMatrix.from_rows(M) if m else IntMatrix.zero(0, n),
-                  IntMatrix.from_rows(V) if n else IntMatrix.zero(0, 0))
-    top = max(map(abs, Um.entries + Vm.entries), default=0).bit_length()
+    top = max((abs(x) for r in U + V for x in r), default=0).bit_length()
     if top > MAX_SMITH_TRANSFORM_BITS:
         raise ScopeExceeded(f"the transforms of the {m}x{n} matrix have an entry of {top} bits, "
                             f"above the desk-scale bound of {MAX_SMITH_TRANSFORM_BITS} bits")
-    if (Um @ A) @ Vm != Dm:
+    A_columns, V_columns = [A.entries[j::n] for j in range(n)], list(zip(*V))
+    UA = [[sum(map(mul, u, c)) for c in A_columns] for u in U]
+    if [[sum(map(mul, r, c)) for c in V_columns] for r in UA] != M:
         raise InternalInvariant("Smith recomposition failed")
-    return SmithDecomposition(Um, Dm, Vm)
+    return SmithDecomposition(IntMatrix(m, m, tuple(x for r in U for x in r)),
+                              IntMatrix(m, n, tuple(x for r in M for x in r)),
+                              IntMatrix(n, n, tuple(x for r in V for x in r)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -507,10 +511,8 @@ def divide_exactly(v, d: int) -> Vector:
 
 def primitive(v) -> Vector:
     """Divide out the gcd of the coordinates; primitive(0) is 0."""
-    v = tuple(int(x) for x in v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    v = tuple(map(int, v))
+    g = gcd(*v)
     if g <= 1:
         return v
     return tuple(x // g for x in v)

@@ -1,12 +1,15 @@
 """Cone complexes: constructors, products, subdivisions, isomorphism."""
 
+import gc
 import itertools
+import json
 import math
 import random
 import time
 
 import pytest
 
+from logfan import cli
 from logfan import conecomplex as cc
 from logfan._geometry import ConeGeometry
 from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
@@ -555,7 +558,7 @@ def test_iso_candidates_against_all_permutations():
             c2 = full_cone(n, len(c1.rays))
             if c2 is None or len(c2.rays) != len(c1.rays):
                 continue
-        got = cc._iso_candidates(c1, c2)
+        got = list(cc._iso_candidates(c1, c2))
         assert len(set(got)) == len(got)
         assert set(got) == iso_candidates_oracle(c1, c2), (c1, c2)
         found += bool(got)
@@ -597,6 +600,40 @@ def test_large_simplex_isomorphism_is_refused_first(vertices):
     with pytest.raises(ScopeExceeded, match="isomorphism candidates"):
         is_isomorphic(K, K)
     assert time.perf_counter() - start < 0.1
+
+
+def test_seven_vertex_simplex_isomorphism_answers_quickly_through_main(tmp_path, capsysbinary,
+                                                                      monkeypatch):
+    """The top cone of the snc simplex on 7 vertices has 7! = 5,040 basis
+    placements, inside the bound.  Candidates are made as the search reads
+    them, so `true` comes back through `main` in under 0.5 s after parse
+    (1.5 s when every candidate of a cone pair was made before the first
+    was tried)."""
+    simplex = {"kind": "complex", "builtin": "snc", "simplices": [list(range(7))]}
+    target = tmp_path / "iso.lf.json"
+    target.write_text(json.dumps({
+        "version": "logfan/1", "objects": {"K": simplex},
+        "tasks": [{"op": "is_isomorphic", "args": {"left": "K", "right": "K"}}]}))
+    parsed = []
+    real_parse = cli.parse
+
+    def parse(*args, **kwargs):
+        doc = real_parse(*args, **kwargs)
+        parsed.append(time.perf_counter())
+        return doc
+
+    monkeypatch.setattr(cli, "parse", parse)
+    gc.collect()
+    code = cli.main(["run", str(target), "--format", "json"])
+    took = time.perf_counter() - parsed[0]
+    assert code == 0
+    assert json.loads(capsysbinary.readouterr().out)["results"][0]["data"] == {"isomorphic": True}
+    assert took < 0.5, took
+
+
+def test_iso_candidates_of_the_zero_cone_are_its_identity():
+    zero = Cone.zero(0)
+    assert list(cc._iso_candidates(zero, zero)) == [IntMatrix.identity(0)]
 
 
 def dimension_first_isomorphic(F, G):

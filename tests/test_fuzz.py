@@ -215,6 +215,36 @@ def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, cap
     assert time.perf_counter() - start < 5.0
 
 
+def test_diagonal_source_dimension_just_inside_and_just_outside(tmp_path, capsysbinary):
+    """`subdivide_along_diagonal` takes source cones of dimension at most 2:
+    a complete rank-2 fan (a seeded Hirzebruch surface) is subdivided within
+    INSIDE_BUDGET, and the 3-d orthant is refused in under 0.1 s, before
+    F x F is built."""
+    a = random.Random(83).randint(0, 3)
+    inside = _complex(builtin="toric_fan", rays=[[1, 0], [0, 1], [-1, a], [0, -1]],
+                      maximal_cones=[[0, 1], [1, 2], [2, 3], [3, 0]], rank=2)
+    outside = _complex(builtin="toric_fan", rays=_unit_rows(3), maximal_cones=[[0, 1, 2]],
+                       rank=3)
+    target = tmp_path / "diagonal.lf.json"
+    for where, fan in (("inside", inside), ("outside", outside)):
+        target.write_text(json.dumps({
+            "version": "logfan/1", "objects": {"F": fan},
+            "tasks": [{"op": "subdivide_along_diagonal", "args": {"complex": "F"}}]}))
+        gc.collect()
+        began = time.perf_counter()
+        code = main(["run", str(target), "--format", "json"])
+        took = time.perf_counter() - began
+        result = json.loads(capsysbinary.readouterr().out)["results"][0]
+        if where == "inside":
+            assert code == 0 and result["status"] == "ok", result
+            assert took < INSIDE_BUDGET, took
+        else:
+            assert code == 1 and result["error"] == {
+                "type": "ScopeExceeded",
+                "message": "source cones of dimension > 2 are out of scope"}, result
+            assert took < 0.1, took
+
+
 @pytest.mark.parametrize("width", [600, 2 * MAX_DIMENSION])
 def test_hilbert_basis_rank_is_bounded_before_the_double_description(tmp_path, capsysbinary,
                                                                      width):

@@ -37,6 +37,10 @@ def reference_extreme(prims, rank):
     return tuple(out)
 
 
+def scale(c, r):
+    return tuple(c * x for x in r)
+
+
 def uninterned_cone(rays, rank):
     """A Cone whose geometry is built directly, bypassing both tables."""
     c = Cone(rank, rays)
@@ -73,9 +77,9 @@ def test_interned_cones_match_uninterned_construction():
             assert getattr(c.geometry, attr) == getattr(fresh.geometry, attr)
         assert c.face_ray_sets == fresh.face_ray_sets
         assert c.multiplicity == fresh.multiplicity
-        scaled = [geom.vscale(rng.randint(1, 4), r) for r in reversed(rays)]
+        scaled = [scale(rng.randint(1, 4), r) for r in reversed(rays)]
         assert Cone.make(scaled, rank) is c
-        assert geom.ConeGeometry.of([geom.vscale(2, r) for r in reversed(extreme)],
+        assert geom.ConeGeometry.of([scale(2, r) for r in reversed(extreme)],
                                     rank) is c.geometry
     assert sharp >= 50 and non_sharp >= 50 and redundant >= 20
 
@@ -97,7 +101,7 @@ def spellings(rng, rays):
     shuffled = list(rays)
     rng.shuffle(shuffled)
     return {"canonical": tuple(rays),
-            "scaled": [geom.vscale(rng.randint(2, 5), r) for r in rays],
+            "scaled": [scale(rng.randint(2, 5), r) for r in rays],
             "shuffled": shuffled,
             "duplicated": list(rays) + [rng.choice(rays) for _ in range(2)],
             "zero rays": [(0,) * rank, *rays, (0,) * rank],
@@ -184,6 +188,30 @@ def test_identity_fast_path_matches_entrywise_product():
         assert A @ B == entrywise_product(A, B) == IntMatrix.zero(m, n)
         assert A @ IntMatrix.identity(0) == A
         assert IntMatrix.identity(0) @ B == B
+
+
+def test_identity_checks_make_no_matrix_comparison(monkeypatch):
+    """`is_identity`, a product with an identity on either side, and the
+    face-map check of the A^2 diagonal's structure morphism compare entries:
+    none of them goes through `IntMatrix.__eq__`."""
+    F = cc.from_toric_fan([(1, 0), (0, 1)], [(0, 1)], 2)
+    structure = cc.subdivide_along_diagonal(F).subdivision.structure
+    calls = collections.Counter()
+    real = IntMatrix.__eq__
+
+    def eq(a, b):
+        calls["eq"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__eq__", eq)
+    A = IntMatrix(2, 3, (1, 2, 3, 4, 5, 6))
+    assert IntMatrix.identity(2).is_identity and IntMatrix.identity(0).is_identity
+    assert not A.is_identity and not IntMatrix.zero(2, 2).is_identity
+    assert IntMatrix.identity(2) @ A is A and A @ IntMatrix.identity(3) is A
+    assert len(structure.source.face_maps) == 225
+    cc.ComplexMorphism(structure.source, structure.target, structure.assignment)
+    assert calls["eq"] == 0
+    assert A == IntMatrix(2, 3, (1, 2, 3, 4, 5, 6)) and calls["eq"] == 1
 
 
 def test_p2_log_diagonal_runs_each_double_description_once(monkeypatch):

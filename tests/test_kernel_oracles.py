@@ -19,7 +19,11 @@ faster one is checked against it on seeded inputs:
   `rational_kernel` and `rational_rank` (in `rational_solve`) are the
   elimination over Q that check 12 took its kernels and ranks from;
 * `generator_dot`, `generator_is_zero` and `generator_contains` take the
-  geometry kernel's inner products and zero tests by generator expressions.
+  geometry kernel's inner products and zero tests by generator expressions;
+* `frozenset_dual_generators` keeps the double description's zero sets as
+  frozensets, and `loop_primitive` takes the gcd of a vector entry by entry;
+* `reference_smith_normal_form` finishes the Smith elimination through
+  `IntMatrix.from_rows` and checks it by matrix products.
 """
 
 import collections
@@ -35,11 +39,13 @@ from logfan import _geometry as geom
 from logfan import conecomplex as cc
 from logfan import hkr
 from logfan import suite
-from logfan.errors import ScopeExceeded
-from logfan.lattice import (MAX_SMITH_SIDE, FgAbelianGroup, IntMatrix, cokernel_projection,
-                            det, hnf_coords, hnf_rows, in_lattice, kernel_basis,
-                            lattice_rank, saturate_subgroup, smith_normal_form)
-from logfan.logmodel import mixed_affine, p2_toric_model
+from logfan.errors import InternalInvariant, ScopeExceeded
+from logfan.lattice import (MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS,
+                            FgAbelianGroup, IntMatrix, SmithDecomposition, _select_pivot,
+                            _xgcd, cokernel_projection, det, hnf_coords, hnf_rows, in_lattice,
+                            kernel_basis, lattice_rank, primitive, saturate_subgroup,
+                            smith_normal_form)
+from logfan.logmodel import affine_space_model, mixed_affine, p1_toric_model, p2_toric_model
 from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
                            hilbert_basis, saturate)
 from logfan.orbifold import DiagonalAction, orbifold_hh
@@ -133,6 +139,181 @@ def generator_contains(g: geom.ConeGeometry, x) -> bool:
         raise ValueError(f"vector {x} does not have the cone's rank {g.dim}")
     return (all(generator_dot(e, x) == 0 for e in g.equations)
             and all(generator_dot(n, x) >= 0 for n in g.normals))
+
+
+def vscale(c, a):
+    return tuple(c * x for x in a)
+
+
+def loop_primitive(v):
+    v = tuple(int(x) for x in v)
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    if g <= 1:
+        return v
+    return tuple(x // g for x in v)
+
+
+def frozenset_dual_generators(constraints, dim, branches=None):
+    """The double description with zero sets as frozensets, three dot products
+    per ray and constraint, and combinations built by vscale and vsub.
+    `branches` counts the constraints that combined a ray pair."""
+    constraints = [tuple(int(x) for x in c) for c in constraints]
+    lines = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    processed = 0
+    for a in constraints:
+        pivot = next((l for l in lines if geom.dot(l, a) != 0), None)
+        if pivot is not None:
+            d0 = geom.dot(pivot, a)
+            if d0 < 0:
+                pivot = geom.vneg(pivot)
+                d0 = -d0
+            new_lines = []
+            for l in lines:
+                if l == pivot or l == geom.vneg(pivot):
+                    continue
+                dl = geom.dot(l, a)
+                if dl != 0:
+                    l = loop_primitive(geom.vsub(vscale(d0, l), vscale(dl, pivot)))
+                new_lines.append(l)
+            new_rays = []
+            for r, z in rays:
+                dr = geom.dot(r, a)
+                if dr != 0:
+                    r = loop_primitive(geom.vsub(vscale(d0, r), vscale(dr, pivot)))
+                new_rays.append((r, z | {processed}))
+            new_rays.append((loop_primitive(pivot), frozenset(range(processed))))
+            lines = new_lines
+            rays = new_rays
+        else:
+            plus = [(r, z) for r, z in rays if geom.dot(r, a) > 0]
+            zero = [(r, z | {processed}) for r, z in rays if geom.dot(r, a) == 0]
+            minus = [(r, z) for r, z in rays if geom.dot(r, a) < 0]
+            combos = []
+            if branches is not None and plus and minus:
+                branches["combination"] += 1
+            for rp, zp in plus:
+                for rm, zm in minus:
+                    common = zp & zm
+                    if any((common <= z) and r != rp and r != rm for r, z in rays):
+                        continue
+                    # (a.rp) rm - (a.rm) rp: tight on a, nonnegative combination
+                    vec = loop_primitive(geom.vsub(vscale(geom.dot(rp, a), rm),
+                                                   vscale(geom.dot(rm, a), rp)))
+                    combos.append((vec, common | {processed}))
+            rays = plus + zero + combos
+        processed += 1
+    return hnf_rows(lines), tuple(sorted({r for r, _ in rays if not geom.is_zero(r)}))
+
+
+def reference_smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """The same elimination, finished by `from_rows` on each of U, D and V
+    and checked by the matrix products (U @ A) @ V."""
+    m, n = A.rows, A.cols
+    bits = sum(abs(x).bit_length() for x in A.entries)
+    if max(m, n) > MAX_SMITH_SIDE or bits > MAX_SMITH_BITS:
+        raise ScopeExceeded(f"the matrix is {m}x{n} with {bits} bits of entries, above the "
+                            f"desk-scale bound of {MAX_SMITH_SIDE} rows and columns and "
+                            f"{MAX_SMITH_BITS} bits")
+    M = A.as_rows()
+    U = IntMatrix.identity(m).as_rows()
+    V = IntMatrix.identity(n).as_rows()
+
+    def swap_rows(i, j):
+        M[i], M[j] = M[j], M[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in M:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def row_sub(i, j, q):
+        """row i -= q * row j"""
+        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_sub(i, j, q):
+        """col i -= q * col j"""
+        for r in M:
+            r[i] -= q * r[j]
+        for r in V:
+            r[i] -= q * r[j]
+
+    def negate_row(i):
+        M[i] = [-a for a in M[i]]
+        U[i] = [-a for a in U[i]]
+
+    t = 0
+    while True:
+        piv = _select_pivot(M, t, m, n)
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != t:
+            swap_rows(t, i0)
+        if j0 != t:
+            swap_cols(t, j0)
+        while True:
+            dirty = False
+            p = M[t][t]
+            for i in range(t + 1, m):
+                if M[i][t] != 0:
+                    row_sub(i, t, M[i][t] // p)
+                    if M[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, n):
+                if M[t][j] != 0:
+                    col_sub(j, t, M[t][j] // p)
+                    if M[t][j] != 0:
+                        dirty = True
+            if not dirty:
+                break
+            i0, j0 = _select_pivot(M, t, m, n)
+            if i0 != t:
+                swap_rows(t, i0)
+            if j0 != t:
+                swap_cols(t, j0)
+        t += 1
+
+    for i in range(min(m, n)):
+        if M[i][i] < 0:
+            negate_row(i)
+
+    # enforce d1 | d2 | ... by the classic gcd/lcm 2x2 repair
+    r = sum(1 for i in range(min(m, n)) if M[i][i] != 0)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a, b = M[i][i], M[i + 1][i + 1]
+            if b % a != 0:
+                changed = True
+                col_sub(i, i + 1, -1)              # col i += col i+1
+                g, x, y = _xgcd(a, b)
+                # unimodular row pair op [[x, y], [-b//g, a//g]]; it leaves
+                # [[g, y*b/g], [0, a*b/g]] with g > 0, a*b/g > 0 and y != 0
+                ri, rj = M[i][:], M[i + 1][:]
+                M[i] = [x * p + y * q for p, q in zip(ri, rj)]
+                M[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
+                ui, uj = U[i][:], U[i + 1][:]
+                U[i] = [x * p + y * q for p, q in zip(ui, uj)]
+                U[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ui, uj)]
+                col_sub(i + 1, i, M[i][i + 1] // M[i][i])
+
+    Um, Dm, Vm = (IntMatrix.from_rows(U) if m else IntMatrix.zero(0, 0),
+                  IntMatrix.from_rows(M) if m else IntMatrix.zero(0, n),
+                  IntMatrix.from_rows(V) if n else IntMatrix.zero(0, 0))
+    top = max(map(abs, Um.entries + Vm.entries), default=0).bit_length()
+    if top > MAX_SMITH_TRANSFORM_BITS:
+        raise ScopeExceeded(f"the transforms of the {m}x{n} matrix have an entry of {top} bits, "
+                            f"above the desk-scale bound of {MAX_SMITH_TRANSFORM_BITS} bits")
+    if (Um @ A) @ Vm != Dm:
+        raise InternalInvariant("Smith recomposition failed")
+    return SmithDecomposition(Um, Dm, Vm)
 
 
 def rational_parallelepiped_points(basis):
@@ -649,3 +830,138 @@ def test_check_12_verdicts_match_elimination_over_q(monkeypatch):
     monkeypatch.setattr(suite, "lattice_rank", lambda cols: rational_rank(sparse(cols)))
     assert verdicts == [suite._koszul_resolution_window(*case) for case in cases]
     assert 10 <= verdicts.count(False) <= len(cases) - 10
+
+
+def _constraint_list(rng):
+    """Up to 8 constraints in dimension 1-6 with entries in +-3, among them
+    zero, repeated and opposite ones, so that lines survive, the dual is
+    lower-dimensional, and ray pairs are combined."""
+    dim = rng.randint(1, 6)
+    constraints = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if constraints and roll < 0.15:
+            constraints.append(rng.choice(constraints))
+        elif constraints and roll < 0.3:
+            constraints.append(geom.vneg(rng.choice(constraints)))
+        elif roll < 0.35:
+            constraints.append((0,) * dim)
+        else:
+            constraints.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+    return constraints, dim
+
+
+def test_dual_generators_match_the_frozenset_oracle():
+    rng = random.Random(71)
+    seen = collections.Counter()
+    dims = set()
+    for _ in range(1500):
+        constraints, dim = _constraint_list(rng)
+        got = geom.dual_generators(constraints, dim)
+        assert got == frozenset_dual_generators(constraints, dim, seen), (constraints, dim)
+        lines, rays = got
+        seen["lineality"] += bool(lines)
+        seen["lower-dimensional"] += lattice_rank(lines + rays) < dim
+        dims.add(dim)
+    assert dims == set(range(1, 7))
+    assert min(seen[k] for k in ("lineality", "lower-dimensional", "combination")) >= 100, seen
+
+
+def test_dual_generators_match_the_frozenset_oracle_on_the_diagonals(monkeypatch):
+    """Every double description the P^1, A^2 and P^2 log diagonals and the
+    F_1, F_2 and F_3 diagonal subdivisions run, from empty intern tables."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    seen = []
+    real = geom.dual_generators
+
+    def capture(constraints, dim):
+        constraints = [tuple(c) for c in constraints]
+        seen.append((constraints, dim, real(constraints, dim)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(geom, "dual_generators", capture)
+    for model in (p1_toric_model(), affine_space_model(2), p2_toric_model()):
+        hkr.log_diagonal(model)
+    fans = [([(1,), (-1,)], [(0,), (1,)], 1), ([(1, 0), (0, 1)], [(0, 1)], 2)]
+    fans += [([(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
+             for a in (1, 2, 3)]
+    for rays, cones, rank in fans:
+        cc.subdivide_along_diagonal(cc.from_toric_fan(rays, cones, rank))
+    assert len(seen) >= 300
+    for constraints, dim, got in seen:
+        assert got == frozenset_dual_generators(constraints, dim), (constraints, dim)
+
+
+def test_primitive_matches_the_gcd_loop():
+    rng = random.Random(73)
+    cases = [(), (0,), (0, 0, 0), (5,), (-5,), (-6, 9, 0), (2 ** 300, -(3 * 2 ** 299)),
+             (-(2 ** 300 + 1),)]
+    for _ in range(2000):
+        bound = 2 ** rng.choice([2, 8, 300])
+        scale = rng.choice([1, 2, 6, 2 ** 150])
+        cases.append(tuple(scale * rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                           for _ in range(rng.randint(0, 6))))
+    for v in cases:
+        want = loop_primitive(v)
+        assert primitive(v) == primitive(list(v)) == want, v
+        assert all(type(x) is int for x in primitive(v))
+    assert sum(max(map(abs, v), default=0).bit_length() >= 300 for v in cases) >= 200
+
+
+def _as_fields(M: IntMatrix):
+    return M.rows, M.cols, M.entries
+
+
+def test_smith_normal_form_matches_the_reference_finish():
+    """U, D and V entry for entry on seeded matrices up to 6 x 6, among them
+    0 x n, m x 0 and rank-deficient ones, and the same refusals."""
+    rng = random.Random(79)
+    kinds = collections.Counter()
+    for _ in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        e = rng.choice([1, 3, 20, 10 ** 6])
+        rows = [[rng.randint(-e, e) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            k = rng.choice((-2, 1, 3))
+            rows[-1] = [k * x + y for x, y in zip(rows[0], rows[1])]
+        A = IntMatrix(m, n, tuple(x for r in rows for x in r))
+        got, want = smith_normal_form(A), reference_smith_normal_form(A)
+        for name in ("U", "D", "V"):
+            assert _as_fields(getattr(got, name)) == _as_fields(getattr(want, name)), (rows, name)
+        kinds["0 x n" if m == 0 else "m x 0" if n == 0 else
+              "rank-deficient" if got.rank < min(m, n) else "full rank"] += 1
+    assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
+    rng = random.Random(0)
+    a, b, c = (rng.randrange(10 ** (d - 1), 10 ** d) for d in (143, 72, 79))
+    for rows in ([[a, 0, 0], [b, c, 0]], [[1]] * (MAX_SMITH_SIDE + 1)):
+        messages = []
+        for snf in (smith_normal_form, reference_smith_normal_form):
+            with pytest.raises(ScopeExceeded) as refused:
+                snf(IntMatrix.from_rows(rows))
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+
+class SkewedRows:
+    """A matrix whose rows, which the elimination reads, differ in one entry
+    from its entries, which the recomposition check reads."""
+
+    def __init__(self, entries, rows):
+        self.rows, self.cols, self.entries = len(rows), len(rows[0]), entries
+        self._rows = rows
+
+    def as_rows(self):
+        return [list(r) for r in self._rows]
+
+
+def test_smith_recomposition_is_checked_against_the_entries():
+    """The check on the elimination's own rows multiplies out A's entries,
+    so an elimination of other rows fails it."""
+    for rows in ([[2, 4], [6, 8]], [[1, 0, 3]], [[5], [0]], [[0, 0], [0, 0]]):
+        entries = tuple(x for r in rows for x in r)
+        skewed = [list(r) for r in rows]
+        skewed[-1][-1] += 1
+        with pytest.raises(InternalInvariant, match="Smith recomposition failed"):
+            smith_normal_form(SkewedRows(entries, skewed))
