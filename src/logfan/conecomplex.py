@@ -14,6 +14,7 @@ no-op cases.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -21,6 +22,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
+from operator import and_
 
 from . import _geometry as geom
 from ._record import Record, set_field
@@ -66,10 +68,11 @@ class Cone(Record):
             if not g.is_sharp:
                 raise ValueError("cone is not strongly convex")
             # keep the extreme rays: those that alone lie on the meet of
-            # the facets through them
+            # the facets through them; independent rays are all extreme
             full = frozenset(range(len(g.rays)))
-            extreme = tuple(r for i, r in enumerate(g.rays)
-                            if full.intersection(*(f for f in g.facets if i in f)) == {i})
+            extreme = g.rays if len(g.rays) == g.span_dim else tuple(
+                r for i, r in enumerate(g.rays)
+                if full.intersection(*(f for f in g.facets if i in f)) == {i})
             c = _CONES.setdefault((rank, extreme), Cone(rank, extreme))
             _CONES[key] = c
         return c
@@ -92,9 +95,11 @@ class Cone(Record):
 
     @cached_property
     def multiplicity(self) -> int:
-        """Lattice-normalized volume; 1 for unimodular simplicial cones."""
-        if not self.rays:
-            return 1
+        """Lattice-normalized volume; 1 for unimodular simplicial cones.  A
+        simplicial cone's is the index of its rays' lattice in the saturated
+        lattice of their span; any other cone sums it over a triangulation."""
+        if self.is_simplicial:
+            return geom.simplicial_index(self.rays)
         total = 0
         for s in geom.triangulate(list(self.rays), self.lattice_rank):
             total += geom.simplicial_index([self.rays[i] for i in s])
@@ -109,8 +114,13 @@ class Cone(Record):
 
     @cached_property
     def face_ray_sets(self) -> tuple[frozenset, ...]:
-        """All faces, as frozensets of ray indices (zero face to the whole cone):
-        the intersections of the facets of a sharp cone."""
+        """All faces, as frozensets of ray indices, ordered by size and then
+        lexicographically (zero face to the whole cone).  Those of a simplicial
+        cone are all the subsets of its rays; those of any other sharp cone
+        are the intersections of its facets."""
+        if self.is_simplicial:
+            return tuple(frozenset(s) for k in range(len(self.rays) + 1)
+                         for s in itertools.combinations(range(len(self.rays)), k))
         facets = self.geometry.facets
         # seeded with the facets, so the face sets share the geometry's frozensets
         found = {frozenset(range(len(self.rays))), *facets}
@@ -366,8 +376,8 @@ class ComplexMorphism(Record):
             src, dst = self.source.cones[i], self.target.cones[j]
             if (m.rows, m.cols) != (dst.lattice_rank, src.lattice_rank):
                 raise ValueError("assignment matrix shape mismatch")
-            for r in src.rays:
-                if not dst.contains(m.apply(r)):
+            for r in src.rays if m.is_identity else map(m.apply, src.rays):
+                if not dst.contains(r):
                     raise ValueError(f"cone {i} does not land inside target cone {j}")
         for fm in self.source.face_maps:
             ja, ma = self.assignment[fm.source]
@@ -408,15 +418,19 @@ def product(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> Generalized
     def idx(i, j):
         return i * len(G.cones) + j
 
-    maps = []
+    # one block-diagonal matrix per pair of matrix objects (F and G keep them
+    # alive, so their ids name them): the maps of an embedded complex share one
+    maps, blocks = [], {}
     for mf in F.face_maps:
         for mg in G.face_maps:
             a, b = mf.matrix, mg.matrix
-            # the block-diagonal matrix of a and b
-            entries = [x for r in range(a.rows) for x in a.row(r) + (0,) * b.cols] + \
-                      [x for r in range(b.rows) for x in (0,) * a.cols + b.row(r)]
-            maps.append(FaceMap(idx(mf.source, mg.source), idx(mf.target, mg.target),
-                                IntMatrix(a.rows + b.rows, a.cols + b.cols, tuple(entries))))
+            block = blocks.get((id(a), id(b)))
+            if block is None:
+                entries = [x for r in range(a.rows) for x in a.row(r) + (0,) * b.cols] + \
+                          [x for r in range(b.rows) for x in (0,) * a.cols + b.row(r)]
+                block = blocks[id(a), id(b)] = IntMatrix(a.rows + b.rows, a.cols + b.cols,
+                                                         tuple(entries))
+            maps.append(FaceMap(idx(mf.source, mg.source), idx(mf.target, mg.target), block))
     return GeneralizedConeComplex(tuple(cones), tuple(maps))
 
 
@@ -563,11 +577,13 @@ def _stellar(home_of: dict[Cone, int], v: Vector) -> dict[Cone, int]:
     rank = tau.lattice_rank
     out = {}
     for c, h in home_of.items():
-        if tau not in c.faces:
+        # faces are interned, as tau (never the zero cone) is: found by identity
+        k = next((k for k, f in enumerate(c.faces) if f is tau), None)
+        if k is None:
             out[c] = h
             continue
         sets = c.face_ray_sets
-        ts = sets[c.faces.index(tau)]
+        ts = sets[k]
         for s, fc in zip(sets, c.faces):
             if not ts <= s:
                 join = next(f for u, f in zip(sets, c.faces) if s | ts <= u)
@@ -644,7 +660,9 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     at (0, 1, 1) crosses cone((0, 0, 1), (1, 1, 0)) at (1, 1, 1).  So while
     an image cone is not a union of cones, a round cuts the first such cone
     at the sum of its rays.  Each 2-d image cone is flagged (see
-    ImageConeFlag).
+    ImageConeFlag).  Every cone stays simplicial (the target's are, and
+    fc + v has independent rays), so faces and multiplicities come from the
+    rays, and the cones inside the image are found ray by ray (`_inside`).
     """
     target = phi.target
     _check_source_scope(phi.source)
@@ -694,7 +712,7 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     else:
         sub = _homed(target, home_of)
 
-    inside = [c for c in home_of if any(ig.contains_cone(c.geometry) for ig in image_geoms)]
+    inside = _inside(home_of, image_geoms)
     image_subcomplex = _embedded_from_cones(inside, rank) if inside else point_complex()
 
     # the factoring exists when every image cone is a cone of the subcomplex
@@ -703,6 +721,16 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
     factoring = None if None in found else ComplexMorphism(
         phi.source, image_subcomplex, tuple((j, m) for j, (_, m) in zip(found, phi.assignment)))
     return DiagonalSubdivision(sub, image_subcomplex, factoring, tuple(image_flags))
+
+
+def _inside(cones, images: list[geom.ConeGeometry]) -> list[Cone]:
+    """The cones lying in some image cone.  A cone does when all its rays lie
+    in one image cone, so each distinct ray gets a bitmask of the image cones
+    holding it, and a cone is inside when its rays' masks share a bit."""
+    holders = {r: sum(1 << i for i, ig in enumerate(images) if ig.contains(r))
+               for r in {r for c in cones for r in c.rays}}
+    every = (1 << len(images)) - 1
+    return [c for c in cones if functools.reduce(and_, map(holders.get, c.rays), every)]
 
 
 # ------------------------------------------------------------------ rendering

@@ -245,6 +245,45 @@ def test_diagonal_source_dimension_just_inside_and_just_outside(tmp_path, capsys
             assert took < 0.1, took
 
 
+def _snc_of(rng, cones):
+    """An snc complex of exactly `cones` cones: a simplex on k vertices (2^k
+    faces, the empty one included) and cones - 2^k isolated points."""
+    k = rng.randint(0, cones.bit_length() - 1)
+    return _complex(builtin="snc", simplices=[list(range(k))] * bool(k)
+                    + [[v] for v in range(k, k + cones - 2 ** k)])
+
+
+def test_product_cones_just_inside_and_just_outside(tmp_path, capsysbinary):
+    """A `product` task of complexes with MAX_CONES cones between them runs
+    within INSIDE_BUDGET; one with MAX_CONES + 1 is refused in under 0.1 s,
+    before any cone of the product is built."""
+    rng = random.Random(89)
+    sides = {"inside": rng.choice([(8, 125), (10, 100), (20, 50), (40, 25)]),
+             "outside": rng.choice([(7, 143), (11, 91), (13, 77), (77, 13)])}
+    assert [a * b for a, b in sides.values()] == [MAX_CONES, MAX_CONES + 1]
+    target = tmp_path / "product.lf.json"
+    for where, (left, right) in sides.items():
+        target.write_text(json.dumps({
+            "version": "logfan/1",
+            "objects": {"L": _snc_of(rng, left), "R": _snc_of(rng, right)},
+            "tasks": [{"op": "product", "args": {"left": "L", "right": "R"}}]}))
+        gc.collect()
+        began = time.perf_counter()
+        code = main(["run", str(target), "--format", "json"])
+        took = time.perf_counter() - began
+        result = json.loads(capsysbinary.readouterr().out)["results"][0]
+        if where == "inside":
+            assert code == 0 and result["status"] == "ok", result
+            assert result["data"]["cone_count"] == MAX_CONES
+            assert took < INSIDE_BUDGET, took
+        else:
+            assert code == 1 and result["error"] == {
+                "type": "ScopeExceeded",
+                "message": f"the product would have {MAX_CONES + 1} cones, "
+                           f"above the desk-scale bound {MAX_CONES}"}, result
+            assert took < 0.1, took
+
+
 @pytest.mark.parametrize("width", [600, 2 * MAX_DIMENSION])
 def test_hilbert_basis_rank_is_bounded_before_the_double_description(tmp_path, capsysbinary,
                                                                      width):

@@ -3,6 +3,7 @@ cross-checked against fresh uninterned construction and plain arithmetic."""
 
 import collections
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -276,6 +277,61 @@ def test_f1_diagonal_work_counts(monkeypatch):
     assert 0 < calls["snf"] <= 20
     assert 0 < calls["contains_cone"] <= 2_500
     assert 0 < calls["primitive_rays"] <= 600
+
+
+def _hirzebruch_fan(a):
+    return cc.from_toric_fan([(1, 0), (0, 1), (-1, a), (0, -1)],
+                             [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
+
+
+def test_f1_diagonal_work_counts_read_off_the_rays(monkeypatch):
+    """With empty interning tables, the F_1 diagonal subdivision makes 432
+    containment tests and 16 Smith forms.  The cones inside an image cone
+    are found from one bitmask per ray: a test of every cone against every
+    image cone made 1,917 containment tests."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    F = _hirzebruch_fan(1)
+    calls = collections.Counter()
+    real_snf, real_contains = lattice.smith_normal_form, geom.ConeGeometry.contains_cone
+
+    def snf(A):
+        calls["snf"] += 1
+        return real_snf(A)
+
+    def contains_cone(g, other):
+        calls["contains_cone"] += 1
+        return real_contains(g, other)
+
+    for module in (lattice, geom):
+        monkeypatch.setattr(module, "smith_normal_form", snf)
+    monkeypatch.setattr(geom.ConeGeometry, "contains_cone", contains_cone)
+    res = cc.subdivide_along_diagonal(F)
+    assert len(res.subdivision.refined.cones) == 169
+    assert calls == {"snf": 16, "contains_cone": 432}
+
+
+def test_stellar_compares_no_cones(monkeypatch):
+    """`_stellar` finds tau among the interned faces by identity: with empty
+    interning tables, the F_2 diagonal subdivision calls `Cone.__eq__` from
+    no `_stellar` frame (it made 3,558 such calls by `in` and `index`)."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    F = _hirzebruch_fan(2)
+    calls = collections.Counter()
+    real_eq = Cone.__eq__
+
+    def eq(self, other):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not cc._stellar.__code__:
+            frame = frame.f_back
+        calls["stellar" if frame is not None else "other"] += 1
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Cone, "__eq__", eq)
+    res = cc.subdivide_along_diagonal(F)
+    assert len(res.subdivision.refined.cones) == 169
+    assert calls["stellar"] == 0 and calls["other"] > 0, calls
 
 
 def test_saturation_and_torsion_take_one_smith_form_each(monkeypatch):
