@@ -333,14 +333,16 @@ def snc_artin_fan(simplices) -> GeneralizedConeComplex:
         rays = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
         cones.append(Cone.make(rays, k) if k else Cone.zero(0))
     index = {s: i for i, s in enumerate(ordered)}
+    shared: dict[tuple, IntMatrix] = {}   # one matrix per len(s) and positions of t in s
     maps = []
     for s in ordered:
+        unit = IntMatrix.identity(len(s))
         for k in range(0, len(s) + 1):
             for t in itertools.combinations(s, k):
-                cols = [tuple(1 if s.index(v) == i else 0 for i in range(len(s)))
-                        for v in t]
-                m = IntMatrix.from_columns(cols, rows=len(s))
-                maps.append(FaceMap(index[t], index[s], m))
+                key = (len(s), tuple(map(s.index, t)))
+                if key not in shared:
+                    shared[key] = IntMatrix.from_columns(map(unit.row, key[1]), rows=len(s))
+                maps.append(FaceMap(index[t], index[s], shared[key]))
     return GeneralizedConeComplex(tuple(cones), tuple(maps))
 
 

@@ -21,7 +21,7 @@ from . import monoid as mn
 from . import orbifold as ob
 from ._record import Record
 from .errors import InternalInvariant, NotFirm
-from .lattice import (FgAbelianGroup, IntMatrix, Vector, kernel_basis, lattice_rank,
+from .lattice import (FgAbelianGroup, IntMatrix, kernel_basis, lattice_rank,
                       smith_normal_form, solve_integer)
 
 
@@ -246,26 +246,20 @@ def property_hilbert_minimality() -> CheckResult:
 
 
 def _enumerate_monoid_homs(src: mn.FineMonoid, dst: mn.FineMonoid, bound: int):
-    """All ambient-group homs with small entries mapping src into dst.
+    """All homs with entries in [-bound, bound] mapping the free monoid src
+    into dst, in the order of their entries.
 
-    Many matrices send a generator to the same vector, so each distinct image
-    is tested for membership in dst once."""
+    Column j is the image of the generator e_j, and a free source has no
+    relations, so a matrix is a hom exactly when each of its columns lies in
+    dst: each vector of the box is tested for membership once."""
     rows, cols = dst.ambient.num_coords, src.ambient.num_coords
-    member: dict[Vector, bool] = {}
-
-    def inside(v) -> bool:
-        if v not in member:
-            member[v] = mn.contains(dst, v)
-        return member[v]
-
-    out = []
-    for entries in itertools.product(range(-bound, bound + 1), repeat=rows * cols):
-        M = IntMatrix(rows, cols, entries)
-        if not mn.hom_well_defined(src.ambient, dst.ambient, M):
-            continue
-        if all(inside(M.apply(g)) for g in src.generators):
-            out.append(M)
-    return out
+    if src != mn.FineMonoid.free(cols):
+        raise InternalInvariant(f"hom enumeration needs a free source, not {src}")
+    inside = [v for v in itertools.product(range(-bound, bound + 1), repeat=rows)
+              if mn.contains(dst, v)]
+    entries = sorted(tuple(c[i] for i in range(rows) for c in columns)
+                     for columns in itertools.product(inside, repeat=cols))
+    return [IntMatrix(rows, cols, e) for e in entries]
 
 
 def _pushout_cases():
@@ -286,18 +280,18 @@ def _pushout_cases():
 
 def property_pushout_universal() -> CheckResult:
     diagrams, targets = _pushout_cases()
+    sources = {h.target for pair in diagrams for h in pair}
+    homs = {(P, T): _enumerate_monoid_homs(P, T, bound=2) for P in sources for T in targets}
     checked = 0
     for f, g in diagrams:
         data = mn.amalgamated_sum(f, g)
         section = _leg_section(data)
         for T in targets:
-            alphas = _enumerate_monoid_homs(f.target, T, bound=2)
-            betas = _enumerate_monoid_homs(g.target, T, bound=2)
-            by_image: dict[IntMatrix, list[IntMatrix]] = {}
-            for B in betas:
-                by_image.setdefault(B @ g.matrix, []).append(B)
-            for A in alphas:
-                for B in by_image.get(A @ f.matrix, ()):
+            by_image: dict[tuple[int, ...], list[IntMatrix]] = {}
+            for B in homs[g.target, T]:
+                by_image.setdefault((B @ g.matrix).entries, []).append(B)
+            for A in homs[f.target, T]:
+                for B in by_image.get((A @ f.matrix).entries, ()):
                     if not _mediates(data, section, T, A, B):
                         return _result("11c fs pushout universal property", False,
                                        "no mediating hom found")

@@ -136,6 +136,14 @@ def test_fixture_output_bytes_are_pinned(capsysbinary, fixture, fmt):
     assert hashlib.sha256(out).hexdigest() == goldens[f"fixture:{fixture}:{fmt}"]
 
 
+def test_paper_suite_stdout_is_pinned(capsys):
+    """Every `paper-suite` line, the 186 cocones of check 11c among them, is
+    the one in the benchmark goldens (read here, never written)."""
+    goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["paper_suite"]
+    assert main(["paper-suite"]) == 0
+    assert capsys.readouterr().out.splitlines() == goldens
+
+
 def test_fixture_r_lines_component_counts():
     report = run(parse((FIXTURES / "r_lines.lf.json").read_text()))
     counts = [r["data"]["component_count"] for r in report.results]

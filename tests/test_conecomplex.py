@@ -64,6 +64,18 @@ def test_snc_artin_fan():
         snc_artin_fan([(0, 0)])
 
 
+def test_snc_face_maps_share_one_matrix_per_face_position():
+    """A face map's matrix depends only on the size of s and the positions of
+    t in s, so equal matrices are one object: 63 for the 243 maps of the
+    simplex on five vertices, one per subset of the positions of each size."""
+    K = snc_artin_fan([range(5)])
+    first = {}
+    for fm in K.face_maps:
+        assert first.setdefault(fm.matrix, fm.matrix) is fm.matrix
+    assert len(K.face_maps) == 243
+    assert len(first) == len({id(fm.matrix) for fm in K.face_maps}) == 63
+
+
 def test_large_snc_simplex_is_out_of_scope():
     """The simplices are closed face by face against MAX_CONES, so a library
     caller is refused before any cone is built: a simplex on k vertices has

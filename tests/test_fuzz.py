@@ -19,6 +19,7 @@ from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, OPERATIO
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
 from logfan.errors import LogfanError
 from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS
+from logfan.monoid import MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES
 from logfan.orbifold import MAX_GROUP_ORDER
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -282,6 +283,43 @@ def test_product_cones_just_inside_and_just_outside(tmp_path, capsysbinary):
                 "message": f"the product would have {MAX_CONES + 1} cones, "
                            f"above the desk-scale bound {MAX_CONES}"}, result
             assert took < 0.1, took
+
+
+def test_membership_depth_and_states_just_inside_and_just_outside(tmp_path, capsys):
+    """Reading a hom from N = (N, +) asks whether its target holds the image
+    of 1.  Depth: 1000 in N is 1,000 generator steps and is answered, 1001
+    is refused before any search.  States: (n, 0) in the monoid of Z + Z/1000
+    generated by (1, 0) and (1, 1) is n (1, 0) only, and the search tries
+    every use of (1, 1) first; (139, 0) sees 9,870 remainders and is
+    answered, (140, 0) is refused once it has seen 10,001.  The depth is
+    refused before the search, in under 0.1 s; the states only after it, and
+    those 10,000 remainders take 0.06-0.11 s (Python 3.11 on a 2-core VM), so
+    that refusal has twice the time."""
+    assert (MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES) == (1000, 10_000)
+    N = {"kind": "monoid", "free_rank": 1, "generators": [[1]]}
+    cases = [(N, [1000], [1001], "may take 1001 generator steps, more than 1000", 0.1),
+             ({"kind": "monoid", "free_rank": 1, "torsion": [1000],
+               "generators": [[1, 0], [1, 1]]},
+              [139, 0], [140, 0], "visits more than 10000 remainders", 0.2)]
+    target = tmp_path / "membership.lf.json"
+    for T, inside, outside, refusal, budget in cases:
+        for where, image in (("inside", inside), ("outside", outside)):
+            target.write_text(json.dumps({"version": "logfan/1", "objects": {
+                "N": N, "f": {"kind": "hom", "source": "N", "target": T,
+                              "matrix": [[x] for x in image]}}, "tasks": []}))
+            gc.collect()
+            began = time.perf_counter()
+            code = main(["check", str(target)])
+            took = time.perf_counter() - began
+            out, err = capsys.readouterr()
+            if where == "inside":
+                assert (code, err) == (0, ""), err
+                assert took < INSIDE_BUDGET, (image, took)
+            else:
+                assert code == 2 and out == "", out
+                assert err == (f"ScopeExceeded: object 'f': membership of {tuple(image)} "
+                               f"{refusal}\n"), err
+                assert took < budget, (image, took)
 
 
 @pytest.mark.parametrize("width", [600, 2 * MAX_DIMENSION])

@@ -1,12 +1,18 @@
 """Check 11c reads the mediating hom of an fs pushout off a section of its
 legs; cross-checked against a row-by-row solve with a search mod the torsion
-of the target.  Its hom enumeration, which tests each distinct generator
-image once, is cross-checked against one that tests every image."""
+of the target.  Its hom enumeration, which tests each column vector of the
+entry box for membership once and takes the homs out of a free source as
+products of admissible columns, is cross-checked against one that tests
+every generator image of every matrix.  A corrupted pushout leg makes the
+check fail."""
 
 import itertools
 
+import pytest
+
 from logfan import monoid as mn
 from logfan import suite
+from logfan.errors import InternalInvariant
 from logfan.lattice import FgAbelianGroup, IntMatrix, solve_integer
 
 
@@ -83,6 +89,15 @@ def test_enumerated_homs_match_per_matrix_membership():
     assert found > 0
 
 
+def test_hom_enumeration_refuses_a_source_that_is_not_free():
+    N2 = mn.FineMonoid.free(2)
+    assert len(suite._enumerate_monoid_homs(N2, N2, bound=1)) == 4 ** 2
+    for src in (mn.FineMonoid.free(2, [(1, 0), (1, 2)]),
+                mn.FineMonoid.make(FgAbelianGroup(1, (2,)), [(1, 0), (0, 1)])):
+        with pytest.raises(InternalInvariant, match="needs a free source"):
+            suite._enumerate_monoid_homs(src, N2, bound=1)
+
+
 def test_mediates_against_searched_mediator():
     """On every diagram and target of check 11c, and for every pair of homs
     (A, B) out of the two legs, commuting or not, the one candidate of
@@ -111,3 +126,22 @@ def test_leg_section_is_a_section():
         legs = IntMatrix.from_rows([data.leg_left.row(i) + data.leg_right.row(i)
                                     for i in range(data.ambient.num_coords)])
         assert legs @ suite._leg_section(data) == IntMatrix.identity(legs.rows)
+
+
+def test_check_11c_fails_on_a_corrupted_pushout_leg(monkeypatch):
+    """With the right leg of every pushout doubled, a commuting cocone has no
+    mediating hom, so the check fails.  A skipped saturation is no such
+    fault: every target of 11c is saturated, so a hom from the integral
+    pushout into it extends to the saturation, and check 01 covers that."""
+    real = mn.amalgamated_sum
+
+    def doubled_right_leg(f, g):
+        data = real(f, g)
+        R = data.leg_right
+        return mn.PushoutData(data.report, data.leg_left,
+                              IntMatrix(R.rows, R.cols, tuple(2 * x for x in R.entries)))
+
+    assert suite.property_pushout_universal().passed
+    monkeypatch.setattr(mn, "amalgamated_sum", doubled_right_leg)
+    assert suite.property_pushout_universal() == suite.CheckResult(
+        "11c fs pushout universal property", False, "no mediating hom found")
