@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from itertools import islice, repeat
-from operator import mul
+from operator import le, mod, mul, sub
 
 from . import _geometry as geom
 from ._record import Record
@@ -139,9 +139,9 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
     Triangulates into simplicial subcones (placing triangulation in lex ray
     order), enumerates each half-open fundamental parallelepiped, unions with
     the primitive rays, and drops each candidate that a kept one of at most
-    half its degree reduces (Bruns-Ichim).  Each candidate's facet values are
-    computed once, and a reduction test compares them with a kept element's.
-    Output is sorted lexicographically.
+    half its degree reduces (Bruns-Ichim).  Candidates are visited in degree
+    order; a reduction test compares facet values, read off one `map` per
+    facet.  Output is sorted lexicographically.
 
     Raises NotStronglyConvex when the cone contains a line, and ScopeExceeded
     above lattice rank 2 * MAX_DIMENSION, that of a product of two models,
@@ -177,23 +177,27 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
     candidates.discard((0,) * dim)    # every parallelepiped holds the origin
     # The cone is full-dimensional in its span's lattice, so h - g lies in it
     # exactly when no facet value of g exceeds h's.  A reducible h has a basis
-    # summand of at most half its degree (the sum of its facet values).
-    # Candidates are visited in degree order, so the reducers' degrees stay
-    # sorted and those of at most half h's degree are a prefix.
-    normals = cone.normals
+    # summand of at most half its degree (the sum of its facet values, or the
+    # grading times h), so candidates of equal degree never reduce each other.
+    # In degree order the reducers' degrees stay sorted and those of at most
+    # half h's degree are a prefix.  Only reducers keep their facet values.
+    candidates, normals = list(candidates), cone.normals
     grading = [sum(column) for column in zip(*normals)]
-    graded = sorted(candidates, key=lambda h: sum(map(mul, grading, h)))
-    top = sum(map(mul, grading, graded[-1]))
+    degree = list(map(sum, map(map, repeat(mul), repeat(grading), candidates)))
+    top = max(degree)
+    graded = list(map(candidates.__getitem__, sorted(range(len(degree)), key=degree.__getitem__)))
+    del candidates, degree    # only `graded` stays, so the peak memory stays low
+    values = zip(*(map(sum, map(map, repeat(mul), repeat(n), graded)) for n in normals))
     kept, reducers, degrees = [], [], []
-    for h in graded:
-        values = [sum(map(mul, n, h)) for n in normals]
-        deg = sum(values)
-        smaller = islice(reducers, bisect_right(degrees, deg // 2))
-        if not any(map(all, map(map, repeat(int.__le__), smaller, repeat(values)))):
-            kept.append(h)
-            if 2 * deg <= top:
-                reducers.append(values)
-                degrees.append(deg)
+    for h, v in zip(graded, values):
+        deg = sum(v)
+        k = bisect_right(degrees, deg // 2)
+        if k and any(map(all, map(map, repeat(le), islice(reducers, k), repeat(v)))):
+            continue
+        kept.append(h)
+        if 2 * deg <= top:
+            reducers.append(v)
+            degrees.append(deg)
     B = IntMatrix.from_columns(basis, rows=lattice_rank)
     if B.is_identity:
         return sorted(kept)
@@ -258,10 +262,11 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
     if depth > MAX_MEMBERSHIP_DEPTH:
         raise ScopeExceeded(f"membership of {x} may take {depth} generator steps, "
                             f"more than {MAX_MEMBERSHIP_DEPTH}")
+    orders = G.torsion_orders
     seen, stack = {x}, [x]
     while stack:
         rem = stack.pop()
-        fp = G.free_part(rem)
+        fp = rem[:f]
         if geom.is_zero(fp):
             if in_lattice(rem[f:], tors_lat):
                 return True
@@ -269,7 +274,9 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
         if not cone.contains(fp):
             continue
         for g in mixed:
-            nxt = G.reduce(geom.vsub(rem, g))
+            nxt = tuple(map(sub, rem, g))
+            if orders:
+                nxt = nxt[:f] + tuple(map(mod, nxt[f:], orders))
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)

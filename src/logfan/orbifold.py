@@ -9,17 +9,18 @@ diagonal action.
 For a firm action the g-twisted sector is empty as soon as g scales a log
 coordinate nontrivially (the twisted diagonal misses the log diagonal);
 otherwise it is the mixed-affine submodel on the fixed coordinates.
-Invariants are counted exactly up to the truncation order in a table of
-(form degree, weight, character residue), the Molien series of a diagonal
-abelian action read without roots of unity; no cyclotomic arithmetic
-anywhere.
+Invariants are counted exactly up to the truncation order: for each form
+degree and each character (a group element), a series of counts by weight,
+the Molien series of a diagonal abelian action read without roots of unity;
+no cyclotomic arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from collections import Counter, defaultdict
+from operator import add
 
 from ._record import Record, set_field
 from .errors import NotFirm, ScopeExceeded
@@ -80,15 +81,12 @@ class DiagonalAction(Record):
     def identity(self):
         return (0,) * len(self.group_orders)
 
-    def character(self, g, coord: int) -> Fraction:
-        """Character exponent of g on a coordinate, as a fraction mod 1."""
-        total = Fraction(0)
-        for gj, row, d in zip(g, self.characters, self.group_orders):
-            total += Fraction(gj * row[coord], d)
-        return total % 1
-
     def acts_trivially(self, g, coord: int) -> bool:
-        return self.character(g, coord) == 0
+        """Is sum_j g_j c_j(coord) / d_j an integer?  With L the lcm of the
+        orders d_j: is sum_j g_j c_j(coord) L / d_j = 0 mod L?"""
+        L = math.lcm(*self.group_orders)
+        return sum(gj * row[coord] * (L // d) for gj, row, d in
+                   zip(g, self.characters, self.group_orders)) % L == 0
 
     def _permutation_moves_rays(self) -> bool:
         """Does the permutation move a marked point of P^1 or a log coordinate?"""
@@ -124,25 +122,36 @@ class TwistedSector(Record):
         return None if self.locus is None else self.locus.hodge
 
 
-def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
-    """Log fixed locus of g: empty when g moves a log coordinate, otherwise
-    the mixed-affine submodel on the chi-trivial coordinates."""
+def _sector_coords(a: DiagonalAction, g) -> tuple[int, ...] | None:
+    """The coordinates g fixes, or None when its twisted sector is empty
+    (g moves a log coordinate).  The identity fixes every coordinate of any
+    model; other elements need a purely diagonal action on a mixed-affine one."""
     if not check_firm(a):
         raise NotFirm("the action moves the Artin fan")
-    g = tuple(g)
     if len(g) != len(a.group_orders) or not all(
             0 <= x < d for x, d in zip(g, a.group_orders)):
         raise ValueError(f"element {g} must give one residue per order {a.group_orders}")
-    if g == a.identity() or not a.group_orders:
-        return TwistedSector(g, a.model)
+    if not any(g):
+        return tuple(range(a._coord_count()))
     if a.model.kind != "mixed_affine":
         raise ScopeExceeded("twisted sectors are computed for mixed-affine models")
     if a.permutation is not None and any(a.permutation[i] != i
                                          for i in range(len(a.permutation))):
         raise ScopeExceeded("sector machinery needs a purely diagonal action")
-    if any(not a.acts_trivially(g, i) for i in a.model.log_coords):
+    if not all(a.acts_trivially(g, i) for i in a.model.log_coords):
+        return None
+    return tuple(i for i in range(a.model.dimension) if a.acts_trivially(g, i))
+
+
+def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
+    """Log fixed locus of g: empty when g moves a log coordinate, otherwise
+    the mixed-affine submodel on the chi-trivial coordinates."""
+    g = tuple(g)
+    fixed = _sector_coords(a, g)
+    if fixed is None:
         return TwistedSector(g, None)
-    fixed = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
+    if not any(g):
+        return TwistedSector(g, a.model)
     log_positions = [fixed.index(i) for i in a.model.log_coords]
     locus = mixed_affine(len(fixed), log_positions,
                          truncation=a.model.truncation,
@@ -156,7 +165,8 @@ def orbifold_hh(a: DiagonalAction) -> HHTable:
     Sectors are affine here, so homology degree n only sees q = n.  A basis
     element is a monomial on the sector coordinates wedged with dlog's
     (weight 0, trivial character) and dx's (weight 1, coordinate character);
-    the invariant ones are the residue-0 entries of `_residue_table`.
+    the invariant ones are the residue-0 series of `_invariant_series`, taken
+    once per set of fixed coordinates, times the number of sectors on it.
     """
     if not check_firm(a):
         raise NotFirm("the action moves the Artin fan")
@@ -165,36 +175,47 @@ def orbifold_hh(a: DiagonalAction) -> HHTable:
     if a.model.kind != "mixed_affine":
         raise ScopeExceeded("orbifold tables are computed for mixed-affine models")
     N = a.model.truncation
-
+    elements = a.elements()
+    index = {g: k for k, g in enumerate(elements)}
+    shifts = [[index[tuple((x + c) % d for x, c, d in zip(g, chi, a.group_orders))]
+               for g in elements] for chi in zip(*a.characters)]
     counts = [[0] * (N + 1) for _ in range(a.model.dimension + 1)]
-    for g in a.elements():
-        if twisted_sector(a, g).is_empty:
-            continue
-        coords = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
-        for (q, w, residue), c in _residue_table(a, coords, N).items():
-            if residue == a.identity():
-                counts[q][w] += c
+    sectors = Counter(_sector_coords(a, g) for g in elements)
+    sectors.pop(None, None)
+    for coords, mult in sectors.items():
+        for q, rows in _invariant_series(a, coords, shifts, N).items():
+            for w, c in enumerate(rows.get(0, ())):
+                counts[q][w] += mult * c
     return HHTable.build({q: GradedEntry.series(c) for q, c in enumerate(counts)})
 
 
-def _residue_table(a: DiagonalAction, coords, N: int) -> dict:
-    """Forms on `coords` of weight <= N, counted by (form degree q, weight,
-    residue of the character under each cyclic factor).
+def _invariant_series(a: DiagonalAction, coords, shifts, N: int) -> dict:
+    """Forms on `coords` of weight <= N, counted by form degree q and
+    character: table[q][r] is the weight series (N + 1 counts) of the forms
+    whose character is group element number r of `a.elements()`, 0 being
+    the identity.  Rows stay sparse: a character no form reaches has none.
 
     Built one coordinate at a time: a log coordinate contributes x^e and
     x^e dlog x (weight e, character e chi), any other coordinate x^e and,
-    for e >= 1, x^(e-1) dx (weight e, character e chi).
+    for e >= 1, x^(e-1) dx (weight e, character e chi).  Raising the weight
+    by e shifts a series e places; the character moves one step per e along
+    `shifts[i]`, the element index of r + chi_i for each r.  The last
+    coordinate adds only to the identity's rows, the invariant ones.
     """
-    table = {(0, 0, a.identity()): 1}
+    table = {0: {0: [1] + [0] * N}}
     for i in coords:
-        chi = tuple(row[i] for row in a.characters)
-        is_log = i in a.model.log_coords
-        step: dict = {}
-        for (q, w, r), c in table.items():
-            for e in range(N - w + 1):
-                for dq in (0, 1) if is_log or e else (0,):
-                    key = (q + dq, w + e, r)
-                    step[key] = step.get(key, 0) + c
-                r = tuple((x + y) % d for x, y, d in zip(r, chi, a.group_orders))
+        shift, is_log, final = shifts[i], i in a.model.log_coords, i == coords[-1]
+        step = defaultdict(lambda: defaultdict(lambda: [0] * (N + 1)))
+        for q, rows in table.items():
+            for r, series in rows.items():
+                # from e = N + 1 - (the lowest weight present) on, nothing is left
+                low = next(filter(series.__getitem__, range(N + 1)))
+                for e in range(N + 1 - low):
+                    if not (r and final):
+                        part = series[:N + 1 - e]
+                        for dq in (0, 1) if is_log or e else (0,):
+                            out = step[q + dq][r]
+                            out[e:] = map(add, out[e:], part)
+                    r = shift[r]
         table = step
     return table

@@ -947,3 +947,21 @@ def test_diagonal_outputs_match_the_benchmark_goldens(surface):
                              workloads.load_goldens())
     assert len(checks) == 1 + len(job.tasks)
     assert all(ok for _, ok in checks), checks
+
+
+def test_kernels_outputs_match_the_benchmark_checks():
+    """Every job of the benchmark's kernels workload, for ten seeds, run in
+    process, passes its check: goldens for the 3-d cones and the monoids,
+    and the benchmark's own oracles for the plane cones and the orbifold
+    tables."""
+    workloads = _perfbench_workloads()
+    goldens = workloads.load_goldens()
+    names = set()
+    for seed in range(1, 11):
+        for job in workloads.build("kernels", seed):
+            report = run(parse(json.dumps(job.document)))
+            checks = workloads.check(job, report.exit_status, emit(report, "json"), goldens)
+            assert len(checks) == 1 + len(job.tasks)
+            assert all(ok for _, ok in checks), (seed, checks)
+            names.add(job.name)
+    assert names == {"hb-wide", "hb-narrow", "monoids", "orbifold"}

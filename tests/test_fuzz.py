@@ -8,6 +8,7 @@ import collections
 import copy
 import gc
 import json
+import math
 import pathlib
 import random
 import time
@@ -19,7 +20,8 @@ from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, OPERATIO
 from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
 from logfan.errors import LogfanError
 from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS
-from logfan.monoid import MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES
+from logfan.monoid import (MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES,
+                           MAX_PARALLELEPIPED_POINTS)
 from logfan.orbifold import MAX_GROUP_ORDER
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,6 +83,17 @@ def test_every_field_mutation_exits_cleanly(tmp_path, capsysbinary):
 # ------------------------------------------------------------------ scale fuzz
 
 INSIDE_BUDGET = 2.0    # seconds for `logfan check` on a document inside a bound
+
+
+@pytest.fixture
+def frozen_heap():
+    """Collect the test run's heap once and freeze it (`gc.freeze`), so that
+    each `gc.collect()` kept outside a timed call scans only what this test
+    made, not every earlier test's objects."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 def _model(**fields):
@@ -187,7 +200,7 @@ def _bounds(rng):
     ]
 
 
-def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, capsys):
+def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, capsys, frozen_heap):
     assert (MAX_DIMENSION, MAX_MARKED_POINTS, MAX_GROUP_ORDER, MAX_CONES,
             MAX_FACE_MAPS, MAX_COMPOSABLE_PAIRS) == (6, 64, 1000, 1000, 10_000, 100_000)
     assert 316 * 315 + 2 <= MAX_COMPOSABLE_PAIRS < 317 * 316 + 2
@@ -285,22 +298,21 @@ def test_product_cones_just_inside_and_just_outside(tmp_path, capsysbinary):
             assert took < 0.1, took
 
 
-def test_membership_depth_and_states_just_inside_and_just_outside(tmp_path, capsys):
+def test_membership_depth_and_states_just_inside_and_just_outside(tmp_path, capsys, frozen_heap):
     """Reading a hom from N = (N, +) asks whether its target holds the image
     of 1.  Depth: 1000 in N is 1,000 generator steps and is answered, 1001
     is refused before any search.  States: (n, 0) in the monoid of Z + Z/1000
     generated by (1, 0) and (1, 1) is n (1, 0) only, and the search tries
     every use of (1, 1) first; (139, 0) sees 9,870 remainders and is
-    answered, (140, 0) is refused once it has seen 10,001.  The depth is
-    refused before the search, in under 0.1 s; the states only after it, and
-    those 10,000 remainders take 0.06-0.11 s (Python 3.11 on a 2-core VM), so
-    that refusal has twice the time."""
+    answered, (140, 0) is refused once it has seen 10,001.  Both refusals
+    take under 0.1 s: the depth before any search, the states after those
+    10,000 remainders, which take 0.04-0.05 s (Python 3.11 on a 2-core VM)."""
     assert (MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES) == (1000, 10_000)
     N = {"kind": "monoid", "free_rank": 1, "generators": [[1]]}
     cases = [(N, [1000], [1001], "may take 1001 generator steps, more than 1000", 0.1),
              ({"kind": "monoid", "free_rank": 1, "torsion": [1000],
                "generators": [[1, 0], [1, 1]]},
-              [139, 0], [140, 0], "visits more than 10000 remainders", 0.2)]
+              [139, 0], [140, 0], "visits more than 10000 remainders", 0.1)]
     target = tmp_path / "membership.lf.json"
     for T, inside, outside, refusal, budget in cases:
         for where, image in (("inside", inside), ("outside", outside)):
@@ -320,6 +332,72 @@ def test_membership_depth_and_states_just_inside_and_just_outside(tmp_path, caps
                 assert err == (f"ScopeExceeded: object 'f': membership of {tuple(image)} "
                                f"{refusal}\n"), err
                 assert took < budget, (image, took)
+
+
+ORBIFOLD_BUDGET = 0.5    # seconds for `orbifold_hh` on an action of order 1,000
+HB_INSIDE_BUDGET = 3.0   # seconds for the Hilbert basis just inside its point bound
+
+
+def test_orbifold_tables_of_order_1000_stay_fast(tmp_path, capsysbinary, frozen_heap):
+    """`orbifold_hh` on seeded actions of order MAX_GROUP_ORDER, of the
+    shapes 1000, 2 x 500, 10 x 100 and 4 x 5 x 50, on 1 and on MAX_DIMENSION
+    coordinates, all of them log or none, each within ORBIFOLD_BUDGET (up
+    to 0.1 s each, Python 3.11 on a 2-core VM).  Work of order |G| per
+    sector, such as building the character shift tables for each element
+    rather than once per action, makes these of order |G|^2 and fails."""
+    rng = random.Random(97)
+    target = tmp_path / "orbifold.lf.json"
+    for orders in ([1000], [2, 500], [10, 100], [4, 5, 50]):
+        assert math.prod(orders) == MAX_GROUP_ORDER
+        for coords in (1, MAX_DIMENSION):
+            for log in ([], list(range(coords))):
+                action = {"kind": "action",
+                          "model": _model(builtin="mixed_affine", coords=coords, log=log),
+                          "orders": orders,
+                          "characters": [[rng.randrange(d) for _ in range(coords)]
+                                         for d in orders]}
+                target.write_text(json.dumps({
+                    "version": "logfan/1", "objects": {"A": action},
+                    "tasks": [{"op": "orbifold_hh", "args": {"action": "A"}}]}))
+                gc.collect()
+                began = time.perf_counter()
+                code = main(["run", str(target), "--format", "json"])
+                took = time.perf_counter() - began
+                result = json.loads(capsysbinary.readouterr().out)["results"][0]
+                assert code == 0 and result["status"] == "ok", (action, result)
+                assert took < ORBIFOLD_BUDGET, (action, took)
+
+
+def test_parallelepiped_points_just_inside_and_just_outside(tmp_path, capsysbinary):
+    """`hilbert_basis` of the simplicial cone e_1, ..., e_11, (1, ..., 11, m)
+    in rank 12, the highest lattice rank it takes: its one parallelepiped
+    holds m points.  m = MAX_PARALLELEPIPED_POINTS is answered within
+    HB_INSIDE_BUDGET (about 1.1 s, Python 3.11 on a 2-core VM; every
+    candidate is kept, so the minimisation is at its quadratic worst), and
+    m + 1 is refused in under 0.1 s, before any point is enumerated."""
+    assert MAX_PARALLELEPIPED_POINTS == 10_000
+    rank = 2 * MAX_DIMENSION
+    target = tmp_path / "points.lf.json"
+    for where, m in (("inside", MAX_PARALLELEPIPED_POINTS),
+                     ("outside", MAX_PARALLELEPIPED_POINTS + 1)):
+        rays = _unit_rows(rank)[:-1] + [list(range(1, rank)) + [m]]
+        target.write_text(json.dumps({
+            "version": "logfan/1", "objects": {"M": {"kind": "matrix", "entries": rays}},
+            "tasks": [{"op": "hilbert_basis", "args": {"generators": "M"}}]}))
+        gc.collect()
+        began = time.perf_counter()
+        code = main(["run", str(target), "--format", "json"])
+        took = time.perf_counter() - began
+        result = json.loads(capsysbinary.readouterr().out)["results"][0]
+        if where == "inside":
+            assert code == 0 and len(result["data"]["basis"]) == m + rank - 1, result
+            assert took < HB_INSIDE_BUDGET, took
+        else:
+            assert code == 1 and result["error"] == {
+                "type": "ScopeExceeded",
+                "message": f"the cone's simplices hold {m} parallelepiped points, "
+                           f"more than {MAX_PARALLELEPIPED_POINTS}"}, result
+            assert took < 0.1, took
 
 
 @pytest.mark.parametrize("width", [600, 2 * MAX_DIMENSION])
@@ -346,7 +424,7 @@ def test_hilbert_basis_rank_is_bounded_before_the_double_description(tmp_path, c
         assert code == 0 and result["data"] == {"basis": [[1] + [0] * (width - 1)]}
 
 
-def test_smith_form_is_bounded_before_the_elimination(tmp_path, capsysbinary):
+def test_smith_form_is_bounded_before_the_elimination(tmp_path, capsysbinary, frozen_heap):
     """A matrix at both Smith-form bounds, 32x32 with entries +-1 (1,024
     bits), runs every Smith-form task; one more row, one more column or one
     more bit is refused before any elimination, for every such task."""

@@ -4,11 +4,14 @@ Each oracle below is the earlier implementation of a kernel, kept here so the
 faster one is checked against it on seeded inputs:
 
 * `pairwise_hilbert_basis` minimises the parallelepiped candidates by testing
-  every candidate pair for h - g in the cone;
+  every candidate pair for h - g in the cone, and `degree_sorted_hilbert_basis`
+  sorts them by a grading vector and takes each one's facet values in turn;
 * `rational_parallelepiped_points` solves for the box coordinates of each
   class representative over the rationals;
 * `enumerated_orbifold_series` tests every monomial-and-form of each twisted
-  sector for invariance;
+  sector for invariance, and `residue_table_orbifold_series` counts them per
+  sector in a table keyed by (form degree, weight, residue tuple);
+* `fraction_fixes` tests a character for triviality in `Fraction`s;
 * `recursive_contains` is the recursive depth-first membership search;
 * `unimodular_inverse` inverts a Smith transform by one more Smith form, and
   `saturate_subgroup_by_inverse` and `gp_torsion_by_inverse` read the
@@ -26,9 +29,11 @@ faster one is checked against it on seeded inputs:
   `IntMatrix.from_rows` and checks it by matrix products.
 """
 
+import bisect
 import collections
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -349,10 +354,77 @@ def pairwise_hilbert_basis(rays, rank):
     return sorted(B.apply(h) for h in minimal)
 
 
+def degree_sorted_hilbert_basis(rays, rank):
+    """hilbert_basis with the candidates sorted by the grading vector (the sum
+    of the facet normals) and each candidate's facet values taken when it is
+    visited; also returns how many candidates share their degree with
+    another."""
+    rays = [r for r in rays if any(r)]
+    basis, coords = geom.cone_lattice_coords(rays, rank)
+    dim = len(basis)
+    cone = geom.ConeGeometry.of(coords, dim)
+    candidates = set(cone.rays)
+    for simplex in geom.triangulate(list(cone.rays), dim):
+        candidates.update(geom.parallelepiped_points([cone.rays[i] for i in simplex]))
+    candidates.discard((0,) * dim)
+    normals = cone.normals
+    grading = [sum(column) for column in zip(*normals)]
+    graded = sorted(candidates, key=lambda h: sum(map(operator.mul, grading, h)))
+    top = sum(map(operator.mul, grading, graded[-1]))
+    kept, reducers, degrees = [], [], []
+    for h in graded:
+        values = [sum(map(operator.mul, n, h)) for n in normals]
+        deg = sum(values)
+        smaller = itertools.islice(reducers, bisect.bisect_right(degrees, deg // 2))
+        if not any(map(all, map(map, itertools.repeat(int.__le__), smaller,
+                                itertools.repeat(values)))):
+            kept.append(h)
+            if 2 * deg <= top:
+                reducers.append(values)
+                degrees.append(deg)
+    shared = collections.Counter(sum(map(operator.mul, grading, h)) for h in graded)
+    B = IntMatrix.from_columns(basis, rows=rank)
+    return sorted(map(B.apply, kept)), sum(c for c in shared.values() if c > 1)
+
+
+def fraction_fixes(a: DiagonalAction, g, coord: int) -> bool:
+    """Is sum_j g_j c_j(coord) / d_j an integer?"""
+    return sum(Fraction(gj * row[coord], d)
+               for gj, row, d in zip(g, a.characters, a.group_orders)) % 1 == 0
+
+
+def residue_table_orbifold_series(a: DiagonalAction) -> dict:
+    """orbifold_hh's counts, one (form degree, weight, residue tuple) table
+    per twisted sector."""
+    N = a.model.truncation
+    identity = (0,) * len(a.group_orders)
+    counts = [[0] * (N + 1) for _ in range(a.model.dimension + 1)]
+    for g in a.elements():
+        fixed = [i for i in range(a.model.dimension) if fraction_fixes(a, g, i)]
+        if any(i not in fixed for i in a.model.log_coords):
+            continue
+        table = {(0, 0, identity): 1}
+        for i in fixed:
+            chi = tuple(row[i] for row in a.characters)
+            is_log = i in a.model.log_coords
+            step = {}
+            for (q, w, r), c in table.items():
+                for e in range(N - w + 1):
+                    for dq in (0, 1) if is_log or e else (0,):
+                        key = (q + dq, w + e, r)
+                        step[key] = step.get(key, 0) + c
+                    r = tuple((x + y) % d for x, y, d in zip(r, chi, a.group_orders))
+            table = step
+        for (q, w, r), c in table.items():
+            if r == identity:
+                counts[q][w] += c
+    return {q: c for q, c in enumerate(counts) if any(c)}
+
+
 def enumerated_orbifold_series(a: DiagonalAction, N: int) -> dict:
     counts = {}
     for g in a.elements():
-        fixed = [i for i in range(a.model.dimension) if a.acts_trivially(g, i)]
+        fixed = [i for i in range(a.model.dimension) if fraction_fixes(a, g, i)]
         if any(i not in fixed for i in a.model.log_coords):
             continue
         logs = [i for i in fixed if i in a.model.log_coords]
@@ -501,6 +573,37 @@ def test_hilbert_basis_matches_pairwise_minimisation():
     assert beyond_rays >= 15
 
 
+def test_hilbert_basis_matches_the_degree_sorted_minimisation():
+    """Seeded simplicial cones (one parallelepiped) and cones of more rays
+    than their dimension (several), ranks 2 to 4; the simplicial cones
+    e_1, ..., e_(k-1), (1, ..., k-1, 997) of ranks 2, 4, 6 and 12; and
+    cone((2, 1), (1, 2)), whose top-degree candidate (2, 2) only a reducer
+    of exactly half its degree, (1, 1), reduces."""
+    rng = random.Random(43)
+    families = {"simplicial": 0, "several blocks": 0}
+    ties = 0
+    while min(families.values()) < 15:
+        rank = rng.randint(2, 4)
+        rays = [tuple(rng.randint(-3, 4) for _ in range(rank))
+                for _ in range(rng.randint(rank, rank + 3))]
+        rays = [r for r in rays if any(r)]
+        cone = geom.ConeGeometry.of(rays, rank)
+        if not rays or not cone.is_sharp:
+            continue
+        want, shared = degree_sorted_hilbert_basis(rays, rank)
+        assert hilbert_basis(rays, rank) == want, rays
+        families["simplicial" if len(cone.rays) == cone.span_dim else "several blocks"] += 1
+        ties += shared > 0
+    assert ties >= 20
+    for k in (2, 4, 6, 12):
+        rays = [tuple(int(i == j) for j in range(k)) for i in range(k - 1)]
+        rays.append(tuple(range(1, k)) + (997,))
+        want, shared = degree_sorted_hilbert_basis(rays, k)
+        assert hilbert_basis(rays, k) == want and len(want) > 997 and shared
+    assert hilbert_basis([(2, 1), (1, 2)], 2) == [(1, 1), (1, 2), (2, 1)]
+    assert degree_sorted_hilbert_basis([(2, 1), (1, 2)], 2)[0] == [(1, 1), (1, 2), (2, 1)]
+
+
 def test_hilbert_basis_scope_is_checked_before_enumeration():
     start = time.perf_counter()
     with pytest.raises(ScopeExceeded, match="parallelepiped points"):
@@ -558,9 +661,51 @@ def test_orbifold_hh_matches_monomial_enumeration():
         assert got == enumerated_orbifold_series(a, N), (n, logs, orders, chars, N)
         seen.add((orders, bool(logs)))
         twisted += sum(1 for g in a.elements()
-                       if any(g) and all(a.acts_trivially(g, i) for i in logs))
+                       if any(g) and all(fraction_fixes(a, g, i) for i in logs))
     assert seen == {(g, has_log) for g in GROUPS for has_log in (False, True)}
     assert twisted >= 50
+
+
+def test_orbifold_hh_matches_the_residue_table_oracle():
+    """Seeded actions of the groups in GROUPS on up to 4 coordinates and of
+    (10, 10, 10) on up to 2, at every truncation from 0 to 10; some have
+    empty sectors, and some have no sector but the identity's."""
+    rng = random.Random(41)
+    truncations = set()
+    empty = identity_only = cube = 0
+    for _ in range(72):
+        orders = rng.choice(GROUPS + [(10, 10, 10)])
+        n = rng.randint(1, 2 if orders == (10, 10, 10) else 4)
+        logs = sorted(rng.sample(range(n), rng.randint(0, n)))
+        chars = tuple(tuple(rng.randrange(d) for _ in range(n)) for d in orders)
+        N = rng.randint(0, 10)
+        a = DiagonalAction(mixed_affine(n, logs, truncation=N), orders, chars)
+        got = {q: list(e.value) for q, e in orbifold_hh(a).degrees}
+        assert got == residue_table_orbifold_series(a), (n, logs, orders, chars, N)
+        sectors = sum(all(fraction_fixes(a, g, i) for i in logs) for g in a.elements())
+        empty += sectors < math.prod(orders)
+        identity_only += sectors == 1
+        cube += orders == (10, 10, 10)
+        truncations.add(N)
+    assert truncations == set(range(11))
+    assert empty >= 20 and identity_only >= 10 and cube >= 10
+
+
+def test_acts_trivially_matches_the_fraction_formula():
+    rng = random.Random(47)
+    fixed = moved = 0
+    for _ in range(40):
+        orders = rng.choice(GROUPS + [(6, 10), (3, 4, 5)])
+        n = rng.randint(1, 4)
+        chars = tuple(tuple(rng.randrange(-d, 2 * d) for _ in range(n)) for d in orders)
+        a = DiagonalAction(mixed_affine(n, []), orders, chars)
+        for g in a.elements():
+            for i in range(n):
+                want = fraction_fixes(a, g, i)
+                assert a.acts_trivially(g, i) == want, (orders, chars, g, i)
+                fixed += want
+                moved += not want
+    assert min(fixed, moved) >= 200
 
 
 def test_membership_matches_recursive_search():

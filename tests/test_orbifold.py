@@ -10,6 +10,7 @@ from logfan.hkr import hh_homology
 from logfan.logmodel import marked_p1, mixed_affine, nodal_cubic
 from logfan.orbifold import (DiagonalAction, check_firm, orbifold_hh,
                              twisted_sector)
+from test_kernel_oracles import fraction_fixes
 
 
 def halfline(trunc=8):
@@ -101,7 +102,7 @@ def test_sector_empty_iff_nontrivial_log_character():
                          ((1, 0), (0, 1)))
     for g in act.elements():
         sector = twisted_sector(act, g)
-        assert sector.is_empty == (act.character(g, 0) != 0)
+        assert sector.is_empty == (not fraction_fixes(act, g, 0))
 
 
 # ------------------------------------------------------------- orbifold HH
@@ -208,9 +209,9 @@ def test_invariants_commute_with_sector_sum():
 
 
 def brute_per_sector(act, g):
-    if any(act.character(g, i) != 0 for i in act.model.log_coords):
+    if any(not fraction_fixes(act, g, i) for i in act.model.log_coords):
         return {}
-    coords = ([i for i in range(act.model.dimension) if act.character(g, i) == 0]
+    coords = ([i for i in range(act.model.dimension) if fraction_fixes(act, g, i)]
               if g != act.identity() else list(range(act.model.dimension)))
     logs = [i for i in coords if i in act.model.log_coords]
     dxs = [i for i in coords if i not in act.model.log_coords]
