@@ -17,9 +17,8 @@ from operator import add, mul, sub
 
 from ._record import Record
 from .errors import InternalInvariant
-from .lattice import (IntMatrix, Vector, hnf_coords, hnf_rows, kernel_basis,
-                      lattice_rank, primitive, saturate_subgroup,
-                      smith_normal_form)
+from .lattice import (IntMatrix, Vector, check_scale, hnf_coords, hnf_rows, kernel_basis,
+                      lattice_rank, primitive, saturate_subgroup, smith_normal_form)
 
 
 def dot(a, b) -> int:
@@ -206,19 +205,18 @@ def simplicial_index(rays) -> int:
     """Lattice-normalized volume of the cone spanned by independent rays.
 
     Equals the index of the subgroup the rays generate inside the saturated
-    lattice of their span; 1 means unimodular.
+    lattice of their span; 1 means unimodular.  It is the product of the HNF
+    pivots of the rays' coordinate columns, which have the same invariant
+    factors (|det| for k rays in rank k), after the rays' `check_scale`.
     """
     rays = [tuple(r) for r in rays]
     if not rays:
         return 1
-    A = IntMatrix.from_columns(rays, rows=len(rays[0]))
-    diag = smith_normal_form(A).diagonal()
-    vol = 1
-    for d in diag:
-        if d == 0:
-            raise ValueError("rays are linearly dependent")
-        vol *= d
-    return vol
+    check_scale(IntMatrix.from_columns(rays, rows=len(rays[0])))
+    basis = hnf_rows(zip(*rays))
+    if len(basis) < len(rays):
+        raise ValueError("rays are linearly dependent")
+    return math.prod(next(filter(None, r)) for r in basis)
 
 
 def triangulate(rays, dim: int) -> list[tuple[int, ...]]:

@@ -28,8 +28,8 @@ from . import _geometry as geom
 from ._record import Record, set_field
 from .errors import (InternalInvariant, NotAFan, NotSimplicial, RayOutsideSupport,
                      ScopeExceeded)
-from .lattice import (IntMatrix, Vector, det as _det, hnf_coords, hnf_rows,
-                      lattice_rank, primitive, saturate_subgroup, smith_normal_form)
+from .lattice import (IntMatrix, Vector, hnf_coords, hnf_rows, lattice_rank, primitive,
+                      saturate_subgroup, smith_normal_form)
 
 
 # Desk-scale bound on the cones of a product, of an snc complex and of a
@@ -813,7 +813,10 @@ def _iso_candidates(c1: Cone, c2: Cone) -> Iterator[IntMatrix]:
         if any(x % d for x in dU.entries):
             continue
         U = IntMatrix(n, n, tuple(x // d for x in dU.entries))
-        if abs(_det(U)) == 1 and {primitive(U.apply(r)) for r in c1.rays} == set(c2.rays):
+        # U is unimodular exactly when its rows' HNF is the identity; `simplicial_index`
+        # would refuse a U of a few times the rays' bits, which is in scope
+        if {primitive(U.apply(r)) for r in c1.rays} == set(c2.rays) and \
+                IntMatrix.from_rows(hnf_rows(U.as_rows())).is_identity:
             yield U
 
 

@@ -3,13 +3,17 @@
 Everything here runs on plain Python integers, so there is no overflow to
 worry about: saturation indices and Hilbert basis determinants overflow
 64-bit arithmetic already on small inputs.  Matrices are immutable and
-row-major.  Two forms do the work.  The Smith normal form U A V = D with its
-two unimodular transforms U and V gives cokernels, general integer solves and
-lattice saturation; where a column of U^-1 or a row of V^-1 is needed, it is
-read off A V = U^-1 D or U A = D V^-1, so no transform is ever inverted.  The
-row Hermite normal form gives ranks, kernels (from the rows (column | e_j))
-and a vector's coordinates in a basis already in that form, which
-`hnf_coords` reads by walking down the echelon; it has no side bound.
+row-major.  Two forms do the work.  The row Hermite normal form answers every
+lattice question that is not about group structure: ranks, kernels and
+integer solves (from the HNF of the rows (column j | e_j)), saturation (a
+kernel of a kernel), simplicial indices (the product of its pivots) and
+coordinates in a basis already in that form (`hnf_coords` walks down the
+echelon).  The Smith normal form U A V = D is taken only where its invariant
+factors are the answer: cokernels, a monoid's torsion, parallelepiped points,
+the adjugate of an isomorphism candidate, check 11d of the paper suite and
+the `smith_normal_form` task; a row of V^-1 is read off U A = D V^-1, so no
+transform is inverted.  `check_scale` is the Smith form's desk-scale bound,
+also checked before any elimination by every question that once took one.
 """
 
 from __future__ import annotations
@@ -116,33 +120,6 @@ class IntMatrix(Record):
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.as_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 class FgAbelianGroup(Record):
     """Finitely generated abelian group: free rank plus invariant factors.
 
@@ -197,10 +174,6 @@ class SmithDecomposition(Record):
     def diagonal(self) -> Vector:
         return self.D.diagonal()
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
 
 def _select_pivot(M, t, m, n):
     """Smallest absolute value in the trailing block; ties by (row, col)."""
@@ -217,22 +190,30 @@ def _select_pivot(M, t, m, n):
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked transforms.
-
-    Deterministic: pivots are chosen by smallest absolute value, ties broken
-    by lowest (row, col).  Handles empty matrices.  Checks the exact
-    identity U A V = D on the elimination's own rows of U, D and V, before
-    they become matrices.  Raises ScopeExceeded, before any elimination, past
-    MAX_SMITH_SIDE rows or columns or MAX_SMITH_BITS, and after it past
-    MAX_SMITH_TRANSFORM_BITS in an entry of U or V.
-    """
+def check_scale(A: IntMatrix) -> None:
+    """Raise ScopeExceeded, before any elimination, past MAX_SMITH_SIDE rows or
+    columns or MAX_SMITH_BITS bits of entries: the desk-scale bound of the
+    Smith form and of every lattice question that once took one."""
     m, n = A.rows, A.cols
     bits = sum(abs(x).bit_length() for x in A.entries)
     if max(m, n) > MAX_SMITH_SIDE or bits > MAX_SMITH_BITS:
         raise ScopeExceeded(f"the matrix is {m}x{n} with {bits} bits of entries, above the "
                             f"desk-scale bound of {MAX_SMITH_SIDE} rows and columns and "
                             f"{MAX_SMITH_BITS} bits")
+
+
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with tracked transforms.
+
+    Deterministic: pivots are chosen by smallest absolute value, ties broken
+    by lowest (row, col).  Handles empty matrices.  Checks the exact
+    identity U A V = D on the elimination's own rows of U, D and V, before
+    they become matrices.  Raises ScopeExceeded before any elimination past
+    `check_scale`, and after it past MAX_SMITH_TRANSFORM_BITS in an entry of
+    U or V.
+    """
+    check_scale(A)
+    m, n = A.rows, A.cols
     M = A.as_rows()
     U = IntMatrix.identity(m).as_rows()
     V = IntMatrix.identity(n).as_rows()
@@ -368,43 +349,34 @@ def cokernel(A: IntMatrix) -> FgAbelianGroup:
     return cokernel_projection(A)[0]
 
 
-def kernel_basis(A: IntMatrix) -> tuple[Vector, ...]:
-    """HNF basis of the (saturated) integer kernel of A, as column vectors.
+def _graph_hnf(A: IntMatrix) -> tuple[Vector, ...]:
+    """HNF of the rows (column j of A | e_j), which span {(A x | x)}: the A parts
+    of its rows with a pivot there are the HNF of the image of A."""
+    unit = IntMatrix.identity(A.cols)
+    return hnf_rows([A.column(j) + unit.row(j) for j in range(A.cols)])
 
-    The rows (column j of A | e_j) span {(A x | x)}; their HNF rows that vanish
-    on the A part are the HNF basis of {x : A x = 0}.  No Smith form is taken,
-    so no side bound applies; the rank of A over Q is cols minus its length.
+
+def kernel_basis(A: IntMatrix) -> tuple[Vector, ...]:
+    """HNF basis of the (saturated) integer kernel of A, as column vectors:
+    the rows of `_graph_hnf` that vanish on the A part, cut to their e part.
+    No side bound applies; the rank of A over Q is cols minus its length.
     """
-    m, n = A.rows, A.cols
-    unit = IntMatrix.identity(n)
-    return tuple(r[m:] for r in hnf_rows([A.column(j) + unit.row(j) for j in range(n)])
-                 if not any(r[:m]))
+    m = A.rows
+    return tuple(r[m:] for r in _graph_hnf(A) if not any(r[:m]))
 
 
 def solve_integer(A: IntMatrix, b) -> Vector | None:
-    """One integer solution x of A x = b, or None if none exists."""
+    """One integer solution x of A x = b, or None if none exists.  Walking
+    (b | 0) down `_graph_hnf(A)` leaves (b - A x | -x), its A part reduced
+    modulo the image of A: b is solvable exactly when that part is zero."""
     b = tuple(int(v) for v in b)
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(A)
-    c = snf.U.apply(b)
-    diag = snf.diagonal()
-    y = []
-    for j in range(A.cols):
-        d = diag[j] if j < len(diag) else 0
-        cj = c[j] if j < len(c) else 0
-        if d == 0:
-            if cj != 0:
-                return None
-            y.append(0)
-        else:
-            if cj % d != 0:
-                return None
-            y.append(cj // d)
-    for i in range(A.cols, A.rows):
-        if c[i] != 0:
-            return None
-    return snf.V.apply(y)
+    check_scale(A)
+    rest = _echelon_walk(b + (0,) * A.cols, _graph_hnf(A))[1]
+    if any(rest[:A.rows]):
+        return None
+    return tuple(-x for x in rest[A.rows:])
 
 
 def hnf_rows(rows) -> tuple[Vector, ...]:
@@ -485,8 +457,8 @@ def reduce_mod_lattice(v, basis_hnf) -> Vector:
 def saturate_subgroup(generators, ambient_rank: int) -> tuple[Vector, ...]:
     """Basis of {v : n*v in span(generators) for some n >= 1}.
 
-    The output is the canonical (HNF) basis of the saturation, a primitive
-    sublattice of Z^ambient_rank.
+    It is the integer kernel of the integer kernel of the generators' rows;
+    the output is its canonical (HNF) basis, a primitive sublattice.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     for g in gens:
@@ -494,12 +466,9 @@ def saturate_subgroup(generators, ambient_rank: int) -> tuple[Vector, ...]:
             raise ValueError("generator length mismatch")
     if not gens:
         return ()
-    A = IntMatrix.from_columns(gens, rows=ambient_rank)
-    snf = smith_normal_form(A)
-    # A V = U^-1 D: column i < rank of A V is d_i times column i of U^-1
-    AV = A @ snf.V
-    return hnf_rows([divide_exactly(AV.column(i), d)
-                     for i, d in enumerate(snf.diagonal()[:snf.rank])])
+    check_scale(IntMatrix.from_columns(gens, rows=ambient_rank))
+    normals = kernel_basis(IntMatrix(len(gens), ambient_rank, sum(gens, ())))
+    return kernel_basis(IntMatrix(len(normals), ambient_rank, sum(normals, ())))
 
 
 def divide_exactly(v, d: int) -> Vector:

@@ -260,7 +260,7 @@ def toric_model(rays, maximal_cones, rank: int, complete: bool,
     entries = {(0, q): GradedEntry.finite(comb(rank, q)) * S for q in range(rank + 1)}
     table = HodgeTable.build(rank, entries)
     dual = None
-    if geom.simplicial_index(sigma) == 1 and len(sigma) == rank:
+    if len(sigma) == rank and geom.simplicial_index(sigma) == 1:
         dual_entries = {(0, q): (GradedEntry.finite(comb(rank, q)) * S).shifted(q)
                         for q in range(rank + 1)}
         dual = HodgeTable.build(rank, dual_entries)

@@ -21,7 +21,7 @@ from . import _geometry as geom
 from ._record import Record
 from .errors import (InternalInvariant, NotSaturated, NotStronglyConvex,
                      ScopeExceeded)
-from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection, det,
+from .lattice import (FgAbelianGroup, IntMatrix, Vector, cokernel_projection,
                       divide_exactly, hnf_coords, hnf_rows, in_lattice,
                       lattice_rank as _span_rank, reduce_mod_lattice, smith_normal_form,
                       solve_integer)
@@ -166,7 +166,7 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
               for simplex in geom.triangulate(list(cone.rays), dim)]
     if any(len(block) != dim for block in blocks):
         raise InternalInvariant("triangulation simplex is not full-dimensional")
-    points = sum(abs(det(IntMatrix.from_columns(block, rows=dim))) for block in blocks)
+    points = sum(map(geom.simplicial_index, blocks))
     if points > MAX_PARALLELEPIPED_POINTS:
         raise ScopeExceeded(
             f"the cone's simplices hold {points} parallelepiped points, "

@@ -1,9 +1,38 @@
 """Gaussian elimination over the rationals, the oracle that the integer
-solves, ranks and kernels of logfan are checked against."""
+solves, ranks and kernels of logfan are checked against, and the Bareiss
+determinant that simplicial indices and unimodular transforms are checked
+against."""
 
 from fractions import Fraction
 
 from logfan.lattice import IntMatrix
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.as_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def solve_rational(A: IntMatrix, b) -> tuple[Fraction, ...] | None:

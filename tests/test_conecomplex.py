@@ -22,8 +22,8 @@ from logfan.conecomplex import (Cone, ComplexMorphism, FaceMap,
                                 subdivide_along_diagonal)
 from logfan.errors import (NotAFan, NotSimplicial, RayOutsideSupport,
                            ScopeExceeded)
-from logfan.lattice import IntMatrix, det, lattice_rank, primitive
-from rational_solve import solve_rational
+from logfan.lattice import IntMatrix, lattice_rank, primitive
+from rational_solve import det, solve_rational
 
 
 def a1_complex():
@@ -615,7 +615,7 @@ def test_large_simplex_isomorphism_is_refused_first(vertices):
 
 
 def test_seven_vertex_simplex_isomorphism_answers_quickly_through_main(tmp_path, capsysbinary,
-                                                                      monkeypatch):
+                                                                      monkeypatch, frozen_heap):
     """The top cone of the snc simplex on 7 vertices has 7! = 5,040 basis
     placements, inside the bound.  Candidates are made as the search reads
     them, so `true` comes back through `main` in under 0.5 s after parse
@@ -646,6 +646,22 @@ def test_seven_vertex_simplex_isomorphism_answers_quickly_through_main(tmp_path,
 def test_iso_candidates_of_the_zero_cone_are_its_identity():
     zero = Cone.zero(0)
     assert list(cc._iso_candidates(zero, zero)) == [IntMatrix.identity(0)]
+
+
+def test_isomorphism_of_cones_with_large_rays_is_answered():
+    """cone((1, 0), (N, 1)) and cone((-M, 1), (1, 0)) are both unimodular,
+    and the first candidate map, [[-M, MN + 1], [1, -N]], has about four
+    times the bits of N: with 300-bit N and M, 1,200 bits, past the Smith
+    scale bound that `simplicial_index` checks.  The unimodularity test
+    takes no such bound, so the pair is found isomorphic, as the
+    determinant test found it."""
+    rng = random.Random(71)
+    N, M = rng.getrandbits(300) | 1, rng.getrandbits(300) | 1
+    K = from_toric_fan([(1, 0), (N, 1)], [(0, 1)], 2)
+    G = from_toric_fan([(1, 0), (-M, 1)], [(0, 1)], 2)
+    first = next(cc._iso_candidates(K.cones[-1], G.cones[-1]))
+    assert sum(abs(x).bit_length() for x in first.entries) > 1024 and abs(det(first)) == 1
+    assert is_isomorphic(K, G)
 
 
 def dimension_first_isomorphic(F, G):

@@ -15,11 +15,15 @@ import time
 
 import pytest
 
+from logfan import _geometry as geom
 from logfan import cli
+from logfan import conecomplex as cc
 from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, OPERATIONS, main
-from logfan.conecomplex import MAX_COMPOSABLE_PAIRS, MAX_CONES
+from logfan.conecomplex import (MAX_COMPOSABLE_PAIRS, MAX_CONES, MAX_ISO_CANDIDATES,
+                                MAX_ISO_PLACEMENTS)
 from logfan.errors import LogfanError
-from logfan.lattice import MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS
+from logfan.lattice import (MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS,
+                            IntMatrix, lattice_rank, saturate_subgroup, solve_integer)
 from logfan.monoid import (MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES,
                            MAX_PARALLELEPIPED_POINTS)
 from logfan.orbifold import MAX_GROUP_ORDER
@@ -83,17 +87,6 @@ def test_every_field_mutation_exits_cleanly(tmp_path, capsysbinary):
 # ------------------------------------------------------------------ scale fuzz
 
 INSIDE_BUDGET = 2.0    # seconds for `logfan check` on a document inside a bound
-
-
-@pytest.fixture
-def frozen_heap():
-    """Collect the test run's heap once and freeze it (`gc.freeze`), so that
-    each `gc.collect()` kept outside a timed call scans only what this test
-    made, not every earlier test's objects."""
-    gc.collect()
-    gc.freeze()
-    yield
-    gc.unfreeze()
 
 
 def _model(**fields):
@@ -229,7 +222,8 @@ def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, cap
     assert time.perf_counter() - start < 5.0
 
 
-def test_diagonal_source_dimension_just_inside_and_just_outside(tmp_path, capsysbinary):
+def test_diagonal_source_dimension_just_inside_and_just_outside(tmp_path, capsysbinary,
+                                                                 frozen_heap):
     """`subdivide_along_diagonal` takes source cones of dimension at most 2:
     a complete rank-2 fan (a seeded Hirzebruch surface) is subdivided within
     INSIDE_BUDGET, and the 3-d orthant is refused in under 0.1 s, before
@@ -267,7 +261,7 @@ def _snc_of(rng, cones):
                     + [[v] for v in range(k, k + cones - 2 ** k)])
 
 
-def test_product_cones_just_inside_and_just_outside(tmp_path, capsysbinary):
+def test_product_cones_just_inside_and_just_outside(tmp_path, capsysbinary, frozen_heap):
     """A `product` task of complexes with MAX_CONES cones between them runs
     within INSIDE_BUDGET; one with MAX_CONES + 1 is refused in under 0.1 s,
     before any cone of the product is built."""
@@ -368,7 +362,8 @@ def test_orbifold_tables_of_order_1000_stay_fast(tmp_path, capsysbinary, frozen_
                 assert took < ORBIFOLD_BUDGET, (action, took)
 
 
-def test_parallelepiped_points_just_inside_and_just_outside(tmp_path, capsysbinary):
+def test_parallelepiped_points_just_inside_and_just_outside(tmp_path, capsysbinary,
+                                                            frozen_heap):
     """`hilbert_basis` of the simplicial cone e_1, ..., e_11, (1, ..., 11, m)
     in rank 12, the highest lattice rank it takes: its one parallelepiped
     holds m points.  m = MAX_PARALLELEPIPED_POINTS is answered within
@@ -402,7 +397,7 @@ def test_parallelepiped_points_just_inside_and_just_outside(tmp_path, capsysbina
 
 @pytest.mark.parametrize("width", [600, 2 * MAX_DIMENSION])
 def test_hilbert_basis_rank_is_bounded_before_the_double_description(tmp_path, capsysbinary,
-                                                                     width):
+                                                                     frozen_heap, width):
     """Width 600 would build a double description whose O(rank^3) normal
     form runs first; it is refused at once, and width 12 still runs."""
     target = tmp_path / "rank.lf.json"
@@ -494,6 +489,120 @@ def test_smith_transforms_are_bounded_before_the_emit(tmp_path, capsysbinary, fm
             error = json.loads(out)["results"][0]["error"]
             out = f"{error['type']}: {error['message']}".encode()
         assert message in out, out
+
+
+def test_in_bound_saturations_are_answered_through_main(tmp_path, capsysbinary):
+    """The 2x3 matrix of 976 bits whose Smith transforms pass
+    MAX_SMITH_TRANSFORM_BITS: its rows saturate to e_1, e_2 through `main`
+    (a Smith-form saturation refused them, its transforms having 15,716
+    bits), and the index of the lattice they span is a * c."""
+    rng = random.Random(0)
+    a, b, c = (rng.randrange(10 ** (d - 1), 10 ** d) for d in (143, 72, 79))
+    rows = [[a, 0, 0], [b, c, 0]]
+    assert sum(abs(x).bit_length() for row in rows for x in row) == 976
+    target = tmp_path / "saturate.lf.json"
+    target.write_text(json.dumps({
+        "version": "logfan/1", "objects": {"M": {"kind": "matrix", "entries": rows}},
+        "tasks": [{"op": "saturate_subgroup", "args": {"generators": "M"}}]}))
+    assert main(["run", str(target), "--format", "json"]) == 0
+    result = json.loads(capsysbinary.readouterr().out)["results"][0]
+    assert result["data"] == {"basis": [[1, 0, 0], [0, 1, 0]]}, result
+    assert geom.simplicial_index(rows) == a * c
+
+
+LATTICE_BUDGET = 0.05    # seconds for one in-bound saturation or integer solve
+
+
+def test_in_bound_saturations_and_solves_are_never_refused(frozen_heap):
+    """400 seeded sparse sets of at most 12 generators in Z^n, n <= 12, of
+    up to MAX_SMITH_BITS bits: every saturation and every solve of A x = b
+    for b in the image is answered, each within LATTICE_BUDGET (at most
+    about 2 ms, Python 3.11 on a 2-core VM).  Read off Smith forms, 9
+    saturations and 9 solves were refused for their transforms' size, and
+    the slowest took 0.06 s."""
+    rng = random.Random(0)
+    worst = 0.0
+    for _ in range(400):
+        n, k = rng.randint(1, 12), rng.randint(1, 12)
+        budget = rng.choice([64, 256, MAX_SMITH_BITS])
+        gens = [[0] * n for _ in range(k)]
+        cells = [(i, j) for i in range(k) for j in range(n)]
+        rng.shuffle(cells)
+        cells = cells[:rng.randint(1, max(1, len(cells) // 3))]
+        for i, j in cells:
+            gens[i][j] = rng.choice((-1, 1)) * rng.getrandbits(max(1, budget // len(cells)))
+        assert sum(abs(x).bit_length() for g in gens for x in g) <= MAX_SMITH_BITS
+        A = IntMatrix.from_columns(gens, rows=n)
+        b = A.apply([rng.randint(-3, 3) for _ in range(k)])
+        began = time.perf_counter()
+        basis = saturate_subgroup(gens, n)
+        middle = time.perf_counter()
+        x = solve_integer(A, b)
+        worst = max(worst, middle - began, time.perf_counter() - middle)
+        assert len(basis) == lattice_rank(gens), gens
+        assert x is not None and A.apply(x) == b, gens
+    assert worst < LATTICE_BUDGET, worst
+
+
+ISO_SEARCH_BUDGET = 1.5   # seconds for `is_isomorphic` at the placements bound
+
+
+def _cycles(*lengths):
+    """An snc complex of disjoint cycles of the given lengths."""
+    simplices, start = [], 0
+    for n in lengths:
+        simplices += [[start + i, start + (i + 1) % n] for i in range(n)]
+        start += n
+    return _complex(builtin="snc", simplices=simplices)
+
+
+def test_isomorphism_bounds_just_inside_and_just_outside(tmp_path, capsysbinary, monkeypatch,
+                                                         frozen_heap):
+    """Candidates: the cone on 28 rays (i, i^2, 1) in rank 3 has
+    28 * 27 * 26 = 19,656 basis placements, inside MAX_ISO_CANDIDATES, and is
+    isomorphic to itself within INSIDE_BUDGET (about 0.04 s); 29 rays are
+    refused in under 0.1 s, before any search.  Placements: a 34-cycle
+    against two 17-cycles is answered `false` after 87,924 placements,
+    inside MAX_ISO_PLACEMENTS; a 36-cycle against two 18-cycles is refused
+    once it has tried 100,000.  That bound counts placements while it
+    searches, so its refusal comes only after them: both take about 0.3-0.4 s
+    (Python 3.11 on a 2-core VM), and ISO_SEARCH_BUDGET states their limit."""
+    assert (MAX_ISO_CANDIDATES, MAX_ISO_PLACEMENTS) == (20_000, 100_000)
+    placed = collections.Counter()
+    real_consistent = cc._consistent
+
+    def consistent(*args):
+        placed["n"] += 1
+        return real_consistent(*args)
+
+    monkeypatch.setattr(cc, "_consistent", consistent)
+    fans = {k: _complex(builtin="toric_fan", rays=[[i, i * i, 1] for i in range(k)],
+                        maximal_cones=[list(range(k))], rank=3) for k in (28, 29)}
+    cases = [(fans[28], fans[28], {"data": {"isomorphic": True}}, INSIDE_BUDGET, None),
+             (fans[29], fans[29], "a cone with 29 rays in rank 3 has more than 20000 "
+              "isomorphism candidates", 0.1, 0),
+             (_cycles(34), _cycles(17, 17), {"data": {"isomorphic": False}},
+              ISO_SEARCH_BUDGET, 87_924),
+             (_cycles(36), _cycles(18, 18), "the isomorphism search tried more than "
+              "100000 placements of a cone", ISO_SEARCH_BUDGET, MAX_ISO_PLACEMENTS)]
+    target = tmp_path / "iso.lf.json"
+    for left, right, want, budget, placements in cases:
+        target.write_text(json.dumps({
+            "version": "logfan/1", "objects": {"L": left, "R": right},
+            "tasks": [{"op": "is_isomorphic", "args": {"left": "L", "right": "R"}}]}))
+        placed.clear()
+        gc.collect()
+        began = time.perf_counter()
+        code = main(["run", str(target), "--format", "json"])
+        took = time.perf_counter() - began
+        result = json.loads(capsysbinary.readouterr().out)["results"][0]
+        if isinstance(want, dict):
+            assert code == 0 and result["data"] == want["data"], result
+        else:
+            assert code == 1 and result["error"] == {"type": "ScopeExceeded",
+                                                     "message": want}, result
+        assert placements is None or placed["n"] == placements, placed
+        assert took < budget, (want, took)
 
 
 # -------------------------------------------------------------- operation fuzz
@@ -616,7 +725,8 @@ def _fuzz_args(rng, op):
     return {"model": _fuzz_model(rng)}
 
 
-def test_seeded_operation_fuzz_through_main(tmp_path, capsysbinary, monkeypatch):
+def test_seeded_operation_fuzz_through_main(tmp_path, capsysbinary, monkeypatch,
+                                             frozen_heap):
     """Seeded valid-shaped single-task documents for every operation, run
     through `main`: exit 0, 1 or 2, no traceback, only toolkit diagnostics
     as run-time errors, each document under OPERATION_BUDGET, and every

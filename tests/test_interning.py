@@ -245,9 +245,10 @@ def test_f1_diagonal_work_counts(monkeypatch):
     the Smith-form and cone-containment counts of the home-map code.  The
     pairwise search for the structure morphism alone made 169 x 81 = 13,689
     containment tests, and a sharpness test through the lineality space for
-    every new cone took the count of Smith forms to 229.  It normalizes at
-    most 600 ray lists (527 today): normalizing before every intern lookup
-    made 2,771, though only 222 distinct cones come out."""
+    every new cone took the count of Smith forms to 229; with simplicial
+    indices and saturations read off Hermite forms it takes none (16 before).
+    It normalizes at most 600 ray lists (527 today): normalizing before
+    every intern lookup made 2,771, though only 222 distinct cones come out."""
     monkeypatch.setattr(cc, "_CONES", {})
     monkeypatch.setattr(geom, "_GEOMETRIES", {})
     F = cc.from_toric_fan([(1, 0), (0, 1), (-1, 1), (0, -1)],
@@ -274,7 +275,7 @@ def test_f1_diagonal_work_counts(monkeypatch):
     monkeypatch.setattr(geom, "primitive_rays", primitive_rays)
     res = cc.subdivide_along_diagonal(F)
     assert len(res.subdivision.refined.cones) == 169
-    assert 0 < calls["snf"] <= 20
+    assert calls["snf"] == 0
     assert 0 < calls["contains_cone"] <= 2_500
     assert 0 < calls["primitive_rays"] <= 600
 
@@ -286,9 +287,10 @@ def _hirzebruch_fan(a):
 
 def test_f1_diagonal_work_counts_read_off_the_rays(monkeypatch):
     """With empty interning tables, the F_1 diagonal subdivision makes 432
-    containment tests and 16 Smith forms.  The cones inside an image cone
-    are found from one bitmask per ray: a test of every cone against every
-    image cone made 1,917 containment tests."""
+    containment tests and no Smith form (16 when simplicial indices and
+    saturations took one each).  The cones inside an image cone are found
+    from one bitmask per ray: a test of every cone against every image cone
+    made 1,917 containment tests."""
     monkeypatch.setattr(cc, "_CONES", {})
     monkeypatch.setattr(geom, "_GEOMETRIES", {})
     F = _hirzebruch_fan(1)
@@ -308,7 +310,7 @@ def test_f1_diagonal_work_counts_read_off_the_rays(monkeypatch):
     monkeypatch.setattr(geom.ConeGeometry, "contains_cone", contains_cone)
     res = cc.subdivide_along_diagonal(F)
     assert len(res.subdivision.refined.cones) == 169
-    assert calls == {"snf": 16, "contains_cone": 432}
+    assert (calls["snf"], calls["contains_cone"]) == (0, 432), calls
 
 
 def test_stellar_compares_no_cones(monkeypatch):
@@ -334,9 +336,10 @@ def test_stellar_compares_no_cones(monkeypatch):
     assert calls["stellar"] == 0 and calls["other"] > 0, calls
 
 
-def test_saturation_and_torsion_take_one_smith_form_each(monkeypatch):
-    """`saturate_subgroup` reads U^-1 off A V and `_gp_torsion` reads V^-1
-    off U C, so neither takes a Smith form beyond its own."""
+def test_saturation_takes_no_smith_form_and_torsion_one(monkeypatch):
+    """`saturate_subgroup` is the kernel of a kernel, read off Hermite forms,
+    and `_gp_torsion` reads V^-1 off U C, so it takes no Smith form beyond
+    its own."""
     calls = collections.Counter()
     real = lattice.smith_normal_form
 
@@ -347,16 +350,17 @@ def test_saturation_and_torsion_take_one_smith_form_each(monkeypatch):
     for module in (lattice, mn):
         monkeypatch.setattr(module, "smith_normal_form", counting)
     assert lattice.saturate_subgroup([(2, 4, 6), (0, 6, 12)], 3) == ((1, 0, -1), (0, 1, 2))
-    assert calls["snf"] == 1
+    assert calls["snf"] == 0
     # both Smith transforms of this torsion are not the identity
     P = mn.FineMonoid.make(FgAbelianGroup(1, (2, 6)), [(-2, 1, 3), (1, 1, 1), (2, 0, 2)])
     assert P._gp_torsion == (6, ((0, 1, 1),))
-    assert calls["snf"] == 2
+    assert calls["snf"] == 1
 
 
-def test_cone_lattice_coords_costs_only_the_saturation(monkeypatch):
+def test_cone_lattice_coords_takes_no_smith_form(monkeypatch):
     """The coordinates of k rays in the saturated lattice of their span take
-    the Smith forms of `saturate_subgroup` and no more, whatever k is."""
+    no Smith form, whatever k is: the saturation and the coordinates are
+    both read off Hermite forms."""
     calls = collections.Counter()
     real = lattice.smith_normal_form
 
@@ -364,15 +368,10 @@ def test_cone_lattice_coords_costs_only_the_saturation(monkeypatch):
         calls["snf"] += 1
         return real(A)
 
-    monkeypatch.setattr(lattice, "smith_normal_form", counting)
-
-    def snf_count(fn, *args):
-        calls.clear()
-        fn(*args)
-        return calls["snf"]
-
+    for module in (lattice, geom):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
     for k in (1, 3, 8, 20):
         rays = [(2 * i + 1, 2 * (i % 3), 4 * i + 2, 0) for i in range(k)]
-        saturation = snf_count(lattice.saturate_subgroup, rays, 4)
-        assert saturation > 0
-        assert snf_count(geom.cone_lattice_coords, rays, 4) == saturation
+        basis, coords = geom.cone_lattice_coords(rays, 4)
+        assert basis == lattice.saturate_subgroup(rays, 4) and len(coords) == k
+    assert calls["snf"] == 0

@@ -18,6 +18,10 @@ faster one is checked against it on seeded inputs:
   saturation and the torsion generators off such inverses;
 * `euclid_hnf_rows` reduces column by column, the rows below each pivot
   left unreduced;
+* `smith_solve_integer`, `smith_saturate_subgroup` and
+  `smith_simplicial_index` read an integer solve, a saturation and a
+  simplicial index off a Smith form, as they did before the Hermite form
+  answered them;
 * `smith_kernel_basis` reads an integer kernel off a whole Smith form, and
   `rational_kernel` and `rational_rank` (in `rational_solve`) are the
   elimination over Q that check 12 took its kernels and ranks from;
@@ -47,18 +51,22 @@ from logfan import suite
 from logfan.errors import InternalInvariant, ScopeExceeded
 from logfan.lattice import (MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS,
                             FgAbelianGroup, IntMatrix, SmithDecomposition, _select_pivot,
-                            _xgcd, cokernel_projection, det, hnf_coords, hnf_rows, in_lattice,
-                            kernel_basis, lattice_rank, primitive, saturate_subgroup,
-                            smith_normal_form)
+                            _xgcd, cokernel_projection, divide_exactly, hnf_coords, hnf_rows,
+                            in_lattice, kernel_basis, lattice_rank, primitive,
+                            saturate_subgroup, smith_normal_form, solve_integer)
 from logfan.logmodel import affine_space_model, mixed_affine, p1_toric_model, p2_toric_model
 from logfan.monoid import (FineMonoid, _unit_subgroup_rows, contains,
                            hilbert_basis, saturate)
 from logfan.orbifold import DiagonalAction, orbifold_hh
 from logfan.suite import _random_fine_monoid
-from rational_solve import rational_kernel, rational_rank, solve_rational
+from rational_solve import det, rational_kernel, rational_rank, solve_rational
 
 
 # ------------------------------------------------------------------ oracles
+
+def smith_rank(snf: SmithDecomposition) -> int:
+    return sum(1 for d in snf.diagonal() if d)
+
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     """M^-1 = V' U' from U' M V' = 1; that form is checked to be the identity,
@@ -75,7 +83,53 @@ def saturate_subgroup_by_inverse(generators, ambient_rank: int):
         return ()
     snf = smith_normal_form(IntMatrix.from_columns(gens, rows=ambient_rank))
     U_inverse = unimodular_inverse(snf.U)
-    return hnf_rows([U_inverse.column(i) for i in range(snf.rank)])
+    return hnf_rows([U_inverse.column(i) for i in range(smith_rank(snf))])
+
+
+def smith_solve_integer(A: IntMatrix, b):
+    """x = V y for U A V = D, where D y = U b is solved entry by entry."""
+    snf = smith_normal_form(A)
+    c = snf.U.apply(b)
+    diag = snf.diagonal()
+    y = []
+    for j in range(A.cols):
+        d = diag[j] if j < len(diag) else 0
+        cj = c[j] if j < len(c) else 0
+        if d == 0:
+            if cj != 0:
+                return None
+            y.append(0)
+        else:
+            if cj % d != 0:
+                return None
+            y.append(cj // d)
+    for i in range(A.cols, A.rows):
+        if c[i] != 0:
+            return None
+    return snf.V.apply(y)
+
+
+def smith_saturate_subgroup(generators, ambient_rank: int):
+    """HNF of the first rank columns of U^-1, read off A V = U^-1 D."""
+    gens = [tuple(g) for g in generators]
+    if not gens:
+        return ()
+    A = IntMatrix.from_columns(gens, rows=ambient_rank)
+    snf = smith_normal_form(A)
+    AV = A @ snf.V
+    return hnf_rows([divide_exactly(AV.column(i), d)
+                     for i, d in enumerate(snf.diagonal()[:smith_rank(snf)])])
+
+
+def smith_simplicial_index(rays) -> int:
+    """The product of the Smith diagonal of the rays as columns."""
+    rays = [tuple(r) for r in rays]
+    if not rays:
+        return 1
+    diag = smith_normal_form(IntMatrix.from_columns(rays, rows=len(rays[0]))).diagonal()
+    if 0 in diag:
+        raise ValueError("rays are linearly dependent")
+    return math.prod(diag)
 
 
 def euclid_hnf_rows(rows):
@@ -745,6 +799,45 @@ def test_saturate_subgroup_matches_the_inverse_oracle():
     assert proper >= 1000
 
 
+def test_hermite_solves_saturations_and_indices_match_the_smith_oracles():
+    """On seeded matrices, 0 x n, m x 0, rank-deficient and with up to 900
+    bits of entries among them: the simplicial index of independent columns
+    is the product of their Smith diagonal (|det| when square), and
+    dependent ones raise; a right-hand side is solvable for both or for
+    neither, and each solution solves; the saturations of the columns are
+    equal."""
+    rng = random.Random(61)
+    kinds = collections.Counter()
+    for _ in range(1000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        e = rng.choice([1, 2, 9, 100, 2 ** (900 // max(1, m * n) - 1)])
+        rows = [[rng.randint(-e, e) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            rows[-1] = [rng.choice((-2, 1, 3)) * x + y for x, y in zip(rows[0], rows[1])]
+        A = IntMatrix(m, n, tuple(x for r in rows for x in r))
+        columns = [A.column(j) for j in range(n)]
+        rank = smith_rank(smith_normal_form(A))
+        kinds["0 x n" if m == 0 else "m x 0" if n == 0 else
+              "rank-deficient" if rank < min(m, n) else "full rank"] += 1
+        if rank == n and m:
+            index = geom.simplicial_index(columns)
+            assert index == smith_simplicial_index(columns), rows
+            assert m != n or index == abs(det(A)), rows
+            kinds["index"] += 1
+        elif n and m:
+            with pytest.raises(ValueError, match="dependent"):
+                geom.simplicial_index(columns)
+        assert saturate_subgroup(columns, m) == smith_saturate_subgroup(columns, m), rows
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        for b in (A.apply(x), tuple(rng.randint(-e, e) for _ in range(m))):
+            got, want = solve_integer(A, b), smith_solve_integer(A, b)
+            assert (got is None) == (want is None), (rows, b)
+            assert got is None or A.apply(got) == b, (rows, b)
+            kinds["unsolvable" if got is None else "solvable"] += 1
+    assert min(kinds.values()) >= 100 and len(kinds) == 7, kinds
+
+
 def test_hnf_rows_matches_the_column_by_column_oracle():
     rng = random.Random(37)
     for _ in range(3000):
@@ -1076,7 +1169,7 @@ def test_smith_normal_form_matches_the_reference_finish():
         for name in ("U", "D", "V"):
             assert _as_fields(getattr(got, name)) == _as_fields(getattr(want, name)), (rows, name)
         kinds["0 x n" if m == 0 else "m x 0" if n == 0 else
-              "rank-deficient" if got.rank < min(m, n) else "full rank"] += 1
+              "rank-deficient" if smith_rank(got) < min(m, n) else "full rank"] += 1
     assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
     rng = random.Random(0)
     a, b, c = (rng.randrange(10 ** (d - 1), 10 ** d) for d in (143, 72, 79))

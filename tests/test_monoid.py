@@ -318,7 +318,7 @@ def test_pushout_diagonal_chart():
     # abstractly N^2: two generators forming a lattice basis
     assert len(S.generators) == 2
     M = IntMatrix.from_columns(S.generators, rows=2)
-    from logfan.lattice import det
+    from rational_solve import det
     assert abs(det(M)) == 1
     assert is_saturated(S)
 
