@@ -29,10 +29,6 @@ def vadd(a, b) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a, b) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vneg(a) -> Vector:
     return tuple(-x for x in a)
 

@@ -69,6 +69,7 @@ class Report(Record):
 # messages name the field, and `_named` puts the object or task in front.
 
 MAX_MARKED_POINTS = 64    # `n` of marked_p1
+MAX_TRUNCATION = 15       # series order of a document, `--truncation`
 MAX_FACE_MAPS = 10_000    # face maps of a literal complex
 
 _REQUIRED = object()
@@ -488,6 +489,9 @@ def parse(text: str, truncation: int | None = None) -> Document:
     truncation = truncation if truncation is not None else lm.DEFAULT_TRUNCATION
     if truncation < 0:
         raise ParseError(f"truncation must be >= 0, got {truncation}")
+    if truncation > MAX_TRUNCATION:
+        raise ScopeExceeded(f"'truncation' is {truncation}, "
+                            f"above the desk-scale bound {MAX_TRUNCATION}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,7 +20,6 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import cached_property
 from operator import and_
 
@@ -241,14 +240,14 @@ class GeneralizedConeComplex(Record):
         return sum(1 for c in self.cones if c.dim == 1)
 
     @cached_property
-    def _maps_by_ends(self) -> dict[tuple[int, int], list[FaceMap]]:
+    def _maps_by_ends(self) -> dict[tuple[int, int], tuple[FaceMap, ...]]:
         out: dict[tuple[int, int], list[FaceMap]] = {}
         for fm in self.face_maps:
             out.setdefault((fm.source, fm.target), []).append(fm)
-        return out
+        return {ends: tuple(maps) for ends, maps in out.items()}
 
-    def maps_between(self, i: int, j: int) -> list[FaceMap]:
-        return list(self._maps_by_ends.get((i, j), ()))
+    def maps_between(self, i: int, j: int) -> tuple[FaceMap, ...]:
+        return self._maps_by_ends.get((i, j), ())
 
     def nontrivial_face_maps(self) -> list[FaceMap]:
         return [fm for fm in self.face_maps if not fm.is_identity()]
@@ -281,11 +280,9 @@ def _embedded_from_cones(cones, rank: int) -> GeneralizedConeComplex:
     ordered = sorted(seen.values(), key=lambda c: (c.dim, c.rays))
     index = {c.rays: i for i, c in enumerate(ordered)}
     ident = IntMatrix.identity(rank)
-    maps = []
-    for c in ordered:
-        for f in c.faces:
-            maps.append(FaceMap(index[f.rays], index[c.rays], ident))
-    maps = sorted(set(maps), key=lambda m: (m.source, m.target))
+    # the faces of one cone are distinct, so no (source, target) pair repeats
+    maps = sorted((FaceMap(index[f.rays], index[c.rays], ident)
+                   for c in ordered for f in c.faces), key=lambda m: (m.source, m.target))
     return GeneralizedConeComplex(tuple(ordered), tuple(maps))
 
 
@@ -497,32 +494,32 @@ class Subdivision(Record):
 def _tiled_by(g: geom.ConeGeometry, cones) -> bool:
     """Do the cones of g's dimension lying inside g tile it?
 
-    Volumes are compared after truncating by a fixed positive functional on
-    g (the sum of its facet normals), which makes the lattice-normalized
-    volume additive across any subdivision.  All arithmetic is exact.
+    Volumes are compared after truncating by a fixed positive functional ell
+    on g (the sum of its facet normals), which makes the lattice-normalized
+    volume additive across any subdivision.  Scaled by T^d, T the lcm of the
+    rays' heights under ell, every truncated volume is an integer.
     """
     if g.span_dim == 0:
         return True
     ell = g.normals[0]
     for nrm in g.normals[1:]:
         ell = geom.vadd(ell, nrm)
-    have = sum((_truncated_volume(c.rays, c.lattice_rank, ell) for c in cones
-                if c.dim == g.span_dim and g.contains_cone(c.geometry)), Fraction(0))
-    return have == _truncated_volume(g.rays, g.dim, ell)
+    inside = [c for c in cones if c.dim == g.span_dim and g.contains_cone(c.geometry)]
+    heights = {r: geom.dot(ell, r) for c in [g, *inside] for r in c.rays}
+    if min(heights.values()) <= 0:
+        raise InternalInvariant("height functional must be positive on the cone")
+    T = math.lcm(*heights.values())
+    have = sum(_truncated_volume(c.rays, c.lattice_rank, heights, T) for c in inside)
+    return have == _truncated_volume(g.rays, g.dim, heights, T)
 
 
-def _truncated_volume(rays, rank: int, ell) -> Fraction:
-    """Normalized volume of cone(rays) in Z^rank truncated at ell(x) <= 1."""
-    total = Fraction(0)
+def _truncated_volume(rays, rank: int, heights, T: int) -> int:
+    """T^d times the normalized volume of the d-dimensional cone(rays) in
+    Z^rank truncated at ell(x) <= 1, ell(r) = heights[r] for each ray r."""
+    total = 0
     for s in geom.triangulate(list(rays), rank):
         block = [rays[i] for i in s]
-        denom = 1
-        for r in block:
-            h = geom.dot(ell, r)
-            if h <= 0:
-                raise InternalInvariant("height functional must be positive on the cone")
-            denom *= h
-        total += Fraction(geom.simplicial_index(block), denom)
+        total += geom.simplicial_index(block) * math.prod(T // heights[r] for r in block)
     return total
 
 
@@ -910,8 +907,8 @@ def _consistent(Ft, Gt, face_maps, bij, isos) -> bool:
     map of Gt, with as many maps between their images as between them?"""
     for fm in face_maps:
         if fm.source in bij and fm.target in bij:
-            images = Gt._maps_by_ends.get((bij[fm.source], bij[fm.target]), ())
-            if len(images) != len(Ft._maps_by_ends[fm.source, fm.target]):
+            images = Gt.maps_between(bij[fm.source], bij[fm.target])
+            if len(images) != len(Ft.maps_between(fm.source, fm.target)):
                 return False
             # need psi with psi @ ua == ub @ fm.matrix
             lhs = isos[fm.target] @ fm.matrix

@@ -52,24 +52,25 @@ class HHTable(Record):
         return {str(n): e.to_json() for n, e in self.degrees}
 
 
+def _regraded(cells, degree) -> dict[int, GradedEntry]:
+    """A table's entries summed by degree(p, q)."""
+    out: dict[int, GradedEntry] = {}
+    for (p, q), e in cells:
+        n = degree(p, q)
+        out[n] = out[n] + e if n in out else e
+    return out
+
+
 def hh_homology(X: LogModel) -> HHTable:
     """Anti-diagonal sums of the Hodge table: degree n = sum over q - p = n."""
-    out: dict[int, GradedEntry] = {}
-    for (p, q), e in X.hodge.cells:
-        n = q - p
-        out[n] = out[n] + e if n in out else e
-    return HHTable.build(out)
+    return HHTable.build(_regraded(X.hodge.cells, lambda p, q: q - p))
 
 
 def hh_cohomology(X: LogModel) -> HHTable:
     """Diagonal sums of the dual Hodge table: degree n = sum over p + q = n."""
     if X.dual_hodge is None:
         raise ScopeExceeded(f"no polyvector table rule for model {X.name!r}")
-    out: dict[int, GradedEntry] = {}
-    for (p, q), e in X.dual_hodge.cells:
-        n = p + q
-        out[n] = out[n] + e if n in out else e
-    return HHTable.build(out)
+    return HHTable.build(_regraded(X.dual_hodge.cells, lambda p, q: p + q))
 
 
 class BDescription(Record):
@@ -88,7 +89,7 @@ class LogDiagonalPicture(Record):
     @property
     def b_description(self) -> BDescription:
         X = self.base_model
-        if X.kind == "point" or X.dimension == 0:
+        if X.dimension == 0:
             return BDescription("point", 0)
         if X.kind == "toric":
             d = X.dimension
@@ -136,13 +137,9 @@ def periodic_cyclic(X: LogModel) -> CyclicTable:
     """Even/odd sums of the Hodge table, via log Hodge-to-de Rham degeneration."""
     if X.hodge.kind != FINITE:
         raise SeriesNotSupported("periodic cyclic homology needs a complete model")
-    even = odd = 0
-    for (p, q), e in X.hodge.cells:
-        if (p + q) % 2 == 0:
-            even += e.total()
-        else:
-            odd += e.total()
-    return CyclicTable(GradedEntry.finite(even), GradedEntry.finite(odd))
+    halves = _regraded(X.hodge.cells, lambda p, q: (p + q) % 2)
+    zero = GradedEntry.finite(0)
+    return CyclicTable(halves.get(0, zero), halves.get(1, zero))
 
 
 def euler_check(X: LogModel) -> int:

@@ -166,11 +166,6 @@ class SmithDecomposition(Record):
     D: IntMatrix
     V: IntMatrix
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        set_field(self, "U", U)
-        set_field(self, "D", D)
-        set_field(self, "V", V)
-
     def diagonal(self) -> Vector:
         return self.D.diagonal()
 

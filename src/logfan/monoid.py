@@ -420,26 +420,13 @@ def amalgamated_sum(f: MonoidHom, g: MonoidHom) -> PushoutData:
     nR = f.source.ambient.num_coords
     N = nP + nQ
 
-    cols = []
-    fP = P.ambient.free_rank
-    for i, d in enumerate(P.ambient.torsion_orders):
-        cols.append(tuple(d if j == fP + i else 0 for j in range(N)))
-    fQ = Q.ambient.free_rank
-    for i, d in enumerate(Q.ambient.torsion_orders):
-        cols.append(tuple(d if j == nP + fQ + i else 0 for j in range(N)))
-    for j in range(nR):
-        fc = f.matrix.column(j)
-        gc = g.matrix.column(j)
-        cols.append(tuple(fc) + tuple(-x for x in gc))
-
+    cols = ([rel + (0,) * nQ for rel in P._relation_rows]
+            + [(0,) * nP + rel for rel in Q._relation_rows]
+            + [f.matrix.column(j) + tuple(-x for x in g.matrix.column(j)) for j in range(nR)])
     H, proj = cokernel_projection(IntMatrix.from_columns(cols, rows=N))
-
-    leg_left = IntMatrix.from_columns(
-        [proj.apply(tuple(1 if t == j else 0 for t in range(N))) for j in range(nP)],
-        rows=H.num_coords)
-    leg_right = IntMatrix.from_columns(
-        [proj.apply(tuple(1 if t == nP + j else 0 for t in range(N))) for j in range(nQ)],
-        rows=H.num_coords)
+    # proj sends e_j to its column j: P's coordinates come first, then Q's
+    leg_left = IntMatrix.from_columns(map(proj.column, range(nP)), rows=H.num_coords)
+    leg_right = IntMatrix.from_columns(map(proj.column, range(nP, N)), rows=H.num_coords)
 
     gens = [leg_left.apply(v) for v in P.generators] + \
            [leg_right.apply(v) for v in Q.generators]

@@ -18,12 +18,14 @@ import pytest
 from logfan import _geometry as geom
 from logfan import cli
 from logfan import conecomplex as cc
-from logfan.cli import MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, OPERATIONS, main
+from logfan.cli import (MAX_DIMENSION, MAX_FACE_MAPS, MAX_MARKED_POINTS, MAX_TRUNCATION,
+                        OPERATIONS, main)
 from logfan.conecomplex import (MAX_COMPOSABLE_PAIRS, MAX_CONES, MAX_ISO_CANDIDATES,
                                 MAX_ISO_PLACEMENTS)
 from logfan.errors import LogfanError
 from logfan.lattice import (MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS,
                             IntMatrix, lattice_rank, saturate_subgroup, solve_integer)
+from logfan.logmodel import DEFAULT_TRUNCATION
 from logfan.monoid import (MAX_MEMBERSHIP_DEPTH, MAX_MEMBERSHIP_STATES,
                            MAX_PARALLELEPIPED_POINTS)
 from logfan.orbifold import MAX_GROUP_ORDER
@@ -165,7 +167,8 @@ def _glued_ray(rng, k):
 
 
 def _bounds(rng):
-    """(bound, object just inside it, object just outside it)."""
+    """(bound, object just inside it, object just outside it); an object given
+    as (object, t) is read at `--truncation t`, the others at the default."""
     groups = {1000: [[1000], [2, 500], [10, 100], [8, 125], [4, 5, 50], [2, 2, 2, 125]],
               1001: [[1001], [7, 143], [11, 91], [13, 77], [7, 11, 13]]}
     # factors: marked P^1s by their count of points (n + 1 cones), the point
@@ -190,24 +193,28 @@ def _bounds(rng):
         ("literal rank", _literal_rank(2 * MAX_DIMENSION), _literal_rank(2 * MAX_DIMENSION + 1)),
         ("face maps", _face_maps(rng, MAX_FACE_MAPS), _face_maps(rng, MAX_FACE_MAPS + 1)),
         ("composable pairs", _glued_ray(rng, 314), _glued_ray(rng, 315)),
+        # the series order is the document's, so its refusal names no object
+        ("truncation", (_model(builtin="affine_space", d=MAX_DIMENSION), MAX_TRUNCATION),
+         (_model(builtin="affine_space", d=MAX_DIMENSION), MAX_TRUNCATION + 1)),
     ]
 
 
 def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, capsys, frozen_heap):
-    assert (MAX_DIMENSION, MAX_MARKED_POINTS, MAX_GROUP_ORDER, MAX_CONES,
-            MAX_FACE_MAPS, MAX_COMPOSABLE_PAIRS) == (6, 64, 1000, 1000, 10_000, 100_000)
+    assert (MAX_DIMENSION, MAX_MARKED_POINTS, MAX_GROUP_ORDER, MAX_CONES, MAX_FACE_MAPS,
+            MAX_COMPOSABLE_PAIRS, MAX_TRUNCATION) == (6, 64, 1000, 1000, 10_000, 100_000, 15)
     assert 316 * 315 + 2 <= MAX_COMPOSABLE_PAIRS < 317 * 316 + 2
     target = tmp_path / "scale.lf.json"
     start = time.perf_counter()
     for bound, inside, outside in _bounds(random.Random(13)):
         for where, obj in (("inside", inside), ("outside", outside)):
+            obj, truncation = obj if isinstance(obj, tuple) else (obj, DEFAULT_TRUNCATION)
             target.write_text(json.dumps({"version": "logfan/1",
                                           "objects": {"X": obj}, "tasks": []}))
             # A full collection of the test run's heap (other tests' objects)
             # can fall inside the timed call and take longer than the bound.
             gc.collect()
             began = time.perf_counter()
-            code = main(["check", str(target)])
+            code = main(["--truncation", str(truncation), "check", str(target)])
             took = time.perf_counter() - began
             out, err = capsys.readouterr()
             if where == "inside":
@@ -216,7 +223,9 @@ def test_scale_fuzz_just_inside_and_just_outside_every_parse_bound(tmp_path, cap
             else:
                 assert code == 2 and out == "", (bound, out)
                 lines = err.splitlines()
-                assert len(lines) == 1 and lines[0].startswith("ScopeExceeded: object 'X': "), \
+                named = (f"'truncation' is {MAX_TRUNCATION + 1}, above"
+                         if bound == "truncation" else "object 'X': ")
+                assert len(lines) == 1 and lines[0].startswith(f"ScopeExceeded: {named}"), \
                     (bound, err)
                 assert took < 0.1, (bound, took)
     assert time.perf_counter() - start < 5.0

@@ -30,7 +30,10 @@ faster one is checked against it on seeded inputs:
 * `frozenset_dual_generators` keeps the double description's zero sets as
   frozensets, and `loop_primitive` takes the gcd of a vector entry by entry;
 * `reference_smith_normal_form` finishes the Smith elimination through
-  `IntMatrix.from_rows` and checks it by matrix products.
+  `IntMatrix.from_rows` and checks it by matrix products;
+* `fraction_tiled_by` and `fraction_truncated_volume` compare truncated
+  volumes of cones as `Fraction`s, where the tiling test now scales them to
+  integers.
 """
 
 import bisect
@@ -204,6 +207,10 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def loop_primitive(v):
     v = tuple(int(x) for x in v)
     g = 0
@@ -235,13 +242,13 @@ def frozenset_dual_generators(constraints, dim, branches=None):
                     continue
                 dl = geom.dot(l, a)
                 if dl != 0:
-                    l = loop_primitive(geom.vsub(vscale(d0, l), vscale(dl, pivot)))
+                    l = loop_primitive(vsub(vscale(d0, l), vscale(dl, pivot)))
                 new_lines.append(l)
             new_rays = []
             for r, z in rays:
                 dr = geom.dot(r, a)
                 if dr != 0:
-                    r = loop_primitive(geom.vsub(vscale(d0, r), vscale(dr, pivot)))
+                    r = loop_primitive(vsub(vscale(d0, r), vscale(dr, pivot)))
                 new_rays.append((r, z | {processed}))
             new_rays.append((loop_primitive(pivot), frozenset(range(processed))))
             lines = new_lines
@@ -259,8 +266,8 @@ def frozenset_dual_generators(constraints, dim, branches=None):
                     if any((common <= z) and r != rp and r != rm for r, z in rays):
                         continue
                     # (a.rp) rm - (a.rm) rp: tight on a, nonnegative combination
-                    vec = loop_primitive(geom.vsub(vscale(geom.dot(rp, a), rm),
-                                                   vscale(geom.dot(rm, a), rp)))
+                    vec = loop_primitive(vsub(vscale(geom.dot(rp, a), rm),
+                                              vscale(geom.dot(rm, a), rp)))
                     combos.append((vec, common | {processed}))
             rays = plus + zero + combos
         processed += 1
@@ -385,7 +392,7 @@ def rational_parallelepiped_points(basis):
     for rep in itertools.product(*(range(d) for d in snf.diagonal())):
         x = U_inverse.apply(rep)
         shift = tuple(int(Fraction(t).__floor__()) for t in solve_rational(W, x))
-        x = geom.vsub(x, W.apply(shift))
+        x = vsub(x, W.apply(shift))
         assert all(0 <= t < 1 for t in solve_rational(W, x))
         points.add(tuple(x))
     return sorted(points)
@@ -403,7 +410,7 @@ def pairwise_hilbert_basis(rays, rank):
             points = rational_parallelepiped_points([cone.rays[i] for i in simplex])
             candidates.update(p for p in points if any(p))
         minimal = [h for h in candidates
-                   if not any(g != h and cone.contains(geom.vsub(h, g)) for g in candidates)]
+                   if not any(g != h and cone.contains(vsub(h, g)) for g in candidates)]
     B = IntMatrix.from_columns(basis, rows=rank)
     return sorted(B.apply(h) for h in minimal)
 
@@ -533,10 +540,39 @@ def _recursive_search(P: FineMonoid, x) -> bool:
                 memo[rem] = in_lattice(rem[f:], tors_lat)
             else:
                 memo[rem] = P.free_cone.contains(fp) and any(
-                    search(G.reduce(geom.vsub(rem, g))) for g in mixed)
+                    search(G.reduce(vsub(rem, g))) for g in mixed)
         return memo[rem]
 
     return search(x)
+
+
+def fraction_tiled_by(g: geom.ConeGeometry, cones) -> bool:
+    """Do the cones of g's dimension inside g tile it?  Their volumes, cut
+    off at ell(x) <= 1 for ell the sum of g's facet normals, summed in
+    `Fraction`s against g's."""
+    if g.span_dim == 0:
+        return True
+    ell = g.normals[0]
+    for nrm in g.normals[1:]:
+        ell = geom.vadd(ell, nrm)
+    have = sum((fraction_truncated_volume(c.rays, c.lattice_rank, ell) for c in cones
+                if c.dim == g.span_dim and g.contains_cone(c.geometry)), Fraction(0))
+    return have == fraction_truncated_volume(g.rays, g.dim, ell)
+
+
+def fraction_truncated_volume(rays, rank: int, ell) -> Fraction:
+    """Normalized volume of cone(rays) in Z^rank truncated at ell(x) <= 1."""
+    total = Fraction(0)
+    for s in geom.triangulate(list(rays), rank):
+        block = [rays[i] for i in s]
+        denom = 1
+        for r in block:
+            h = geom.dot(ell, r)
+            if h <= 0:
+                raise InternalInvariant("height functional must be positive on the cone")
+            denom *= h
+        total += Fraction(geom.simplicial_index(block), denom)
+    return total
 
 
 # -------------------------------------------------------------------- tests
@@ -1203,3 +1239,76 @@ def test_smith_recomposition_is_checked_against_the_entries():
         skewed[-1][-1] += 1
         with pytest.raises(InternalInvariant, match="Smith recomposition failed"):
             smith_normal_form(SkewedRows(entries, skewed))
+
+
+def _tiling_cases(rng, rank):
+    """(g, cones): g a cone of random rays in the nonnegative orthant, some
+    of them redundant, and the cones of a stellar subdivision of g, as they
+    are, with one cone of g's dimension dropped, or with one more added."""
+    rays = {tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(rng.randint(1, 5))}
+    rays = sorted(r for r in rays if any(r))
+    if not rays:
+        return []
+    if len(rays) >= 2 and rng.random() < 0.4:
+        rays.append(geom.vadd(rays[0], rays[1]))          # a redundant ray
+    g = geom.ConeGeometry.of(rays, rank)
+    fan = cc.from_toric_fan(g.rays, [range(len(g.rays))], rank)
+    top = max(range(len(fan.cones)), key=lambda i: fan.cones[i].dim)
+    sub = None
+    for _ in range(rng.randint(0, 3)):
+        refined = sub.refined if sub else fan
+        v = geom.vadd(*rng.sample(refined.cones[-1].rays, 2)) \
+            if len(refined.cones[-1].rays) >= 2 else refined.cones[-1].rays[0]
+        home = next(i for i, c in enumerate(refined.cones) if c.contains(v))
+        sub = cc.star_subdivision(refined, home, v)
+    cones = list((sub.refined if sub else fan).cones)
+    tops = [c for c in cones if c.dim == g.span_dim]
+    drop = rng.choice(tops)
+    out = [(g, cones), (g, [c for c in cones if c is not drop])]
+    extra = rng.sample(g.rays, min(len(g.rays), g.span_dim))
+    if lattice_rank(extra) == g.span_dim:
+        out.append((g, cones + [cc.Cone.make(extra, rank)]))
+    return out
+
+
+def test_integer_tiling_matches_the_fraction_oracle():
+    """On seeded cones in rank 2 and 3, simplicial or not, with redundant
+    rays, the integer tiling test agrees with the `Fraction` one on stellar
+    subdivisions and on them with a cone dropped or added; both verdicts
+    occur.  Each integer volume is T^d times the `Fraction` volume."""
+    rng = random.Random(29)
+    verdicts = collections.Counter()
+    nonsimplicial = 0
+    for _ in range(120):
+        for g, cones in _tiling_cases(rng, rng.choice([2, 3])):
+            got = cc._tiled_by(g, cones)
+            assert got == fraction_tiled_by(g, cones), (g, cones)
+            verdicts[got] += 1
+            nonsimplicial += len(g.rays) > g.span_dim
+            if g.span_dim:
+                ell = g.normals[0]
+                for nrm in g.normals[1:]:
+                    ell = geom.vadd(ell, nrm)
+                heights = {r: geom.dot(ell, r) for r in g.rays}
+                T = math.lcm(*heights.values())
+                assert cc._truncated_volume(g.rays, g.dim, heights, T) == \
+                    T ** g.span_dim * fraction_truncated_volume(g.rays, g.dim, ell)
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+    assert nonsimplicial >= 50, nonsimplicial
+
+
+def test_subdivision_volumes_check_fails_on_a_dropped_cone(monkeypatch):
+    """Check 11e passes the true subdivisions and fails every one whose
+    refined complex has lost its last maximal cone."""
+    assert suite.property_subdivision_volumes().passed
+    true_refined = cc.Subdivision.refined
+
+    def dropped(s):
+        F = true_refined.fget(s)
+        last = F.maximal_cone_indices()[-1]
+        return cc._embedded_from_cones([c for i, c in enumerate(F.cones) if i != last],
+                                       F.cones[0].lattice_rank)
+
+    monkeypatch.setattr(cc.Subdivision, "refined", property(dropped))
+    result = suite.property_subdivision_volumes()
+    assert not result.passed and result.detail.endswith("failed [0, 1, 2, 3, 4]"), result

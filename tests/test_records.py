@@ -191,9 +191,11 @@ def test_construction_checks_still_raise(build, message):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """`import logfan.cli` adds neither module to what a bare interpreter
-    loads, and nothing in src/ compiles code at run time."""
-    probe = "import sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """`import logfan.cli` adds neither module, nor the rational and decimal
+    number modules, to what a bare interpreter loads, and nothing in src/
+    compiles code at run time."""
+    probe = ("import sys; print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal', "
+             "'numbers'} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
 
@@ -213,6 +215,26 @@ def test_no_assert_statements_in_src():
              for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_exact_layers_compute_in_integers_only():
+    """The mathematical layers use no true division, no float literal and
+    neither `fractions` nor `decimal`: every answer is an exact integer.
+    `cli` and `suite` are left out, so timings may be taken in floats."""
+    found = []
+    for name in ("lattice", "_geometry", "monoid", "conecomplex", "logmodel", "hkr",
+                 "orbifold"):
+        path = SRC / "logfan" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name.split(".")[0] for a in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if (isinstance(getattr(node, "op", None), ast.Div)
+                    or isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    or {"fractions", "decimal"} & set(modules)):
+                found.append(f"{name}.py:{node.lineno}")
     assert not found, found
 
 
