@@ -140,6 +140,13 @@ class ConeGeometry(Record):
         return self._dual[1]
 
     @cached_property
+    def grading(self) -> Vector:
+        """The sum of the facet normals (zero without any), positive on every
+        nonzero point of a sharp cone: a point on which every normal vanishes
+        lies in the cone together with its negative."""
+        return tuple(map(sum, zip((0,) * self.dim, *self.normals)))
+
+    @cached_property
     def facets(self) -> tuple[frozenset, ...]:
         """For each facet normal, the indices of the rays lying on it."""
         return tuple(frozenset(i for i, r in enumerate(self.rays) if dot(n, r) == 0)

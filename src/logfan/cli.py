@@ -294,9 +294,12 @@ def _op_smith(args):
             "V": snf.V.as_rows(), "diagonal": list(snf.diagonal())}, []
 
 
+def _json_group(G: FgAbelianGroup) -> dict:
+    return {"free_rank": G.free_rank, "torsion": list(G.torsion_orders)}
+
+
 def _op_cokernel(args):
-    G = lattice.cokernel(args["matrix"])
-    return {"free_rank": G.free_rank, "torsion": list(G.torsion_orders)}, []
+    return _json_group(lattice.cokernel(args["matrix"])), []
 
 
 def _op_saturate_subgroup(args):
@@ -314,8 +317,7 @@ def _op_hilbert_basis(args):
 def _saturation_json(rep: mn.SaturationReport):
     S = rep.saturated
     return {
-        "ambient": {"free_rank": S.ambient.free_rank,
-                    "torsion": list(S.ambient.torsion_orders)},
+        "ambient": _json_group(S.ambient),
         "generators": [list(g) for g in S.generators],
         "torsion_order": rep.torsion_order,
         "added_generators": [list(g) for g in rep.index_data],
@@ -346,11 +348,16 @@ def _op_product(args):
     return _json_complex(K), [("product", K)]
 
 
+def _json_unimodular(K: cc.GeneralizedConeComplex) -> dict:
+    """Is each maximal cone unimodular, keyed by its index as a string?"""
+    return {str(i): K.cones[i].is_unimodular for i in K.maximal_cone_indices()}
+
+
 def _op_star_subdivision(args):
     sub = cc.star_subdivision(args["complex"], args["cone"], args["ray"])
     data = _json_complex(sub.refined)
     data["trivial"] = sub.is_trivial()
-    data["unimodular"] = {str(k): v for k, v in sub.unimodular.items()}
+    data["unimodular"] = _json_unimodular(sub.refined)
     return data, [("refined", sub.refined)]
 
 
@@ -367,7 +374,7 @@ def _op_subdivide_along_diagonal(args):
     data = {
         "refined": _json_complex(res.subdivision.refined),
         "image_subcomplex": _json_complex(res.image_subcomplex),
-        "unimodular": {str(k): v for k, v in res.subdivision.unimodular.items()},
+        "unimodular": _json_unimodular(res.subdivision.refined),
         "image_flags": _json_image_flags(res),
         "diagonal_factors": res.factoring is not None,
     }

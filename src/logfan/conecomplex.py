@@ -99,10 +99,7 @@ class Cone(Record):
         lattice of their span; any other cone sums it over a triangulation."""
         if self.is_simplicial:
             return geom.simplicial_index(self.rays)
-        total = 0
-        for s in geom.triangulate(list(self.rays), self.lattice_rank):
-            total += geom.simplicial_index([self.rays[i] for i in s])
-        return total
+        return _truncated_volume(self.rays, self.lattice_rank, dict.fromkeys(self.rays, 1), 1)
 
     @property
     def is_unimodular(self) -> bool:
@@ -324,11 +321,8 @@ def snc_artin_fan(simplices) -> GeneralizedConeComplex:
                     raise ScopeExceeded(f"the simplices give more than {MAX_CONES} cones, "
                                         f"the desk-scale bound")
     ordered = [()] + sorted(closed, key=lambda s: (len(s), s))
-    cones = []
-    for s in ordered:
-        k = len(s)
-        rays = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-        cones.append(Cone.make(rays, k) if k else Cone.zero(0))
+    cones = [Cone.make(IntMatrix.identity(len(s)).as_rows(), len(s)) if s else Cone.zero(0)
+             for s in ordered]
     index = {s: i for i, s in enumerate(ordered)}
     shared: dict[tuple, IntMatrix] = {}   # one matrix per len(s) and positions of t in s
     maps = []
@@ -435,8 +429,8 @@ def product(F: GeneralizedConeComplex, G: GeneralizedConeComplex) -> Generalized
 
 def _projection(offset: int, rows: int, cols: int) -> IntMatrix:
     """Z^cols onto its `rows` coordinates starting at `offset`."""
-    return IntMatrix(rows, cols, tuple(int(c == offset + r)
-                                       for r in range(rows) for c in range(cols)))
+    unit = IntMatrix.identity(cols).entries
+    return IntMatrix(rows, cols, unit[offset * cols:(offset + rows) * cols])
 
 
 def product_projections(F, G) -> tuple[ComplexMorphism, ComplexMorphism]:
@@ -457,9 +451,8 @@ def diagonal_morphism(F: GeneralizedConeComplex) -> ComplexMorphism:
     assignment = []
     for i, c in enumerate(F.cones):
         r = c.lattice_rank
-        cols = [tuple(1 if k == j else 0 for k in range(r)) * 2 for j in range(r)]
-        m = IntMatrix.from_columns(cols, rows=2 * r)
-        assignment.append((i * n + i, m))
+        # columns (e_j, e_j): the identity stacked on itself
+        assignment.append((i * n + i, IntMatrix(2 * r, r, IntMatrix.identity(r).entries * 2)))
     return ComplexMorphism(F, P, tuple(assignment))
 
 
@@ -475,14 +468,10 @@ class Subdivision(Record):
     def is_trivial(self) -> bool:
         return self.refined == self.structure.target
 
-    @cached_property
-    def unimodular(self) -> dict[int, bool]:
-        """Unimodularity of each maximal refined cone, by cone index."""
-        return {i: self.refined.cones[i].is_unimodular
-                for i in self.refined.maximal_cone_indices()}
-
     def all_unimodular(self) -> bool:
-        return all(self.unimodular.values())
+        """Is every maximal refined cone unimodular?"""
+        cones = self.refined.cones
+        return all(cones[i].is_unimodular for i in self.refined.maximal_cone_indices())
 
     def support_volumes_ok(self) -> bool:
         """Support preservation: refined pieces tile each original maximal cone."""
@@ -494,18 +483,15 @@ class Subdivision(Record):
 def _tiled_by(g: geom.ConeGeometry, cones) -> bool:
     """Do the cones of g's dimension lying inside g tile it?
 
-    Volumes are compared after truncating by a fixed positive functional ell
-    on g (the sum of its facet normals), which makes the lattice-normalized
-    volume additive across any subdivision.  Scaled by T^d, T the lcm of the
-    rays' heights under ell, every truncated volume is an integer.
+    Volumes are compared after truncating by g's grading, positive on g,
+    which makes the lattice-normalized volume additive across any
+    subdivision.  Scaled by T^d, T the lcm of the rays' heights under the
+    grading, every truncated volume is an integer.
     """
     if g.span_dim == 0:
         return True
-    ell = g.normals[0]
-    for nrm in g.normals[1:]:
-        ell = geom.vadd(ell, nrm)
     inside = [c for c in cones if c.dim == g.span_dim and g.contains_cone(c.geometry)]
-    heights = {r: geom.dot(ell, r) for c in [g, *inside] for r in c.rays}
+    heights = {r: geom.dot(g.grading, r) for c in [g, *inside] for r in c.rays}
     if min(heights.values()) <= 0:
         raise InternalInvariant("height functional must be positive on the cone")
     T = math.lcm(*heights.values())
@@ -515,7 +501,8 @@ def _tiled_by(g: geom.ConeGeometry, cones) -> bool:
 
 def _truncated_volume(rays, rank: int, heights, T: int) -> int:
     """T^d times the normalized volume of the d-dimensional cone(rays) in
-    Z^rank truncated at ell(x) <= 1, ell(r) = heights[r] for each ray r."""
+    Z^rank truncated at ell(x) <= 1, ell(r) = heights[r] for each ray r: the
+    sum over the placing triangulation of the simplicial indices, scaled."""
     total = 0
     for s in geom.triangulate(list(rays), rank):
         block = [rays[i] for i in s]
@@ -701,10 +688,7 @@ def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:
         rounds += 1
         if rounds > 16:
             raise ScopeExceeded("image cones did not resolve after 16 barycenter rounds")
-        bary = pending[0].rays[0]
-        for r in pending[0].rays[1:]:
-            bary = geom.vadd(bary, r)
-        home_of = _stellar(home_of, primitive(bary))
+        home_of = _stellar(home_of, primitive(tuple(map(sum, zip(*pending[0].rays)))))
 
     if home_of is unrefined:    # no cut changed anything: keep the target's cone order
         sub = Subdivision(identity_morphism(target))

@@ -12,7 +12,9 @@ echelon).  The Smith normal form U A V = D is taken only where its invariant
 factors are the answer: cokernels, a monoid's torsion, parallelepiped points,
 the adjugate of an isomorphism candidate, check 11d of the paper suite and
 the `smith_normal_form` task; a row of V^-1 is read off U A = D V^-1, so no
-transform is inverted.  `check_scale` is the Smith form's desk-scale bound,
+transform is inverted.  The two forms share one 2x2 gcd row step: the Hermite
+form joins a row to a pivot with it, and the Smith form repairs its
+divisibility chain with it.  `check_scale` is the Smith form's desk-scale bound,
 also checked before any elimination by every question that once took one.
 """
 
@@ -209,93 +211,60 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """
     check_scale(A)
     m, n = A.rows, A.cols
-    M = A.as_rows()
-    U = IntMatrix.identity(m).as_rows()
+    # each row is D's row followed by U's, so a row operation is one list
+    # operation; column operations run down the first n columns and V
+    R = [d + u for d, u in zip(A.as_rows(), IntMatrix.identity(m).as_rows())]
     V = IntMatrix.identity(n).as_rows()
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in M:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def row_sub(i, j, q):
-        """row i -= q * row j"""
-        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_sub(i, j, q):
         """col i -= q * col j"""
-        for r in M:
+        for r in R:
             r[i] -= q * r[j]
         for r in V:
             r[i] -= q * r[j]
 
-    def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
-
     t = 0
-    while True:
-        piv = _select_pivot(M, t, m, n)
-        if piv is None:
-            break
+    while (piv := _select_pivot(R, t, m, n)) is not None:
         i0, j0 = piv
-        if i0 != t:
-            swap_rows(t, i0)
+        R[t], R[i0] = R[i0], R[t]
         if j0 != t:
-            swap_cols(t, j0)
-        while True:
-            dirty = False
-            p = M[t][t]
-            for i in range(t + 1, m):
-                if M[i][t] != 0:
-                    row_sub(i, t, M[i][t] // p)
-                    if M[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if M[t][j] != 0:
-                    col_sub(j, t, M[t][j] // p)
-                    if M[t][j] != 0:
-                        dirty = True
-            if not dirty:
-                break
-            i0, j0 = _select_pivot(M, t, m, n)
-            if i0 != t:
-                swap_rows(t, i0)
-            if j0 != t:
-                swap_cols(t, j0)
-        t += 1
+            for r in R + V:
+                r[t], r[j0] = r[j0], r[t]
+        dirty = False
+        p = R[t][t]
+        for i in range(t + 1, m):
+            if R[i][t] != 0:
+                q = R[i][t] // p
+                R[i] = [a - q * b for a, b in zip(R[i], R[t])]
+                if R[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if R[t][j] != 0:
+                col_sub(j, t, R[t][j] // p)
+                if R[t][j] != 0:
+                    dirty = True
+        if not dirty:
+            t += 1
 
     for i in range(min(m, n)):
-        if M[i][i] < 0:
-            negate_row(i)
+        if R[i][i] < 0:
+            R[i] = [-a for a in R[i]]
 
     # enforce d1 | d2 | ... by the classic gcd/lcm 2x2 repair
-    r = sum(1 for i in range(min(m, n)) if M[i][i] != 0)
+    r = sum(1 for i in range(min(m, n)) if R[i][i] != 0)
     changed = True
     while changed:
         changed = False
         for i in range(r - 1):
-            a, b = M[i][i], M[i + 1][i + 1]
+            a, b = R[i][i], R[i + 1][i + 1]
             if b % a != 0:
                 changed = True
                 col_sub(i, i + 1, -1)              # col i += col i+1
-                g, x, y = _xgcd(a, b)
-                # unimodular row pair op [[x, y], [-b//g, a//g]]; it leaves
-                # [[g, y*b/g], [0, a*b/g]] with g > 0, a*b/g > 0 and y != 0
-                ri, rj = M[i][:], M[i + 1][:]
-                M[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                M[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
-                ui, uj = U[i][:], U[i + 1][:]
-                U[i] = [x * p + y * q for p, q in zip(ui, uj)]
-                U[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(ui, uj)]
-                col_sub(i + 1, i, M[i][i + 1] // M[i][i])
+                # the gcd step leaves [[g, y*b/g], [0, a*b/g]]: g, a*b/g > 0, y != 0
+                R[i], R[i + 1] = _gcd_step(a, b, R[i], R[i + 1])
+                col_sub(i + 1, i, R[i][i + 1] // R[i][i])
 
+    M, U = [r[:n] for r in R], [r[n:] for r in R]
     top = max((abs(x) for r in U + V for x in r), default=0).bit_length()
     if top > MAX_SMITH_TRANSFORM_BITS:
         raise ScopeExceeded(f"the transforms of the {m}x{n} matrix have an entry of {top} bits, "
@@ -320,6 +289,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
+
+
+def _gcd_step(a: int, b: int, p, q) -> tuple[list[int], list[int]]:
+    """The unimodular row pair op [[x, y], [-b/g, a/g]], g = x*a + y*b = gcd(a, b):
+    rows x*p + y*q and (a/g)*q - (b/g)*p, which are g and 0 where p, q are a, b."""
+    g, x, y = _xgcd(a, b)
+    return ([x * s + y * t for s, t in zip(p, q)],
+            [(a // g) * t - (b // g) * s for s, t in zip(p, q)])
 
 
 def cokernel_projection(A: IntMatrix) -> tuple[FgAbelianGroup, IntMatrix]:
@@ -397,10 +374,8 @@ def hnf_rows(rows) -> tuple[Vector, ...]:
             if a % b[j] == 0:
                 v = [q - (a // b[j]) * p for p, q in zip(b, v)]
                 continue
-            # unimodular row pair op [[x, y], [-a/g, b_j/g]]: pivot g, v_j = 0
-            g, x, y = _xgcd(b[j], a)
-            basis[j], changed = [x * p + y * q for p, q in zip(b, v)], True
-            v = [(b[j] // g) * q - (a // g) * p for p, q in zip(b, v)]
+            basis[j], v = _gcd_step(b[j], a, b, v)    # pivot gcd(b_j, a), v_j = 0
+            changed = True
         if changed:
             cols = sorted(basis)
             for i, c in enumerate(cols):

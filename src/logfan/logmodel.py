@@ -25,7 +25,7 @@ from .conecomplex import (GeneralizedConeComplex, Subdivision, from_toric_fan,
                           snc_artin_fan)
 from .conecomplex import nodal_cubic_complex
 from .errors import KindMismatch, NotComplete, ScopeExceeded, SeriesNotSupported
-from .lattice import primitive
+from .lattice import IntMatrix, primitive
 
 DEFAULT_TRUNCATION = 10
 
@@ -258,9 +258,7 @@ def _affine_weight_series(sigma_rays, rank: int, truncation: int) -> GradedEntry
     """Monomial count of k[dual(sigma) cap M] by weight against sum of rays."""
     dual = geom.ConeGeometry.of(sigma_rays, rank)
     hb = monoid_mod.hilbert_basis(dual.normals, rank)
-    w = (0,) * rank
-    for r in sigma_rays:
-        w = geom.vadd(w, primitive(r))
+    w = tuple(map(sum, zip(*map(primitive, sigma_rays))))
     counts = [0] * (truncation + 1)
     seen = {(0,) * rank}
     counts[0] = 1
@@ -283,8 +281,7 @@ def affine_space_model(d: int, truncation: int = DEFAULT_TRUNCATION) -> LogModel
     """A^d with its full toric boundary."""
     if d == 0:
         return point_model()
-    rays = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    return toric_model(rays, [tuple(range(d))], d, complete=False,
+    return toric_model(IntMatrix.identity(d).as_rows(), [tuple(range(d))], d, complete=False,
                        name=f"A^{d}", truncation=truncation)
 
 
@@ -369,8 +366,7 @@ def mixed_affine(num_coords: int, log_coords, *,
         marks = ",".join(f"x{i}" for i in log_coords) or "no log"
         name = f"A^{num_coords} (log at {marks})" if log_coords else f"A^{num_coords} ({marks})"
     if l:
-        rays = [tuple(1 if i == j else 0 for j in range(l)) for i in range(l)]
-        fan = from_toric_fan(rays, [tuple(range(l))], l)
+        fan = from_toric_fan(IntMatrix.identity(l).as_rows(), [tuple(range(l))], l)
     else:
         fan = point_complex()
     return LogModel(name, fan, HodgeTable.build(num_coords, entries), None,

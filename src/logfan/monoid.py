@@ -54,7 +54,7 @@ class FineMonoid(Record):
         """Monoid in Z^rank; defaults to N^rank on the standard basis."""
         G = FgAbelianGroup(rank)
         if generators is None:
-            generators = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+            generators = IntMatrix.identity(rank).as_rows()
         return FineMonoid.make(G, generators)
 
     @property
@@ -129,7 +129,7 @@ class FineMonoid(Record):
         mixed = tuple(g for g in self.generators if not geom.is_zero(G.free_part(g)))
         tors_lat = hnf_rows([g[f:] for g in self.generators if g not in mixed]
                             + [rel[f:] for rel in self._relation_rows])
-        least = min((_degree(self.free_cone, G.free_part(g)) for g in mixed), default=1)
+        least = min((geom.dot(self.free_cone.grading, G.free_part(g)) for g in mixed), default=1)
         return mixed, tors_lat, least
 
 
@@ -182,8 +182,7 @@ def hilbert_basis(cone_generators, lattice_rank: int) -> list[Vector]:
     # In degree order the reducers' degrees stay sorted and those of at most
     # half h's degree are a prefix.  Only reducers keep their facet values.
     candidates, normals = list(candidates), cone.normals
-    grading = [sum(column) for column in zip(*normals)]
-    degree = list(map(sum, map(map, repeat(mul), repeat(grading), candidates)))
+    degree = list(map(sum, map(map, repeat(mul), repeat(cone.grading), candidates)))
     top = max(degree)
     graded = list(map(candidates.__getitem__, sorted(range(len(degree)), key=degree.__getitem__)))
     del candidates, degree    # only `graded` stays, so the peak memory stays low
@@ -237,11 +236,6 @@ def contains(P: FineMonoid, x) -> bool:
     return _contains_sharp(P, x)
 
 
-def _degree(cone: geom.ConeGeometry, v: Vector) -> int:
-    """The grading of the membership search: the sum of v's facet values."""
-    return sum(geom.dot(n, v) for n in cone.normals)
-
-
 def _contains_sharp(P: FineMonoid, x) -> bool:
     """Membership in a sharp monoid: search for generators to subtract.
 
@@ -258,7 +252,7 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
     if not cone.contains(G.free_part(x)):
         return False
     mixed, tors_lat, least = P._search_data
-    depth = _degree(cone, G.free_part(x)) // least
+    depth = geom.dot(cone.grading, G.free_part(x)) // least
     if depth > MAX_MEMBERSHIP_DEPTH:
         raise ScopeExceeded(f"membership of {x} may take {depth} generator steps, "
                             f"more than {MAX_MEMBERSHIP_DEPTH}")

@@ -78,9 +78,6 @@ class DiagonalAction(Record):
         """Group elements in a fixed lexicographic order."""
         return list(itertools.product(*(range(d) for d in self.group_orders)))
 
-    def identity(self):
-        return (0,) * len(self.group_orders)
-
     def acts_trivially(self, g, coord: int) -> bool:
         """Is sum_j g_j c_j(coord) / d_j an integer?  With L the lcm of the
         orders d_j: is sum_j g_j c_j(coord) L / d_j = 0 mod L?"""

@@ -415,7 +415,7 @@ def _koszul_basis(d: int, box: int):
     return bases
 
 
-def _koszul_matrix(d: int, box: int, q: int, bases):
+def _koszul_matrix(box: int, q: int, bases):
     """Differential K_q -> K_{q-1} on the truncated Laurent box.
 
     One column per element of the q-basis, as a sparse map from indices of
@@ -428,7 +428,7 @@ def _koszul_matrix(d: int, box: int, q: int, bases):
         for pos, i in enumerate(S):
             sign = (-1) ** pos
             rest = tuple(x for x in S if x != i)
-            up = tuple(b[t] + (1 if t == i else 0) for t in range(d))
+            up = b[:i] + (b[i] + 1,) + b[i + 1:]
             if all(abs(x) <= box for x in up):
                 k = cod_index[(rest, up)]
                 col[k] = col.get(k, 0) + sign
@@ -502,7 +502,7 @@ def check_koszul_oracle() -> CheckResult:
     for d in (1, 2, 3):
         box = 2 if d <= 2 else 1
         bases = _koszul_basis(d, box)
-        diffs = {q: _koszul_matrix(d, box, q, bases) for q in range(1, d + 1)}
+        diffs = {q: _koszul_matrix(box, q, bases) for q in range(1, d + 1)}
         if not _koszul_resolution_window(box, bases, diffs):
             return _result("12 Koszul oracle", False,
                            f"resolution window failed for d={d}")

@@ -694,7 +694,7 @@ def _expect_star():
                            "matrix": fm.matrix.as_rows()} for fm in K.face_maps],
             "cone_count": K.cone_count, "ray_count": K.ray_count,
             "trivial": sub.is_trivial(),
-            "unimodular": {str(k): v for k, v in sub.unimodular.items()}}
+            "unimodular": {str(i): K.cones[i].is_unimodular for i in K.maximal_cone_indices()}}
 
 
 _M = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]

@@ -11,7 +11,8 @@ diagonals and the F_1, F_2 and F_3 diagonal subdivisions:
 * `facet_meet_extreme_rays` keeps each ray that alone lies on the meet of the
   facets through it, where independent rays are now all kept;
 * `triangulated_multiplicity` sums the simplicial indices of a triangulation,
-  where a simplicial cone now takes its own index;
+  where a simplicial cone now takes its own index, and is compared with
+  `ConeGeometry.grading`, the sum of the facet normals, on seeded cones;
 * `contains_cone_inside` tests every cone against every image cone, where
   `_inside` now takes one bitmask of image cones per distinct ray;
 * `per_map_product` builds one block-diagonal matrix per pair of face maps,
@@ -135,6 +136,36 @@ def test_seeded_cones_match_the_polyhedral_oracles():
         seen[rank] += 1
     assert min(seen[k] for k in ("simplicial", "not simplicial", "redundant")) >= 50, seen
     assert all(seen[rank] >= 20 for rank in range(1, 7)), seen
+
+
+def test_grading_sums_the_facet_normals_and_is_positive_on_sharp_cones():
+    """Seeded cones in rank up to 4, simplicial or not, of full dimension or
+    not: the grading is the column sums of the normals, positive on every
+    ray of a sharp cone.  The multiplicity of a cone that is not simplicial,
+    a unit-height truncated volume, is the sum over its triangulation."""
+    rng = random.Random(107)
+    seen = collections.Counter()
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        rank = rng.randint(k, 4)
+        B = IntMatrix(rank, k, tuple(rng.randint(-2, 2) for _ in range(rank * k)))
+        # rays in an orthant of Z^k, which span a sharp cone there, or anywhere
+        rays = ([tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(1, k + 3))]
+                if rng.random() < 0.6 else _seeded_rays(rng, k))
+        g = geom.ConeGeometry.of([B.apply(r) for r in rays], rank)
+        assert g.grading == tuple(sum(n[i] for n in g.normals) for i in range(rank)), g
+        if not g.is_sharp:
+            continue
+        assert all(geom.dot(g.grading, r) > 0 for r in g.rays), g
+        c = Cone.make(g.rays, rank)
+        assert c.multiplicity == triangulated_multiplicity(c), c
+        seen["simplicial" if c.is_simplicial else "not simplicial"] += 1
+        seen["full" if g.span_dim == rank else "not full"] += 1
+    assert min(seen.values()) >= 40 and len(seen) == 4, seen
+    # the cone over a square, in a 3-d span of Z^4: two simplices of index 2
+    square = Cone.make([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)], 4)
+    assert not square.is_simplicial
+    assert square.multiplicity == triangulated_multiplicity(square) == 4
 
 
 def test_inside_matches_the_containment_scan_on_seeded_cones():

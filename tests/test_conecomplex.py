@@ -154,8 +154,7 @@ def test_star_subdivision_nonunimodular_flagged():
     sub = star_subdivision(K, quadrant_index(K), (1, 2))
     maxima = sub.refined.maximal_cone_indices()
     assert len(maxima) == 2
-    flags = sub.unimodular
-    bad = [i for i in maxima if not flags[i]]
+    bad = [i for i in maxima if not sub.refined.cones[i].is_unimodular]
     assert len(bad) == 1
     assert sub.refined.cones[bad[0]].multiplicity == 2
     assert sub.support_volumes_ok()

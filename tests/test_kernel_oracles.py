@@ -973,7 +973,7 @@ def koszul_complex(d):
     """The box, bases and differentials that check 12 builds for A^d."""
     box = 2 if d <= 2 else 1
     bases = suite._koszul_basis(d, box)
-    return box, bases, {q: suite._koszul_matrix(d, box, q, bases) for q in range(1, d + 1)}
+    return box, bases, {q: suite._koszul_matrix(box, q, bases) for q in range(1, d + 1)}
 
 
 def test_criterion_12_window_fails_on_corrupted_complexes():

@@ -212,7 +212,7 @@ def brute_per_sector(act, g):
     if any(not fraction_fixes(act, g, i) for i in act.model.log_coords):
         return {}
     coords = ([i for i in range(act.model.dimension) if fraction_fixes(act, g, i)]
-              if g != act.identity() else list(range(act.model.dimension)))
+              if any(g) else list(range(act.model.dimension)))
     logs = [i for i in coords if i in act.model.log_coords]
     dxs = [i for i in coords if i not in act.model.log_coords]
     return brute_invariant_counts(logs, dxs, act.group_orders, act.characters,
