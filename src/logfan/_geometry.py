@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 from operator import add, mul, sub
 
 from ._record import Record
 from .errors import InternalInvariant
 from .lattice import (IntMatrix, Vector, check_scale, hnf_coords, hnf_rows, kernel_basis,
-                      lattice_rank, primitive, saturate_subgroup, smith_normal_form)
+                      primitive, saturate_subgroup, smith_normal_form)
 
 
 def dot(a, b) -> int:
@@ -154,16 +155,17 @@ class ConeGeometry(Record):
 
     @cached_property
     def lineality_basis(self) -> tuple[Vector, ...]:
+        # Independent rays span a sharp cone: if x = sum a_i r_i and
+        # -x = sum b_i r_i with a, b >= 0, then sum (a_i + b_i) r_i = 0 forces
+        # a = b = 0, so x = 0.  Only dependent rays need the kernel.
+        if len(self.rays) == self.span_dim:
+            return ()
         stacked = self.equations + self.normals
-        entries = tuple(x for r in stacked for x in r)
-        return kernel_basis(IntMatrix(len(stacked), self.dim, entries))
+        return kernel_basis(IntMatrix(len(stacked), self.dim, tuple(chain.from_iterable(stacked))))
 
     @property
     def is_sharp(self) -> bool:
-        # Independent rays span a sharp cone: if x = sum a_i r_i and
-        # -x = sum b_i r_i with a, b >= 0, then sum (a_i + b_i) r_i = 0 forces
-        # a = b = 0, so x = 0.  Only dependent rays need the lineality space.
-        return len(self.rays) == self.span_dim or not self.lineality_basis
+        return not self.lineality_basis
 
     @cached_property
     def span_dim(self) -> int:
@@ -192,13 +194,8 @@ class ConeGeometry(Record):
 
     def intersect_rays(self, other: "ConeGeometry") -> tuple[Vector, ...]:
         """Ray generators of the intersection with another cone."""
-        cons = []
-        for e in self.equations + other.equations:
-            cons.append(e)
-            cons.append(vneg(e))
-        cons.extend(self.normals)
-        cons.extend(other.normals)
-        lines, rays = dual_generators(cons, self.dim)
+        cons = [c for e in self.equations + other.equations for c in (e, vneg(e))]
+        lines, rays = dual_generators(cons + [*self.normals, *other.normals], self.dim)
         if lines:
             raise InternalInvariant("intersection of sharp cones grew a line")
         return rays
@@ -226,24 +223,24 @@ def triangulate(rays, dim: int) -> list[tuple[int, ...]]:
     """Placing triangulation of cone(nonzero rays), rays inserted in lex order.
 
     Returns maximal simplices as tuples of ray indices.  Rays interior to the
-    cone already placed are skipped (they are redundant generators).
+    cone already placed are skipped (they are redundant generators).  The rank
+    is tested first: a ray outside the span of those placed joins every simplex,
+    so the support's double description is built only for a ray in that span.
     """
     order = sorted(range(len(rays)), key=lambda i: rays[i])
     placed: list[int] = []
-    simplices: list[tuple[int, ...]] = []
+    span: tuple[Vector, ...] = ()
+    simplices: list[tuple[int, ...]] = [()]
     for idx in order:
         v = rays[idx]
-        if not placed:
-            placed.append(idx)
-            simplices = [(idx,)]
-            continue
-        support = ConeGeometry.of([rays[i] for i in placed], dim)
-        if support.contains(v):
-            continue
-        placed_rank = lattice_rank([rays[i] for i in placed])
-        if lattice_rank([rays[i] for i in placed] + [v]) > placed_rank:
+        grown = hnf_rows(span + (v,))
+        if len(grown) > len(span):
+            span = grown
             simplices = [s + (idx,) for s in simplices]
         else:
+            support = ConeGeometry.of([rays[i] for i in placed], dim)
+            if support.contains(v):
+                continue
             new = []
             for n in support.normals:
                 if dot(n, v) >= 0:

@@ -21,6 +21,7 @@ also checked before any elimination by every question that once took one.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -59,20 +60,15 @@ class IntMatrix(Record):
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(len(rows), n, tuple(x for r in rows for x in r))
+        return IntMatrix(len(rows), n, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def from_columns(cols, rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        if cols:
-            m = len(cols[0])
-            if any(len(c) != m for c in cols):
-                raise ValueError("ragged columns")
-        else:
-            m = rows if rows is not None else 0
-        if m == 0:
-            return IntMatrix.zero(0, len(cols))
-        return IntMatrix.from_rows([[c[i] for c in cols] for i in range(m)])
+        cols = [tuple(map(int, c)) for c in cols]
+        m = len(cols[0]) if cols else rows or 0
+        if any(len(c) != m for c in cols):
+            raise ValueError("ragged columns")
+        return IntMatrix(m, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     @staticmethod
     @cache
@@ -90,7 +86,7 @@ class IntMatrix(Record):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def as_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -105,21 +101,21 @@ class IntMatrix(Record):
             return self
         cols = [other.entries[j::other.cols] for j in range(other.cols)]
         return IntMatrix(self.rows, other.cols, tuple(
-            sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols))
+            [sum(map(mul, r, c)) for r in map(self.row, range(self.rows)) for c in cols]))
 
     def apply(self, v) -> Vector:
         """Matrix times column vector."""
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
+        return tuple([sum(map(mul, r, v)) for r in map(self.row, range(self.rows))])
 
     @property
     def is_identity(self) -> bool:
         return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries
 
     def diagonal(self) -> Vector:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
+        return self.entries[::self.cols + 1][:min(self.rows, self.cols)]
 
 
 class FgAbelianGroup(Record):
@@ -173,18 +169,18 @@ class SmithDecomposition(Record):
 
 
 def _select_pivot(M, t, m, n):
-    """Smallest absolute value in the trailing block; ties by (row, col)."""
+    """Smallest absolute value in the trailing block; ties by (row, col).  No
+    entry is smaller than a unit, so the scan stops at the first entry of
+    absolute value 1 in row-major order: that is the least (abs, row, col)."""
     best = None
-    best_key = None
     for i in range(t, m):
         for j in range(t, n):
-            a = M[i][j]
-            if a != 0:
-                key = (abs(a), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-    return best
+            if a := M[i][j]:
+                if a == 1 or a == -1:
+                    return i, j
+                if best is None or (abs(a), i, j) < best:
+                    best = (abs(a), i, j)
+    return best and best[1:]
 
 
 def check_scale(A: IntMatrix) -> None:
@@ -192,7 +188,7 @@ def check_scale(A: IntMatrix) -> None:
     columns or MAX_SMITH_BITS bits of entries: the desk-scale bound of the
     Smith form and of every lattice question that once took one."""
     m, n = A.rows, A.cols
-    bits = sum(abs(x).bit_length() for x in A.entries)
+    bits = sum(map(int.bit_length, map(abs, A.entries)))
     if max(m, n) > MAX_SMITH_SIDE or bits > MAX_SMITH_BITS:
         raise ScopeExceeded(f"the matrix is {m}x{n} with {bits} bits of entries, above the "
                             f"desk-scale bound of {MAX_SMITH_SIDE} rows and columns and "
@@ -236,13 +232,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if R[i][t] != 0:
                 q = R[i][t] // p
                 R[i] = [a - q * b for a, b in zip(R[i], R[t])]
-                if R[i][t] != 0:
-                    dirty = True
+                dirty |= R[i][t] != 0
         for j in range(t + 1, n):
             if R[t][j] != 0:
                 col_sub(j, t, R[t][j] // p)
-                if R[t][j] != 0:
-                    dirty = True
+                dirty |= R[t][j] != 0
         if not dirty:
             t += 1
 
@@ -264,18 +258,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 R[i], R[i + 1] = _gcd_step(a, b, R[i], R[i + 1])
                 col_sub(i + 1, i, R[i][i + 1] // R[i][i])
 
-    M, U = [r[:n] for r in R], [r[n:] for r in R]
-    top = max((abs(x) for r in U + V for x in r), default=0).bit_length()
+    U = [r[n:] for r in R]
+    u, d, v = (tuple(chain.from_iterable(X)) for X in (U, (r[:n] for r in R), V))
+    top = max(map(abs, u + v), default=0).bit_length()
     if top > MAX_SMITH_TRANSFORM_BITS:
         raise ScopeExceeded(f"the transforms of the {m}x{n} matrix have an entry of {top} bits, "
                             f"above the desk-scale bound of {MAX_SMITH_TRANSFORM_BITS} bits")
-    A_columns, V_columns = [A.entries[j::n] for j in range(n)], list(zip(*V))
-    UA = [[sum(map(mul, u, c)) for c in A_columns] for u in U]
-    if [[sum(map(mul, r, c)) for c in V_columns] for r in UA] != M:
+    A_columns, V_columns = [A.entries[j::n] for j in range(n)], [v[j::n] for j in range(n)]
+    UA = [[sum(map(mul, r, c)) for c in A_columns] for r in U]
+    if tuple([sum(map(mul, r, c)) for r in UA for c in V_columns]) != d:
         raise InternalInvariant("Smith recomposition failed")
-    return SmithDecomposition(IntMatrix(m, m, tuple(x for r in U for x in r)),
-                              IntMatrix(m, n, tuple(x for r in M for x in r)),
-                              IntMatrix(n, n, tuple(x for r in V for x in r)))
+    return SmithDecomposition(IntMatrix(m, m, u), IntMatrix(m, n, d), IntMatrix(n, n, v))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -357,33 +350,36 @@ def hnf_rows(rows) -> tuple[Vector, ...]:
     Pivots are positive, entries below a pivot are zero and entries above are
     reduced into [0, pivot).  Zero rows are dropped, so equal lattices give
     equal outputs.  Rows join the basis one at a time, each by 2x2 gcd steps
-    against the pivots it meets, and the basis is reduced after each, so
-    entries stay near the size of the pivots instead of doubling per column.
+    against the pivots it meets (in the column of its first nonzero entry),
+    and after each the entries of changed rows and above changed pivots are
+    reduced, so entries stay near the size of the pivots instead of doubling
+    per column.
     """
     basis = {}   # pivot column -> row
     for r in rows:
-        v, changed = [int(x) for x in r], False
-        for j in range(len(v)):
-            a = v[j]
-            if a == 0:
-                continue
+        v, touched = list(map(int, r)), set()
+        while a := next(filter(None, v), 0):
+            j = v.index(a)
             b = basis.get(j)
             if b is None:
-                basis[j], changed = (v if a > 0 else [-x for x in v]), True
+                basis[j] = v if a > 0 else [-x for x in v]
+                touched.add(j)
                 break
             if a % b[j] == 0:
-                v = [q - (a // b[j]) * p for p, q in zip(b, v)]
-                continue
-            basis[j], v = _gcd_step(b[j], a, b, v)    # pivot gcd(b_j, a), v_j = 0
-            changed = True
-        if changed:
-            cols = sorted(basis)
-            for i, c in enumerate(cols):
-                for d in cols[i + 1:]:
+                k = a // b[j]
+                v = [q - k * p for p, q in zip(b, v)]
+            else:
+                basis[j], v = _gcd_step(b[j], a, b, v)    # pivot gcd(b_j, a), v_j = 0
+                touched.add(j)
+        cols = sorted(basis) if touched and len(basis) > 1 else ()
+        for i, c in enumerate(cols):
+            for d in cols[i + 1:]:
+                if c in touched or d in touched:
                     q = basis[c][d] // basis[d][d]
                     if q:
                         basis[c] = [p - q * t for p, t in zip(basis[c], basis[d])]
-    return tuple(tuple(basis[c]) for c in sorted(basis))
+                        touched.add(c)
+    return tuple([tuple(basis[c]) for c in sorted(basis)])
 
 
 def lattice_rank(rows) -> int:
@@ -398,13 +394,14 @@ def _echelon_walk(v, basis_hnf) -> tuple[Vector, Vector]:
     their lattice exactly when nothing is left, and then the quotients are its
     coefficients; for HNF rows, what is left is canonical modulo the lattice.
     """
-    v = [int(x) for x in v]
+    v = list(map(int, v))
     coeffs = []
     for row in basis_hnf:
-        col = next(j for j, x in enumerate(row) if x != 0)
-        q = v[col] // row[col]
+        p = next(filter(None, row))
+        q = v[row.index(p)] // p     # the pivot is the row's first nonzero entry
         coeffs.append(q)
-        v = [a - q * b for a, b in zip(v, row)]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
     return tuple(coeffs), tuple(v)
 
 

@@ -42,12 +42,8 @@ class FineMonoid(Record):
     @staticmethod
     def make(ambient: FgAbelianGroup, generators) -> "FineMonoid":
         """Canonical construction: reduce, drop zeros, dedupe, sort."""
-        seen = []
-        for g in generators:
-            g = ambient.reduce(g)
-            if any(x != 0 for x in g) and g not in seen:
-                seen.append(g)
-        return FineMonoid(ambient, tuple(sorted(seen)))
+        gens = {g for g in map(ambient.reduce, generators) if any(g)}
+        return FineMonoid(ambient, tuple(sorted(gens)))
 
     @staticmethod
     def free(rank: int, generators=None) -> "FineMonoid":
@@ -211,15 +207,8 @@ def _unit_subgroup_rows(P: FineMonoid) -> list[Vector]:
     monoid this submonoid is a group.
     """
     lin = P.free_cone.lineality_basis
-    if not lin:
-        return []
-    lin_rank = len(lin)
-    units = []
-    for g in P.generators:
-        fp = P.ambient.free_part(g)
-        if _span_rank(list(lin) + [fp]) == lin_rank:
-            units.append(g)
-    return units
+    return [g for g in P.generators
+            if lin and _span_rank([*lin, P.ambient.free_part(g)]) == len(lin)]
 
 
 def contains(P: FineMonoid, x) -> bool:
@@ -331,8 +320,7 @@ def _saturate_generators(P: FineMonoid) -> tuple[Vector, ...]:
         # u in the coordinates of free_basis lifts into P^gp as the same
         # combination of free_rows, canonical modulo the torsion rows
         for u in lam_gens:
-            vec = tuple(sum(c * row[j] for c, row in zip(u, free_rows))
-                        for j in range(G.num_coords))
+            vec = tuple(sum(map(mul, u, column)) for column in zip(*free_rows))
             out.append(G.reduce(reduce_mod_lattice(vec, K)))
     return tuple(out)
 
@@ -346,7 +334,8 @@ def saturate(P: FineMonoid) -> SaturationReport:
     not on every call.
     """
     sat = FineMonoid.make(P.ambient, _saturate_generators(P))
-    added = tuple(g for g in sat.generators if g not in set(P.generators))
+    given = set(P.generators)
+    added = tuple(g for g in sat.generators if g not in given)
     return SaturationReport(sat, added)
 
 
@@ -403,6 +392,12 @@ class PushoutData(Record):
     @property
     def ambient(self) -> FgAbelianGroup:
         return self.report.saturated.ambient
+
+    @cached_property
+    def legs(self) -> IntMatrix:
+        """(leg_left | leg_right): the projection onto the pushout's group."""
+        return IntMatrix.from_rows([self.leg_left.row(i) + self.leg_right.row(i)
+                                    for i in range(self.ambient.num_coords)])
 
 
 def amalgamated_sum(f: MonoidHom, g: MonoidHom) -> PushoutData:

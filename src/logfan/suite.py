@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
+from operator import add, sub
 
 from . import conecomplex as cc
 from . import hkr
@@ -21,7 +22,7 @@ from . import monoid as mn
 from . import orbifold as ob
 from ._record import Record
 from .errors import InternalInvariant, NotFirm
-from .lattice import (FgAbelianGroup, IntMatrix, kernel_basis, lattice_rank,
+from .lattice import (FgAbelianGroup, IntMatrix, hnf_rows, kernel_basis,
                       smith_normal_form, solve_integer)
 
 
@@ -218,31 +219,35 @@ def property_saturation_idempotence() -> CheckResult:
     return _result("11a saturation idempotence", True, "30 random monoids")
 
 
+# The sharp cones of check 11b, as (rays, lattice rank).
+_HILBERT_CASES = (([(1, 0), (0, 1)], 2), ([(1, 0), (1, 2)], 2), ([(0, 1), (2, -1)], 2),
+                  ([(1, 0), (1, 3)], 2), ([(2, 1), (1, 2)], 2),
+                  ([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3))
+
+
+def _small_sums(hb, rank: int) -> set:
+    """Sums of the nonzero combinations of hb with coefficients 0..3, one element's
+    multiples at a time; hb's cone is sharp, so only the zero combination sums to 0."""
+    elems = {(0,) * rank}
+    for h in hb:
+        multiples = [tuple(c * x for x in h) for c in range(4)]
+        elems = {tuple(map(add, e, m)) for e in elems for m in multiples}
+    elems.discard((0,) * rank)
+    return elems
+
+
 def property_hilbert_minimality() -> CheckResult:
-    cases = [
-        ([(1, 0), (0, 1)], 2),
-        ([(1, 0), (1, 2)], 2),
-        ([(0, 1), (2, -1)], 2),
-        ([(1, 0), (1, 3)], 2),
-        ([(2, 1), (1, 2)], 2),
-        ([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3),
-    ]
-    for rays, rank in cases:
+    """No Hilbert basis element is the sum of two of its `_small_sums`."""
+    for rays, rank in _HILBERT_CASES:
         hb = mn.hilbert_basis(rays, rank)
-        elems = set()
-        for coeffs in itertools.product(range(4), repeat=len(hb)):
-            if sum(coeffs) == 0:
-                continue
-            v = tuple(sum(c * h[i] for c, h in zip(coeffs, hb))
-                      for i in range(rank))
-            elems.add(v)
+        elems = _small_sums(hb, rank)
         for h in hb:
             for a in elems:
-                b = tuple(x - y for x, y in zip(h, a))
+                b = tuple(map(sub, h, a))
                 if b in elems:
                     return _result("11b Hilbert basis minimality", False,
                                    f"{h} = {a} + {b} in cone {rays}")
-    return _result("11b Hilbert basis minimality", True, f"{len(cases)} cones")
+    return _result("11b Hilbert basis minimality", True, f"{len(_HILBERT_CASES)} cones")
 
 
 def _enumerate_monoid_homs(src: mn.FineMonoid, dst: mn.FineMonoid, bound: int):
@@ -257,7 +262,7 @@ def _enumerate_monoid_homs(src: mn.FineMonoid, dst: mn.FineMonoid, bound: int):
         raise InternalInvariant(f"hom enumeration needs a free source, not {src}")
     inside = [v for v in itertools.product(range(-bound, bound + 1), repeat=rows)
               if mn.contains(dst, v)]
-    entries = sorted(tuple(c[i] for i in range(rows) for c in columns)
+    entries = sorted(tuple(itertools.chain.from_iterable(zip(*columns)))
                      for columns in itertools.product(inside, repeat=cols))
     return [IntMatrix(rows, cols, e) for e in entries]
 
@@ -301,11 +306,10 @@ def property_pushout_universal() -> CheckResult:
 
 
 def _leg_section(data: mn.PushoutData) -> IntMatrix:
-    """S with (leg_left | leg_right) S = 1: the legs side by side are the
-    projection onto the pushout's group H, which is onto, so each unit vector
-    of H has a preimage."""
-    legs = IntMatrix.from_rows([data.leg_left.row(i) + data.leg_right.row(i)
-                                for i in range(data.ambient.num_coords)])
+    """S with `data.legs` S = 1: the legs side by side are the projection onto
+    the pushout's group H, which is onto, so each unit vector of H has a
+    preimage."""
+    legs = data.legs
     cols = [solve_integer(legs, e) for e in IntMatrix.identity(legs.rows).as_rows()]
     if None in cols:
         raise InternalInvariant("the pushout legs do not generate its group")
@@ -314,32 +318,37 @@ def _leg_section(data: mn.PushoutData) -> IntMatrix:
 
 def _mediates(data: mn.PushoutData, section: IntMatrix, T: mn.FineMonoid,
               A: IntMatrix, B: IntMatrix) -> bool:
-    """Is there a hom phi from the pushout to T with phi . legs == (A, B)?
+    """Is there a hom phi from the pushout to T with phi . legs == (A | B)?
 
     Any such phi equals phi . legs . section = (A | B) . section, so that is
     the one candidate; it must be well defined, map the saturated pushout into
-    T, and give both legs modulo the torsion of T."""
-    phi = IntMatrix.from_rows([A.row(i) + B.row(i) for i in range(A.rows)]) @ section
+    T, and give (A | B) modulo the torsion of T: as whole matrices, row i of
+    phi . legs - (A | B) vanishes modulo the order of T's coordinate i, if any."""
+    given = IntMatrix.from_rows([A.row(i) + B.row(i) for i in range(A.rows)])
+    phi = given @ section
     H, S = data.ambient, data.report.saturated
     if not mn.hom_well_defined(H, T.ambient, phi):
         return False
     if not all(mn.contains(T, phi.apply(s)) for s in S.generators):
         return False
-    for leg, given in ((data.leg_left, A), (data.leg_right, B)):
-        if any(T.ambient.reduce(phi.apply(leg.column(j)))
-               != T.ambient.reduce(given.column(j)) for j in range(given.cols)):
-            return False
-    return True
+    got, orders = phi @ data.legs, (0,) * T.ambient.free_rank + T.ambient.torsion_orders
+    return not any((x - y) % d if d else x - y for i, d in enumerate(orders)
+                   for x, y in zip(got.row(i), given.row(i)))
+
+
+def _smith_cases():
+    """Check 11d's 120 seeded (A, U, V), U and V unimodular; rng.randrange(b - a + 1)
+    + a draws what rng.randint(a, b) draws, with less work per draw."""
+    rng = random.Random(3)
+    for _ in range(120):
+        m, n = rng.randrange(5) + 1, rng.randrange(5) + 1
+        A = IntMatrix(m, n, tuple(rng.randrange(11) - 5 for _ in range(m * n)))
+        yield A, _random_unimodular(rng, m), _random_unimodular(rng, n)
 
 
 def property_smith_recomposition() -> CheckResult:
-    rng = random.Random(3)
-    for _ in range(120):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        A = IntMatrix(m, n, tuple(rng.randint(-5, 5) for _ in range(m * n)))
+    for A, U, V in _smith_cases():
         snf = smith_normal_form(A)   # recomposition checked internally
-        U = _random_unimodular(rng, m)
-        V = _random_unimodular(rng, n)
         if smith_normal_form((U @ A) @ V).diagonal() != snf.diagonal():
             return _result("11d Smith recomposition & invariance", False, str(A))
     return _result("11d Smith recomposition & invariance", True, "120 random matrices")
@@ -351,9 +360,10 @@ def _random_unimodular(rng, n: int) -> IntMatrix:
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        q = rng.randint(-2, 2)
-        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-    return IntMatrix.from_rows(M)
+        q = rng.randrange(5) - 2
+        if q:
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+    return IntMatrix(n, n, tuple(itertools.chain.from_iterable(M)))
 
 
 def property_subdivision_volumes() -> CheckResult:
@@ -427,9 +437,9 @@ def _koszul_matrix(box: int, q: int, bases):
         col: dict[int, int] = {}
         for pos, i in enumerate(S):
             sign = (-1) ** pos
-            rest = tuple(x for x in S if x != i)
+            rest = S[:pos] + S[pos + 1:]
             up = b[:i] + (b[i] + 1,) + b[i + 1:]
-            if all(abs(x) <= box for x in up):
+            if b[i] < box:                  # up leaves the box only at coordinate i
                 k = cod_index[(rest, up)]
                 col[k] = col.get(k, 0) + sign
             k = cod_index[(rest, b)]
@@ -445,7 +455,7 @@ def _koszul_resolution_window(box: int, bases, diffs) -> bool:
     taken over columns whose differentials stay inside the box, and images
     only use such exact columns, so the truncated image is an honest subset
     of the true one.  Kernels and ranks (over Q: the number of HNF rows) are
-    taken on the dense columns.
+    taken on the dense columns, the image's HNF once per rank comparison.
     """
     d = len(bases) - 1
 
@@ -454,7 +464,7 @@ def _koszul_resolution_window(box: int, bases, diffs) -> bool:
 
     def dense(cols, q):
         """Sparse columns as dense vectors over the q-basis."""
-        return [tuple(col.get(i, 0) for i in range(len(bases[q]))) for col in cols]
+        return [tuple(map(col.get, range(len(bases[q])), itertools.repeat(0))) for col in cols]
 
     inner = lambda x: max((abs(v) for v in x[1]), default=0) <= box - 1
     exact = lambda x: all(x[1][i] + 1 <= box for i in x[0])
@@ -478,15 +488,15 @@ def _koszul_resolution_window(box: int, bases, diffs) -> bool:
             continue
         if q == d:
             return False    # top differential must be injective
-        img = dense([diffs[q + 1][j] for j in kept(q + 1, exact)], q)
+        img = hnf_rows(dense([diffs[q + 1][j] for j in kept(q + 1, exact)], q))
         embedded = dense([dict(zip(dom, kv)) for kv in kern], q)
-        if lattice_rank(img + embedded) != lattice_rank(img):
+        if len(hnf_rows([*img, *embedded])) != len(img):
             return False
 
     # H_0 window: the class of t^0 is nonzero against the exact image
-    img = dense([diffs[1][j] for j in kept(1, exact)], 0)
+    img = hnf_rows(dense([diffs[1][j] for j in kept(1, exact)], 0))
     t0 = dense([{bases[0].index(((), (0,) * d)): 1}], 0)
-    return lattice_rank(img + t0) != lattice_rank(img)
+    return len(hnf_rows([*img, *t0])) != len(img)
 
 
 def check_koszul_oracle() -> CheckResult:
@@ -510,12 +520,13 @@ def check_koszul_oracle() -> CheckResult:
             # substitute t = 1: each column entry pairs +1 at b+e_i with -1
             # at b; after substitution every column must vanish identically.
             for (S, b), col in zip(bases[q], diffs[q]):
+                if any(abs(x) > box - 1 for x in b):
+                    continue    # only interior columns keep both terms of each pair
                 collapsed: dict[tuple, int] = {}
                 for k, v in col.items():
                     rest, pt = bases[q - 1][k]
                     collapsed[rest] = collapsed.get(rest, 0) + v
-                interior = all(abs(x) <= box - 1 for x in b)
-                if interior and any(collapsed.values()):
+                if any(collapsed.values()):
                     return _result("12 Koszul oracle", False,
                                    f"tensored differential nonzero at d={d}")
         # Tor ranks: C(d, q) copies of k[x], graded by total degree

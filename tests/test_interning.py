@@ -12,6 +12,7 @@ from logfan import _geometry as geom
 from logfan import conecomplex as cc
 from logfan import hkr, lattice
 from logfan import monoid as mn
+from logfan import suite
 from logfan.conecomplex import Cone
 from logfan.lattice import FgAbelianGroup, IntMatrix
 from logfan.logmodel import p2_toric_model
@@ -278,6 +279,31 @@ def test_f1_diagonal_work_counts(monkeypatch):
     assert calls["snf"] == 0
     assert 0 < calls["contains_cone"] <= 2_500
     assert 0 < calls["primitive_rays"] <= 600
+
+
+def test_paper_suite_work_counts(monkeypatch):
+    """With empty interning tables, one paper suite takes 375 Smith forms
+    and at most 136 double descriptions (155 when the placing triangulation
+    built the double description of every prefix of a cone's rays, also of
+    those a new ray only adds rank to)."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    calls = collections.Counter()
+    real_snf, real_dd = lattice.smith_normal_form, geom.dual_generators
+
+    def snf(A):
+        calls["snf"] += 1
+        return real_snf(A)
+
+    def dual_generators(constraints, dim):
+        calls["dd"] += 1
+        return real_dd(constraints, dim)
+
+    for module in (lattice, geom, cc, mn, suite):
+        monkeypatch.setattr(module, "smith_normal_form", snf)
+    monkeypatch.setattr(geom, "dual_generators", dual_generators)
+    assert all(r.passed for r in suite.run_paper_suite())
+    assert calls["snf"] == 375 and 0 < calls["dd"] <= 136, calls
 
 
 def _hirzebruch_fan(a):

@@ -30,7 +30,11 @@ faster one is checked against it on seeded inputs:
 * `frozenset_dual_generators` keeps the double description's zero sets as
   frozensets, and `loop_primitive` takes the gcd of a vector entry by entry;
 * `reference_smith_normal_form` finishes the Smith elimination through
-  `IntMatrix.from_rows` and checks it by matrix products;
+  `IntMatrix.from_rows` and checks it by matrix products, with its own pivot
+  search `reference_select_pivot`, which scans the whole trailing block for
+  the least (abs, row, col) key;
+* `support_first_triangulate` builds the double description of every prefix
+  of the placed rays, before it tests whether the next ray adds rank;
 * `fraction_tiled_by` and `fraction_truncated_volume` compare truncated
   volumes of cones as `Fraction`s, where the tiling test now scales them to
   integers.
@@ -53,8 +57,8 @@ from logfan import hkr
 from logfan import suite
 from logfan.errors import InternalInvariant, ScopeExceeded
 from logfan.lattice import (MAX_SMITH_BITS, MAX_SMITH_SIDE, MAX_SMITH_TRANSFORM_BITS,
-                            FgAbelianGroup, IntMatrix, SmithDecomposition, _select_pivot,
-                            _xgcd, cokernel_projection, divide_exactly, hnf_coords, hnf_rows,
+                            FgAbelianGroup, IntMatrix, SmithDecomposition, _xgcd,
+                            cokernel_projection, divide_exactly, hnf_coords, hnf_rows,
                             in_lattice, kernel_basis, lattice_rank, primitive,
                             saturate_subgroup, smith_normal_form, solve_integer)
 from logfan.logmodel import affine_space_model, mixed_affine, p1_toric_model, p2_toric_model
@@ -274,6 +278,21 @@ def frozenset_dual_generators(constraints, dim, branches=None):
     return hnf_rows(lines), tuple(sorted({r for r, _ in rays if not geom.is_zero(r)}))
 
 
+def reference_select_pivot(M, t, m, n):
+    """Smallest absolute value in the trailing block; ties by (row, col)."""
+    best = None
+    best_key = None
+    for i in range(t, m):
+        for j in range(t, n):
+            a = M[i][j]
+            if a != 0:
+                key = (abs(a), i, j)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (i, j)
+    return best
+
+
 def reference_smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """The same elimination, finished by `from_rows` on each of U, D and V
     and checked by the matrix products (U @ A) @ V."""
@@ -315,7 +334,7 @@ def reference_smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     t = 0
     while True:
-        piv = _select_pivot(M, t, m, n)
+        piv = reference_select_pivot(M, t, m, n)
         if piv is None:
             break
         i0, j0 = piv
@@ -338,7 +357,7 @@ def reference_smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                         dirty = True
             if not dirty:
                 break
-            i0, j0 = _select_pivot(M, t, m, n)
+            i0, j0 = reference_select_pivot(M, t, m, n)
             if i0 != t:
                 swap_rows(t, i0)
             if j0 != t:
@@ -380,6 +399,37 @@ def reference_smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     if (Um @ A) @ Vm != Dm:
         raise InternalInvariant("Smith recomposition failed")
     return SmithDecomposition(Um, Dm, Vm)
+
+
+def support_first_triangulate(rays, dim: int):
+    """The placing triangulation, taking the double description of the rays
+    placed so far before it compares their rank with and without the next."""
+    order = sorted(range(len(rays)), key=lambda i: rays[i])
+    placed, simplices = [], []
+    for idx in order:
+        v = rays[idx]
+        if not placed:
+            placed.append(idx)
+            simplices = [(idx,)]
+            continue
+        support = geom.ConeGeometry.of([rays[i] for i in placed], dim)
+        if support.contains(v):
+            continue
+        placed_rank = lattice_rank([rays[i] for i in placed])
+        if lattice_rank([rays[i] for i in placed] + [v]) > placed_rank:
+            simplices = [s + (idx,) for s in simplices]
+        else:
+            new = []
+            for n in support.normals:
+                if geom.dot(n, v) >= 0:
+                    continue
+                for s in simplices:
+                    tight = tuple(i for i in s if geom.dot(n, rays[i]) == 0)
+                    if len(tight) == len(s) - 1:
+                        new.append(tight + (idx,))
+            simplices.extend(new)
+        placed.append(idx)
+    return simplices
 
 
 def rational_parallelepiped_points(basis):
@@ -1099,9 +1149,16 @@ def test_check_12_verdicts_match_elimination_over_q(monkeypatch):
             changed = {**diffs, q: list(diffs[q])}
             changed[q][j] = {k: v for k, v in col.items() if v}
             cases.append((box, bases, changed))
+    def q_basis(rows):
+        """The rows independent of those before them over Q: a column that
+        elimination reduces to zero is the last one of its kernel vector."""
+        rows = list(rows)
+        dependent = {max(combo) for combo in rational_kernel(sparse(rows))}
+        return [r for j, r in enumerate(rows) if j not in dependent]
+
     verdicts = [suite._koszul_resolution_window(*case) for case in cases]
     monkeypatch.setattr(suite, "kernel_basis", q_kernel)
-    monkeypatch.setattr(suite, "lattice_rank", lambda cols: rational_rank(sparse(cols)))
+    monkeypatch.setattr(suite, "hnf_rows", q_basis)
     assert verdicts == [suite._koszul_resolution_window(*case) for case in cases]
     assert 10 <= verdicts.count(False) <= len(cases) - 10
 
@@ -1312,3 +1369,44 @@ def test_subdivision_volumes_check_fails_on_a_dropped_cone(monkeypatch):
     monkeypatch.setattr(cc.Subdivision, "refined", property(dropped))
     result = suite.property_subdivision_volumes()
     assert not result.passed and result.detail.endswith("failed [0, 1, 2, 3, 4]"), result
+
+
+def test_triangulate_matches_the_support_first_oracle(monkeypatch):
+    """On seeded ray lists of lattice rank 1-12, the rank-first placing
+    triangulation gives the oracle's simplices, among them lists with a
+    redundant ray, non-simplicial cones and cones of lower dimension, and
+    builds no more double descriptions than the oracle."""
+    rng = random.Random(97)
+    kinds = collections.Counter()
+    for _ in range(240):
+        rank = rng.randint(1, 12)
+        span = rng.randint(1, rank) if rng.random() < 0.3 else rank
+        rays = [tuple(rng.randint(0, 2) if i < span else 0 for i in range(rank))
+                for _ in range(rng.randint(1, span + 2))]
+        if len(rays) >= 2 and rng.random() < 0.4:
+            rays.append(geom.vadd(rays[0], rays[1]))
+        rays = list(geom.primitive_rays(rays))
+        if not rays:
+            continue
+        counts = []
+        for triangulate in (geom.triangulate, support_first_triangulate):
+            calls = collections.Counter()
+            real = geom.dual_generators
+
+            def counting(constraints, dim):
+                calls["dd"] += 1
+                return real(constraints, dim)
+
+            monkeypatch.setattr(geom, "_GEOMETRIES", {})
+            monkeypatch.setattr(geom, "dual_generators", counting)
+            counts.append((triangulate(rays, rank), calls["dd"]))
+            monkeypatch.setattr(geom, "dual_generators", real)
+        (got, dd), (want, dd_oracle) = counts
+        assert got == want, rays
+        assert dd <= dd_oracle
+        dim = lattice_rank(rays)
+        kinds["lower-dimensional"] += dim < rank
+        kinds["non-simplicial"] += len(got) > 1
+        kinds["redundant"] += len({i for s in got for i in s}) < len(rays)
+        kinds["fewer double descriptions"] += dd < dd_oracle
+    assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds

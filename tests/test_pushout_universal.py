@@ -3,9 +3,11 @@ legs; cross-checked against a row-by-row solve with a search mod the torsion
 of the target.  Its hom enumeration, which tests each column vector of the
 entry box for membership once and takes the homs out of a free source as
 products of admissible columns, is cross-checked against one that tests
-every generator image of every matrix.  A corrupted pushout leg makes the
-check fail."""
+every generator image of every matrix.  Its comparison of phi . leg with the
+given homs as whole matrices is cross-checked against the column-by-column
+comparison it replaced.  A corrupted pushout leg makes the check fail."""
 
+import collections
 import itertools
 
 import pytest
@@ -118,6 +120,42 @@ def test_mediates_against_searched_mediator():
                     accepted += found
                     rejected += not found
     assert accepted >= 186 and rejected > 0
+
+
+def columnwise_mediates(data, section, T, A, B):
+    """`suite._mediates` with each leg applied to one column at a time and
+    both sides reduced modulo the torsion of T."""
+    phi = IntMatrix.from_rows([A.row(i) + B.row(i) for i in range(A.rows)]) @ section
+    H, S = data.ambient, data.report.saturated
+    if not mn.hom_well_defined(H, T.ambient, phi):
+        return False
+    if not all(mn.contains(T, phi.apply(s)) for s in S.generators):
+        return False
+    for leg, given in ((data.leg_left, A), (data.leg_right, B)):
+        if any(T.ambient.reduce(phi.apply(leg.column(j)))
+               != T.ambient.reduce(given.column(j)) for j in range(given.cols)):
+            return False
+    return True
+
+
+def test_mediates_matches_the_columnwise_comparison():
+    """On every diagram and target of check 11c, and for every pair of homs
+    (A, B) out of the two legs, commuting or not, the whole-matrix comparison
+    of the legs gives the column-by-column verdict."""
+    diagrams, targets = suite._pushout_cases()
+    verdicts = collections.Counter()
+    for f, g in diagrams:
+        data = mn.amalgamated_sum(f, g)
+        section = suite._leg_section(data)
+        for T in targets:
+            alphas = suite._enumerate_monoid_homs(f.target, T, bound=2)
+            betas = suite._enumerate_monoid_homs(g.target, T, bound=2)
+            for A in alphas:
+                for B in betas:
+                    got = suite._mediates(data, section, T, A, B)
+                    assert got == columnwise_mediates(data, section, T, A, B), (A, B, T)
+                    verdicts[got, (A @ f.matrix) == (B @ g.matrix)] += 1
+    assert verdicts[True, True] >= 186 and verdicts[False, False] > 0, verdicts
 
 
 def test_leg_section_is_a_section():
