@@ -409,7 +409,7 @@ def _op_log_diagonal(args):
         "image_flags": _json_image_flags(pic.diagonal),
     }
     return data, [("b_subcomplex", pic.b_subcomplex),
-                  ("refined", pic.diagonal_subdivision.refined)]
+                  ("refined", pic.diagonal.subdivision.refined)]
 
 
 def _op_periodic_cyclic(args):
@@ -430,7 +430,7 @@ def _op_twisted_sector(args):
     if not sector.is_empty:
         data["locus"] = {"name": sector.locus.name,
                          "dimension": sector.locus.dimension}
-        data["hodge"] = sector.hodge_contribution.to_json()
+        data["hodge"] = sector.locus.hodge.to_json()
     return data, []
 
 
@@ -491,14 +491,19 @@ def _task(index, t, resolve) -> Task:
     return Task(index, op, args, _field(t, "label", _text, None))
 
 
-def parse(text: str, truncation: int | None = None) -> Document:
-    """Parse and validate a document; diagnostics carry line/column info."""
-    truncation = truncation if truncation is not None else lm.DEFAULT_TRUNCATION
+def _check_truncation(truncation: int) -> None:
+    """The series order of documents, `--truncation`, is 0 to MAX_TRUNCATION."""
     if truncation < 0:
         raise ParseError(f"truncation must be >= 0, got {truncation}")
     if truncation > MAX_TRUNCATION:
         raise ScopeExceeded(f"'truncation' is {truncation}, "
                             f"above the desk-scale bound {MAX_TRUNCATION}")
+
+
+def parse(text: str, truncation: int | None = None) -> Document:
+    """Parse and validate a document; diagnostics carry line/column info."""
+    truncation = truncation if truncation is not None else lm.DEFAULT_TRUNCATION
+    _check_truncation(truncation)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -709,9 +714,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     _freeze_at_exit()
-    if args.truncation < 0:
-        print(f"error: truncation must be >= 0, got {args.truncation}",
-              file=sys.stderr)
+    try:
+        _check_truncation(args.truncation)
+    except LogfanError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "paper-suite":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .conecomplex import (DiagonalSubdivision, GeneralizedConeComplex,
-                          Subdivision, subdivide_along_diagonal)
+                          subdivide_along_diagonal)
 from .errors import InternalInvariant, ScopeExceeded, SeriesNotSupported
 from .logmodel import FINITE, GradedEntry, LogModel
 
@@ -44,9 +44,6 @@ class HHTable(Record):
     def dimension(self, n: int) -> int:
         e = self.entry(n)
         return 0 if e is None else e.total()
-
-    def as_dict(self) -> dict:
-        return dict(self.degrees)
 
     def to_json(self):
         return {str(n): e.to_json() for n, e in self.degrees}
@@ -96,10 +93,6 @@ class LogDiagonalPicture(Record):
             torus = "G_m" if d == 1 else f"G_m^{d}"
             return BDescription(f"{X.name} x {torus}", d)
         return BDescription(f"B({X.name})", None)
-
-    @property
-    def diagonal_subdivision(self) -> Subdivision:
-        return self.diagonal.subdivision
 
     @property
     def b_subcomplex(self) -> GeneralizedConeComplex:

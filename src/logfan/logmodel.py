@@ -10,12 +10,16 @@ kinds never mix inside one table.
 Model classes provided: complete smooth toric, affine toric, P^1 with n
 marked points, the nodal cubic, mixed-affine spaces (A^n with a designated
 log subset, the orbifold substrate), products, and subdivided toric models.
+One form count, `_form_series`, gives both the mixed-affine tables (every
+form, trivial character) and the invariants of `orbifold_hh` (the forms of
+each twisted sector by character).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from math import comb
+from operator import add
 
 from . import _geometry as geom
 from . import monoid as monoid_mod
@@ -46,10 +50,8 @@ class GradedEntry(Record):
         return GradedEntry(int(n))
 
     @staticmethod
-    def series(coeffs, truncation: int | None = None) -> "GradedEntry":
+    def series(coeffs) -> "GradedEntry":
         coeffs = [int(c) for c in coeffs]
-        if truncation is not None:
-            coeffs = (coeffs + [0] * (truncation + 1))[:truncation + 1]
         if any(c < 0 for c in coeffs):
             raise ValueError("series coefficients are nonnegative")
         return GradedEntry(tuple(coeffs))
@@ -92,8 +94,7 @@ class GradedEntry(Record):
         """Multiply a series by t^w."""
         if self.kind == FINITE:
             raise SeriesNotSupported("shift applies to series entries")
-        n = len(self.value)
-        return GradedEntry.series([0] * w + list(self.value), truncation=n - 1)
+        return GradedEntry.series(([0] * w + list(self.value))[:len(self.value)])
 
     def to_json(self):
         if self.kind == FINITE:
@@ -114,12 +115,6 @@ class GradedEntry(Record):
                 terms.append(base if c == 1 else f"{c}{base}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{len(self.value)})"
-
-
-def _zero_entry(kind: str, truncation: int | None) -> GradedEntry:
-    if kind == FINITE:
-        return GradedEntry.finite(0)
-    return GradedEntry.series([0] * (truncation + 1))
 
 
 class HodgeTable(Record):
@@ -155,7 +150,7 @@ class HodgeTable(Record):
         for key, e in self.cells:
             if key == (p, q):
                 return e
-        return _zero_entry(self.kind, self.truncation)
+        return GradedEntry(0 if self.kind == FINITE else (0,) * (self.truncation + 1))
 
     def convolve(self, other: "HodgeTable") -> "HodgeTable":
         dim = self.dim + other.dim
@@ -197,10 +192,6 @@ class LogModel(Record):
     @property
     def affine(self) -> bool:
         return self.hodge.kind == SERIES
-
-    @property
-    def truncation(self) -> int | None:
-        return self.hodge.truncation
 
 
 def point_model() -> LogModel:
@@ -341,36 +332,55 @@ def mixed_affine(num_coords: int, log_coords, *,
     """A^n with the divisorial log structure on a subset of the coordinates.
 
     Weight convention: a monomial contributes its total degree, a dx_j form
-    index contributes 1, a dlog x_i contributes 0.
+    index contributes 1, a dlog x_i contributes 0.  Every form has the
+    trivial character, so the entries are row 0 of `_form_series`.
     """
     log_coords = tuple(sorted(set(int(i) for i in log_coords)))
     if any(i < 0 or i >= num_coords for i in log_coords):
         raise ValueError("log coordinate out of range")
-    l = len(log_coords)
-    m = num_coords - l
-    if num_coords == 0:
-        poly = GradedEntry.series([1], truncation=truncation)
-    else:
-        poly = GradedEntry.series([comb(w + num_coords - 1, num_coords - 1)
-                                   for w in range(truncation + 1)])
-    entries = {}
-    for q in range(num_coords + 1):
-        acc = _zero_entry(SERIES, truncation)
-        for a in range(q + 1):
-            b = q - a
-            if a > l or b > m:
-                continue
-            acc = acc + (GradedEntry.finite(comb(l, a) * comb(m, b)) * poly).shifted(b)
-        entries[(0, q)] = acc
+    table = _form_series(log_coords, range(num_coords), [(0,)] * num_coords, truncation)
+    entries = {(0, q): GradedEntry.series(rows[0]) for q, rows in table.items()}
     if name is None:
         marks = ",".join(f"x{i}" for i in log_coords) or "no log"
         name = f"A^{num_coords} (log at {marks})" if log_coords else f"A^{num_coords} ({marks})"
-    if l:
+    if l := len(log_coords):
         fan = from_toric_fan(IntMatrix.identity(l).as_rows(), [tuple(range(l))], l)
     else:
         fan = point_complex()
     return LogModel(name, fan, HodgeTable.build(num_coords, entries), None,
                     kind="mixed_affine", log_coords=log_coords)
+
+
+def _form_series(log_coords, coords, shifts, N: int) -> dict:
+    """Forms on `coords` of weight <= N, counted by form degree q and
+    character: table[q][r] is the weight series (N + 1 counts) of the forms
+    whose character is group element number r, 0 being the identity.  Rows
+    stay sparse: a character no form reaches has none.
+
+    Built one coordinate at a time: a log coordinate contributes x^e and
+    x^e dlog x (weight e, character e chi), any other coordinate x^e and,
+    for e >= 1, x^(e-1) dx (weight e, character e chi).  Raising the weight
+    by e shifts a series e places; the character moves one step per e along
+    `shifts[i]`, the element index of r + chi_i for each r.  The last
+    coordinate adds only to the identity's rows, the invariant ones.
+    """
+    table = {0: {0: [1] + [0] * N}}
+    for i in coords:
+        shift, is_log, final = shifts[i], i in log_coords, i == coords[-1]
+        step = defaultdict(lambda: defaultdict(lambda: [0] * (N + 1)))
+        for q, rows in table.items():
+            for r, series in rows.items():
+                # from e = N + 1 - (the lowest weight present) on, nothing is left
+                low = next(filter(series.__getitem__, range(N + 1)))
+                for e in range(N + 1 - low):
+                    if not (r and final):
+                        part = series[:N + 1 - e]
+                        for dq in (0, 1) if is_log or e else (0,):
+                            out = step[q + dq][r]
+                            out[e:] = map(add, out[e:], part)
+                    r = shift[r]
+        table = step
+    return table
 
 
 def product_model(X: LogModel, Y: LogModel) -> LogModel:

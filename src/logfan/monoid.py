@@ -254,7 +254,7 @@ def _contains_sharp(P: FineMonoid, x) -> bool:
             if in_lattice(rem[f:], tors_lat):
                 return True
             continue
-        if not cone.contains(fp):
+        if rem is not x and not cone.contains(fp):   # x was tested above
             continue
         for g in mixed:
             nxt = tuple(map(sub, rem, g))

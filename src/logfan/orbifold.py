@@ -9,23 +9,23 @@ diagonal action.
 For a firm action the g-twisted sector is empty as soon as g scales a log
 coordinate nontrivially (the twisted diagonal misses the log diagonal);
 otherwise it is the mixed-affine submodel on the fixed coordinates.
-Invariants are counted exactly up to the truncation order: for each form
-degree and each character (a group element), a series of counts by weight,
-the Molien series of a diagonal abelian action read without roots of unity;
-no cyclotomic arithmetic anywhere.
+Invariants are counted exactly up to the truncation order by the form count
+that also gives the mixed-affine tables, `logmodel._form_series`: for each
+form degree and each character (a group element), a series of counts by
+weight, the Molien series of a diagonal abelian action read without roots of
+unity; no cyclotomic arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
-from operator import add
+from collections import Counter
 
 from ._record import Record, set_field
 from .errors import NotFirm, ScopeExceeded
 from .hkr import HHTable, hh_homology
-from .logmodel import GradedEntry, HodgeTable, LogModel, mixed_affine
+from .logmodel import GradedEntry, LogModel, _form_series, mixed_affine
 
 MAX_GROUP_ORDER = 1_000
 
@@ -70,10 +70,6 @@ class DiagonalAction(Record):
             return self.model.artin_fan.ray_count
         return self.model.dimension
 
-    @property
-    def is_trivial_group(self) -> bool:
-        return not self.group_orders
-
     def elements(self):
         """Group elements in a fixed lexicographic order."""
         return list(itertools.product(*(range(d) for d in self.group_orders)))
@@ -85,14 +81,6 @@ class DiagonalAction(Record):
         return sum(gj * row[coord] * (L // d) for gj, row, d in
                    zip(g, self.characters, self.group_orders)) % L == 0
 
-    def _permutation_moves_rays(self) -> bool:
-        """Does the permutation move a marked point of P^1 or a log coordinate?"""
-        if self.permutation is None:
-            return False
-        coords = (range(len(self.permutation)) if self.model.kind == "marked_p1"
-                  else self.model.log_coords)
-        return any(self.permutation[i] != i for i in coords)
-
 
 def check_firm(a: DiagonalAction) -> bool:
     """Firmness: the induced action on the Artin fan is trivial.
@@ -101,7 +89,8 @@ def check_firm(a: DiagonalAction) -> bool:
     coordinates (equivalently, rays) breaks firmness; permuting marked
     points of P^1 does too.
     """
-    return not a._permutation_moves_rays()
+    coords = range(a._coord_count()) if a.model.kind == "marked_p1" else a.model.log_coords
+    return a.permutation is None or all(a.permutation[i] == i for i in coords)
 
 
 class TwistedSector(Record):
@@ -114,17 +103,11 @@ class TwistedSector(Record):
     def is_empty(self) -> bool:
         return self.locus is None
 
-    @property
-    def hodge_contribution(self) -> HodgeTable | None:
-        return None if self.locus is None else self.locus.hodge
-
 
 def _sector_coords(a: DiagonalAction, g) -> tuple[int, ...] | None:
     """The coordinates g fixes, or None when its twisted sector is empty
     (g moves a log coordinate).  The identity fixes every coordinate of any
-    model; other elements need a purely diagonal action on a mixed-affine one."""
-    if not check_firm(a):
-        raise NotFirm("the action moves the Artin fan")
+    model; other elements need a purely diagonal action on a firm mixed-affine one."""
     if len(g) != len(a.group_orders) or not all(
             0 <= x < d for x, d in zip(g, a.group_orders)):
         raise ValueError(f"element {g} must give one residue per order {a.group_orders}")
@@ -144,6 +127,8 @@ def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
     """Log fixed locus of g: empty when g moves a log coordinate, otherwise
     the mixed-affine submodel on the chi-trivial coordinates."""
     g = tuple(g)
+    if not check_firm(a):
+        raise NotFirm("the action moves the Artin fan")
     fixed = _sector_coords(a, g)
     if fixed is None:
         return TwistedSector(g, None)
@@ -151,7 +136,7 @@ def twisted_sector(a: DiagonalAction, g) -> TwistedSector:
         return TwistedSector(g, a.model)
     log_positions = [fixed.index(i) for i in a.model.log_coords]
     locus = mixed_affine(len(fixed), log_positions,
-                         truncation=a.model.truncation,
+                         truncation=a.model.hodge.truncation,
                          name=f"{a.model.name} ^ g={g}")
     return TwistedSector(g, locus)
 
@@ -162,16 +147,16 @@ def orbifold_hh(a: DiagonalAction) -> HHTable:
     Sectors are affine here, so homology degree n only sees q = n.  A basis
     element is a monomial on the sector coordinates wedged with dlog's
     (weight 0, trivial character) and dx's (weight 1, coordinate character);
-    the invariant ones are the residue-0 series of `_invariant_series`, taken
+    the invariant ones are the residue-0 series of `_form_series`, taken
     once per set of fixed coordinates, times the number of sectors on it.
     """
     if not check_firm(a):
         raise NotFirm("the action moves the Artin fan")
-    if a.is_trivial_group:
+    if not a.group_orders:
         return hh_homology(a.model)
     if a.model.kind != "mixed_affine":
         raise ScopeExceeded("orbifold tables are computed for mixed-affine models")
-    N = a.model.truncation
+    N = a.model.hodge.truncation
     elements = a.elements()
     index = {g: k for k, g in enumerate(elements)}
     shifts = [[index[tuple((x + c) % d for x, c, d in zip(g, chi, a.group_orders))]
@@ -180,39 +165,8 @@ def orbifold_hh(a: DiagonalAction) -> HHTable:
     sectors = Counter(_sector_coords(a, g) for g in elements)
     sectors.pop(None, None)
     for coords, mult in sectors.items():
-        for q, rows in _invariant_series(a, coords, shifts, N).items():
+        for q, rows in _form_series(a.model.log_coords, coords, shifts, N).items():
             for w, c in enumerate(rows.get(0, ())):
                 counts[q][w] += mult * c
     return HHTable.build({q: GradedEntry.series(c) for q, c in enumerate(counts)})
 
-
-def _invariant_series(a: DiagonalAction, coords, shifts, N: int) -> dict:
-    """Forms on `coords` of weight <= N, counted by form degree q and
-    character: table[q][r] is the weight series (N + 1 counts) of the forms
-    whose character is group element number r of `a.elements()`, 0 being
-    the identity.  Rows stay sparse: a character no form reaches has none.
-
-    Built one coordinate at a time: a log coordinate contributes x^e and
-    x^e dlog x (weight e, character e chi), any other coordinate x^e and,
-    for e >= 1, x^(e-1) dx (weight e, character e chi).  Raising the weight
-    by e shifts a series e places; the character moves one step per e along
-    `shifts[i]`, the element index of r + chi_i for each r.  The last
-    coordinate adds only to the identity's rows, the invariant ones.
-    """
-    table = {0: {0: [1] + [0] * N}}
-    for i in coords:
-        shift, is_log, final = shifts[i], i in a.model.log_coords, i == coords[-1]
-        step = defaultdict(lambda: defaultdict(lambda: [0] * (N + 1)))
-        for q, rows in table.items():
-            for r, series in rows.items():
-                # from e = N + 1 - (the lowest weight present) on, nothing is left
-                low = next(filter(series.__getitem__, range(N + 1)))
-                for e in range(N + 1 - low):
-                    if not (r and final):
-                        part = series[:N + 1 - e]
-                        for dq in (0, 1) if is_log or e else (0,):
-                            out = step[q + dq][r]
-                            out[e:] = map(add, out[e:], part)
-                    r = shift[r]
-        table = step
-    return table

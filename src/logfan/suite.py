@@ -10,6 +10,7 @@ space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from math import comb
@@ -250,20 +251,25 @@ def property_hilbert_minimality() -> CheckResult:
     return _result("11b Hilbert basis minimality", True, f"{len(_HILBERT_CASES)} cones")
 
 
+@functools.cache
+def _box_members(dst: mn.FineMonoid, bound: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors of [-bound, bound]^n in dst: one scan per target, for all its sources."""
+    box = itertools.product(range(-bound, bound + 1), repeat=dst.ambient.num_coords)
+    return tuple(v for v in box if mn.contains(dst, v))
+
+
 def _enumerate_monoid_homs(src: mn.FineMonoid, dst: mn.FineMonoid, bound: int):
     """All homs with entries in [-bound, bound] mapping the free monoid src
     into dst, in the order of their entries.
 
     Column j is the image of the generator e_j, and a free source has no
     relations, so a matrix is a hom exactly when each of its columns lies in
-    dst: each vector of the box is tested for membership once."""
+    dst: the columns are the `_box_members` of dst."""
     rows, cols = dst.ambient.num_coords, src.ambient.num_coords
     if src != mn.FineMonoid.free(cols):
         raise InternalInvariant(f"hom enumeration needs a free source, not {src}")
-    inside = [v for v in itertools.product(range(-bound, bound + 1), repeat=rows)
-              if mn.contains(dst, v)]
     entries = sorted(tuple(itertools.chain.from_iterable(zip(*columns)))
-                     for columns in itertools.product(inside, repeat=cols))
+                     for columns in itertools.product(_box_members(dst, bound), repeat=cols))
     return [IntMatrix(rows, cols, e) for e in entries]
 
 
@@ -387,9 +393,9 @@ def property_kunneth() -> CheckResult:
     models = [lm.point_model(), lm.marked_p1(0), lm.marked_p1(2), lm.marked_p1(5),
               lm.nodal_cubic(), lm.p1_toric_model(), lm.p2_toric_model()]
     for X, Y in itertools.combinations(models, 2):
-        left = hkr.hh_homology(lm.product_model(X, Y)).as_dict()
-        a = hkr.hh_homology(X).as_dict()
-        b = hkr.hh_homology(Y).as_dict()
+        left = dict(hkr.hh_homology(lm.product_model(X, Y)).degrees)
+        a = dict(hkr.hh_homology(X).degrees)
+        b = dict(hkr.hh_homology(Y).degrees)
         conv: dict[int, int] = {}
         for i, e1 in a.items():
             for j, e2 in b.items():

@@ -21,6 +21,7 @@ from logfan.errors import (FormatUnavailable, KindMismatch, ParseError,
                            UnknownOperation, UnresolvedReference)
 from logfan.lattice import FgAbelianGroup, IntMatrix
 from test_conecomplex import orthant_morphism
+from test_exit import _env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -238,6 +239,19 @@ def test_paper_suite_runs_at_the_default_truncation(capsys):
     assert main(["--truncation", "-1", "check", str(FIXTURES / "a1_diagonal.lf.json")]) == 2
 
 
+def test_truncation_is_bounded_for_every_command(capsys):
+    """One check of `--truncation` for every command: paper-suite refuses an
+    order past 15 as `check` does, with the same one line, and runs at 15."""
+    assert main(["paper-suite"]) == 0
+    default = capsys.readouterr().out
+    assert main(["--truncation", "15", "paper-suite"]) == 0
+    assert capsys.readouterr().out == default
+    refusal = "ScopeExceeded: 'truncation' is 16, above the desk-scale bound 15\n"
+    for command in (["paper-suite"], ["check", str(FIXTURES / "a1_diagonal.lf.json")]):
+        assert main(["--truncation", "16", *command]) == 2
+        assert capsys.readouterr() == ("", refusal)
+
+
 def test_truncation_flag_controls_series(tmp_path, capsys):
     doc = """
     {"version": "logfan/1",
@@ -359,7 +373,7 @@ def test_every_bound_is_stated_in_readme_scale():
 
 def test_console_script_paper_suite():
     proc = subprocess.run([sys.executable, "-m", "logfan.cli", "paper-suite"],
-                          capture_output=True, text=True)
+                          env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "17/17 checks passed" in proc.stdout
 

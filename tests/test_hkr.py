@@ -105,7 +105,7 @@ def test_log_diagonal_a2():
     pic = log_diagonal(affine_space_model(2))
     assert pic.b_description.torus_rank == 2
     diag = tuple(sorted(((1, 0, 1, 0), (0, 1, 0, 1))))
-    assert any(c.rays == diag for c in pic.diagonal_subdivision.refined.cones)
+    assert any(c.rays == diag for c in pic.diagonal.subdivision.refined.cones)
     assert any(c.rays == diag for c in pic.b_subcomplex.cones)
 
 
@@ -119,12 +119,12 @@ def test_log_diagonal_complete_toric():
     assert pic.b_description.text == "P^1 x G_m"
     assert sorted(c.rays for c in pic.b_subcomplex.cones) == \
         [(), ((-1, -1),), ((1, 1),)]
-    assert pic.diagonal_subdivision.support_volumes_ok()
+    assert pic.diagonal.subdivision.support_volumes_ok()
 
     pic2 = log_diagonal(p2_toric_model())
     # the diagonal copy of the P^2 fan survives as the B subcomplex
     assert sorted(c.dim for c in pic2.b_subcomplex.cones) == [0, 1, 1, 1, 2, 2, 2]
-    assert pic2.diagonal_subdivision.support_volumes_ok()
+    assert pic2.diagonal.subdivision.support_volumes_ok()
 
 
 def test_log_diagonal_scope():

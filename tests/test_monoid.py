@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from logfan import _geometry as geom
 from logfan import monoid as mn
 from logfan import suite
 from logfan.errors import NotSaturated, NotStronglyConvex
@@ -279,6 +280,28 @@ def test_membership_set_up_runs_once_per_monoid(monkeypatch):
         answers = [contains(P, (i % 7 - 3, i % 3 - 1)) for i in range(50)]
         assert any(answers) and not all(answers)
         assert calls == {"_unit_subgroup_rows": 1, "hnf_rows": 1}, (P, calls)
+
+
+def test_membership_tests_each_remainder_against_the_cone_once(monkeypatch):
+    """The search tests x against the free cone before it starts and every
+    later remainder when it is popped, so no remainder is tested twice: not
+    x = (4, 3), a sum of the generators (2, 0), (1, 1), (0, 3), and not
+    (1, 0), which lies in their cone but not in the monoid."""
+    P = FineMonoid.free(2, [(2, 0), (1, 1), (0, 3)])
+    real = geom.ConeGeometry.contains
+    tested = []
+
+    def counting(cone, v):
+        tested.append(tuple(v))
+        return real(cone, v)
+
+    for x, member in (((4, 3), True), ((1, 0), False)):
+        assert contains(P, x) == member      # the set-up runs here, untested
+        monkeypatch.setattr(geom.ConeGeometry, "contains", counting)
+        tested.clear()
+        assert contains(P, x) == member
+        monkeypatch.undo()
+        assert tested[0] == x and len(tested) == len(set(tested)) > 1, (x, tested)
 
 
 # ---------------------------------------------------------------- fs pushout

@@ -216,7 +216,7 @@ def brute_per_sector(act, g):
     logs = [i for i in coords if i in act.model.log_coords]
     dxs = [i for i in coords if i not in act.model.log_coords]
     return brute_invariant_counts(logs, dxs, act.group_orders, act.characters,
-                                  act.model.truncation)
+                                  act.model.hodge.truncation)
 
 
 def test_marked_p1_characters_out_of_sector_scope():

@@ -183,3 +183,24 @@ def test_check_11c_fails_on_a_corrupted_pushout_leg(monkeypatch):
     monkeypatch.setattr(mn, "amalgamated_sum", doubled_right_leg)
     assert suite.property_pushout_universal() == suite.CheckResult(
         "11c fs pushout universal property", False, "no mediating hom found")
+
+
+def test_check_11c_scans_each_target_box_once(monkeypatch):
+    """The box [-2, 2]^n of each target is tested once, not once per source
+    mapped into it: from a cold start one check makes 5 + 25 + 25 membership
+    tests for the boxes of N, N^2 and N + Z/2 and 375 in `_mediates`, and a
+    second check only those 375."""
+    calls = []
+    real = mn.contains
+
+    def counting(P, x):
+        calls.append((P, x))
+        return real(P, x)
+
+    monkeypatch.setattr(suite.mn, "contains", counting)
+    suite._box_members.cache_clear()
+    for expected in (430, 375):
+        calls.clear()
+        result = suite.property_pushout_universal()
+        assert (result.passed, result.detail) == (True, "186 commuting cocones mediated uniquely")
+        assert len(calls) == expected
