@@ -107,7 +107,8 @@ _GEOMETRIES: dict[tuple[int, tuple[Vector, ...]], "ConeGeometry"] = {}
 
 
 class ConeGeometry(Record):
-    """Cached double description of a single rational cone."""
+    """One rational cone's rays, and its double description, computed once
+    when an inequality is read: its dimension is the rank of its rays."""
 
     dim: int
     rays: tuple[Vector, ...]
@@ -169,7 +170,7 @@ class ConeGeometry(Record):
 
     @cached_property
     def span_dim(self) -> int:
-        return self.dim - len(self.equations)
+        return len(hnf_rows(self.rays))
 
     def _vector(self, x) -> Vector:
         x = tuple(x)

@@ -52,18 +52,18 @@ class Cone(Record):
 
     @staticmethod
     def make(rays, rank: int) -> "Cone":
-        """Looked up as given, then, on a miss, checked and normalized: a hit is
-        a stored key, so its rays are primitive, sorted, of length rank, sharp."""
+        """Looked up as given, then, on a miss, checked and normalized (once, by
+        ConeGeometry.of): a hit is a stored key: primitive, sorted, sharp rays of length rank."""
         rays = tuple(map(tuple, rays))
         c = _CONES.get((rank, rays))
         if c is not None:
             return c
         if any(len(r) != rank for r in rays):
             raise ValueError("ray length does not match the lattice rank")
-        key = (rank, geom.primitive_rays(rays))
+        g = geom.ConeGeometry.of(rays, rank)
+        key = (rank, g.rays)
         c = _CONES.get(key)
         if c is None:
-            g = geom.ConeGeometry.of(key[1], rank)
             if not g.is_sharp:
                 raise ValueError("cone is not strongly convex")
             # keep the extreme rays: those that alone lie on the meet of
@@ -372,14 +372,17 @@ class ComplexMorphism(Record):
             for r in src.rays if m.is_identity else map(m.apply, src.rays):
                 if not dst.contains(r):
                     raise ValueError(f"cone {i} does not land inside target cone {j}")
+        images: dict[tuple[int, int, int], set] = {}   # one image set per (ja, jb, ma)
         for fm in self.source.face_maps:
             ja, ma = self.assignment[fm.source]
             jb, mb = self.assignment[fm.target]
-            # psi.matrix @ ma and want have one shape, so their entries decide
-            want = (mb @ fm.matrix).entries
-            ok = any((psi.matrix @ ma).entries == want
-                     for psi in self.target.maps_between(ja, jb))
-            if not ok:
+            # psi.matrix @ ma has the shape of mb @ fm.matrix, so entries decide;
+            # the assignment keeps ma alive, so its id names it
+            found = images.get((ja, jb, id(ma)))
+            if found is None:
+                found = images[ja, jb, id(ma)] = {
+                    (psi.matrix @ ma).entries for psi in self.target.maps_between(ja, jb)}
+            if (mb @ fm.matrix).entries not in found:
                 raise ValueError("assignment does not commute with a face map")
 
     def image_cone_rays(self, i: int) -> tuple[Vector, ...]:
@@ -628,11 +631,19 @@ def _check_source_scope(F: GeneralizedConeComplex) -> None:
         raise ScopeExceeded("source cones of dimension > 2 are out of scope")
 
 
+# Interning table of subdivide_along_diagonal: one result per equal complex.
+# A refused complex is never stored, so it raises on every call.
+_DIAGONALS: dict[GeneralizedConeComplex, DiagonalSubdivision] = {}
+
+
 def subdivide_along_diagonal(F: GeneralizedConeComplex) -> DiagonalSubdivision:
     """subdivide_along(diagonal_morphism(F)), with the scope of F checked
-    before F x F is built."""
-    _check_source_scope(F)
-    return subdivide_along(diagonal_morphism(F))
+    before F x F is built, computed once per equal F."""
+    res = _DIAGONALS.get(F)
+    if res is None:
+        _check_source_scope(F)
+        res = _DIAGONALS[F] = subdivide_along(diagonal_morphism(F))
+    return res
 
 
 def subdivide_along(phi: ComplexMorphism) -> DiagonalSubdivision:

@@ -14,3 +14,12 @@ def frozen_heap():
     gc.freeze()
     yield
     gc.unfreeze()
+
+
+@pytest.fixture(autouse=True)
+def cold_diagonals(monkeypatch):
+    """Each test starts with an empty table of diagonal subdivisions, so a
+    test that empties the cone and geometry tables to count cold work sees
+    the work of every subdivision it asks for, not a result stored earlier."""
+    from logfan import conecomplex
+    monkeypatch.setattr(conecomplex, "_DIAGONALS", {})

@@ -16,7 +16,12 @@ diagonals and the F_1, F_2 and F_3 diagonal subdivisions:
 * `contains_cone_inside` tests every cone against every image cone, where
   `_inside` now takes one bitmask of image cones per distinct ray;
 * `per_map_product` builds one block-diagonal matrix per pair of face maps,
-  where `product` now builds one per pair of matrix objects.
+  where `product` now builds one per pair of matrix objects;
+* `per_map_commuting_check` searches the target maps for each face map of a
+  morphism, where `ComplexMorphism` now builds one set of images per
+  (target end, target end, assignment matrix) and looks each face map up;
+* `ConeGeometry.span_dim`, the rank of the rays, is compared with the rank
+  left by the double description's equations.
 """
 
 import collections
@@ -76,6 +81,15 @@ def per_map_product(F: GeneralizedConeComplex, G: GeneralizedConeComplex):
                                 mf.target * len(G.cones) + mg.target,
                                 IntMatrix(a.rows + b.rows, a.cols + b.cols, tuple(entries))))
     return GeneralizedConeComplex(tuple(cones), tuple(maps))
+
+
+def per_map_commuting_check(source, target, assignment):
+    for fm in source.face_maps:
+        ja, ma = assignment[fm.source]
+        jb, mb = assignment[fm.target]
+        want = (mb @ fm.matrix).entries
+        if not any((psi.matrix @ ma).entries == want for psi in target.maps_between(ja, jb)):
+            raise ValueError("assignment does not commute with a face map")
 
 
 # ------------------------------------------------------------ seeded inputs
@@ -209,7 +223,9 @@ def test_product_matches_the_per_map_oracle_on_seeded_complexes():
 
 def test_every_cone_of_the_diagonals_matches_the_oracles(monkeypatch):
     """From empty intern tables: every interned cone, every `_inside` and
-    every `product` call the diagonals make."""
+    every `product` call the diagonals make.  The table of diagonal
+    subdivisions is emptied before each one, as the P^1 and A^2 fans are
+    subdivided twice."""
     monkeypatch.setattr(cc, "_CONES", {})
     monkeypatch.setattr(geom, "_GEOMETRIES", {})
     insides, products = [], []
@@ -226,11 +242,13 @@ def test_every_cone_of_the_diagonals_matches_the_oracles(monkeypatch):
     monkeypatch.setattr(cc, "_inside", inside)
     monkeypatch.setattr(cc, "product", product)
     for model in (p1_toric_model(), affine_space_model(2), p2_toric_model()):
+        cc._DIAGONALS.clear()
         hkr.log_diagonal(model)
     fans = [([(1,), (-1,)], [(0,), (1,)], 1), ([(1, 0), (0, 1)], [(0, 1)], 2)]
     fans += [([(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
              for a in (1, 2, 3)]
     for rays, cones, rank in fans:
+        cc._DIAGONALS.clear()
         cc.subdivide_along_diagonal(cc.from_toric_fan(rays, cones, rank))
     assert len(insides) == len(products) == 8
     for cones, images, got in insides:
@@ -241,3 +259,114 @@ def test_every_cone_of_the_diagonals_matches_the_oracles(monkeypatch):
     for (rank, rays), c in list(cc._CONES.items()):
         assert c.rays == facet_meet_extreme_rays(rays, rank), (rays, rank)
         _check_cone(c)
+
+
+def _commuting_verdict(check, source, target, assignment):
+    try:
+        check(source, target, assignment)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _lands(phi_source, target, assignment):
+    return all(target.cones[j].contains(m.apply(r))
+               for c, (j, m) in zip(phi_source.cones, assignment) for r in c.rays)
+
+
+def _corruptions(rng, phi, count):
+    """Copies of phi's assignment with one cone sent to another target cone,
+    or one matrix entry moved by one, that still land inside the target."""
+    out = []
+    for _ in range(count):
+        assignment = list(phi.assignment)
+        i = rng.randrange(len(assignment))
+        j, m = assignment[i]
+        if rng.random() < 0.5:
+            others = [k for k, c in enumerate(phi.target.cones)
+                      if k != j and c.lattice_rank == m.rows]
+            if not others:
+                continue
+            assignment[i] = (rng.choice(others), m)
+        elif m.entries:
+            k = rng.randrange(len(m.entries))
+            entries = list(m.entries)
+            entries[k] += rng.choice((-1, 1))
+            assignment[i] = (j, IntMatrix(m.rows, m.cols, tuple(entries)))
+        if _lands(phi.source, phi.target, assignment):
+            out.append(tuple(assignment))
+    return out
+
+
+def test_commuting_check_matches_the_per_map_oracle():
+    """The structure, diagonal and factoring morphisms of the P^1, A^2 and
+    P^2 log diagonals and the F_1-F_3 diagonal subdivisions, the product
+    projections of the seeded complexes, and the nodal cubic's glued maps
+    pass both checks; copies with one assignment index or matrix changed
+    that still land get the same verdict from both, and most of them raise
+    "does not commute" from both."""
+    morphisms = []
+    fans = [model.artin_fan for model in (p1_toric_model(), affine_space_model(2),
+                                          p2_toric_model())]
+    fans += [cc.from_toric_fan([(1, 0), (0, 1), (-1, a), (0, -1)],
+                               [(0, 1), (1, 2), (2, 3), (3, 0)], 2) for a in (1, 2, 3)]
+    for F in fans:
+        res = cc.subdivide_along_diagonal(F)
+        morphisms += [res.subdivision.structure, res.factoring, cc.diagonal_morphism(F)]
+    complexes = _seeded_complexes()
+    for F in complexes:
+        for G in complexes:
+            morphisms += cc.product_projections(F, G)
+    nodal = cc.nodal_cubic_complex()
+    swap = IntMatrix(2, 2, (0, 1, 1, 0))
+    assert len(nodal.maps_between(1, 2)) == 2
+    morphisms += [cc.identity_morphism(nodal),
+                  cc.ComplexMorphism(nodal, nodal, ((0, IntMatrix.identity(0)),
+                                                    (1, IntMatrix.identity(1)), (2, swap)))]
+    assert None not in morphisms and len(morphisms) == 18 + 2 * len(complexes) ** 2 + 2
+    rng = random.Random(109)
+    verdicts = collections.Counter()
+    for phi in morphisms:
+        assert _commuting_verdict(per_map_commuting_check, phi.source, phi.target,
+                                  phi.assignment) is None
+        for assignment in _corruptions(rng, phi, 6):
+            want = _commuting_verdict(per_map_commuting_check, phi.source, phi.target,
+                                      assignment)
+            got = _commuting_verdict(cc.ComplexMorphism, phi.source, phi.target, assignment)
+            assert got == want, (phi, assignment)
+            verdicts[want] += 1
+    # the glued maps: rho sent to itself doubled hits neither gluing of sigma
+    doubled = ((0, IntMatrix.identity(0)), (1, IntMatrix(1, 1, (2,))),
+               (2, IntMatrix.identity(2)))
+    for check in (per_map_commuting_check, cc.ComplexMorphism):
+        assert _commuting_verdict(check, nodal, nodal, doubled) == \
+            "assignment does not commute with a face map"
+    assert verdicts["assignment does not commute with a face map"] >= 150, verdicts
+    assert set(verdicts) <= {None, "assignment does not commute with a face map"}, verdicts
+
+
+def test_span_dim_is_the_rank_left_by_the_equations():
+    """On seeded cones, uninterned so nothing is cached: independent and
+    dependent rays, spans of full and of lower dimension, with and without
+    lines, the zero cone, and ranks up to 12."""
+    rng = random.Random(113)
+    seen = collections.Counter()
+    cases = [(rank, ()) for rank in (0, 1, 5, 12)]
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        rank = rng.randint(k, 6)
+        B = IntMatrix(rank, k, tuple(rng.randint(-2, 2) for _ in range(rank * k)))
+        cases.append((rank, tuple(B.apply(r) for r in _seeded_rays(rng, k))))
+    for _ in range(6):
+        cases.append((12, tuple(_vector(rng, 12) for _ in range(rng.randint(1, 13)))))
+    cases.append((12, IntMatrix.identity(12).as_rows()))
+    for rank, rays in cases:
+        g = geom.ConeGeometry(rank, geom.primitive_rays(rays))
+        assert g.span_dim == g.dim - len(g.equations), (rank, rays)
+        seen["zero" if not g.rays else
+             "independent" if g.span_dim == len(g.rays) else "dependent"] += 1
+        seen["full" if g.span_dim == rank else "lower"] += 1
+        seen["lines"] += not g.is_sharp
+        seen["rank 12"] += rank == 12
+    assert seen["zero"] >= 4 and seen["rank 12"] >= 7, seen
+    assert min(seen[k] for k in ("independent", "dependent", "full", "lower", "lines")) >= 30, seen

@@ -14,6 +14,7 @@ from logfan import hkr, lattice
 from logfan import monoid as mn
 from logfan import suite
 from logfan.conecomplex import Cone
+from logfan.errors import ScopeExceeded
 from logfan.lattice import FgAbelianGroup, IntMatrix
 from logfan.logmodel import p2_toric_model
 
@@ -248,8 +249,9 @@ def test_f1_diagonal_work_counts(monkeypatch):
     containment tests, and a sharpness test through the lineality space for
     every new cone took the count of Smith forms to 229; with simplicial
     indices and saturations read off Hermite forms it takes none (16 before).
-    It normalizes at most 600 ray lists (527 today): normalizing before
-    every intern lookup made 2,771, though only 222 distinct cones come out."""
+    It normalizes at most 314 ray lists, each new one once (527 when
+    `Cone.make` and then `ConeGeometry.of` normalized it, 2,771 when every
+    intern lookup did), though only 222 distinct cones come out."""
     monkeypatch.setattr(cc, "_CONES", {})
     monkeypatch.setattr(geom, "_GEOMETRIES", {})
     F = cc.from_toric_fan([(1, 0), (0, 1), (-1, 1), (0, -1)],
@@ -278,7 +280,77 @@ def test_f1_diagonal_work_counts(monkeypatch):
     assert len(res.subdivision.refined.cones) == 169
     assert calls["snf"] == 0
     assert 0 < calls["contains_cone"] <= 2_500
-    assert 0 < calls["primitive_rays"] <= 600
+    assert 0 < calls["primitive_rays"] <= 314
+
+
+def test_f1_diagonal_reads_double_descriptions_only_for_inequalities(monkeypatch):
+    """A cone's dimension is the rank of its rays, so a cone of independent
+    rays is made, and answers its dimension, sharpness, faces and
+    multiplicity, with no double description.  With empty interning tables,
+    one F_1 diagonal subdivision runs at most 125 (228 when every dimension
+    read the double description's equations)."""
+    monkeypatch.setattr(cc, "_CONES", {})
+    monkeypatch.setattr(geom, "_GEOMETRIES", {})
+    calls = collections.Counter()
+    real = geom.dual_generators
+
+    def dual_generators(constraints, dim):
+        calls["dd"] += 1
+        return real(constraints, dim)
+
+    monkeypatch.setattr(geom, "dual_generators", dual_generators)
+    c = Cone.make([(1, 2, 0, 0), (0, 3, 1, 0), (2, 0, 0, 1)], 4)
+    assert (c.dim, c.is_simplicial, c.geometry.is_sharp, len(c.faces), c.multiplicity) == \
+        (3, True, True, 8, 1)
+    assert calls["dd"] == 0 and "_dual" not in vars(c.geometry)
+    res = cc.subdivide_along_diagonal(_hirzebruch_fan(1))
+    assert len(res.subdivision.refined.cones) == 169
+    assert 0 < calls["dd"] <= 125, calls
+
+
+def test_equal_complexes_share_one_diagonal_subdivision(monkeypatch):
+    """A second call on an equal but distinct complex returns the stored
+    result and builds no product; so does a log diagonal's fan."""
+    products = collections.Counter()
+    real = cc.product
+
+    def product(F, G):
+        products["product"] += 1
+        return real(F, G)
+
+    monkeypatch.setattr(cc, "product", product)
+    F, G = _hirzebruch_fan(2), _hirzebruch_fan(2)
+    assert F == G and F is not G
+    res = cc.subdivide_along_diagonal(F)
+    assert products["product"] == 1
+    assert cc.subdivide_along_diagonal(G) is res and products["product"] == 1
+    assert list(cc._DIAGONALS) == [F]
+    pic = hkr.log_diagonal(p2_toric_model())
+    assert products["product"] == 2
+    fan = cc.from_toric_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)], 2)
+    assert cc.subdivide_along_diagonal(fan) is pic.diagonal and products["product"] == 2
+
+
+def test_refused_complexes_raise_on_every_call_and_are_never_stored(monkeypatch):
+    """A source cone of dimension above 2 is refused before F x F is built,
+    and a target that is not embedded after; neither leaves an entry."""
+    products = collections.Counter()
+    real = cc.product
+
+    def product(F, G):
+        products["product"] += 1
+        return real(F, G)
+
+    monkeypatch.setattr(cc, "product", product)
+    orthant = cc.from_toric_fan(IntMatrix.identity(3).as_rows(), [(0, 1, 2)], 3)
+    for F, message, built in [(orthant, "dimension > 2", 0),
+                              (cc.nodal_cubic_complex(), "embedded target", 2)]:
+        for _ in range(2):
+            with pytest.raises(ScopeExceeded, match=message):
+                cc.subdivide_along_diagonal(F)
+            assert cc._DIAGONALS == {}
+        assert products["product"] == built
+        products.clear()
 
 
 def test_paper_suite_work_counts(monkeypatch):
