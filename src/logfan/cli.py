@@ -586,37 +586,69 @@ def run(doc: Document) -> Report:
 
 # ------------------------------------------------------------------ emission
 
-def _render_value(value, indent="    "):
-    """Text of a task's data, a dict, or of a list inside it; a series is
-    rendered where it is a member, so it is never a whole value here."""
-    if isinstance(value, list):
-        return "\n".join(f"{indent}- {item}" for item in value)
-    lines = []
-    for k in sorted(value, key=str):
-        v = value[k]
-        if isinstance(v, dict) and set(v) == {"series", "truncation"}:
-            lines.append(f"{indent}{k}: {lm.GradedEntry.series(v['series']).render()}")
-        elif isinstance(v, (dict, list)):
-            lines.append(f"{indent}{k}:")
-            lines.append(_render_value(v, indent + "  "))
-        else:
-            lines.append(f"{indent}{k}: {v}")
-    return "\n".join(lines)
+# Parts of an output handed to the sink at a time: about 40 KB of JSON.
+_CHUNK_PARTS = 512
+
+
+class _Chunks(list):
+    """The parts of an output not yet handed to `sink`, which takes them as
+    one bytes chunk once `limit` parts wait (a hold sets `limit` to infinity).
+    `flushed` counts the parts handed over, so `flushed + i` is the index of
+    `self[i]` in the whole output."""
+
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+        self.flushed = 0
+        self.limit = _CHUNK_PARTS
+
+    def write(self, part: str) -> None:
+        self.append(part)
+        if len(self) >= self.limit:
+            self.flush()
+
+    def flush(self) -> None:
+        text = "".join(self)
+        self.flushed += len(self)
+        self.clear()
+        self.sink(text.encode())
+
+
+def _write_text(value, out: _Chunks, indent="    ") -> None:
+    """Write the lines of a task's data, a dict, or of a list inside it, each
+    after a newline; an empty one is one empty line.  A series is rendered
+    where it is a member, so it is never a whole value here."""
+    if not value:
+        out.write("\n")
+    elif isinstance(value, list):
+        for item in value:
+            out.write(f"\n{indent}- {item}")
+    else:
+        for k in sorted(value, key=str):
+            v = value[k]
+            if isinstance(v, dict) and set(v) == {"series", "truncation"}:
+                out.write(f"\n{indent}{k}: {lm.GradedEntry.series(v['series']).render()}")
+            elif isinstance(v, (dict, list)):
+                out.write(f"\n{indent}{k}:")
+                _write_text(v, out, indent + "  ")
+            else:
+                out.write(f"\n{indent}{k}: {v}")
 
 
 _escape_json = json.encoder.encode_basestring_ascii   # the stdlib encoder's C escaper
 
 
-def _write_json(value, out: list, indent: str, seen: dict | None = None) -> None:
-    """Append to `out` the stdlib's JSON text of `value` with sorted keys and
+def _write_json(value, out: _Chunks, indent: str, seen: dict | None = None) -> None:
+    """Write to `out` the stdlib's JSON text of `value` with sorted keys and
     `indent=2`, in parts; `indent` is a newline and the current level's spaces.
 
     A list or tuple that is not a flat int list, met again at the same indent,
-    is written from its first writing: that writing records its span of `out`
-    in `seen` under `(id(value), indent)`, and the first repeat joins the span
-    once and keeps the string.  The span stays valid because `out` is only
-    appended to, and each key because the payload being written keeps every
-    object in it alive."""
+    is written from its first writing: that writing records its span of the
+    output in `seen` under `(id(value), indent)`, and the first repeat keeps
+    the span's text and writes it.  The text is joined from `out` if no part
+    of the span was flushed; otherwise the list is written afresh, with `out`
+    held from flushing, and that span is joined.  Each key stays valid because
+    the payload being written keeps every object in it alive."""
     if seen is None:
         seen = {}
     inner = indent + "  "
@@ -626,74 +658,104 @@ def _write_json(value, out: list, indent: str, seen: dict | None = None) -> None
             head = sep + inner + _escape_json(key) + ": "   # TypeError on a non-str key
             item = value[key]
             if type(item) is int:
-                out.append(head + int.__repr__(item))
+                out.write(head + int.__repr__(item))
             else:
-                out.append(head)
+                out.write(head)
                 _write_json(item, out, inner, seen)
             sep = ","
-        out.append(indent + "}" if value else "{}")
+        out.write(indent + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         if value and all(type(x) is int for x in value):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+            out.write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
             return
         key = (id(value), indent)
         span = seen.get(key)
-        if span is not None:
-            if type(span) is tuple:
-                span = seen[key] = "".join(out[span[0]:span[1]])
-            out.append(span)
+        if type(span) is str:              # a repeat with its text kept
+            out.write(span)
             return
-        start = len(out)
+        if span is not None and span[0] >= out.flushed:
+            # the first repeat, with its first writing still in `out`
+            text = seen[key] = "".join(out[span[0] - out.flushed:span[1] - out.flushed])
+            out.write(text)
+            return
+        # a first writing, or a first repeat written afresh under a hold
+        limit = out.limit
+        if span is not None:
+            out.limit = math.inf
+        start = out.flushed + len(out)
         sep = "["
         for item in value:
-            out.append(sep + inner)
+            out.write(sep + inner)
             _write_json(item, out, inner, seen)
             sep = ","
-        out.append(indent + "]" if value else "[]")
-        seen[key] = (start, len(out))
+        out.write(indent + "]" if value else "[]")
+        seen[key] = (start, out.flushed + len(out)) if span is None else "".join(
+            out[start - out.flushed:])
+        out.limit = limit
     elif isinstance(value, str):
-        out.append(_escape_json(value))
+        out.write(_escape_json(value))
     elif value is None:
-        out.append("null")
+        out.write("null")
     elif isinstance(value, bool):
-        out.append("true" if value else "false")
+        out.write("true" if value else "false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.write(int.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def emit(report: Report, format: str = "text") -> bytes:
-    """Serialize a report; bit-stable for a fixed input and version."""
+def emit(report: Report, format: str = "text", sink=None) -> bytes | None:
+    """Serialize a report; bit-stable for a fixed input and version.  The bytes
+    go to `sink` in chunks as they are written, or without one are collected
+    and returned."""
+    if format not in ("json", "text", "dot"):
+        raise FormatUnavailable(f"unknown format {format!r}")
+    if format == "dot" and not report.attachments:
+        raise FormatUnavailable("no face-poset-bearing results in this report")
+    collected: list = []
+    out = _Chunks(collected.append if sink is None else sink)
     if format == "json":
-        out: list = []
         _write_json({"version": VERSION_TAG, "results": report.results}, out, "\n")
-        return ("".join(out) + "\n").encode()
-    if format == "text":
-        blocks = []
-        for r in report.results:
+        out.write("\n")
+    elif format == "text":
+        for i, r in enumerate(report.results):
             head = f"[{r['task']}] {r['op']}"
             if r.get("label"):
                 head += f" ({r['label']})"
+            out.write(head if i == 0 else "\n\n" + head)
             if r["status"] == "ok":
-                blocks.append(head + "\n" + _render_value(r["data"]))
+                _write_text(r["data"], out)
             else:
                 err = r["error"]
-                blocks.append(f"{head}\n    ERROR {err['type']}: {err['message']}")
-        return ("\n\n".join(blocks) + "\n").encode()
-    if format == "dot":
-        if not report.attachments:
-            raise FormatUnavailable("no face-poset-bearing results in this report")
-        graphs = []
-        for label, K in report.attachments:
-            graphs.append(f"// {label}\n" + cc.face_poset_dot(K))
-        return "\n".join(graphs).encode()
-    raise FormatUnavailable(f"unknown format {format!r}")
+                out.write(f"\n    ERROR {err['type']}: {err['message']}")
+        out.write("\n")
+    else:
+        for i, (label, K) in enumerate(report.attachments):
+            out.write(f"// {label}\n" if i == 0 else f"\n// {label}\n")
+            for line in cc.face_poset_dot(K):
+                out.write(line)
+    out.flush()
+    return b"".join(collected) if sink is None else None
 
 
 # ----------------------------------------------------------------------- main
 
 def main(argv=None) -> int:
+    """`logfan ARGV`; returns the exit status.  When the reader of stdout goes
+    away, the status is 1, with no traceback and nothing on stderr."""
+    try:
+        status = _command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in stdout's buffer goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
+
+
+def _command(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="logfan",
         description="combinatorial log-geometry calculator")
@@ -747,7 +809,7 @@ def main(argv=None) -> int:
 
     report = run(doc)
     try:
-        sys.stdout.buffer.write(emit(report, args.format))
+        emit(report, args.format, sys.stdout.buffer.write)
     except FormatUnavailable as exc:
         print(f"FormatUnavailable: {exc}", file=sys.stderr)
         return 2

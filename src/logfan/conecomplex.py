@@ -115,8 +115,7 @@ class Cone(Record):
         cone are all the subsets of its rays; those of any other sharp cone
         are the intersections of its facets."""
         if self.is_simplicial:
-            return tuple(frozenset(s) for k in range(len(self.rays) + 1)
-                         for s in itertools.combinations(range(len(self.rays)), k))
+            return _simplex_face_sets(len(self.rays))
         facets = self.geometry.facets
         # seeded with the facets, so the face sets share the geometry's frozensets
         found = {frozenset(range(len(self.rays))), *facets}
@@ -134,6 +133,14 @@ class Cone(Record):
     def span_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the saturated span lattice."""
         return saturate_subgroup(self.rays, self.lattice_rank)
+
+
+@functools.cache
+def _simplex_face_sets(n: int) -> tuple[frozenset, ...]:
+    """The face ray sets of every simplicial cone on n rays: all subsets of
+    range(n), by size and then lexicographically, one table per n."""
+    return tuple(frozenset(s) for k in range(n + 1)
+                 for s in itertools.combinations(range(n), k))
 
 
 class FaceMap(Record):
@@ -729,14 +736,14 @@ def _inside(cones, images: list[geom.ConeGeometry]) -> list[Cone]:
 
 # ------------------------------------------------------------------ rendering
 
-def face_poset_dot(K: GeneralizedConeComplex) -> str:
-    out = ["digraph face_poset {"]
+def face_poset_dot(K: GeneralizedConeComplex) -> Iterator[str]:
+    """The lines of K's face poset as a DOT graph, each with its newline."""
+    yield "digraph face_poset {\n"
     for i, c in enumerate(K.cones):
-        out.append(f'  c{i} [label="c{i} (dim {c.dim})"];')
+        yield f'  c{i} [label="c{i} (dim {c.dim})"];\n'
     for fm in K.nontrivial_face_maps():
-        out.append(f"  c{fm.source} -> c{fm.target};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+        yield f"  c{fm.source} -> c{fm.target};\n"
+    yield "}\n"
 
 
 # ------------------------------------------------------------- isomorphism

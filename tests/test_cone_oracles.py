@@ -8,6 +8,8 @@ diagonals and the F_1, F_2 and F_3 diagonal subdivisions:
 
 * `facet_closure_face_ray_sets` closes the facets under intersection, where
   a simplicial cone now lists every subset of its rays;
+* `per_cone_subsets` lists every subset of a simplicial cone's rays for that
+  cone, where every simplicial cone on n rays now shares one table of n;
 * `facet_meet_extreme_rays` keeps each ray that alone lies on the meet of the
   facets through it, where independent rays are now all kept;
 * `triangulated_multiplicity` sums the simplicial indices of a triangulation,
@@ -25,6 +27,7 @@ diagonals and the F_1, F_2 and F_3 diagonal subdivisions:
 """
 
 import collections
+import itertools
 import random
 
 from logfan import _geometry as geom
@@ -43,6 +46,11 @@ def facet_closure_face_ray_sets(c: Cone):
     for facet in facets:
         found |= {facet & s for s in found}
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def per_cone_subsets(c: Cone):
+    return tuple(frozenset(s) for k in range(len(c.rays) + 1)
+                 for s in itertools.combinations(range(len(c.rays)), k))
 
 
 def facet_meet_extreme_rays(rays, rank):
@@ -135,6 +143,9 @@ def _seeded_cones():
 
 def _check_cone(c: Cone):
     assert c.face_ray_sets == facet_closure_face_ray_sets(c), c
+    if c.is_simplicial:
+        assert c.face_ray_sets == per_cone_subsets(c), c
+        assert c.face_ray_sets is cc._simplex_face_sets(len(c.rays)), c
     assert c.faces == tuple(Cone.make([c.rays[i] for i in s], c.lattice_rank)
                             for s in c.face_ray_sets), c
     assert c.multiplicity == triangulated_multiplicity(c), c
@@ -150,6 +161,32 @@ def test_seeded_cones_match_the_polyhedral_oracles():
         seen[rank] += 1
     assert min(seen[k] for k in ("simplicial", "not simplicial", "redundant")) >= 50, seen
     assert all(seen[rank] >= 20 for rank in range(1, 7)), seen
+
+
+def test_simplicial_cones_of_one_ray_count_share_one_face_table():
+    """Cones on 0-12 independent rays, in ranks up to 12: each ray count
+    has one table of face ray sets, equal to the per-cone subsets, and the
+    169 cones of the F_2 diagonal subdivision hold one table per ray count."""
+    rng = random.Random(5)
+    for n in range(13):
+        cones = set()
+        for _ in range(200):
+            rank = rng.randint(max(n, 1), 12)
+            rays = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+            if lattice_rank(rays) == n:
+                cones.add(Cone.make(rays, rank))
+        assert len(cones) >= 3 and all(c.is_simplicial for c in cones), n
+        assert all(c.face_ray_sets == per_cone_subsets(c) for c in cones), n
+        assert len({id(c.face_ray_sets) for c in cones}) == 1, n
+    F2 = cc.from_toric_fan([(1, 0), (0, 1), (-1, 2), (0, -1)],
+                           [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
+    refined = cc.subdivide_along_diagonal(F2).subdivision.refined
+    simplicial = [c for c in refined.cones if c.is_simplicial]
+    assert len(simplicial) == len(refined.cones) == 169
+    tables = {len(c.rays): id(c.face_ray_sets) for c in simplicial}
+    assert len({id(c.face_ray_sets) for c in simplicial}) == len(tables) == 5
+    # the subsets of 0-4 rays: 1 + 2 + 4 + 8 + 16 frozensets in all
+    assert len({id(s) for c in simplicial for s in c.face_ray_sets}) == 31
 
 
 def test_grading_sums_the_facet_normals_and_is_positive_on_sharp_cones():

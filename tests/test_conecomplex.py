@@ -849,6 +849,6 @@ def test_renderings():
     W = nodal_cubic_complex()
     txt = face_poset_text(W)
     assert "cones: 3" in txt
-    dot = face_poset_dot(W)
+    dot = "".join(face_poset_dot(W))
     assert dot.count("->") == 4
     assert dot.count("label=") == 3

@@ -2,13 +2,18 @@
 `sort_keys=True, indent=2`: seeded nested payloads, payloads that hold one
 object at several places, the real diagonal reports, one document per
 operation, the types it refuses, and a guard that `emit` never reaches the
-stdlib's pure-Python indent encoder."""
+stdlib's pure-Python indent encoder.  The text and dot formats against the
+whole-string renderers they replaced, every format with a chunk boundary
+after every part and after every seventh, and the memory a streamed report
+takes."""
 
 import collections
 import functools
+import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +21,7 @@ import pytest
 from logfan import cli
 from logfan.cli import OPERATIONS, _write_json, emit, parse, run
 from logfan.lattice import IntMatrix
+from logfan.logmodel import GradedEntry
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,10 +37,17 @@ def oracle(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
 
 
-def write(value) -> str:
-    out: list = []
+def chunked(value) -> list[bytes]:
+    """The chunks `_write_json` hands its sink for `value`."""
+    chunks: list = []
+    out = cli._Chunks(chunks.append)
     _write_json(value, out, "\n")
-    return "".join(out)
+    out.flush()
+    return chunks
+
+
+def write(value) -> str:
+    return b"".join(chunked(value)).decode()
 
 
 def seeded_payload(rng: random.Random, depth: int = 0):
@@ -159,13 +172,19 @@ def test_emit_matches_oracle_on_diagonal_reports(surface):
     assert emit(report, "json") == emitted_by_oracle(report)
 
 
-class AppendOnly(list):
-    """An output list that records each slice read and refuses every write
-    but an append."""
+class AppendOnly(cli._Chunks):
+    """An output buffer that records each slice read, each part appended and
+    each chunk flushed, and refuses every write but an append and a flush."""
 
     def __init__(self):
-        super().__init__()
+        self.written = []
+        super().__init__(self.written.append)
         self.reads = []
+        self.parts = []
+
+    def append(self, part):
+        self.parts.append(part)
+        super().append(part)
 
     def __getitem__(self, index):
         self.reads.append(index)
@@ -205,12 +224,13 @@ def test_f2_report_reads_and_joins_each_shared_matrix_once(monkeypatch):
 
     out = AppendOnly()
     _write_json({"version": "logfan/1", "results": report.results}, out, "\n")
-    assert "".join(out) + "\n" == emitted_by_oracle(report).decode()
+    out.flush()
+    assert b"".join(out.written).decode() + "\n" == emitted_by_oracle(report).decode()
     assert len(out.reads) == 2
     # both identities have one text; each is joined once and written again
     # as that one string
     text = write(IntMatrix.identity(4).as_rows()).replace("\n", "\n" + " " * 14)
-    joined = collections.Counter(id(item) for item in out if item == text)
+    joined = collections.Counter(id(item) for item in out.parts if item == text)
     assert sorted(joined.values()) == [25 - 1, 1369 - 1]
 
 
@@ -323,3 +343,122 @@ def test_writer_matches_oracle_property():
         assert write(value) == oracle(value)
 
     check()
+
+
+# The whole-string text and dot renderers that `emit` streamed away, kept as
+# the oracles of those formats.
+
+def render_value(value, indent="    "):
+    if isinstance(value, list):
+        return "\n".join(f"{indent}- {item}" for item in value)
+    lines = []
+    for k in sorted(value, key=str):
+        v = value[k]
+        if isinstance(v, dict) and set(v) == {"series", "truncation"}:
+            lines.append(f"{indent}{k}: {GradedEntry.series(v['series']).render()}")
+        elif isinstance(v, (dict, list)):
+            lines.append(f"{indent}{k}:")
+            lines.append(render_value(v, indent + "  "))
+        else:
+            lines.append(f"{indent}{k}: {v}")
+    return "\n".join(lines)
+
+
+def text_by_oracle(report) -> bytes:
+    blocks = []
+    for r in report.results:
+        head = f"[{r['task']}] {r['op']}"
+        if r.get("label"):
+            head += f" ({r['label']})"
+        if r["status"] == "ok":
+            blocks.append(head + "\n" + render_value(r["data"]))
+        else:
+            err = r["error"]
+            blocks.append(f"{head}\n    ERROR {err['type']}: {err['message']}")
+    return ("\n\n".join(blocks) + "\n").encode()
+
+
+def dot_by_oracle(report) -> bytes:
+    graphs = []
+    for label, K in report.attachments:
+        lines = (["digraph face_poset {"]
+                 + [f'  c{i} [label="c{i} (dim {c.dim})"];' for i, c in enumerate(K.cones)]
+                 + [f"  c{fm.source} -> c{fm.target};" for fm in K.nontrivial_face_maps()]
+                 + ["}"])
+        graphs.append(f"// {label}\n" + "\n".join(lines) + "\n")
+    return "\n".join(graphs).encode()
+
+
+DEFAULT_CHUNK_PARTS = cli._CHUNK_PARTS
+
+
+@pytest.fixture(params=[1, 7, DEFAULT_CHUNK_PARTS])
+def chunk_parts(request, monkeypatch):
+    """The number of parts per chunk: a boundary after every part, after
+    every seventh, and the default."""
+    monkeypatch.setattr(cli, "_CHUNK_PARTS", request.param)
+    return request.param
+
+
+def test_chunked_writer_matches_oracle_on_seeded_and_aliased_payloads(chunk_parts):
+    for seed in range(500):
+        value = seeded_payload(random.Random(seed))
+        assert write(value) == oracle(value), seed
+    for shared in ALIASED.values():
+        for value in (aliased(shared), [aliased(shared)] * 2 + [{"v": aliased(shared)}]):
+            assert write(value) == oracle(value), shared
+
+
+def test_a_shared_list_flushed_before_it_recurs_matches_oracle(chunk_parts):
+    """A shared list, 40 other lists, and the shared list twice more: with
+    a boundary every 1 or 7 parts a chunk ends inside the first writing or
+    between it and the first repeat, so that repeat cannot be joined from
+    what is still held and is written afresh."""
+    shared = [[1, 2], {"k": [3], "l": ["x", None]}, [[4], []]]
+    value = {"a": [shared, [[i] for i in range(40)], shared, {"b": shared}], "c": shared}
+    chunks = chunked(value)
+    text = oracle(value)
+    assert b"".join(chunks).decode() == text
+    first = oracle(shared).replace("\n", "\n    ")
+    s1 = text.index(first)
+    s2 = text.index(first, s1 + len(first))
+    assert text.count(first) == 2          # at the indent where it recurs
+    boundaries = list(itertools.accumulate(map(len, chunks)))
+    assert any(s1 < b <= s2 for b in boundaries) == (chunk_parts < DEFAULT_CHUNK_PARTS)
+
+
+def reports_of_every_fixture_and_diagonal():
+    reports = [run(parse(p.read_text())) for p in sorted(FIXTURES.glob("*.lf.json"))]
+    return reports + [diagonal_report(s) for s in ("P1", "A2", "P2", "F1", "F2", "F3")]
+
+
+def test_chunked_emit_matches_the_oracles_in_every_format(chunk_parts):
+    """Every fixture and diagonal report as json, text and dot (where it has
+    complexes) is the oracle's bytes, and a sink sees them in chunks of at
+    most `chunk_parts` parts."""
+    for report in reports_of_every_fixture_and_diagonal():
+        expected = {"json": emitted_by_oracle(report), "text": text_by_oracle(report)}
+        if report.attachments:
+            expected["dot"] = dot_by_oracle(report)
+        for fmt, want in expected.items():
+            chunks = []
+            assert emit(report, fmt, chunks.append) is None
+            assert b"".join(chunks) == want == emit(report, fmt), fmt
+            if chunk_parts == 1 and len(want) > 1:
+                assert len(chunks) > 1, fmt
+
+
+def test_f2_report_streams_in_under_a_quarter_of_its_size():
+    """Emitting the 921,377 bytes of F_2's JSON report to a sink that drops
+    them allocates at its peak under a quarter of that: the output is never
+    held whole, and neither is every list's text."""
+    report = diagonal_report("F2")
+    size = len(emit(report, "json"))
+    assert size == 921_377
+    tracemalloc.start()
+    try:
+        emit(report, "json", lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, peak

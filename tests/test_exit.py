@@ -5,10 +5,13 @@ collection skips what is left when the process ends.  What a command prints,
 its stderr and its exit status must not change for it: every fixture in
 every format, a document that is refused, and `paper-suite`, each with
 stdout piped and redirected to a file, against the same work done in this
-process.  `main` registers the hook once however often it runs, and a
-program that only imports the package registers nothing.
+process; the F_2 diagonal subdivision among them, whose report crosses the
+pipe in many chunks.  `main` registers the hook once however often it runs,
+and a program that only imports the package registers nothing.  A command
+whose stdout was closed by its reader exits 1 with nothing on stderr.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -19,6 +22,7 @@ import pytest
 from logfan.cli import emit, parse, run
 from logfan.errors import FormatUnavailable, LogfanError
 from logfan.suite import run_paper_suite
+from test_emit_writer import diagonal_document
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -69,8 +73,15 @@ def _in_process_suite():
     return ("\n".join(lines) + "\n").encode(), b"", 0 if failed == 0 else 1
 
 
+def _f2_document(tmp_path):
+    path = tmp_path / "f2_diagonal.lf.json"
+    path.write_text(json.dumps(diagonal_document("F2")))
+    return path
+
+
 CASES = ([(path.name, fmt) for path in sorted(FIXTURES.glob("*.lf.json"))
           for fmt in ("json", "text", "dot")]
+         + [("F2 diagonal", fmt) for fmt in ("json", "text", "dot")]
          + [("unreadable", "json"), ("paper-suite", None)])
 
 
@@ -80,7 +91,9 @@ def test_output_survives_a_real_exit(tmp_path, name, fmt):
         args, expected = ["paper-suite"], _in_process_suite()
     else:
         path = FIXTURES / name
-        if name == "unreadable":
+        if name == "F2 diagonal":
+            path = _f2_document(tmp_path)
+        elif name == "unreadable":
             path = tmp_path / "unreadable.lf.json"
             path.write_text(UNREADABLE)
         args, expected = ["run", str(path), "--format", fmt], _in_process_run(path, fmt)
@@ -88,6 +101,25 @@ def test_output_survives_a_real_exit(tmp_path, name, fmt):
         assert expected[2] == 2 and expected[1].startswith(b"ParseError: object 'X'")
     for to_file in (False, True):
         assert _real_exit(args, tmp_path, to_file) == expected, (name, fmt, to_file)
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "F2", "--format", "json"], ["run", "F2", "--format", "text"],
+    ["run", "F2", "--format", "dot"], ["paper-suite"], ["check", "F2"],
+], ids=" ".join)
+def test_a_closed_stdout_exits_1_quietly(tmp_path, args):
+    """stdout is a pipe whose read end is closed before the command writes:
+    every write fails, the F_2 JSON report's at its first chunk.  No
+    traceback, no complaint from the interpreter's final flush, exit 1."""
+    args = [str(_f2_document(tmp_path)) if a == "F2" else a for a in args]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "logfan.cli", *args], env=_env(),
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 HOOK_PROBE = """
