@@ -508,6 +508,8 @@ def parse(text: str, truncation: int | None = None) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:              # an integer too long to convert
+        raise ParseError(str(exc))
     except RecursionError:
         raise ParseError("document nested too deeply")
     if not isinstance(raw, dict):
@@ -592,24 +594,20 @@ _CHUNK_PARTS = 512
 
 class _Chunks(list):
     """The parts of an output not yet handed to `sink`, which takes them as
-    one bytes chunk once `limit` parts wait (a hold sets `limit` to infinity).
-    `flushed` counts the parts handed over, so `flushed + i` is the index of
-    `self[i]` in the whole output."""
+    one bytes chunk once `_CHUNK_PARTS` parts wait.  Without a sink the parts
+    are kept and never flushed."""
 
-    def __init__(self, sink):
+    def __init__(self, sink=None):
         super().__init__()
         self.sink = sink
-        self.flushed = 0
-        self.limit = _CHUNK_PARTS
 
     def write(self, part: str) -> None:
         self.append(part)
-        if len(self) >= self.limit:
+        if len(self) >= _CHUNK_PARTS and self.sink is not None:
             self.flush()
 
     def flush(self) -> None:
         text = "".join(self)
-        self.flushed += len(self)
         self.clear()
         self.sink(text.encode())
 
@@ -638,19 +636,16 @@ def _write_text(value, out: _Chunks, indent="    ") -> None:
 _escape_json = json.encoder.encode_basestring_ascii   # the stdlib encoder's C escaper
 
 
-def _write_json(value, out: _Chunks, indent: str, seen: dict | None = None) -> None:
+def _write_json(value, out: _Chunks, indent: str, seen: dict) -> None:
     """Write to `out` the stdlib's JSON text of `value` with sorted keys and
     `indent=2`, in parts; `indent` is a newline and the current level's spaces.
 
     A list or tuple that is not a flat int list, met again at the same indent,
-    is written from its first writing: that writing records its span of the
-    output in `seen` under `(id(value), indent)`, and the first repeat keeps
-    the span's text and writes it.  The text is joined from `out` if no part
-    of the span was flushed; otherwise the list is written afresh, with `out`
-    held from flushing, and that span is joined.  Each key stays valid because
-    the payload being written keeps every object in it alive."""
-    if seen is None:
-        seen = {}
+    is written from its text.  `seen`, empty at the top, maps
+    `(id(value), indent)` to None at a first writing; the first repeat writes
+    the list afresh into a `_Chunks` of its own and keeps that text there.
+    Each key stays valid because the payload being written keeps every object
+    in it alive."""
     inner = indent + "  "
     if isinstance(value, dict):
         sep = "{"
@@ -669,29 +664,21 @@ def _write_json(value, out: _Chunks, indent: str, seen: dict | None = None) -> N
             out.write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
             return
         key = (id(value), indent)
-        span = seen.get(key)
-        if type(span) is str:              # a repeat with its text kept
-            out.write(span)
+        if key in seen:
+            if seen[key] is None:          # the first repeat: keep its text
+                kept = _Chunks()
+                del seen[key]              # so that it is written as a first writing
+                _write_json(value, kept, indent, seen)
+                seen[key] = "".join(kept)
+            out.write(seen[key])
             return
-        if span is not None and span[0] >= out.flushed:
-            # the first repeat, with its first writing still in `out`
-            text = seen[key] = "".join(out[span[0] - out.flushed:span[1] - out.flushed])
-            out.write(text)
-            return
-        # a first writing, or a first repeat written afresh under a hold
-        limit = out.limit
-        if span is not None:
-            out.limit = math.inf
-        start = out.flushed + len(out)
+        seen[key] = None
         sep = "["
         for item in value:
             out.write(sep + inner)
             _write_json(item, out, inner, seen)
             sep = ","
         out.write(indent + "]" if value else "[]")
-        seen[key] = (start, out.flushed + len(out)) if span is None else "".join(
-            out[start - out.flushed:])
-        out.limit = limit
     elif isinstance(value, str):
         out.write(_escape_json(value))
     elif value is None:
@@ -715,7 +702,7 @@ def emit(report: Report, format: str = "text", sink=None) -> bytes | None:
     collected: list = []
     out = _Chunks(collected.append if sink is None else sink)
     if format == "json":
-        _write_json({"version": VERSION_TAG, "results": report.results}, out, "\n")
+        _write_json({"version": VERSION_TAG, "results": report.results}, out, "\n", {})
         out.write("\n")
     elif format == "text":
         for i, r in enumerate(report.results):
@@ -793,7 +780,7 @@ def _command(argv) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

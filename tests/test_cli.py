@@ -208,6 +208,28 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys, depth):
     assert capsys.readouterr().err == "ParseError: document nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_an_integer_too_long_to_convert_is_a_parse_error(tmp_path, capsys, command):
+    """A matrix entry of 5,000 digits, past the interpreter's limit on
+    converting an integer from text, is one ParseError line and exit 2."""
+    p = tmp_path / "long.lf.json"
+    p.write_text('{"version": "logfan/1", "objects": {"M": {"kind": "matrix", '
+                 f'"entries": [[{"7" * 5000}]]}}}}, "tasks": []}}')
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: Exceeds the limit ({sys.get_int_max_str_digits()} digits)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_document_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    p = tmp_path / "utf16.lf.json"
+    p.write_bytes(b'\xff\xfe{"version": "logfan/1"}')
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
 def test_main_seed_and_truncation_accepted():
     """--truncation is accepted; --seed, which did nothing, is gone."""
     path = str(FIXTURES / "a2_product.lf.json")

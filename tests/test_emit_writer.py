@@ -4,8 +4,8 @@ object at several places, the real diagonal reports, one document per
 operation, the types it refuses, and a guard that `emit` never reaches the
 stdlib's pure-Python indent encoder.  The text and dot formats against the
 whole-string renderers they replaced, every format with a chunk boundary
-after every part and after every seventh, and the memory a streamed report
-takes."""
+after every part and after every seventh, the memory a streamed report
+takes, and how often a recurring list is rendered."""
 
 import collections
 import functools
@@ -41,7 +41,7 @@ def chunked(value) -> list[bytes]:
     """The chunks `_write_json` hands its sink for `value`."""
     chunks: list = []
     out = cli._Chunks(chunks.append)
-    _write_json(value, out, "\n")
+    _write_json(value, out, "\n", {})
     out.flush()
     return chunks
 
@@ -196,11 +196,12 @@ class AppendOnly(cli._Chunks):
     __setitem__ = __delitem__ = __iadd__ = insert = extend = pop = remove = refuse
 
 
-def test_f2_report_reads_and_joins_each_shared_matrix_once(monkeypatch):
+def test_f2_report_writes_each_shared_matrix_as_one_string_and_reads_nothing_back(monkeypatch):
     """All 1,369 face maps of F_2's refinement share one identity matrix, and
     the 25 of its image subcomplex another: each `_json_complex` call turns a
-    matrix object into rows once, and the writer joins each shared rows list's
-    text once, at the one depth where it recurs."""
+    matrix object into rows once, and the writer writes each shared rows
+    list's kept text as one string at every repeat, at the one depth where it
+    recurs, without reading back anything it wrote."""
     rows_calls = []
     per_call = []
     as_rows, json_complex = IntMatrix.as_rows, cli._json_complex
@@ -223,12 +224,11 @@ def test_f2_report_reads_and_joins_each_shared_matrix_once(monkeypatch):
     assert per_call == [(1369, 1, 1), (25, 1, 1)]
 
     out = AppendOnly()
-    _write_json({"version": "logfan/1", "results": report.results}, out, "\n")
+    _write_json({"version": "logfan/1", "results": report.results}, out, "\n", {})
     out.flush()
     assert b"".join(out.written).decode() + "\n" == emitted_by_oracle(report).decode()
-    assert len(out.reads) == 2
-    # both identities have one text; each is joined once and written again
-    # as that one string
+    assert len(out.reads) == 0
+    # both identities have one text, written as that one string at each repeat
     text = write(IntMatrix.identity(4).as_rows()).replace("\n", "\n" + " " * 14)
     joined = collections.Counter(id(item) for item in out.parts if item == text)
     assert sorted(joined.values()) == [25 - 1, 1369 - 1]
@@ -412,8 +412,7 @@ def test_chunked_writer_matches_oracle_on_seeded_and_aliased_payloads(chunk_part
 def test_a_shared_list_flushed_before_it_recurs_matches_oracle(chunk_parts):
     """A shared list, 40 other lists, and the shared list twice more: with
     a boundary every 1 or 7 parts a chunk ends inside the first writing or
-    between it and the first repeat, so that repeat cannot be joined from
-    what is still held and is written afresh."""
+    between it and the first repeat, and the bytes still match the oracle."""
     shared = [[1, 2], {"k": [3], "l": ["x", None]}, [[4], []]]
     value = {"a": [shared, [[i] for i in range(40)], shared, {"b": shared}], "c": shared}
     chunks = chunked(value)
@@ -425,6 +424,28 @@ def test_a_shared_list_flushed_before_it_recurs_matches_oracle(chunk_parts):
     assert text.count(first) == 2          # at the indent where it recurs
     boundaries = list(itertools.accumulate(map(len, chunks)))
     assert any(s1 < b <= s2 for b in boundaries) == (chunk_parts < DEFAULT_CHUNK_PARTS)
+
+
+class Visited(list):
+    """A list that counts the passes made over all of its items."""
+    visits = 0
+
+    def __iter__(self):
+        yield from list.__iter__(self)
+        self.visits += 1
+
+
+@pytest.mark.parametrize("times", [1, 2, 3, 60])
+def test_a_recurring_list_is_rendered_at_most_twice(chunk_parts, times):
+    """However often a list recurs at one indent, and wherever the chunk
+    boundaries fall, the writer passes over its items at most twice: at its
+    first writing and at its first repeat, whose text it keeps."""
+    shared = Visited([[1, 2], {"k": [3], "l": ["x", None]}, [[4], []]])
+    value = {"a": [x for i in range(times) for x in (shared, [[i], {"i": i}])]}
+    expected = oracle(value)
+    shared.visits = 0
+    assert write(value) == expected
+    assert 1 <= shared.visits <= min(times, 2)
 
 
 def reports_of_every_fixture_and_diagonal():
